@@ -42,7 +42,6 @@ strictly opt-in and costs nothing when disabled).
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 import numpy as np
@@ -234,12 +233,10 @@ def _resolve_problem(name: str):
 
 
 def cmd_run(args) -> int:
+    from repro.core.campaign import parse_label
     from repro.core.easybo import make_algorithm
 
     problem = _resolve_problem(args.problem)
-    label = args.algorithm.strip()
-    if args.workers is not None:
-        label = re.sub(r"-\d+$", "", label) + f"-{args.workers}"
     obs_kwargs, finish = _obs_kwargs(args, f"{args.problem}-trace.jsonl")
     policy_kwargs = (
         {} if args.pending_policy is None
@@ -249,11 +246,18 @@ def cmd_run(args) -> int:
         value = getattr(args, name, None)
         if value is not None:
             policy_kwargs[name] = value
-    algorithm = make_algorithm(
-        label, problem, max_evals=args.budget, rng=args.seed,
-        n_init=args.n_init, **policy_kwargs, **_journal_kwargs(args),
-        **_pool_kwargs(args), **obs_kwargs,
-    )
+    try:
+        label = args.algorithm.strip()
+        if args.workers is not None:
+            label = f"{parse_label(label)[0].display}-{args.workers}"
+        algorithm = make_algorithm(
+            label, problem, max_evals=args.budget, rng=args.seed,
+            n_init=args.n_init, **policy_kwargs, **_journal_kwargs(args),
+            **_pool_kwargs(args), **obs_kwargs,
+        )
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     result = None
     try:
         result = algorithm.run()

@@ -30,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
-from repro.core.bo import BODriverBase, shutdown_pool
-from repro.core.campaign import AsyncBatchStrategy
+from repro.core.bo import BODriverBase
+from repro.core.campaign import AsyncBatchStrategy, policy_family
 from repro.core.results import RunResult
 
 __all__ = ["AsynchronousBatchBO"]
@@ -39,15 +39,6 @@ __all__ = ["AsynchronousBatchBO"]
 
 class AsynchronousBatchBO(BODriverBase):
     """EasyBO (penalized) and EasyBO-A (unpenalized) asynchronous drivers."""
-
-    #: Display base per pending-point policy; the label round-trips through
-    #: ``make_algorithm`` (``EasyBO-LP-5`` parses back to the ``lp`` policy).
-    _POLICY_BASES = {
-        "hallucinate": "EasyBO",
-        "none": "EasyBO-A",
-        "lp": "EasyBO-LP",
-        "pessimistic": "EasyBO-PESS",
-    }
 
     def __init__(
         self,
@@ -69,13 +60,13 @@ class AsynchronousBatchBO(BODriverBase):
         )
         self.penalized = strategy.penalized
         self.pending_policy = strategy.pending_policy.name
-        base = self._POLICY_BASES.get(
-            self.pending_policy, f"EasyBO+{self.pending_policy}"
-        )
-        self.algorithm_name = base if batch_size == 1 else f"{base}-{batch_size}"
+        # The label round-trips through make_algorithm (``EasyBO-LP-5``
+        # parses back to the ``lp`` policy).
+        self.algorithm_name = policy_family(self.pending_policy).label(batch_size)
         self.campaign.strategy = strategy
         self.campaign.batch_size = self.batch_size
         self.campaign.algorithm = self.algorithm_name
+        self.campaign._config.update(lam=self.lam, pending_policy=self.pending_policy)
 
     def _propose_async(self, pool) -> np.ndarray:
         """One Alg. 1 iteration of model refinement and point selection.
@@ -83,37 +74,10 @@ class AsynchronousBatchBO(BODriverBase):
         Thin hook over :meth:`Campaign.propose` — the campaign's pending set
         mirrors ``pool.pending_points()`` point-for-point, so the Eq. 9
         hallucination sees the same matrix it always did.  Subclasses
-        (constrained, cost-aware) override this to reshape the acquisition.
+        (constrained, cost-aware) override this to plug their side models
+        into :meth:`AsyncBatchStrategy.propose`.
         """
         return self.campaign.propose()
-
-    def _resume_config(self) -> dict:
-        config = super()._resume_config()
-        config.update(lam=self.lam, pending_policy=self.pending_policy)
-        return config
-
-    def run(self) -> RunResult:
-        pool = self._make_pool(self.batch_size)
-        try:
-            self._begin_run(self.batch_size)
-            design = self._initial_design()
-            self._journal_doe(design)
-            self.campaign.begin(design)
-            return self._drive(pool)
-        finally:
-            shutdown_pool(pool)
-
-    def _resume_drive(self, pool, state) -> RunResult:
-        design = state.design
-        if design is None:
-            # Crashed before the DoE record was durable: redraw it (the RNG
-            # was restored to the pre-draw state, so it is the same design).
-            design = self._initial_design()
-            self._journal_doe(design)
-        self.campaign.restore(
-            design=design, issued=state.issued, pending=pool.pending_points()
-        )
-        return self._drive(pool)
 
     def _drive(self, pool) -> RunResult:
         """Alg. 1 as an ask/tell loop, resumable at any boundary.
@@ -127,13 +91,10 @@ class AsynchronousBatchBO(BODriverBase):
         def refill() -> None:
             """Keep every idle worker busy (initial design first, then BO)."""
             while not campaign.exhausted and pool.idle_count > 0:
-                if campaign.in_doe:
-                    self._submit(pool, campaign.ask())
-                else:
-                    self._submit(
-                        pool,
-                        campaign.ask(_propose=lambda: self._propose_async(pool)),
-                    )
+                campaign.ask(
+                    _propose=lambda: self._propose_async(pool),
+                    _issue=lambda x: self._submit(pool, x),
+                )
 
         refill()
         iteration = 0

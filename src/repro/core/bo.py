@@ -14,11 +14,14 @@ import dataclasses
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
-from repro.core.campaign import Campaign, SequentialStrategy
-from repro.core.doe import random_design
+from repro.core.campaign import (
+    FAMILIES,
+    Campaign,
+    SequentialStrategy,
+    campaign_config,
+)
 from repro.core.faults import FailurePolicy
-from repro.core.journal import JOURNAL_VERSION, JournalWriter
-from repro.core.problem import STATUS_ORPHANED, Problem
+from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.obs import Observability
 from repro.sched.trace import EvalRecord
@@ -82,12 +85,13 @@ class BODriverBase:
     journal:
         Crash-safety sink: a path (a :class:`~repro.core.journal.JournalWriter`
         is opened on it) or any object with an ``append(record)`` method.
-        Every state transition of the run — start, initial design, issue,
-        completion, batch selection, checkpoint, end — is appended as one
-        fsync'd framed record, and :func:`repro.core.recovery.resume` can
-        replay the file to continue a crashed run on the exact trajectory
-        the uninterrupted run would have taken.  ``None`` (default)
-        disables journaling; it changes nothing about the trajectory.
+        The embedded campaign writes its journal there — start, initial
+        design, every ask and tell (with the pool facts: issue slot,
+        evaluation record, clock), end — one fsync'd framed record each,
+        and :func:`repro.core.recovery.resume` can replay the file to
+        continue a crashed run on the exact trajectory the uninterrupted run
+        would have taken.  ``None`` (default) disables journaling; it
+        changes nothing about the trajectory.
     checkpoint_every:
         Emit an integrity ``checkpoint`` record every this-many completed
         evaluations (0 = never).  Checkpoints are cross-checks, not the
@@ -146,13 +150,13 @@ class BODriverBase:
         self.failure_policy = failure_policy or FailurePolicy()
         self.acq_candidates = int(acq_candidates)
         self.acq_restarts = int(acq_restarts)
-        self.journal = journal
         self.checkpoint_every = int(checkpoint_every)
         self.obs = Observability(tracer, metrics)
         self._run_span = None
         # The ask/tell core: proposal pipeline, pending-point bookkeeping,
-        # and failure-policy state all live here.  The driver is a thin loop
-        # over it — subclasses plug in their family strategy after super().
+        # failure-policy state, and the journal all live here.  The driver is
+        # a thin loop over it — subclasses plug in their family strategy
+        # after super() and add their knobs to the journaled config.
         self.campaign = Campaign(
             problem,
             None,
@@ -168,11 +172,15 @@ class BODriverBase:
             n_inducing=n_inducing,
             refit_every=refit_every,
             obs=self.obs,
+            journal=journal,
             algorithm=self.algorithm_name,
             embedded=True,
         )
-        self._journal = None
-        self._owns_journal = False
+        self.campaign._config = campaign_config(self.campaign)
+        # The driver's pool also consumes the retry/timeout/lease fields.
+        self.campaign._config["failure_policy"] = dataclasses.asdict(
+            self.failure_policy
+        )
         self._since_checkpoint = 0
         # Async drivers overwrite this with their pending-point policy name;
         # it rides along in the packaged RunResult (runs format v7).
@@ -183,18 +191,6 @@ class BODriverBase:
     def session(self):
         """The surrogate session (owned by the embedded campaign)."""
         return self.campaign.session
-
-    @property
-    def _reissue_counts(self) -> dict[bytes, int]:
-        return self.campaign.reissue_counts
-
-    @_reissue_counts.setter
-    def _reissue_counts(self, value) -> None:
-        self.campaign.reissue_counts = dict(value)
-
-    @property
-    def _last_absorb(self) -> tuple[str | None, float | None]:
-        return self.campaign.last_action
 
     # ------------------------------------------------------------- helpers
     def _make_pool(self, n_workers: int):
@@ -216,10 +212,7 @@ class BODriverBase:
             bind(self.obs)
         return pool
 
-    def _initial_design(self) -> np.ndarray:
-        return random_design(self.problem.bounds, self.n_init, self.rng)
-
-    # ------------------------------------------------------------ journaling
+    # ------------------------------------------------------------ the loop
     def _begin_observability(self, n_workers: int, *, resumed: bool = False) -> None:
         """Open the root ``run`` span (closed again by :meth:`_package`)."""
         if self._run_span is None:
@@ -232,96 +225,38 @@ class BODriverBase:
             )
             self._run_span.__enter__()
 
-    def _begin_run(self, n_workers: int) -> None:
-        """Open the journal sink and write the ``run_start`` record."""
-        self._begin_observability(n_workers)
-        self.campaign.reissue_counts = {}
-        self.campaign._pending_failure_action = None
-        self._since_checkpoint = 0
-        spec = self.journal
-        if spec is None:
-            self._journal, self._owns_journal = None, False
-        elif hasattr(spec, "append"):
-            self._journal, self._owns_journal = spec, False
-        else:
-            self._journal, self._owns_journal = JournalWriter(spec), True
-        self._journal_event(
-            {
-                "type": "run_start",
-                "journal_version": JOURNAL_VERSION,
-                "algorithm": self.algorithm_name,
-                "problem": self.problem.name,
-                "n_workers": int(n_workers),
-                "config": self._resume_config(),
-                "rng_state": rng_state_to_dict(self.rng),
-            }
-        )
+    def run(self) -> RunResult:
+        """Run to completion: journal the start and initial design, then drive."""
+        pool = self._make_pool(self.campaign.batch_size)
+        try:
+            self._begin_observability(self.campaign.batch_size)
+            self.campaign.start(checkpoint_every=self.checkpoint_every)
+            return self._drive(pool)
+        finally:
+            shutdown_pool(pool)
+            self.campaign.close()
 
-    def _journal_event(self, record: dict) -> None:
-        if self._journal is not None:
-            self._journal.append(record)
+    def _drive(self, pool) -> RunResult:  # pragma: no cover - interface
+        """The family's ask/tell loop, resumable at any journal boundary."""
+        raise NotImplementedError
 
-    def _journal_doe(self, design: np.ndarray) -> None:
-        if self._journal is not None:
-            self._journal.append(
-                {
-                    "type": "doe",
-                    "design": [[float(v) for v in row] for row in np.asarray(design)],
-                    "rng_state": rng_state_to_dict(self.rng),
-                }
-            )
+    def _submit(self, pool, x, *, batch: int | None = None) -> dict:
+        """Submit one point; return the issue facts its ask/tell journals.
 
-    def _resume_config(self) -> dict:
-        """Constructor kwargs that reproduce this driver at resume time.
-
-        Together with the ``algorithm`` label (which encodes family, batch
-        size, and strategy) this must round-trip through
-        :func:`repro.core.easybo.make_algorithm` to an identically-configured
-        driver.  Subclasses extend it with their own knobs.
-        """
-        return {
-            "n_init": self.n_init,
-            "max_evals": self.max_evals,
-            "acq_candidates": self.acq_candidates,
-            "acq_restarts": self.acq_restarts,
-            "surrogate_update": self.session.surrogate_update,
-            "surrogate": self.session.surrogate,
-            "max_exact_n": self.session.max_exact_n,
-            "n_inducing": self.session.n_inducing,
-            "refit_every": self.session.refit_every,
-            "checkpoint_every": self.checkpoint_every,
-            "failure_policy": dataclasses.asdict(self.failure_policy),
-        }
-
-    def _submit(self, pool, x, *, batch: int | None = None, counts: bool = True) -> int:
-        """Submit one point and journal the issue (with post-proposal state).
-
-        The issue record carries the RNG state *after* every draw the
-        proposal consumed plus a surrogate hyperparameter snapshot, so replay
-        can continue from this exact boundary; ``counts=False`` marks budget-
-        neutral re-issues of orphaned points.
+        :func:`repro.core.recovery.resume` re-runs a point the crash caught
+        in flight at exactly this index, worker, and issue time.
         """
         with self.obs.span("dispatch") as span:
             index = pool.submit(x, batch=batch)
             span.annotate(index=int(index))
         self.obs.inc("driver.submits")
-        if self._journal is not None:
-            info = pool.task_info(index)
-            self._journal.append(
-                {
-                    "type": "issue",
-                    "index": int(index),
-                    "worker": int(info["worker"]),
-                    "x": [float(v) for v in np.asarray(x).ravel()],
-                    "batch": None if batch is None else int(batch),
-                    "issue_time": float(info["issue_time"]),
-                    "lease": info["lease"],
-                    "counts_budget": bool(counts),
-                    "rng_state": rng_state_to_dict(self.rng),
-                    "surrogate": self.session.snapshot(),
-                }
-            )
-        return index
+        info = pool.task_info(index)
+        return {
+            "index": int(index),
+            "worker": int(info["worker"]),
+            "issue_time": float(info["issue_time"]),
+            "batch": batch,
+        }
 
     def _wait(self, pool) -> Completion:
         """Block on ``pool.wait_next()`` under a ``wait`` span."""
@@ -333,61 +268,49 @@ class BODriverBase:
         self.obs.inc("driver.completions")
         return completion
 
-    def _consume(self, pool, completion: Completion) -> bool:
-        """Resolve one completion: reconcile orphans, absorb, journal.
+    def _consume(self, pool, completion: Completion) -> None:
+        """Tell the campaign one completion, journaled with its trace record.
 
         Orphaned completions (a worker whose lease expired with the point
-        still in flight) follow ``failure_policy.on_orphan``: re-issue the
-        point budget-neutrally (up to ``max_reissues`` per point, then fall
-        back to imputation), impute like any failure, or drop it.
+        still in flight) follow ``failure_policy.on_orphan``: the campaign
+        re-issues the point budget-neutrally (up to ``max_reissues`` per
+        point, then falls back to imputation) and it goes straight back to
+        the pool, or it is imputed / dropped like any failure.
         """
-        result = completion.result
-        if result.status == STATUS_ORPHANED:
-            if self.campaign.note_orphan(completion.x):
-                self._journal_complete(pool, completion, "reissued", None)
-                self._submit(pool, completion.x, batch=completion.batch, counts=False)
-                return False
-        added = self._absorb(completion)
-        action, value = self.campaign.last_action
-        self._journal_complete(pool, completion, action, value)
-        self._maybe_checkpoint(pool)
-        return added
+        def facts(_action) -> dict:
+            record = EvalRecord(
+                index=completion.index,
+                worker=completion.worker,
+                x=np.asarray(completion.x, dtype=float),
+                fom=completion.result.fom,
+                issue_time=completion.issue_time,
+                finish_time=completion.finish_time,
+                feasible=completion.result.feasible,
+                batch=completion.batch,
+                status=completion.result.status,
+                error=completion.result.error,
+                attempts=completion.attempts,
+            )
+            return {"record": record.as_dict(), "clock": float(pool.now)}
 
-    def _journal_complete(self, pool, completion: Completion, action, value) -> None:
-        if self._journal is None:
-            return
-        record = EvalRecord(
-            index=completion.index,
-            worker=completion.worker,
-            x=np.asarray(completion.x, dtype=float),
-            fom=completion.result.fom,
-            issue_time=completion.issue_time,
-            finish_time=completion.finish_time,
-            feasible=completion.result.feasible,
-            batch=completion.batch,
-            status=completion.result.status,
-            error=completion.result.error,
-            attempts=completion.attempts,
+        action = self.campaign.tell(
+            completion.x,
+            completion.result,
+            _extra=facts,
+            _issue=lambda x: self._submit(pool, x, batch=completion.batch),
         )
-        self._journal.append(
-            {
-                "type": "complete",
-                "record": record.as_dict(),
-                "action": action,
-                "value": None if value is None else float(value),
-                "clock": float(pool.now),
-            }
-        )
+        if action != "reissued":
+            self._maybe_checkpoint(pool)
 
     def _maybe_checkpoint(self, pool) -> None:
-        if self._journal is None or not self.checkpoint_every:
+        if not self.checkpoint_every:
             return
         self._since_checkpoint += 1
         if self._since_checkpoint < self.checkpoint_every:
             return
         self._since_checkpoint = 0
         y = self.session.y
-        self._journal.append(
+        self.campaign._journal_event(
             {
                 "type": "checkpoint",
                 "n_observations": int(len(y)),
@@ -397,22 +320,6 @@ class BODriverBase:
                 "rng_state": rng_state_to_dict(self.rng),
             }
         )
-
-    def _absorb(self, completion: Completion) -> bool:
-        """Fold a finished evaluation into the surrogate dataset.
-
-        Failed evaluations follow the failure policy: ``"impute"`` records a
-        pessimistic FOM at the failed point (so the surrogate steers away
-        from it without poisoning the GP), ``"drop"`` records nothing — the
-        budget slot is spent and the next proposal sees an unchanged
-        posterior.  Returns True when an observation was added, so
-        subclasses can keep side datasets aligned with the session.
-        """
-        return self.campaign.absorb(completion.x, completion.result)
-
-    def _imputed_fom(self) -> float:
-        """Pessimistic stand-in FOM for a failed evaluation."""
-        return self.campaign.imputed_fom()
 
     def _propose(self, acquisition, model=None) -> np.ndarray:
         """Maximize an acquisition on the unit cube; return a physical point."""
@@ -454,17 +361,7 @@ class BODriverBase:
             pending_policy=self.pending_policy,
             surrogate=self.session.surrogate,
         )
-        self._journal_event(
-            {
-                "type": "run_end",
-                "best_fom": best_fom,
-                "n_evaluations": len(trace),
-                "n_orphaned": trace.n_orphaned,
-            }
-        )
-        if self._owns_journal and self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        self.campaign.finish()
         if self._run_span is not None:
             self._run_span.__exit__(None, None, None)
             self._run_span = None
@@ -489,16 +386,9 @@ class BODriverBase:
         registry.set_counter("driver.retries", trace.n_retries)
         registry.set_counter("driver.orphans", trace.n_orphaned)
         registry.set_counter(
-            "driver.reissues", sum(self._reissue_counts.values())
+            "driver.reissues", sum(self.campaign.reissue_counts.values())
         )
         return registry.as_dict()
-
-    def run(self) -> RunResult:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _resume_drive(self, pool, state) -> RunResult:  # pragma: no cover
-        """Continue a replayed run; implemented by each driver."""
-        raise NotImplementedError
 
 
 class SequentialBO(BODriverBase):
@@ -524,50 +414,19 @@ class SequentialBO(BODriverBase):
         **kwargs,
     ):
         super().__init__(problem, **kwargs)
-        acquisition = acquisition.lower()
-        if acquisition not in ("easybo", "ei", "pi", "lcb", "ucb"):
-            raise ValueError(f"unknown acquisition {acquisition!r}")
-        self.acquisition = acquisition
-        self.lam = float(lam)
-        self.ucb_kappa = float(ucb_kappa)
-        self.ei_xi = float(ei_xi)
-        self.algorithm_name = {"easybo": "EasyBO", "ei": "EI", "pi": "PI",
-                               "lcb": "LCB", "ucb": "UCB"}[acquisition]
-        self.campaign.strategy = SequentialStrategy(
-            acquisition, lam=self.lam, ucb_kappa=self.ucb_kappa, ei_xi=self.ei_xi
+        strategy = SequentialStrategy(
+            acquisition, lam=lam, ucb_kappa=ucb_kappa, ei_xi=ei_xi
         )
+        self.acquisition = strategy.acquisition
+        self.lam = strategy.lam
+        self.ucb_kappa = strategy.ucb_kappa
+        self.ei_xi = strategy.ei_xi
+        self.algorithm_name = FAMILIES[self.acquisition].display
+        self.campaign.strategy = strategy
         self.campaign.algorithm = self.algorithm_name
-
-    def _make_acquisition(self):
-        return self.campaign.strategy.make_acquisition(self.campaign)
-
-    def _resume_config(self) -> dict:
-        config = super()._resume_config()
-        config.update(lam=self.lam, ucb_kappa=self.ucb_kappa, ei_xi=self.ei_xi)
-        return config
-
-    def run(self) -> RunResult:
-        pool = self._make_pool(1)
-        try:
-            self._begin_run(1)
-            design = self._initial_design()
-            self._journal_doe(design)
-            self.campaign.begin(design)
-            return self._drive(pool)
-        finally:
-            shutdown_pool(pool)
-
-    def _resume_drive(self, pool, state) -> RunResult:
-        design = state.design
-        if design is None:
-            # Crashed before the DoE record was durable: redraw it (the RNG
-            # was restored to the pre-draw state, so it is the same design).
-            design = self._initial_design()
-            self._journal_doe(design)
-        self.campaign.restore(
-            design=design, issued=state.issued, pending=pool.pending_points()
+        self.campaign._config.update(
+            lam=self.lam, ucb_kappa=self.ucb_kappa, ei_xi=self.ei_xi
         )
-        return self._drive(pool)
 
     def _drive(self, pool) -> RunResult:
         """One-at-a-time ask/tell loop, resumable at any boundary.
@@ -582,5 +441,5 @@ class SequentialBO(BODriverBase):
             elif self.campaign.exhausted:
                 break
             else:
-                self._submit(pool, self.campaign.ask())
+                self.campaign.ask(_issue=lambda x: self._submit(pool, x))
         return self._package(pool)

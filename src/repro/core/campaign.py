@@ -16,9 +16,11 @@ an explicit ask/tell object whose state is a value:
 
 The ``SequentialBO`` / ``AsynchronousBatchBO`` / ``SynchronousBatchBO``
 drivers are thin loops over a Campaign (byte-for-byte equal to the golden
-trajectories — see ``tests/test_campaign_equivalence.py``), and
-:mod:`repro.distributed.server` serves many concurrent Campaigns over the
-framed socket RPC, each with its own crash-safe journal.
+trajectories — see ``tests/test_campaign_equivalence.py``) and write their
+crash-safe journal through it, and :mod:`repro.distributed.server` serves
+many concurrent Campaigns over the framed socket RPC.  Every journal is the
+same event log (``campaign_start`` / ``doe`` / ``ask`` / ``tell`` /
+``campaign_end``), replayed by one loop (:meth:`Campaign._replay`).
 
 Proposal logic lives in per-family strategy objects (:class:`SequentialStrategy`,
 :class:`AsyncBatchStrategy`, :class:`SyncBatchStrategy`) so the same pipeline
@@ -26,6 +28,9 @@ backs both the embedded drivers and standalone campaigns.
 """
 
 from __future__ import annotations
+
+import re
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -42,7 +47,12 @@ from repro.core.acquisition import (
 )
 from repro.core.doe import random_design
 from repro.core.faults import FailurePolicy
-from repro.core.journal import JournalError, JournalWriter, recover_journal
+from repro.core.journal import (
+    JOURNAL_VERSION,
+    JournalError,
+    JournalWriter,
+    recover_journal,
+)
 from repro.core.optimizers import maximize_acquisition
 from repro.core.pending import make_pending_policy
 from repro.core.problem import STATUS_ORPHANED, Problem
@@ -58,9 +68,15 @@ __all__ = [
     "SequentialStrategy",
     "AsyncBatchStrategy",
     "SyncBatchStrategy",
+    "FAMILIES",
+    "Family",
+    "parse_label",
+    "policy_family",
+    "campaign_config",
     "make_campaign",
     "resume_campaign",
     "read_campaign_journal",
+    "read_resumable_journal",
 ]
 
 #: Version stamp embedded in every ``campaign_start`` record.  Bump when the
@@ -171,13 +187,22 @@ class AsyncBatchStrategy:
         self.penalized = self.pending_policy.name == "hallucinate"
         self.lam = float(lam)
 
-    def propose(self, core: "Campaign") -> np.ndarray:
+    def propose(self, core: "Campaign", *, fit=None, transform=None) -> np.ndarray:
+        """One Alg. 1 proposal.
+
+        Drivers with side models (constrained, cost-aware) plug in two
+        hooks: ``fit()`` runs right after the GP refit, so its RNG draws
+        keep their place in the stream, and ``transform(values, U)``
+        reshapes the policy's acquisition values before maximization.
+        """
         if core.session.n_observations < 2:
             # The whole initial design may still be in flight (B >= n_init);
             # the GP has nothing to say yet, so explore uniformly — but never
             # re-issue a point that is already under evaluation.
             return core.cold_point()
         core.session.refit()
+        if fit is not None:
+            fit()
         policy = self.pending_policy
         pending = core.pending_matrix()
         model = policy.model(core.session, pending)
@@ -185,6 +210,12 @@ class AsyncBatchStrategy:
         acquisition = policy.wrap(
             core.session, model, WeightedAcquisition(w), pending, rng=core.rng
         )
+        if transform is not None:
+            inner = acquisition
+
+            def acquisition(m, U):
+                return transform(inner(m, U), U)
+
         return core.maximize(acquisition, model=model)
 
     def select(self, core: "Campaign", n_points: int) -> list[np.ndarray]:
@@ -404,11 +435,19 @@ class Campaign:
     points get evaluated — a driver submits them to a pool, a server hands
     them to remote clients.
 
-    Parameters mirror the drivers'; ``journal`` attaches a standalone
-    write-ahead journal (path or object with ``append``) recording every
-    ask/tell so :func:`resume_campaign` can rebuild the exact state after a
-    crash.  Embedded driver campaigns leave it ``None`` — the driver's own
-    run journal is the durable record there.
+    Parameters mirror the drivers'; ``journal`` attaches a write-ahead
+    journal (path or object with ``append``) recording every ask/tell so
+    :func:`resume_campaign` can rebuild the exact state after a crash.  A
+    driver's campaign writes the driver's journal: its asks and tells also
+    carry the pool facts (issue slot, evaluation record, clock) that
+    :func:`repro.core.recovery.resume` needs to restore the pool.
+
+    Drivers with side models (constraint slacks, evaluation costs) hook in
+    two ways: ``on_absorb(x, result)`` runs after every observation (real or
+    imputed) enters the surrogate — live and on replay — to keep their
+    datasets aligned, and the :class:`~repro.core.surrogate.SideGP` objects
+    in ``side_models`` have their warm-start state journaled with every ask
+    and restored at resume.
     """
 
     def __init__(
@@ -469,6 +508,8 @@ class Campaign:
         self.reissue_counts: dict[bytes, int] = {}
         self.last_action: tuple[str | None, float | None] = (None, None)
         self.finished = False
+        self.on_absorb = None
+        self.side_models: list = []
         self._pending_failure_action: str | None = None
         self._embedded = bool(embedded)
         self._config: dict = {}
@@ -524,14 +565,14 @@ class Campaign:
         return np.vstack(self.pending)
 
     # ------------------------------------------------------------ lifecycle
-    def begin(self, design: np.ndarray) -> None:
-        """Adopt an externally drawn initial design (embedded drivers)."""
-        self.design = np.asarray(design, dtype=float)
+    def start(self, **fields) -> np.ndarray:
+        """Draw the initial design (idempotent) and journal it.
 
-    def start(self) -> np.ndarray:
-        """Draw the initial design (idempotent); journals it when standalone."""
+        ``fields`` ride along on the ``campaign_start`` record (drivers
+        journal their ``checkpoint_every`` there).
+        """
         if self.design is None:
-            self._journal_start()
+            self._journal_start(fields)
             self.design = random_design(self.problem.bounds, self.n_init, self.rng)
             self._journal_event(
                 {
@@ -566,7 +607,7 @@ class Campaign:
 
     # ------------------------------------------------------------- ask/tell
     def ask(self, n: int | None = None, *, request_id: str | None = None,
-            _propose=None):
+            _propose=None, _issue=None):
         """Return the next point (``n=None``) or batch of ``n`` points.
 
         Initial-design rows are served first; afterwards the family strategy
@@ -575,9 +616,12 @@ class Campaign:
         rides along in the journal event so the campaign server can rebuild
         its idempotent reply cache after a restart (a retried ``ask`` whose
         reply was lost replays the journaled points instead of issuing new
-        ones).  ``_propose`` lets the embedded drivers route proposals
-        through their overridable hook methods; it is not part of the
-        public surface.
+        ones).  ``_propose`` and ``_issue`` are the embedded drivers' hooks,
+        not part of the public surface: ``_propose`` routes proposals through
+        their overridable methods, and ``_issue(x)`` submits each point to
+        the pool and returns the issue facts (index, worker, issue time,
+        batch) journaled with the ask, so the record is written once the
+        points are really in flight.
         """
         if self.exhausted:
             raise CampaignExhausted(
@@ -590,8 +634,10 @@ class Campaign:
         else:
             points = self._block(int(n), _propose)
         self._note_asked(points)
+        issued = None if _issue is None else [_issue(p) for p in points]
         if not self._embedded:
             self.obs.inc("campaign.asks")
+        if self._journal is not None:
             event = {
                 "type": "ask",
                 "points": [[float(v) for v in p] for p in points],
@@ -600,7 +646,11 @@ class Campaign:
             }
             if request_id is not None:
                 event["request_id"] = str(request_id)
-            self._journal_event(event)
+            if issued is not None:
+                event["issued"] = issued
+            if self.side_models:
+                event["side_models"] = [m.snapshot() for m in self.side_models]
+            self._journal.append(event)
         return points[0] if n is None else points
 
     def _one(self, propose) -> np.ndarray:
@@ -628,18 +678,18 @@ class Campaign:
             self.pending.append(np.asarray(p, dtype=float).copy())
         self.issued += len(points)
 
-    def note_issued(self, x) -> None:
-        """Mark an externally selected point as issued (resume leftovers)."""
-        self._note_asked([x])
-
-    def tell(self, x, result, *, request_id: str | None = None) -> str:
+    def tell(self, x, result, *, request_id: str | None = None,
+             _extra=None, _issue=None) -> str:
         """Fold one evaluation result back in; returns the action taken.
 
         ``"added"`` (observation recorded), ``"imputed"`` (failure recorded
         at a pessimistic FOM), ``"dropped"`` (budget spent, posterior
         unchanged), or ``"reissued"`` (orphaned point kept pending — the
         caller should evaluate it again; budget-neutral).  ``request_id``
-        is journaled with the event (see :meth:`ask`).
+        is journaled with the event (see :meth:`ask`).  The embedded
+        drivers' hooks: ``_extra(action)`` returns pool facts to journal with
+        the outcome (the evaluation record and the clock), and ``_issue(x)``
+        re-submits a reissued point, its new issue facts journaled too.
 
         Raises :class:`CampaignError` when ``x`` is not in the pending set —
         a point that was never asked, or one already told back.  Silently
@@ -652,14 +702,25 @@ class Campaign:
                 f"tell() for campaign {self.algorithm!r} got a point that is "
                 f"not pending (never asked, or already told): {x.tolist()}"
             )
+        issued = None
         if result.status == STATUS_ORPHANED and self.note_orphan(x):
             action = "reissued"
+            if _issue is not None:
+                issued = [_issue(x)]
         else:
             self.absorb(x, result)
             action = self.last_action[0]
         if not self._embedded:
             self.obs.inc("campaign.tells")
-            self._journal_tell(x, result, action, request_id=request_id)
+        if self._journal is not None:
+            event = self._tell_event(x, result, action)
+            if request_id is not None:
+                event["request_id"] = str(request_id)
+            if _extra is not None:
+                event.update(_extra(action))
+            if issued is not None:
+                event["issued"] = issued
+            self._journal.append(event)
         return action
 
     def note_orphan(self, x) -> bool:
@@ -670,17 +731,23 @@ class Campaign:
         """
         policy = self.failure_policy
         key = np.asarray(x, dtype=float).tobytes()
-        prior = self.reissue_counts.get(key, 0)
-        if policy.on_orphan == "reissue" and prior < policy.max_reissues:
-            self.reissue_counts[key] = prior + 1
-            idx = self._find_pending(x)
-            if idx is not None:
-                self.pending.append(self.pending.pop(idx))
+        if policy.on_orphan == "reissue" and (
+            self.reissue_counts.get(key, 0) < policy.max_reissues
+        ):
+            self._requeue(x)
             return True
         self._pending_failure_action = (
             "impute" if policy.on_orphan == "reissue" else policy.on_orphan
         )
         return False
+
+    def _requeue(self, x) -> None:
+        """Count one reissue of ``x`` and move it to the end of the pending order."""
+        key = np.asarray(x, dtype=float).tobytes()
+        self.reissue_counts[key] = self.reissue_counts.get(key, 0) + 1
+        idx = self._find_pending(x)
+        if idx is not None:
+            self.pending.append(self.pending.pop(idx))
 
     def absorb(self, x, result) -> bool:
         """Fold a finished evaluation into the surrogate dataset.
@@ -696,18 +763,21 @@ class Campaign:
         if idx is not None:
             del self.pending[idx]
         if result.ok:
-            self.session.add(x, result.fom)
-            self.last_action = ("added", float(result.fom))
-            return True
+            return self._observe(x, result, "added", result.fom)
         action = self._pending_failure_action or self.failure_policy.on_failure
         self._pending_failure_action = None
         if action == "impute" and self.session.n_observations > 0:
-            value = self.imputed_fom()
-            self.session.add(x, value)
-            self.last_action = ("imputed", value)
-            return True
+            return self._observe(x, result, "imputed", self.imputed_fom())
         self.last_action = ("dropped", None)
         return False
+
+    def _observe(self, x, result, action: str, value) -> bool:
+        """Add one observation (real or imputed) and run the absorb hook."""
+        self.session.add(x, value)
+        self.last_action = (action, float(value))
+        if self.on_absorb is not None:
+            self.on_absorb(x, result)
+        return True
 
     def imputed_fom(self) -> float:
         """Pessimistic stand-in FOM for a failed evaluation."""
@@ -793,7 +863,7 @@ class Campaign:
         if self._journal is not None:
             self._journal.append(record)
 
-    def _journal_start(self) -> None:
+    def _journal_start(self, fields: dict) -> None:
         if self._started:
             return
         self._started = True
@@ -805,16 +875,15 @@ class Campaign:
                 "problem": self.problem.name,
                 "config": dict(self._config),
                 "rng_state": rng_state_to_dict(self.rng),
+                **fields,
             }
         )
 
-    def _journal_tell(self, x, result, action, *, request_id=None) -> None:
-        if self._journal is None:
-            return
+    def _tell_event(self, x, result, action) -> dict:
         from repro.distributed.protocol import result_to_dict
 
         _, value = self.last_action if action != "reissued" else (None, None)
-        event = {
+        return {
             "type": "tell",
             "x": [float(v) for v in x],
             "result": result_to_dict(result),
@@ -822,49 +891,189 @@ class Campaign:
             "value": None if value is None else float(value),
             "done": self.done,
         }
-        if request_id is not None:
-            event["request_id"] = str(request_id)
-        self._journal_event(event)
 
     # --------------------------------------------------------------- resume
-    def restore(self, *, design=None, issued=0, pending=(), reissue_counts=None):
-        """Overwrite the position bookkeeping (driver resume path)."""
-        if design is not None:
-            self.design = np.asarray(design, dtype=float)
-        self.issued = int(issued)
-        self.pending = [np.asarray(p, dtype=float).copy() for p in pending]
-        if reissue_counts is not None:
-            self.reissue_counts = dict(reissue_counts)
+    def _replay(self, events: list[dict]) -> "Campaign":
+        """Fold a recovered journal into this freshly built campaign.
+
+        Told observations re-enter the surrogate in their original order
+        through the same path as live tells (imputed values included, the
+        ``on_absorb`` hook too), the hyperparameter snapshot and the
+        bit-exact RNG state come from the last ask, and asked-but-untold
+        points come back as pending.  Integrity ``checkpoint`` records are
+        verified against the replayed dataset.
+        """
+        from repro.distributed.protocol import result_from_dict
+
+        self._started = True  # the start record is already durable
+        rng_state, snapshot, sides = events[0]["rng_state"], None, ()
+        for event in events[1:]:
+            kind = event.get("type")
+            if kind == "doe":
+                self.design = np.asarray(event["design"], dtype=float)
+                rng_state = event.get("rng_state", rng_state)
+            elif kind == "ask":
+                self._note_asked([np.asarray(p, dtype=float) for p in event["points"]])
+                rng_state = event.get("rng_state", rng_state)
+                snapshot = event.get("surrogate") or snapshot
+                sides = event.get("side_models", sides)
+            elif kind == "tell":
+                x = np.asarray(event["x"], dtype=float)
+                action = event.get("action")
+                if action == "reissued":
+                    self._requeue(x)
+                    continue
+                idx = self._find_pending(x)
+                if idx is not None:
+                    del self.pending[idx]
+                result = result_from_dict(event["result"])
+                if action == "added":
+                    self._observe(x, result, action, result.fom)
+                elif action == "imputed":
+                    self._observe(x, result, action, float(event["value"]))
+            elif kind == "checkpoint":
+                expected = int(event.get("n_observations", -1))
+                if expected >= 0 and expected != self.session.n_observations:
+                    raise JournalError(
+                        f"checkpoint expects {expected} observations but replay "
+                        f"reconstructed {self.session.n_observations}"
+                    )
+        self.session.restore_snapshot(snapshot)
+        for model, side in zip(self.side_models, sides):
+            model.restore(side)
+        set_rng_state(self.rng, rng_state)
+        self._journal_event({"type": "campaign_resume", "n_pending": self.n_pending})
         return self
 
 
 # --------------------------------------------------------------------------
-# Label factory and journal resume.
+# Label registry, label factory, and journal resume.
 # --------------------------------------------------------------------------
-_SEQUENTIAL_FAMILIES = {"ei": "ei", "pi": "pi", "lcb": "lcb", "ucb": "ucb"}
-#: Async label families and the pending policy each one implies.
-_ASYNC_FAMILIES = {
-    "easybo": "hallucinate",
-    "easybo-a": "none",
-    "easybo-lp": "lp",
-    "easybo-pess": "pessimistic",
+#: The one algorithm-label grammar: a family, then an optional ``-<batch>``.
+_LABEL_RE = re.compile(r"^(?P<family>[a-zA-Z][a-zA-Z-]*?)(?:-(?P<batch>\d+))?$")
+
+
+class Family(NamedTuple):
+    """One label family: the driver that runs it, its strategy, its name."""
+
+    #: ``"sequential"``, ``"async"``, ``"sync"`` (the ask/tell families),
+    #: ``"constrained"`` / ``"cost-aware"`` (async drivers with side
+    #: models), or ``"portfolio"`` / ``"de"`` / ``"random"``.
+    driver: str
+    #: Acquisition (sequential), pending policy (async), or batch rule (sync).
+    strategy: str | None
+    #: Display base of the result rows (``"pBO"`` -> ``"pBO-5"``).
+    display: str
+
+    def label(self, batch: int) -> str:
+        """Result-row name at batch size ``batch`` (sync rows always carry it)."""
+        if self.driver == "sync" or batch > 1:
+            return f"{self.display}-{batch}"
+        return self.display
+
+
+#: Every algorithm label family, shared by ``make_algorithm`` and
+#: :func:`make_campaign`; the display names round-trip through both.
+FAMILIES = {
+    "ei": Family("sequential", "ei", "EI"),
+    "pi": Family("sequential", "pi", "PI"),
+    "lcb": Family("sequential", "lcb", "LCB"),
+    "ucb": Family("sequential", "ucb", "UCB"),
+    # Sequential at B=1 without an explicit pending policy (parse_label).
+    "easybo": Family("async", "hallucinate", "EasyBO"),
+    "easybo-a": Family("async", "none", "EasyBO-A"),
+    "easybo-lp": Family("async", "lp", "EasyBO-LP"),
+    "easybo-pess": Family("async", "pessimistic", "EasyBO-PESS"),
+    "pbo": Family("sync", "pbo", "pBO"),
+    "phcbo": Family("sync", "phcbo", "pHCBO"),
+    "easybo-s": Family("sync", "easybo-s", "EasyBO-S"),
+    "easybo-sp": Family("sync", "easybo-sp", "EasyBO-SP"),
+    "bucb": Family("sync", "bucb", "BUCB"),
+    "lp": Family("sync", "lp", "LP"),
+    "mace": Family("sync", "mace", "MACE"),
+    "ceasybo": Family("constrained", "hallucinate", "cEasyBO"),
+    "caeasybo": Family("cost-aware", "hallucinate", "caEasyBO"),
+    "gp-hedge": Family("portfolio", None, "GP-Hedge"),
+    "de": Family("de", None, "DE"),
+    "random": Family("random", None, "Random"),
 }
-#: Display base per pending policy (inverse of ``_ASYNC_FAMILIES``).
-_ASYNC_BASE_NAMES = {
-    "hallucinate": "EasyBO",
-    "none": "EasyBO-A",
-    "lp": "EasyBO-LP",
-    "pessimistic": "EasyBO-PESS",
-}
-_SYNC_FAMILIES = {
-    "pbo": "pbo",
-    "phcbo": "phcbo",
-    "bucb": "bucb",
-    "lp": "lp",
-    "mace": "mace",
-    "easybo-s": "easybo-s",
-    "easybo-sp": "easybo-sp",
-}
+
+
+def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
+    """Resolve a paper-style label into its :class:`Family` and batch size.
+
+    Case-insensitive; a trailing ``-<int>`` is the batch size.  Plain
+    ``EasyBO`` at B=1 is the sequential driver unless a ``pending_policy``
+    asks for the asynchronous one (the sequential driver has no pending
+    set to apply a policy to); other families without a pending set refuse
+    a ``pending_policy``.
+    """
+    match = _LABEL_RE.match(label.strip())
+    if not match:
+        raise ValueError(f"cannot parse algorithm label {label!r}")
+    key = match.group("family").lower()
+    if key not in FAMILIES:
+        raise ValueError(
+            f"unknown algorithm family {key!r} in label {label!r}; "
+            f"known: {sorted(FAMILIES)}"
+        )
+    family = FAMILIES[key]
+    batch = int(match.group("batch") or 1)
+    if key == "easybo" and batch == 1 and pending_policy is None:
+        return Family("sequential", "easybo", family.display), 1
+    if pending_policy is not None and family.driver not in (
+        "async", "constrained", "cost-aware"
+    ):
+        raise ValueError(
+            "pending_policy applies to the asynchronous EasyBO family "
+            f"only, not to {label!r}"
+        )
+    return family, 1 if family.driver == "sequential" else batch
+
+
+def policy_family(policy: str) -> Family:
+    """The async label family whose implied pending policy is ``policy``."""
+    for family in FAMILIES.values():
+        if family.driver == "async" and family.strategy == policy:
+            return family
+    return Family("async", policy, f"EasyBO+{policy}")
+
+
+def campaign_config(campaign: Campaign, **knobs) -> dict:
+    """The journaled config that rebuilds ``campaign`` from its label.
+
+    The ``campaign_start`` record carries it; ``knobs`` are the family
+    parameters (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, plus a
+    driver's own such as ``cost_exponent``) layered over their defaults.
+    """
+    session, policy = campaign.session, campaign.failure_policy
+    config = {
+        "n_init": campaign.n_init,
+        "max_evals": campaign.max_evals,
+        "acq_candidates": campaign.acq_candidates,
+        "acq_restarts": campaign.acq_restarts,
+        "surrogate_update": session.surrogate_update,
+        "surrogate": session.surrogate,
+        "max_exact_n": session.max_exact_n,
+        "n_inducing": session.n_inducing,
+        "refit_every": session.refit_every,
+        "failure_policy": {
+            k: getattr(policy, k)
+            for k in ("on_failure", "on_orphan", "max_reissues",
+                      "impute_value", "impute_margin")
+            if hasattr(policy, k)
+        },
+        "lam": EASYBO_LAMBDA,
+        "ucb_kappa": 2.0,
+        "ei_xi": 0.0,
+        "hc_d": None,
+        **knobs,
+    }
+    if isinstance(campaign.strategy, AsyncBatchStrategy):
+        # Journaled so resume rebuilds the same policy even when the label
+        # alone would imply a different one.
+        config["pending_policy"] = campaign.strategy.pending_policy.name
+    return config
 
 
 def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
@@ -872,77 +1081,42 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
 
     Accepts the same labels as :func:`repro.core.easybo.make_algorithm` for
     the BO families (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``, ...); the
-    non-ask/tell baselines (DE, random search, portfolio) have no campaign
-    form.  Keyword arguments are Campaign constructor kwargs plus the
-    family knobs ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` and, for the
+    non-ask/tell baselines (DE, random search, portfolio) and the drivers
+    with side models (cEasyBO, caEasyBO) have no campaign form.  Keyword
+    arguments are Campaign constructor kwargs plus the family knobs
+    ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` and, for the
     asynchronous EasyBO family, ``pending_policy`` (a name from
     :data:`repro.core.pending.PENDING_POLICIES` or a policy instance) —
     equivalently spelled as a label: ``"EasyBO-LP-5"`` / ``"EasyBO-PESS-5"``
     / ``"EasyBO-A-5"``.
     """
-    import re
-
-    match = re.match(r"^(?P<family>[a-zA-Z][a-zA-Z-]*?)(?:-(?P<batch>\d+))?$", label.strip())
-    if not match:
-        raise ValueError(f"cannot parse algorithm label {label!r}")
-    family = match.group("family").lower()
-    batch = int(match.group("batch")) if match.group("batch") else 1
-    lam = float(kwargs.pop("lam", EASYBO_LAMBDA))
-    ucb_kappa = float(kwargs.pop("ucb_kappa", 2.0))
-    ei_xi = float(kwargs.pop("ei_xi", 0.0))
-    hc_d = kwargs.pop("hc_d", None)
     pending_policy = kwargs.pop("pending_policy", None)
-
-    if family in _SEQUENTIAL_FAMILIES or (
-        family == "easybo" and batch == 1 and pending_policy is None
-    ):
-        if pending_policy is not None:
-            raise ValueError(
-                "pending_policy applies to the asynchronous EasyBO family "
-                f"only, not to {label!r}"
-            )
-        acq = _SEQUENTIAL_FAMILIES.get(family, "easybo")
+    family, batch = parse_label(label, pending_policy)
+    knobs = {
+        "lam": float(kwargs.pop("lam", EASYBO_LAMBDA)),
+        "ucb_kappa": float(kwargs.pop("ucb_kappa", 2.0)),
+        "ei_xi": float(kwargs.pop("ei_xi", 0.0)),
+        "hc_d": kwargs.pop("hc_d", None),
+    }
+    if family.driver == "sequential":
         strategy = SequentialStrategy(
-            acq, lam=lam, ucb_kappa=ucb_kappa, ei_xi=ei_xi
+            family.strategy, lam=knobs["lam"], ucb_kappa=knobs["ucb_kappa"],
+            ei_xi=knobs["ei_xi"],
         )
-        display = {"easybo": "EasyBO", "ei": "EI", "pi": "PI",
-                   "lcb": "LCB", "ucb": "UCB"}[acq]
-        algorithm = display
-        batch = 1
-    elif family in _ASYNC_FAMILIES:
+    elif family.driver == "async":
         strategy = AsyncBatchStrategy(
-            lam=lam,
-            pending_policy=(
-                pending_policy
-                if pending_policy is not None
-                else _ASYNC_FAMILIES[family]
-            ),
+            lam=knobs["lam"], pending_policy=pending_policy or family.strategy
         )
-        policy_name = strategy.pending_policy.name
-        base = _ASYNC_BASE_NAMES.get(policy_name, f"EasyBO+{policy_name}")
-        algorithm = base if batch == 1 else f"{base}-{batch}"
-    elif family in _SYNC_FAMILIES:
-        if pending_policy is not None:
-            raise ValueError(
-                "pending_policy applies to the asynchronous EasyBO family "
-                f"only, not to the synchronous {label!r}"
-            )
+        family = policy_family(strategy.pending_policy.name)
+    elif family.driver == "sync":
         strategy = SyncBatchStrategy(
-            _SYNC_FAMILIES[family],
-            batch_size=batch,
-            lam=lam,
-            ucb_kappa=ucb_kappa,
-            hc_d=hc_d,
+            family.strategy, batch_size=batch, lam=knobs["lam"],
+            ucb_kappa=knobs["ucb_kappa"], hc_d=knobs["hc_d"],
         )
-        display = {"pbo": "pBO", "phcbo": "pHCBO", "easybo-s": "EasyBO-S",
-                   "easybo-sp": "EasyBO-SP", "bucb": "BUCB", "lp": "LP",
-                   "mace": "MACE"}[_SYNC_FAMILIES[family]]
-        algorithm = f"{display}-{batch}"
     else:
         raise ValueError(
-            f"algorithm family {family!r} has no ask/tell campaign form"
+            f"algorithm family {family.display!r} has no ask/tell campaign form"
         )
-
     policy = kwargs.pop("failure_policy", None)
     if isinstance(policy, dict):
         policy = FailurePolicy(**policy)
@@ -951,34 +1125,10 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
         strategy,
         batch_size=batch,
         failure_policy=policy,
-        algorithm=algorithm,
+        algorithm=family.label(batch),
         **kwargs,
     )
-    campaign._config = {
-        "n_init": campaign.n_init,
-        "max_evals": campaign.max_evals,
-        "acq_candidates": campaign.acq_candidates,
-        "acq_restarts": campaign.acq_restarts,
-        "surrogate_update": campaign.session.surrogate_update,
-        "surrogate": campaign.session.surrogate,
-        "max_exact_n": campaign.session.max_exact_n,
-        "n_inducing": campaign.session.n_inducing,
-        "refit_every": campaign.session.refit_every,
-        "failure_policy": {
-            k: getattr(campaign.failure_policy, k)
-            for k in ("on_failure", "on_orphan", "max_reissues",
-                      "impute_value", "impute_margin")
-            if hasattr(campaign.failure_policy, k)
-        },
-        "lam": lam,
-        "ucb_kappa": ucb_kappa,
-        "ei_xi": ei_xi,
-        "hc_d": hc_d,
-    }
-    if isinstance(strategy, AsyncBatchStrategy):
-        # Journaled so resume rebuilds the same policy even when the label
-        # alone would imply a different one.
-        campaign._config["pending_policy"] = strategy.pending_policy.name
+    campaign._config = campaign_config(campaign, **knobs)
     return campaign
 
 
@@ -986,9 +1136,21 @@ def read_campaign_journal(path) -> list[dict]:
     """Recover a campaign journal, validating its format version.
 
     Raises :class:`JournalError` when the file was written by a newer
-    campaign format than this code can read, instead of misparsing it.
+    campaign format than this code can read, instead of misparsing it, and
+    for the retired driver-only run journals (first record ``run_start``).
     """
     events = recover_journal(path)
+    if events and events[0].get("type") == "run_start":
+        version = events[0].get("journal_version")
+        if isinstance(version, int) and version > JOURNAL_VERSION:
+            raise JournalError(
+                f"run journal format v{version} is newer than supported "
+                f"v{JOURNAL_VERSION}; upgrade this installation to resume it"
+            )
+        raise JournalError(
+            f"run journal format v{version} is older than supported "
+            f"v{JOURNAL_VERSION}; finish it with the release that wrote it"
+        )
     if not events or events[0].get("type") != "campaign_start":
         raise JournalError(
             f"{path} has no usable campaign_start record; nothing to resume"
@@ -1002,79 +1164,36 @@ def read_campaign_journal(path) -> list[dict]:
     return events
 
 
-def resume_campaign(journal_path, *, problem: Problem | None = None) -> Campaign:
-    """Rebuild a campaign to its exact pre-crash state from its journal.
+def read_resumable_journal(path, problem: Problem | None) -> tuple[list[dict], Problem]:
+    """Journal events of an unfinished campaign, plus the problem to run.
 
-    Replays every ask/tell into a fresh campaign: told observations re-enter
-    the surrogate in their original order (including imputed values), the
-    hyperparameter snapshot and the bit-exact RNG state are restored from
-    the last durable record, and asked-but-untold points come back as
-    pending — the caller should evaluate and ``tell`` them (or let the
-    orphan policy handle them).  Subsequent ``ask()`` calls produce the
-    points the uninterrupted campaign would have produced.
+    The shared front half of :func:`resume_campaign` and
+    :func:`repro.core.recovery.resume`: ``problem`` defaults to rebuilding
+    the journaled name via :func:`repro.core.recovery.resolve_problem`.
     """
-    from repro.core.problem import EvaluationResult  # noqa: F401  (doc pointer)
-    from repro.distributed.protocol import result_from_dict
-
-    events = read_campaign_journal(journal_path)
-    start = events[0]
+    events = read_campaign_journal(path)
+    if any(event.get("type") == "campaign_end" for event in events):
+        raise RuntimeError(f"the run in {path} already completed; nothing to resume")
     if problem is None:
         from repro.core.recovery import resolve_problem
 
-        problem = resolve_problem(start.get("problem", ""))
-    config = dict(start.get("config", {}))
-    campaign = make_campaign(
-        start["algorithm"], problem, journal=journal_path, **config
-    )
-    campaign._started = True  # the start record is already durable
-    set_rng_state(campaign.rng, start["rng_state"])
+        problem = resolve_problem(events[0].get("problem", ""))
+    return events, problem
 
-    snapshot = None
-    rng_state = start.get("rng_state")
-    finished = False
-    for event in events[1:]:
-        kind = event.get("type")
-        if kind == "doe":
-            campaign.design = np.asarray(event["design"], dtype=float)
-            rng_state = event.get("rng_state", rng_state)
-        elif kind == "ask":
-            points = [np.asarray(p, dtype=float) for p in event["points"]]
-            campaign._note_asked(points)
-            rng_state = event.get("rng_state", rng_state)
-            if event.get("surrogate") is not None:
-                snapshot = event["surrogate"]
-        elif kind == "tell":
-            x = np.asarray(event["x"], dtype=float)
-            action = event.get("action")
-            if action == "reissued":
-                key = x.tobytes()
-                campaign.reissue_counts[key] = (
-                    campaign.reissue_counts.get(key, 0) + 1
-                )
-                idx = campaign._find_pending(x)
-                if idx is not None:
-                    campaign.pending.append(campaign.pending.pop(idx))
-                continue
-            idx = campaign._find_pending(x)
-            if idx is not None:
-                del campaign.pending[idx]
-            if action == "added":
-                result = result_from_dict(event["result"])
-                campaign.session.add(x, result.fom)
-            elif action == "imputed":
-                campaign.session.add(x, float(event["value"]))
-        elif kind == "campaign_resume":
-            continue
-        elif kind == "campaign_end":
-            finished = True
-    if finished:
-        raise RuntimeError(
-            f"the campaign in {journal_path} already finished; nothing to resume"
-        )
-    campaign.session.restore_snapshot(snapshot)
-    if rng_state is not None:
-        set_rng_state(campaign.rng, rng_state)
-    campaign._journal_event(
-        {"type": "campaign_resume", "n_pending": campaign.n_pending}
+
+def resume_campaign(journal_path, *, problem: Problem | None = None) -> Campaign:
+    """Rebuild a campaign to its exact pre-crash state from its journal.
+
+    Replays every ask/tell into a fresh campaign (:meth:`Campaign._replay`);
+    asked-but-untold points come back as pending — the caller should
+    evaluate and ``tell`` them (or let the orphan policy handle them).
+    Subsequent ``ask()`` calls produce the points the uninterrupted campaign
+    would have produced.  Driver journals resume here too, as a bare
+    campaign; :func:`repro.core.recovery.resume` also restores the pool.
+    """
+    events, problem = read_resumable_journal(journal_path, problem)
+    start = events[0]
+    campaign = make_campaign(
+        start["algorithm"], problem, journal=journal_path, **start.get("config", {})
     )
-    return campaign
+    return campaign._replay(events)

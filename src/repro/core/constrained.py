@@ -24,12 +24,10 @@ import dataclasses
 import numpy as np
 from scipy import stats
 
-from repro.core.acquisition import EASYBO_LAMBDA, WeightedAcquisition, sample_easybo_weight
 from repro.core.async_batch import AsynchronousBatchBO
+from repro.core.campaign import FAMILIES
 from repro.core.problem import EvaluationResult, Problem
-from repro.core.surrogate import SurrogateSession
-from repro.gp import GaussianProcess, HyperparameterBounds, SquaredExponential, fit_hyperparameters
-from repro.gp.standardize import OutputStandardizer
+from repro.core.surrogate import SideGP
 
 __all__ = ["ConstraintSpec", "ConstrainedProblem", "ConstrainedEasyBO"]
 
@@ -67,28 +65,11 @@ class ConstrainedProblem(Problem):
             ) from None
 
 
-class _ConstraintModel:
+class _ConstraintModel(SideGP):
     """GP surrogate of one constraint slack over the unit cube."""
 
     def __init__(self, dim: int, rng):
-        self.dim = dim
-        self.rng = rng
-        self.output = OutputStandardizer()
-        self.model: GaussianProcess | None = None
-        self._bounds = HyperparameterBounds(dim)
-
-    def fit(self, U: np.ndarray, slack: np.ndarray) -> None:
-        z = self.output.fit_transform(slack)
-        if self.model is None:
-            self.model = GaussianProcess(
-                kernel=SquaredExponential(self.dim, lengthscales=0.3),
-                noise_variance=1e-4,
-            )
-            restarts = 2
-        else:
-            restarts = 1
-        self.model.fit(U, z)
-        fit_hyperparameters(self.model, bounds=self._bounds, n_restarts=restarts, rng=self.rng)
+        super().__init__(dim, rng, noise_variance=1e-4)
 
     def feasibility_probability(self, U: np.ndarray) -> np.ndarray:
         """``P(slack(x) >= 0)`` under the GP posterior."""
@@ -111,30 +92,26 @@ class ConstrainedEasyBO(AsynchronousBatchBO):
         if not isinstance(problem, ConstrainedProblem):
             raise TypeError("ConstrainedEasyBO needs a ConstrainedProblem")
         super().__init__(problem, **kwargs)
-        base = "cEasyBO"
-        self.algorithm_name = (
-            base if self.batch_size == 1 else f"{base}-{self.batch_size}"
-        )
+        self.algorithm_name = FAMILIES["ceasybo"].label(self.batch_size)
+        self.campaign.algorithm = self.algorithm_name
         self._constraint_models = [
             _ConstraintModel(self.session.dim, self.rng)
             for _ in problem.constraint_specs
         ]
         self._slacks: list[np.ndarray] = []
+        self.campaign.on_absorb = self._record_slack
+        self.campaign.side_models = self._constraint_models
 
     # -------------------------------------------------------------- dataset
-    def _absorb(self, completion) -> bool:
-        added = super()._absorb(completion)
-        if not added:
-            return False
-        if completion.result.ok:
-            slack = self.problem.constraint_vector(completion.result)
+    def _record_slack(self, x, result) -> None:
+        if result.ok:
+            slack = self.problem.constraint_vector(result)
         else:
             # Imputed failure: no metrics to read slacks from.  Treat the
             # point as maximally infeasible so the feasibility model also
             # steers away from it.
             slack = self._pessimistic_slack()
         self._slacks.append(slack)
-        return True
 
     def _pessimistic_slack(self) -> np.ndarray:
         n = len(self._constraint_models)
@@ -150,37 +127,19 @@ class ConstrainedEasyBO(AsynchronousBatchBO):
             model.fit(U, slacks[:, i])
 
     # ------------------------------------------------------------- proposal
+    def _weigh_feasibility(self, values: np.ndarray, U: np.ndarray) -> np.ndarray:
+        # Shift to positive before weighting by feasibility, so the
+        # product cannot reward infeasibility via negative values.
+        values = values - values.min() + 1e-9
+        for constraint in self._constraint_models:
+            values = values * constraint.feasibility_probability(U)
+        return values
+
     def _propose_async(self, pool) -> np.ndarray:
-        if self.session.n_observations < 2:
-            return self.campaign.cold_point()
-        self.session.refit()
-        self._fit_constraints()
-        if self.penalized:
-            model = self.session.model_with_pending(pool.pending_points())
-        else:
-            model = self.session.require_model()
-        w = sample_easybo_weight(self.rng, self.lam)
-        base = WeightedAcquisition(w)
-
-        def scorer(U: np.ndarray) -> np.ndarray:
-            values = base(model, U)
-            # Shift to positive before weighting by feasibility, so the
-            # product cannot reward infeasibility via negative values.
-            values = values - values.min() + 1e-9
-            for constraint in self._constraint_models:
-                values = values * constraint.feasibility_probability(U)
-            return values
-
-        from repro.core.optimizers import maximize_acquisition
-
-        u_best = maximize_acquisition(
-            scorer,
-            self.session.unit_bounds(),
-            rng=self.rng,
-            n_candidates=self.acq_candidates,
-            n_restarts=self.acq_restarts,
+        return self.campaign.strategy.propose(
+            self.campaign, fit=self._fit_constraints,
+            transform=self._weigh_feasibility,
         )
-        return self.session.to_physical(u_best.reshape(1, -1))[0]
 
     # --------------------------------------------------------------- report
     def best_feasible(self) -> tuple[np.ndarray, float] | None:

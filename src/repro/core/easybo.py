@@ -15,12 +15,12 @@ enumerate their grids.
 
 from __future__ import annotations
 
-import re
-
 from repro.baselines.de import DifferentialEvolution
 from repro.baselines.random_search import RandomSearch
 from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.bo import SequentialBO
+from repro.core.campaign import FAMILIES, parse_label
+from repro.core.faults import FailurePolicy
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.core.sync_batch import SynchronousBatchBO
@@ -106,88 +106,18 @@ class EasyBO:
         return self.driver.run()
 
 
-#: Registry of label prefixes -> factory(problem, batch_size, **kwargs).
-ALGORITHM_FAMILIES = {
-    "de": lambda problem, b, **kw: DifferentialEvolution(problem, **_de_kwargs(kw)),
-    "random": lambda problem, b, **kw: RandomSearch(problem, **_rs_kwargs(kw)),
-    "ei": lambda problem, b, **kw: SequentialBO(problem, acquisition="ei", **kw),
-    "pi": lambda problem, b, **kw: SequentialBO(problem, acquisition="pi", **kw),
-    "lcb": lambda problem, b, **kw: SequentialBO(problem, acquisition="lcb", **kw),
-    "ucb": lambda problem, b, **kw: SequentialBO(problem, acquisition="ucb", **kw),
-    "pbo": lambda problem, b, **kw: SynchronousBatchBO(
-        problem, batch_size=b, strategy="pbo", **kw
-    ),
-    "phcbo": lambda problem, b, **kw: SynchronousBatchBO(
-        problem, batch_size=b, strategy="phcbo", **kw
-    ),
-    "bucb": lambda problem, b, **kw: SynchronousBatchBO(
-        problem, batch_size=b, strategy="bucb", **kw
-    ),
-    "lp": lambda problem, b, **kw: SynchronousBatchBO(
-        problem, batch_size=b, strategy="lp", **kw
-    ),
-    "mace": lambda problem, b, **kw: SynchronousBatchBO(
-        problem, batch_size=b, strategy="mace", **kw
-    ),
-    "ceasybo": lambda problem, b, **kw: _make_constrained(problem, b, **kw),
-    "gp-hedge": lambda problem, b, **kw: _make_portfolio(problem, **kw),
-    "easybo-s": lambda problem, b, **kw: SynchronousBatchBO(
-        problem, batch_size=b, strategy="easybo-s", **kw
-    ),
-    "easybo-sp": lambda problem, b, **kw: SynchronousBatchBO(
-        problem, batch_size=b, strategy="easybo-sp", **kw
-    ),
-    "easybo-a": lambda problem, b, **kw: AsynchronousBatchBO(
-        problem, batch_size=b, penalized=False, **kw
-    ),
-    # Async EasyBO with a non-default pending-point policy, as a label:
-    # "EasyBO-LP-5" / "EasyBO-PESS-5".  An explicit pending_policy kwarg
-    # (e.g. from a resumed config) wins over the label's implied policy.
-    "easybo-lp": lambda problem, b, **kw: AsynchronousBatchBO(
-        problem, batch_size=b, **{"pending_policy": "lp", **kw}
-    ),
-    "easybo-pess": lambda problem, b, **kw: AsynchronousBatchBO(
-        problem, batch_size=b, **{"pending_policy": "pessimistic", **kw}
-    ),
-    "easybo": lambda problem, b, **kw: _make_easybo(problem, b, **kw),
+#: The label families ``make_algorithm`` accepts (the registry shared with
+#: :func:`repro.core.campaign.make_campaign`).
+ALGORITHM_FAMILIES = FAMILIES
+
+#: Family knobs each driver takes; the journaled config carries all of them.
+_KNOBS = {
+    "sequential": ("lam", "ucb_kappa", "ei_xi"),
+    "async": ("lam", "pending_policy"),
+    "constrained": ("lam", "pending_policy"),
+    "cost-aware": ("lam", "pending_policy", "cost_exponent"),
+    "sync": ("lam", "ucb_kappa", "hc_d"),
 }
-
-_LABEL_RE = re.compile(r"^(?P<family>[a-zA-Z][a-zA-Z-]*?)(?:-(?P<batch>\d+))?$")
-
-
-def _make_easybo(problem, batch_size, **kw):
-    """The ``easybo`` family: sequential at B=1, async otherwise.
-
-    A ``pending_policy`` kwarg forces the asynchronous driver even at B=1 —
-    the sequential driver has no pending set to apply a policy to.
-    """
-    if batch_size == 1 and kw.get("pending_policy") is None:
-        kw.pop("pending_policy", None)
-        return SequentialBO(problem, acquisition="easybo", **kw)
-    return AsynchronousBatchBO(
-        problem, batch_size=batch_size, penalized=True, **kw
-    )
-
-
-def _make_constrained(problem, batch_size, **kw):
-    from repro.core.constrained import ConstrainedEasyBO
-
-    return ConstrainedEasyBO(problem, batch_size=batch_size, **kw)
-
-
-def _make_portfolio(problem, **kw):
-    from repro.core.portfolio import PortfolioBO
-
-    return PortfolioBO(problem, **kw)
-
-
-def _de_kwargs(kw: dict) -> dict:
-    out = {k: v for k, v in kw.items() if k in ("max_evals", "rng", "pool_factory", "pop_size", "f", "cr", "n_workers")}
-    return out
-
-
-def _rs_kwargs(kw: dict) -> dict:
-    return {k: v for k, v in kw.items() if k in ("max_evals", "rng", "pool_factory", "n_workers")}
 
 
 def make_algorithm(label: str, problem: Problem, **kwargs):
@@ -195,22 +125,51 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
 
     ``label`` is case-insensitive: ``"DE"``, ``"EI"``, ``"LCB"``,
     ``"EasyBO"``, ``"pBO-5"``, ``"pHCBO-10"``, ``"EasyBO-S-5"``,
-    ``"EasyBO-A-15"``, ``"EasyBO-SP-10"``, ``"EasyBO-15"``, ``"BUCB-5"``,
-    ``"LP-5"``, ``"Random"``.  A trailing ``-<int>`` is the batch size.
-    The asynchronous pending-point policies also have label forms:
+    ``"EasyBO-A-15"``, ``"EasyBO-SP-10"``, ``"EasyBO-15"``, ``"BUCB-4"``,
+    ``"LP-5"``, ``"cEasyBO-3"``, ``"caEasyBO-3"``, ``"GP-Hedge"``,
+    ``"Random"``.  A trailing ``-<int>`` is the batch size.  The
+    asynchronous pending-point policies also have label forms:
     ``"EasyBO-LP-5"`` (local penalisation), ``"EasyBO-PESS-5"``
     (pessimistic), ``"EasyBO-A-5"`` (standard acquisition) — equivalently,
     pass ``pending_policy=`` to the ``EasyBO`` family.  Keyword arguments
-    are forwarded to the driver.
+    are forwarded to the driver; the family knobs (``lam`` / ``ucb_kappa``
+    / ``ei_xi`` / ``hc_d`` / ``pending_policy``) reach the drivers that use
+    them, as in ``make_campaign``, so a journaled config round-trips.
+    DE and random search cannot resume and refuse ``journal=``.
     """
-    match = _LABEL_RE.match(label.strip())
-    if not match:
-        raise ValueError(f"cannot parse algorithm label {label!r}")
-    family = match.group("family").lower()
-    batch = int(match.group("batch")) if match.group("batch") else 1
-    if family not in ALGORITHM_FAMILIES:
-        raise ValueError(
-            f"unknown algorithm family {family!r} in label {label!r}; "
-            f"known: {sorted(ALGORITHM_FAMILIES)}"
+    family, batch = parse_label(label, kwargs.get("pending_policy"))
+    if family.driver in ("de", "random"):
+        if kwargs.get("journal") is not None:
+            raise ValueError(
+                f"{family.display} cannot resume, so it does not take journal="
+            )
+        cls = DifferentialEvolution if family.driver == "de" else RandomSearch
+        allowed = ("max_evals", "rng", "pool_factory", "n_workers")
+        if family.driver == "de":
+            allowed += ("pop_size", "f", "cr")
+        return cls(problem, **{k: v for k, v in kwargs.items() if k in allowed})
+    if family.driver == "portfolio":
+        from repro.core.portfolio import PortfolioBO
+
+        return PortfolioBO(problem, **kwargs)
+    knobs = {k: kwargs.pop(k) for k in set().union(*_KNOBS.values()) if k in kwargs}
+    kwargs.update(
+        (k, v) for k, v in knobs.items()
+        if v is not None and k in _KNOBS[family.driver]
+    )
+    if isinstance(kwargs.get("failure_policy"), dict):
+        kwargs["failure_policy"] = FailurePolicy(**kwargs["failure_policy"])
+    if family.driver == "sequential":
+        return SequentialBO(problem, acquisition=family.strategy, **kwargs)
+    if family.driver == "sync":
+        return SynchronousBatchBO(
+            problem, batch_size=batch, strategy=family.strategy, **kwargs
         )
-    return ALGORITHM_FAMILIES[family](problem, batch, **kwargs)
+    kwargs.setdefault("pending_policy", family.strategy)
+    if family.driver == "constrained":
+        from repro.core.constrained import ConstrainedEasyBO as cls
+    elif family.driver == "cost-aware":
+        from repro.core.cost_aware import CostAwareEasyBO as cls
+    else:
+        cls = AsynchronousBatchBO
+    return cls(problem, batch_size=batch, **kwargs)

@@ -1,8 +1,12 @@
 """Crash-safe write-ahead journal for optimization runs.
 
-Every state transition of a Bayesian-optimization run (initial design, point
-issue, completion, batch selection, checkpoint) is appended to a journal file
-as one framed JSONL record.  The framing makes the log self-validating::
+Every state transition of a Bayesian-optimization run is appended to a
+journal file as one framed JSONL record.  Drivers and the campaign server
+write the same events through their :class:`~repro.core.campaign.Campaign`
+(``campaign_start``, ``doe``, ``ask``, ``tell``, ``checkpoint``,
+``campaign_end``; see ``docs/crash_recovery.md``); this module is only the
+framing, durability, and torn-tail recovery beneath them.  The framing makes
+the log self-validating::
 
     J1 <length:8 hex> <crc32:8 hex> <compact JSON payload>\\n
 
@@ -13,9 +17,9 @@ instead of refusing the whole file.  Appends are flushed and ``fsync``'d by
 default, which bounds the loss after a crash to at most the record being
 written at that instant.
 
-The journal is the source of truth for :func:`repro.core.recovery.resume`;
-:mod:`repro.core.persistence` stores *finished* runs, this module stores
-*in-flight* ones.
+The journal is the source of truth for :func:`repro.core.recovery.resume`
+and :func:`repro.core.campaign.resume_campaign`; :mod:`repro.core.persistence`
+stores *finished* runs, this module stores *in-flight* ones.
 """
 
 from __future__ import annotations
@@ -36,9 +40,11 @@ __all__ = [
     "frame_error",
 ]
 
-#: Version stamp embedded in every ``run_start`` record.  Bump when the event
-#: schema changes incompatibly.
-JOURNAL_VERSION = 1
+#: Run-journal format this installation resumes.  v1 was the drivers' own
+#: ``run_start`` / ``issue`` / ``complete`` log; since v2 drivers write the
+#: campaign journal, whose schema ``CAMPAIGN_JOURNAL_VERSION`` versions.  A
+#: journal that still starts with a ``run_start`` record is refused.
+JOURNAL_VERSION = 2
 
 _MAGIC = "J1"
 # "J1 " + 8 hex length + " " + 8 hex crc + " " -> 21 bytes of header.

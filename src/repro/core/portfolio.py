@@ -17,7 +17,8 @@ from repro.core.acquisition import (
     ProbabilityOfImprovement,
     UpperConfidenceBound,
 )
-from repro.core.bo import BODriverBase, shutdown_pool
+from repro.core.bo import BODriverBase
+from repro.core.doe import random_design
 from repro.core.results import RunResult
 
 __all__ = ["PortfolioBO"]
@@ -32,12 +33,19 @@ class PortfolioBO(BODriverBase):
         Hedge learning rate; higher trusts past gains more aggressively.
     ucb_kappa / ei_xi:
         Member-acquisition parameters.
+
+    The Hedge gains are not journaled, so the portfolio cannot resume and
+    refuses ``journal=``.
     """
 
     algorithm_name = "GP-Hedge"
 
     def __init__(self, problem, *, eta: float = 1.0, ucb_kappa: float = 2.0,
                  ei_xi: float = 0.0, **kwargs):
+        if kwargs.get("journal") is not None:
+            raise ValueError(
+                f"{self.algorithm_name} cannot resume, so it does not take journal="
+            )
         super().__init__(problem, **kwargs)
         if eta <= 0:
             raise ValueError("eta must be positive")
@@ -62,26 +70,20 @@ class PortfolioBO(BODriverBase):
         weights = np.exp(logits)
         return weights / weights.sum()
 
-    def run(self) -> RunResult:
-        pool = self._make_pool(1)
-        try:
-            return self._drive(pool)
-        finally:
-            shutdown_pool(pool)
+    def _evaluate(self, pool, x) -> None:
+        pool.submit(x)
+        completion = pool.wait_next()
+        self.campaign.absorb(completion.x, completion.result)
 
     def _drive(self, pool) -> RunResult:
-        for x in self._initial_design():
-            pool.submit(x)
-            self._absorb(pool.wait_next())
+        for x in self.campaign.design:
+            self._evaluate(pool, x)
         evaluations = self.n_init
         while evaluations < self.max_evals:
             if self.session.n_observations < 2:
                 # Dropped failures can starve the GP; explore uniformly
                 # (no Hedge update — no nominees were scored).
-                from repro.core.doe import random_design
-
-                pool.submit(random_design(self.problem.bounds, 1, self.rng)[0])
-                self._absorb(pool.wait_next())
+                self._evaluate(pool, random_design(self.problem.bounds, 1, self.rng)[0])
                 evaluations += 1
                 continue
             model = self.session.refit()
@@ -89,8 +91,7 @@ class PortfolioBO(BODriverBase):
             probs = self._probabilities()
             choice = int(self.rng.choice(len(nominees), p=probs))
             self.plays[self.member_names[choice]] += 1
-            pool.submit(nominees[choice])
-            self._absorb(pool.wait_next())
+            self._evaluate(pool, nominees[choice])
             evaluations += 1
             # Hedge update: reward every member by the *current* posterior
             # mean at its nominee (Hoffman et al., eq. 2).

@@ -1,13 +1,26 @@
-"""Checkpoint/resume: replay a run journal and continue the run.
+"""Checkpoint/resume: continue a crashed driver run from its journal.
 
-:func:`resume` is the recovery entry point.  It reads the longest valid
-prefix of a :mod:`repro.core.journal` file (truncating any torn tail),
-rebuilds the optimizer from the ``run_start`` record, replays every event to
-reconstruct the exact state at the crash boundary — the GP training set, the
-surrogate hyperparameters and refit schedule, the execution trace, the
-simulated clock, and the bit-exact ``np.random.Generator`` state — reconciles
-any points that were in flight when the process died, and hands control back
-to the driver's resumable loop.
+A driver writes its journal through its :class:`~repro.core.campaign.Campaign`
+— the same ``campaign_start`` / ``doe`` / ``ask`` / ``tell`` event log the
+campaign server writes, with the pool facts riding along as optional fields
+(issue slot on each ask, evaluation record and clock on each tell).
+:func:`resume` is :func:`~repro.core.campaign.resume_campaign` plus pool
+reconciliation:
+
+1. rebuild the driver from the journaled label and config, and replay the
+   events into its campaign — the GP training set (through the same absorb
+   path as live tells, so a driver's side datasets are rebuilt too), the
+   surrogate hyperparameters and refit schedule, and the bit-exact
+   ``np.random.Generator`` state;
+2. restore the pool clock, next evaluation index, and trace from the told
+   records;
+3. tell every point that was in flight at the crash as orphaned, so the
+   campaign's orphan rule (reissue / impute / drop, bounded by
+   ``max_reissues``) decides: a reissue is journaled before the point re-runs
+   at its original index, worker, and issue time;
+4. submit asked points that never reached a worker (a journal without pool
+   facts, such as a standalone campaign's) to the workers left idle;
+5. hand control back to the driver's ordinary loop.
 
 Resume-equivalence guarantee
 ----------------------------
@@ -28,25 +41,17 @@ worker.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import numpy as np
 
 from repro.core.bo import shutdown_pool
-from repro.core.faults import FailurePolicy
-from repro.core.journal import (
-    JOURNAL_VERSION,
-    JournalError,
-    JournalWriter,
-    recover_journal,
-)
-from repro.core.problem import STATUS_ORPHANED
+from repro.core.campaign import read_resumable_journal
+from repro.core.problem import STATUS_ORPHANED, EvaluationResult
 from repro.core.results import RunResult
 from repro.sched.trace import EvalRecord
-from repro.utils.rng import set_rng_state
 
-__all__ = ["resume", "replay_events", "ReplayState", "resolve_problem"]
+__all__ = ["resume", "resolve_problem"]
 
 _DIM_SUFFIX = re.compile(r"^([a-zA-Z]+?)(\d+)$")
 
@@ -95,175 +100,25 @@ def resolve_problem(name: str):
     )
 
 
-@dataclasses.dataclass
-class ReplayState:
-    """Optimizer state reconstructed by :func:`replay_events`."""
-
-    n_workers: int = 1
-    design: np.ndarray | None = None
-    issued: int = 0
-    pending: dict = dataclasses.field(default_factory=dict)
-    records: list = dataclasses.field(default_factory=list)
-    clock: float = 0.0
-    next_index: int = 0
-    snapshot: dict | None = None
-    rng_state: dict | None = None
-    batch_counts: dict = dataclasses.field(default_factory=dict)
-    last_issue_batch: int | None = None
-    last_batch: tuple | None = None
-    reissue_counts: dict = dataclasses.field(default_factory=dict)
-    finished: bool = False
-
-
-def replay_events(events: list[dict], session) -> ReplayState:
-    """Fold journal events into a :class:`ReplayState`, feeding ``session``.
-
-    Observations are replayed into the surrogate session exactly as the
-    original ``_absorb`` calls recorded them (including imputed values), so
-    the caller can afterwards restore the hyperparameter snapshot and refit.
-    """
-    state = ReplayState()
+def _pool_state(events: list[dict]):
+    """Told trace records, clock, next index, and latest issue facts per point."""
+    records, issued, clock, next_index = [], {}, 0.0, 0
     for event in events:
         kind = event.get("type")
-        if kind == "run_start":
-            state.n_workers = int(event.get("n_workers", 1))
-            state.rng_state = event.get("rng_state")
-        elif kind == "doe":
-            state.design = np.asarray(event["design"], dtype=float)
-            state.rng_state = event.get("rng_state", state.rng_state)
-        elif kind == "issue":
-            index = int(event["index"])
-            state.pending[index] = event
-            state.next_index = max(state.next_index, index + 1)
-            counts = bool(event.get("counts_budget", True))
-            if counts:
-                state.issued += 1
-            batch = event.get("batch")
-            if batch is not None:
-                if counts:
-                    state.batch_counts[batch] = state.batch_counts.get(batch, 0) + 1
-                state.last_issue_batch = int(batch)
-            state.clock = max(state.clock, float(event.get("issue_time", 0.0)))
-            state.rng_state = event.get("rng_state", state.rng_state)
-            if event.get("surrogate") is not None:
-                state.snapshot = event["surrogate"]
-        elif kind == "batch":
-            state.last_batch = (int(event["batch"]), list(event["points"]))
-            state.rng_state = event.get("rng_state", state.rng_state)
-            if event.get("surrogate") is not None:
-                state.snapshot = event["surrogate"]
-        elif kind == "complete":
-            record = EvalRecord.from_dict(event["record"])
-            state.pending.pop(record.index, None)
-            state.records.append(record)
-            state.clock = max(state.clock, float(event.get("clock", record.finish_time)))
-            action = event.get("action")
-            if action == "added":
-                session.add(record.x, record.fom)
-            elif action == "imputed":
-                session.add(record.x, float(event["value"]))
-            elif action == "reissued":
-                key = np.asarray(record.x, dtype=float).tobytes()
-                state.reissue_counts[key] = state.reissue_counts.get(key, 0) + 1
-        elif kind == "orphan":
-            index = int(event["index"])
-            disposition = event.get("disposition")
-            if disposition == "reissue":
-                issue = state.pending.get(index)
-                if issue is not None:
-                    key = np.asarray(issue["x"], dtype=float).tobytes()
-                    state.reissue_counts[key] = state.reissue_counts.get(key, 0) + 1
-                continue  # stays pending; reconciled again by this resume
-            state.pending.pop(index, None)
-            if event.get("record") is not None:
-                record = EvalRecord.from_dict(event["record"])
-                state.records.append(record)
-                state.clock = max(state.clock, record.finish_time)
-            if event.get("value") is not None:
-                session.add(
-                    np.asarray(event["record"]["x"], dtype=float),
-                    float(event["value"]),
-                )
-        elif kind == "checkpoint":
-            expected = int(event.get("n_observations", -1))
-            if expected >= 0 and expected != session.n_observations:
-                raise JournalError(
-                    f"checkpoint expects {expected} observations but replay "
-                    f"reconstructed {session.n_observations}"
-                )
-            state.rng_state = event.get("rng_state", state.rng_state)
-        elif kind == "resume":
+        if kind == "ask":
+            points = event["points"]
+        elif kind == "tell":
+            points = [event["x"]]
+            if "record" in event:
+                records.append(EvalRecord.from_dict(event["record"]))
+                clock = max(clock, float(event["clock"]))
+        else:
             continue
-        elif kind == "run_end":
-            state.finished = True
-    return state
-
-
-def _reconcile_orphans(driver, pool, state: ReplayState) -> None:
-    """Classify every point that was in flight at the crash.
-
-    ``on_orphan="reissue"`` re-evaluates the point at its original index /
-    worker / issue time (budget-neutral; deterministic problems land exactly
-    on the uninterrupted trajectory).  ``"impute"`` records a pessimistic
-    observation, ``"drop"`` just counts the orphan; both spend the already-
-    issued budget slot so a dead worker never wedges the run.
-    """
-    policy = driver.failure_policy
-    for index in sorted(state.pending):
-        issue = state.pending[index]
-        x = np.asarray(issue["x"], dtype=float)
-        key = x.tobytes()
-        disposition = policy.on_orphan
-        if (
-            disposition == "reissue"
-            and driver._reissue_counts.get(key, 0) >= policy.max_reissues
-        ):
-            disposition = "impute"
-        if disposition == "impute" and driver.session.n_observations == 0:
-            disposition = "drop"  # nothing to derive a pessimistic value from
-        if disposition == "reissue":
-            driver._reissue_counts[key] = driver._reissue_counts.get(key, 0) + 1
-            # Journal the reissue BEFORE attempting it: if the re-evaluation
-            # kills the process too, the next resume must see the spent
-            # attempt, or a poisoned point would be reissued forever instead
-            # of downgrading to impute after max_reissues.
-            driver._journal_event(
-                {"type": "orphan", "index": index, "disposition": "reissue"}
-            )
-            pool.restore_task(
-                index,
-                int(issue["worker"]),
-                x,
-                batch=issue.get("batch"),
-                issue_time=float(issue["issue_time"]),
-            )
-            continue
-        record = EvalRecord(
-            index=index,
-            worker=int(issue["worker"]),
-            x=x,
-            fom=float("nan"),
-            issue_time=float(issue["issue_time"]),
-            finish_time=max(state.clock, float(issue["issue_time"])),
-            feasible=False,
-            batch=issue.get("batch"),
-            status=STATUS_ORPHANED,
-            error="in flight at crash; reconciled at resume",
-        )
-        pool.trace.add(record)
-        value = None
-        if disposition == "impute":
-            value = driver._imputed_fom()
-            driver.session.add(x, value)
-        driver._journal_event(
-            {
-                "type": "orphan",
-                "index": index,
-                "disposition": disposition,
-                "value": value,
-                "record": record.as_dict(),
-            }
-        )
+        for x, facts in zip(points, event.get("issued", ())):
+            issued[np.asarray(x, dtype=float).tobytes()] = facts
+            next_index = max(next_index, int(facts["index"]) + 1)
+            clock = max(clock, float(facts["issue_time"]))
+    return records, issued, clock, next_index
 
 
 def resume(journal_path, *, problem=None, pool_factory=None, tracer=None,
@@ -296,70 +151,68 @@ def resume(journal_path, *, problem=None, pool_factory=None, tracer=None,
         The completed run, with the pre-crash history replayed into its
         trace.
     """
-    events = recover_journal(journal_path)
-    if not events or events[0].get("type") != "run_start":
-        raise JournalError(
-            f"{journal_path} has no usable run_start record; nothing to resume"
-        )
-    start = events[0]
-    version = start.get("journal_version")
-    if isinstance(version, int) and version > JOURNAL_VERSION:
-        raise JournalError(
-            f"run journal format v{version} is newer than supported "
-            f"v{JOURNAL_VERSION}; upgrade this installation to resume it"
-        )
-    if any(event.get("type") == "run_end" for event in events):
-        raise RuntimeError(
-            f"the run in {journal_path} already completed; nothing to resume"
-        )
-    if problem is None:
-        problem = resolve_problem(start.get("problem", ""))
-
     from repro.core.easybo import make_algorithm
 
-    config = dict(start.get("config", {}))
-    policy_dict = config.pop("failure_policy", None)
-    policy = FailurePolicy(**policy_dict) if policy_dict else None
-    # Observability sinks are live objects, never journaled; pass them only
-    # when given so algorithms without the kwargs keep resuming.
-    if tracer is not None:
-        config["tracer"] = tracer
-    if metrics is not None:
-        config["metrics"] = metrics
+    events, problem = read_resumable_journal(journal_path, problem)
+    start = events[0]
+    # Observability sinks are live objects, never journaled.
+    sinks = {k: v for k, v in (("tracer", tracer), ("metrics", metrics)) if v is not None}
     driver = make_algorithm(
         start["algorithm"],
         problem,
-        rng=0,  # placeholder stream; overwritten below with the journaled state
         pool_factory=pool_factory,
-        failure_policy=policy,
-        **config,
+        journal=journal_path,
+        checkpoint_every=int(start.get("checkpoint_every", 0)),
+        **sinks,
+        **start.get("config", {}),
     )
-    if not hasattr(driver, "_resume_drive"):
-        raise ValueError(
-            f"algorithm {start['algorithm']!r} does not support resume"
-        )
-    set_rng_state(driver.rng, start["rng_state"])
+    campaign = driver.campaign._replay(events)
+    records, issued, clock, next_index = _pool_state(events)
 
-    state = replay_events(events, driver.session)
-    driver.session.restore_snapshot(state.snapshot)
-    if state.rng_state is not None:
-        set_rng_state(driver.rng, state.rng_state)
-
-    driver._begin_observability(state.n_workers, resumed=True)
-    pool = driver._make_pool(state.n_workers)
+    n_workers = campaign.batch_size
+    driver._begin_observability(n_workers, resumed=True)
+    pool = driver._make_pool(n_workers)
     try:
-        pool.restore(
-            now=state.clock, next_index=state.next_index, records=state.records
+        pool.restore(now=clock, next_index=next_index, records=records)
+        unissued = [x for x in campaign.pending if x.tobytes() not in issued]
+        orphans = sorted(
+            (x for x in campaign.pending if x.tobytes() in issued),
+            key=lambda x: issued[x.tobytes()]["index"],
         )
-
-        driver._journal = JournalWriter(journal_path)
-        driver._owns_journal = True
-        driver._reissue_counts = dict(state.reissue_counts)
-        driver._since_checkpoint = 0
-        driver._journal_event(
-            {"type": "resume", "n_pending": len(state.pending), "clock": state.clock}
-        )
-        _reconcile_orphans(driver, pool, state)
-        return driver._resume_drive(pool, state)
+        for x in orphans:
+            facts = issued[x.tobytes()]
+            orphan = EvalRecord(
+                index=int(facts["index"]),
+                worker=int(facts["worker"]),
+                x=x,
+                fom=float("nan"),
+                issue_time=float(facts["issue_time"]),
+                finish_time=max(clock, float(facts["issue_time"])),
+                feasible=False,
+                batch=facts["batch"],
+                status=STATUS_ORPHANED,
+                error="in flight at crash; reconciled at resume",
+            )
+            action = campaign.tell(
+                x,
+                EvaluationResult.failed(orphan.error, status=STATUS_ORPHANED),
+                # A reissue re-runs in place, so only a resolved orphan
+                # leaves a trace row behind.
+                _extra=lambda action, orphan=orphan: (
+                    {} if action == "reissued"
+                    else {"record": orphan.as_dict(), "clock": clock}
+                ),
+            )
+            if action == "reissued":
+                pool.restore_task(
+                    orphan.index, orphan.worker, x, batch=orphan.batch,
+                    issue_time=orphan.issue_time,
+                )
+            else:
+                pool.trace.add(orphan)
+        for x in unissued:
+            driver._submit(pool, x)
+        return driver._drive(pool)
     finally:
         shutdown_pool(pool)
+        campaign.close()

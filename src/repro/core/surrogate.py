@@ -56,6 +56,7 @@ from repro.utils.validation import check_finite, check_matrix, check_vector
 __all__ = [
     "SurrogateSession",
     "HallucinatedView",
+    "SideGP",
     "SURROGATE_UPDATE_MODES",
     "SURROGATE_KINDS",
     "DEFAULT_MAX_EXACT_N",
@@ -636,3 +637,61 @@ class SurrogateSession:
 
     def to_physical(self, U) -> np.ndarray:
         return self.transform.to_physical(U)
+
+
+class SideGP:
+    """A GP over the unit cube that a driver fits beside its surrogate.
+
+    The constrained and cost-aware drivers model constraint slacks and
+    evaluation costs with these.  Like the main surrogate they warm-start
+    ML-II across fits (two restarts on the first fit, one afterwards), so
+    their hyperparameters are run state: :meth:`snapshot` is journaled with
+    every ask and :meth:`restore` brings them back at resume.
+    """
+
+    def __init__(self, dim: int, rng, *, noise_variance: float):
+        self.dim = int(dim)
+        self.rng = rng
+        self.noise_variance = float(noise_variance)
+        self.output = OutputStandardizer()
+        self.model: GaussianProcess | None = None
+        self._bounds = HyperparameterBounds(self.dim)
+
+    def fit(self, U: np.ndarray, y: np.ndarray) -> None:
+        z = self.output.fit_transform(y)
+        if self.model is None:
+            self.model = GaussianProcess(
+                kernel=SquaredExponential(self.dim, lengthscales=0.3),
+                noise_variance=self.noise_variance,
+            )
+            restarts = 2
+        else:
+            restarts = 1
+        self.model.fit(U, z)
+        fit_hyperparameters(
+            self.model, bounds=self._bounds, n_restarts=restarts, rng=self.rng
+        )
+
+    def snapshot(self) -> dict | None:
+        """Physical hyperparameters (exact through JSON), or None unfitted."""
+        if self.model is None:
+            return None
+        return {
+            "lengthscales": [float(v) for v in self.model.kernel.lengthscales],
+            "variance": float(self.model.kernel.variance),
+            "noise_variance": float(self.model.noise_variance),
+        }
+
+    def restore(self, snap: dict | None) -> None:
+        """Warm-start state from :meth:`snapshot`; the next :meth:`fit` refits."""
+        if snap is None:
+            self.model = None
+            return
+        self.model = GaussianProcess(
+            kernel=SquaredExponential(
+                self.dim,
+                lengthscales=np.asarray(snap["lengthscales"], dtype=float),
+                variance=float(snap["variance"]),
+            ),
+            noise_variance=float(snap["noise_variance"]),
+        )

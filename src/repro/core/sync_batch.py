@@ -31,27 +31,18 @@ factor rather than a per-point posterior rebuild.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
-from repro.core.bo import BODriverBase, shutdown_pool
-from repro.core.campaign import SyncBatchStrategy, _pareto_front_mask  # noqa: F401 — re-export
+from repro.core.bo import BODriverBase
+from repro.core.campaign import FAMILIES, SyncBatchStrategy, _pareto_front_mask  # noqa: F401 — re-export
 from repro.core.results import RunResult
-from repro.utils.rng import rng_state_to_dict
 
 __all__ = ["SynchronousBatchBO", "SYNC_STRATEGIES"]
 
 SYNC_STRATEGIES = SyncBatchStrategy.STRATEGIES
-
-_DISPLAY = {
-    "pbo": "pBO",
-    "phcbo": "pHCBO",
-    "easybo-s": "EasyBO-S",
-    "easybo-sp": "EasyBO-SP",
-    "bucb": "BUCB",
-    "lp": "LP",
-    "mace": "MACE",
-}
 
 
 class SynchronousBatchBO(BODriverBase):
@@ -71,26 +62,24 @@ class SynchronousBatchBO(BODriverBase):
         super().__init__(problem, **kwargs)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        strategy = strategy.lower()
-        if strategy not in SYNC_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; choose from {SYNC_STRATEGIES}"
-            )
         self.batch_size = int(batch_size)
-        self.strategy = strategy
-        self.lam = float(lam)
-        self.ucb_kappa = float(ucb_kappa)
-        self.algorithm_name = f"{_DISPLAY[strategy]}-{batch_size}"
         self.campaign.strategy = SyncBatchStrategy(
             strategy,
             batch_size=self.batch_size,
-            lam=self.lam,
-            ucb_kappa=self.ucb_kappa,
+            lam=lam,
+            ucb_kappa=ucb_kappa,
             hc_d=hc_d,
             dim=self.session.dim,
         )
+        self.strategy = self.campaign.strategy.strategy
+        self.lam = float(lam)
+        self.ucb_kappa = float(ucb_kappa)
+        self.algorithm_name = FAMILIES[self.strategy].label(self.batch_size)
         self.campaign.batch_size = self.batch_size
         self.campaign.algorithm = self.algorithm_name
+        self.campaign._config.update(
+            lam=self.lam, ucb_kappa=self.ucb_kappa, hc_d=hc_d
+        )
 
     @property
     def _hc(self):
@@ -113,122 +102,48 @@ class SynchronousBatchBO(BODriverBase):
         )
 
     # -------------------------------------------------------------- main loop
-    def _resume_config(self) -> dict:
-        config = super()._resume_config()
-        config.update(lam=self.lam, ucb_kappa=self.ucb_kappa)
-        return config
+    def _drive(self, pool) -> RunResult:
+        """Batch-by-batch ask/tell loop, resumable at any journal boundary.
 
-    def _journal_batch(self, batch_index: int, points) -> None:
-        """Journal a selected batch *before* any of it is submitted.
-
-        Selection consumes RNG for the whole batch up front, so a crash
-        between two submits of the same batch must not re-select: replay
-        re-submits the journaled points with the journaled post-selection
-        RNG state instead.
+        Every batch — initial-design chunks first — is one ``ask`` whose
+        record is written once all its points are in flight, so a resumed
+        run is always at a batch boundary: it finishes the batch the crash
+        caught in flight (re-issued in place by resume), then carries on.
         """
-        if self._journal is None:
-            return
-        self._journal.append(
-            {
-                "type": "batch",
-                "batch": int(batch_index),
-                "points": [[float(v) for v in np.asarray(p).ravel()] for p in points],
-                "rng_state": rng_state_to_dict(self.rng),
-                "surrogate": self.session.snapshot(),
-            }
-        )
-
-    def run(self) -> RunResult:
-        pool = self._make_pool(self.batch_size)
-        try:
-            self._begin_run(self.batch_size)
-            design = self._initial_design()
-            self._journal_doe(design)
-            self.campaign.begin(design)
-            return self._drive(pool, batch_index=0, leftover=())
-        finally:
-            shutdown_pool(pool)
-
-    def _resume_drive(self, pool, state) -> RunResult:
-        design = state.design
-        if design is None:
-            design = self._initial_design()
-            self._journal_doe(design)
-        batch_index, leftover = self._resume_position(state, design, pool)
-        self.campaign.restore(
-            design=design, issued=state.issued, pending=pool.pending_points()
-        )
-        return self._drive(pool, batch_index, leftover)
-
-    def _resume_position(self, state, design, pool):
-        """Locate the crash inside the batch structure.
-
-        Returns ``(batch_index, leftover)`` where ``leftover`` holds the
-        already-selected points of the current batch that were never
-        submitted (selection consumes RNG for the whole batch before the
-        first submit, so they must be re-submitted, not re-selected).
-        """
-        issued = state.issued
-        # A selected-but-not-fully-submitted BO batch takes precedence: its
-        # selection already consumed the RNG, so its points must be
-        # re-submitted, never re-selected.
-        if state.last_batch is not None:
-            b, points = state.last_batch
-            submitted = state.batch_counts.get(b, 0)
-            if submitted < len(points):
-                return b, tuple(np.asarray(p, dtype=float) for p in points[submitted:])
-        if issued == 0 and pool.busy_count == 0:
-            return 0, ()
-        if issued <= self.n_init and state.last_batch is None:
-            current = (issued - 1) // self.batch_size
-            batch_end = min((current + 1) * self.batch_size, self.n_init)
-            if issued < batch_end:
-                return current, tuple(design[issued:batch_end])
-            if pool.busy_count:
-                return current, ()
-            return current + 1, ()
-        # BO phase with the latest batch fully submitted.
-        current = state.last_batch[0] if state.last_batch is not None else state.last_issue_batch
-        if pool.busy_count:
-            return current, ()
-        return current + 1, ()
-
-    def _drive(self, pool, batch_index: int, leftover) -> RunResult:
         campaign = self.campaign
-        # Finish a partially-completed batch (resume only; no-op fresh).
-        if leftover or pool.busy_count:
-            for x in leftover:
-                self._submit(pool, x, batch=batch_index)
-                campaign.note_issued(x)
-            while pool.busy_count:
-                self._consume(pool, self._wait(pool))
-            batch_index += 1
-        # Initial design goes out in synchronous batches too.
-        while campaign.in_doe:
-            points = campaign.ask(
-                min(self.batch_size, self.n_init - campaign.issued)
+        # Batches go out in B-sized chunks, initial design and BO phase alike.
+        doe = min(campaign.issued, self.n_init)
+        batch_index = math.ceil(doe / self.batch_size) + math.ceil(
+            (campaign.issued - doe) / self.batch_size
+        )
+
+        def select(n_points):
+            with self.obs.span("select-batch", n_points=n_points):
+                return self._select_batch(n_points)
+
+        def issue(n_points, propose=None) -> None:
+            campaign.ask(
+                n_points,
+                _propose=propose,
+                _issue=lambda x: self._submit(pool, x, batch=batch_index),
             )
-            for x in points:
-                self._submit(pool, x, batch=batch_index)
             while pool.busy_count:
                 self._consume(pool, self._wait(pool))
+
+        while pool.busy_count:
+            self._consume(pool, self._wait(pool))
+        while campaign.in_doe:
+            issue(min(self.batch_size, self.n_init - campaign.issued))
             batch_index += 1
         while not campaign.exhausted:
-            # One synchronous cycle: ask for a batch, issue it, barrier.
+            # One synchronous cycle: ask for a batch, issue it, barrier.  Too
+            # many dropped failures for the GP fall back to the campaign's
+            # uniform exploration for the batch.
             with self.obs.span("iteration", batch=batch_index):
-                n_points = min(self.batch_size, self.max_evals - campaign.issued)
-                if self.session.n_observations < 2:
-                    # Too many dropped failures for the GP: the campaign
-                    # falls back to uniform exploration for this batch.
-                    points = campaign.ask(n_points)
-                else:
-                    with self.obs.span("select-batch", n_points=n_points):
-                        points = campaign.ask(n_points, _propose=self._select_batch)
-                self._journal_batch(batch_index, points)
-                for x in points:
-                    self._submit(pool, x, batch=batch_index)
-                while pool.busy_count:
-                    self._consume(pool, self._wait(pool))
+                issue(
+                    min(self.batch_size, self.max_evals - campaign.issued),
+                    select if self.session.n_observations >= 2 else None,
+                )
             self.obs.inc("driver.iterations")
             batch_index += 1
         return self._package(pool)

@@ -27,7 +27,6 @@ __all__ = [
     "TournamentScale",
     "SCALES",
     "CellResult",
-    "POLICY_LABELS",
     "run_tournament",
     "rank_table",
     "paired_comparisons",
@@ -35,15 +34,6 @@ __all__ = [
     "check_tournament",
     "check_hallucinate_matches_golden",
 ]
-
-#: Algorithm label base per policy (the labels round-trip through
-#: ``make_algorithm`` and carry the policy on resume).
-POLICY_LABELS = {
-    "hallucinate": "EasyBO",
-    "lp": "EasyBO-LP",
-    "pessimistic": "EasyBO-PESS",
-    "none": "EasyBO-A",
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,6 +126,7 @@ def run_cell(
     scale: TournamentScale,
 ) -> CellResult:
     """Run one policy on one (circuit, batch, fault-rate, seed) cell."""
+    from repro.core.campaign import policy_family
     from repro.core.easybo import make_algorithm
     from repro.core.recovery import resolve_problem
 
@@ -150,7 +141,7 @@ def run_cell(
             nan_rate=fault_rate / 2,
             rng=_fault_seed(circuit, batch, fault_rate, seed),
         )
-    label = f"{POLICY_LABELS[policy]}-{batch}"
+    label = f"{policy_family(policy).display}-{batch}"
     algorithm = make_algorithm(
         label,
         problem,

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -82,6 +83,51 @@ class TestCli:
             "--budget", "6", "--n-init", "3", "--surrogate", "dense",
         )
         assert result.returncode != 0
+
+    def test_resume_finishes_a_sigkilled_run(self, tmp_path):
+        # A real SIGKILL, not an exception raised inside the process: the
+        # journal is whatever the dead process had fsync'd.
+        journal = tmp_path / "j.jsonl"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--problem", "sphere",
+             "--algorithm", "EasyBO-2", "--budget", "40", "--n-init", "4",
+             "--journal", str(journal)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 300
+            while not journal.exists() or journal.read_bytes().count(b"\n") < 12:
+                assert proc.poll() is None, "the run ended before the kill"
+                assert time.monotonic() < deadline, "the journal never grew"
+                time.sleep(0.02)
+        finally:
+            proc.kill()
+            proc.wait()
+        result = run_cli("resume", str(journal))
+        assert result.returncode == 0, result.stderr
+        assert "after 40 evaluations" in result.stdout
+
+    def test_resume_refuses_a_finished_run(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        done = run_cli(
+            "run", "--problem", "sphere", "--algorithm", "LCB",
+            "--budget", "6", "--n-init", "3", "--journal", str(journal),
+        )
+        assert done.returncode == 0, done.stderr
+        result = run_cli("resume", str(journal))
+        assert result.returncode != 0
+        assert "already completed" in result.stderr
+
+    @pytest.mark.parametrize("label", ["DE", "GP-Hedge"])
+    def test_run_refuses_a_journal_it_could_not_resume(self, label, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        result = run_cli(
+            "run", "--problem", "sphere", "--algorithm", label,
+            "--budget", "12", "--journal", str(journal),
+        )
+        assert result.returncode != 0
+        assert label in result.stderr
+        assert not journal.exists()
 
     def test_requires_command(self):
         result = run_cli()

@@ -86,8 +86,8 @@ def test_journaled_run_matches_golden(name, tmp_path):
     result = run_scenario(name, journal=path, checkpoint_every=2)
     assert_matches_golden(name, result)
     events = read_journal(path, strict=True)
-    assert events[0]["type"] == "run_start"
-    assert events[-1]["type"] == "run_end"
+    assert events[0]["type"] == "campaign_start"
+    assert events[-1]["type"] == "campaign_end"
     assert events[-1]["best_fom"] == result.best_fom
 
 
@@ -104,8 +104,8 @@ def test_resume_after_journal_kill_matches_golden(name, fraction, tmp_path):
     assert_matches_golden(name, resumed)
     # The journal now ends with the completed run's epilogue.
     events = read_journal(path, strict=True)
-    assert any(e["type"] == "resume" for e in events)
-    assert events[-1]["type"] == "run_end"
+    assert any(e["type"] == "campaign_resume" for e in events)
+    assert events[-1]["type"] == "campaign_end"
 
 
 @pytest.mark.parametrize("kill_at", [1, 4, 7, 11])
@@ -183,7 +183,7 @@ def test_resume_refuses_journal_without_run_start(tmp_path):
     path = tmp_path / "empty.jsonl"
     with JournalWriter(path) as writer:
         writer.append({"type": "complete"})
-    with pytest.raises(Exception, match="run_start"):
+    with pytest.raises(Exception, match="campaign_start"):
         resume(path)
 
 
@@ -221,12 +221,14 @@ class TestOrphanDispositions:
                 resume(path, problem=KillSwitchProblem(problem, kill_at=1))
         events = read_journal(path)
         dispositions = [
-            (e["index"], e["disposition"]) for e in events if e["type"] == "orphan"
+            (tuple(e["x"]), e["action"])
+            for e in events
+            if e["type"] == "tell" and e["result"]["status"] == "orphaned"
         ]
-        by_index: dict[int, list[str]] = {}
+        by_index: dict[tuple, list[str]] = {}
         for index, disposition in dispositions:
             by_index.setdefault(index, []).append(disposition)
-        assert any(d == ["reissue", "impute"] for d in by_index.values())
+        assert any(d == ["reissued", "imputed"] for d in by_index.values())
 
 
 class TestWorkerLeases:

@@ -1,0 +1,210 @@
+"""Driver journals are campaign journals: config, resume, and refusals.
+
+Drivers write their write-ahead journal through their ``Campaign`` — the
+same ``campaign_start`` / ``doe`` / ``ask`` / ``tell`` log the campaign
+server writes, with the pool facts as optional fields — and
+:func:`repro.core.recovery.resume` is :func:`resume_campaign` plus pool
+reconciliation.  The golden kill/resume sweeps live in
+``test_crash_resume.py``; this module covers what those scenarios do not:
+
+* the constrained and cost-aware drivers resume (their side datasets are
+  rebuilt through the same absorb hook as live tells);
+* family knobs (``hc_d``, ``cost_exponent``) round-trip through the
+  journaled config;
+* ``resume_campaign`` on a killed driver journal rebuilds exactly the state
+  ``resume`` continues from;
+* drivers that cannot resume refuse ``journal=``, and retired run journals
+  are refused;
+* ``cEasyBO`` honours non-default pending policies.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.circuits import sphere
+from repro.core.async_batch import AsynchronousBatchBO
+from repro.core.campaign import resume_campaign
+from repro.core.easybo import make_algorithm
+from repro.core.faults import KillSwitchJournal, ProcessKilled
+from repro.core.journal import JOURNAL_VERSION, JournalError, JournalWriter, read_journal
+from repro.core.portfolio import PortfolioBO
+from repro.core.problem import FunctionProblem
+from repro.core.recovery import resume
+from repro.utils.rng import rng_state_to_dict
+from tests.test_core_constrained import DiskProblem
+from tests.test_core_cost_aware import plateau_problem
+
+pytestmark = pytest.mark.chaos
+
+FAST = dict(acq_candidates=64, acq_restarts=1, surrogate_update="full")
+
+
+def trajectory(result) -> list[tuple]:
+    """Every trace record, bit for bit (NaN-safe via ``repr``)."""
+    return [
+        (r.index, r.worker, r.batch, tuple(r.x), repr(r.fom), r.issue_time,
+         r.finish_time, r.status)
+        for r in result.trace.records
+    ]
+
+
+def kill_and_resume(label, problem, tmp_path, kill_at, **kwargs):
+    """Uninterrupted run and a run killed before journal append ``kill_at``."""
+    reference = make_algorithm(label, problem, **kwargs).run()
+    path = tmp_path / "run.jsonl"
+    writer = KillSwitchJournal(JournalWriter(path), kill_at=kill_at)
+    try:
+        with pytest.raises(ProcessKilled):
+            make_algorithm(label, problem, journal=writer, **kwargs).run()
+    finally:
+        writer.close()
+    return reference, resume(path, problem=problem), path
+
+
+class TestConstrainedResume:
+    KWARGS = dict(n_init=6, max_evals=14, rng=0, **FAST)
+
+    def test_journal_has_one_record_per_ask_and_tell(self, tmp_path):
+        path = tmp_path / "full.jsonl"
+        make_algorithm("cEasyBO-3", DiskProblem(), journal=path, **self.KWARGS).run()
+        kinds = [e["type"] for e in read_journal(path, strict=True)]
+        assert kinds.count("ask") == kinds.count("tell") == 14
+        assert len(kinds) == 31
+
+    @pytest.mark.parametrize("kill_at", [15, 24])
+    def test_kill_resume_reproduces_the_uninterrupted_run(self, tmp_path, kill_at):
+        reference, resumed, _ = kill_and_resume(
+            "cEasyBO-3", DiskProblem(), tmp_path, kill_at, **self.KWARGS
+        )
+        assert resumed.algorithm == "cEasyBO-3"
+        assert trajectory(resumed) == trajectory(reference)
+
+
+class TestConfigRoundTrip:
+    def test_phcbo_hc_d_survives_resume(self, tmp_path):
+        # Killed before the first model-driven batch is durable: pHCBO's
+        # coverage history is not journaled, so only a resume from there on
+        # is exact (docs/crash_recovery.md) — and both remaining batches are
+        # selected with the journaled hc_d.
+        kwargs = dict(n_init=5, max_evals=11, rng=3, hc_d=0.5, **FAST)
+        reference, resumed, path = kill_and_resume(
+            "pHCBO-3", sphere(2), tmp_path, 10, **kwargs
+        )
+        assert read_journal(path)[0]["config"]["hc_d"] == 0.5
+        assert trajectory(resumed) == trajectory(reference)
+        # The knob matters here, so a resume that fell back to the default
+        # could not have matched.
+        default = make_algorithm(
+            "pHCBO-3", sphere(2), **{**kwargs, "hc_d": None}
+        ).run()
+        assert trajectory(default) != trajectory(reference)
+
+    def test_cost_aware_resumes_with_its_cost_exponent(self, tmp_path):
+        problem = plateau_problem()  # costs differ 10x across the domain
+        kwargs = dict(n_init=5, max_evals=12, rng=2, cost_exponent=0.5, **FAST)
+        reference, resumed, path = kill_and_resume(
+            "caEasyBO-3", problem, tmp_path, 17, **kwargs
+        )
+        assert read_journal(path)[0]["config"]["cost_exponent"] == 0.5
+        assert resumed.algorithm == "caEasyBO-3"
+        assert trajectory(resumed) == trajectory(reference)
+        plain = make_algorithm(
+            "caEasyBO-3", problem, **{**kwargs, "cost_exponent": 1.0}
+        ).run()
+        assert trajectory(plain) != trajectory(reference)
+
+
+class TestResumeCampaignMatchesResume:
+    def test_same_issued_pending_and_rng_as_the_driver_resume(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.jsonl"
+        writer = KillSwitchJournal(JournalWriter(path), kill_at=11)
+        kwargs = dict(n_init=4, max_evals=10, rng=5, **FAST)
+        with pytest.raises(ProcessKilled):
+            make_algorithm("EasyBO-3", sphere(2), journal=writer, **kwargs).run()
+        writer.close()
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(path.read_bytes())
+
+        campaign = resume_campaign(copy)
+        seen = {}
+        drive = AsynchronousBatchBO._drive
+
+        def spy(driver, pool):
+            seen.update(
+                issued=driver.campaign.issued,
+                pending=driver.campaign.pending_matrix().copy(),
+                rng=rng_state_to_dict(driver.rng),
+            )
+            return drive(driver, pool)
+
+        monkeypatch.setattr(AsynchronousBatchBO, "_drive", spy)
+        result = resume(path)
+        assert result.n_evaluations == 10
+        assert campaign.n_pending > 0  # the kill left points in flight
+        assert seen["issued"] == campaign.issued
+        np.testing.assert_array_equal(seen["pending"], campaign.pending_matrix())
+        assert seen["rng"] == rng_state_to_dict(campaign.rng)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("label", ["GP-Hedge", "DE", "Random"])
+    def test_non_resumable_algorithms_refuse_a_journal(self, label, tmp_path):
+        with pytest.raises(ValueError, match=label):
+            make_algorithm(
+                label, sphere(2), n_init=4, max_evals=8, rng=0,
+                journal=tmp_path / "j.jsonl",
+            )
+        assert not (tmp_path / "j.jsonl").exists()
+
+    def test_portfolio_refuses_a_journal_when_built_directly(self, tmp_path):
+        with pytest.raises(ValueError, match="GP-Hedge"):
+            PortfolioBO(sphere(2), n_init=4, max_evals=8, journal=tmp_path / "j")
+
+    def test_retired_run_journal_is_refused(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        with JournalWriter(path) as writer:
+            writer.append({"type": "run_start", "journal_version": 1,
+                           "algorithm": "LCB", "problem": "sphere2"})
+        with pytest.raises(JournalError, match=(
+            rf"run journal format v1 is older than supported v{JOURNAL_VERSION}"
+        )):
+            resume(path)
+
+
+class TestSideModelPolicies:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **kw: make_algorithm("cEasyBO-3", DiskProblem(), **kw),
+            lambda **kw: make_algorithm(
+                "caEasyBO-3",
+                FunctionProblem(lambda x: -float(np.sum(x**2)),
+                                [[-1, 1], [-1, 1]], name="bowl"),
+                **kw,
+            ),
+        ],
+        ids=["cEasyBO", "caEasyBO"],
+    )
+    def test_lp_policy_is_not_the_none_trajectory(self, make):
+        kwargs = dict(n_init=6, max_evals=12, rng=0, **FAST)
+        lp = make(pending_policy="lp", **kwargs).run()
+        none = make(pending_policy="none", **kwargs).run()
+        assert lp.pending_policy == "lp"
+        assert trajectory(lp) != trajectory(none)
+
+    def test_side_model_proposals_record_acquisition_spans(self, tmp_path):
+        from repro.obs import Tracer, load_trace
+
+        tracer = Tracer(tmp_path / "trace.jsonl")
+        make_algorithm(
+            "cEasyBO-3", DiskProblem(), n_init=6, max_evals=9, rng=0,
+            tracer=tracer, **FAST,
+        ).run()
+        tracer.close()
+        spans = load_trace(tmp_path / "trace.jsonl")
+        # One per model-driven proposal: max_evals - n_init.
+        assert [s["name"] for s in spans].count("acquisition-maximize") == 3
