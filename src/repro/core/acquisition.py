@@ -168,6 +168,20 @@ class HighCoveragePenalty:
         if len(queue) > self.HISTORY:
             queue.pop(0)
 
+    def snapshot(self) -> dict:
+        """Per-slot query history (exact through JSON), journaled with every ask."""
+        return {
+            str(slot): [[float(v) for v in x] for x in queue]
+            for slot, queue in self._history.items()
+        }
+
+    def restore(self, snap: dict | None) -> None:
+        """Query history from :meth:`snapshot` (crash resume)."""
+        self._history = {
+            int(slot): [np.asarray(x, dtype=float) for x in queue]
+            for slot, queue in (snap or {}).items()
+        }
+
     def __call__(self, slot: int, X: np.ndarray) -> np.ndarray:
         """Penalty values for candidates ``X`` against slot ``slot``."""
         X = check_matrix(X, "X", cols=self.dim)

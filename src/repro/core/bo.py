@@ -24,7 +24,6 @@ from repro.core.faults import FailurePolicy
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.obs import Observability
-from repro.sched.trace import EvalRecord
 from repro.sched.workers import Completion, VirtualWorkerPool
 from repro.utils.rng import as_generator, rng_state_to_dict
 
@@ -277,26 +276,13 @@ class BODriverBase:
         point, then falls back to imputation) and it goes straight back to
         the pool, or it is imputed / dropped like any failure.
         """
-        def facts(_action) -> dict:
-            record = EvalRecord(
-                index=completion.index,
-                worker=completion.worker,
-                x=np.asarray(completion.x, dtype=float),
-                fom=completion.result.fom,
-                issue_time=completion.issue_time,
-                finish_time=completion.finish_time,
-                feasible=completion.result.feasible,
-                batch=completion.batch,
-                status=completion.result.status,
-                error=completion.result.error,
-                attempts=completion.attempts,
-            )
-            return {"record": record.as_dict(), "clock": float(pool.now)}
-
         action = self.campaign.tell(
             completion.x,
             completion.result,
-            _extra=facts,
+            _extra=lambda _action: {
+                "record": completion.record.as_dict(),
+                "clock": float(pool.now),
+            },
             _issue=lambda x: self._submit(pool, x, batch=completion.batch),
         )
         if action != "reissued":

@@ -156,9 +156,6 @@ class SequentialStrategy:
         core.session.refit()
         return core.maximize(self.make_acquisition(core))
 
-    def select(self, core: "Campaign", n_points: int) -> list[np.ndarray]:
-        return [self.propose(core) for _ in range(n_points)]
-
 
 class AsyncBatchStrategy:
     """The paper's Alg. 1 proposal with a pluggable pending-point policy.
@@ -217,11 +214,6 @@ class AsyncBatchStrategy:
                 return transform(inner(m, U), U)
 
         return core.maximize(acquisition, model=model)
-
-    def select(self, core: "Campaign", n_points: int) -> list[np.ndarray]:
-        # Greedy: each member sees the earlier ones as pending via the
-        # campaign's own pending set (they were marked at ask time).
-        return [self.propose(core) for _ in range(n_points)]
 
 
 class SyncBatchStrategy:
@@ -445,9 +437,10 @@ class Campaign:
     Drivers with side models (constraint slacks, evaluation costs) hook in
     two ways: ``on_absorb(x, result)`` runs after every observation (real or
     imputed) enters the surrogate — live and on replay — to keep their
-    datasets aligned, and the :class:`~repro.core.surrogate.SideGP` objects
-    in ``side_models`` have their warm-start state journaled with every ask
-    and restored at resume.
+    datasets aligned, and the objects in ``side_models`` (their
+    :class:`~repro.core.surrogate.SideGP` models, or pHCBO's coverage
+    history) have their ``snapshot()`` journaled with every ask and
+    ``restore()``-d at resume.
     """
 
     def __init__(
@@ -612,13 +605,16 @@ class Campaign:
 
         Initial-design rows are served first; afterwards the family strategy
         runs the refit/hallucinate/acquisition pipeline.  Asked points are
-        tracked as pending until the matching :meth:`tell`.  ``request_id``
+        tracked as pending until the matching :meth:`tell`; a batch from a
+        one-point family (sequential, asynchronous) is ``n`` successive
+        proposals, each seeing the earlier ones as pending.  ``request_id``
         rides along in the journal event so the campaign server can rebuild
         its idempotent reply cache after a restart (a retried ``ask`` whose
         reply was lost replays the journaled points instead of issuing new
         ones).  ``_propose`` and ``_issue`` are the embedded drivers' hooks,
         not part of the public surface: ``_propose`` routes proposals through
-        their overridable methods, and ``_issue(x)`` submits each point to
+        their overridable methods (one point per call, or the whole batch of
+        ``n`` for the synchronous family), and ``_issue(x)`` submits each point to
         the pool and returns the issue facts (index, worker, issue time,
         batch) journaled with the ask, so the record is written once the
         points are really in flight.
@@ -631,9 +627,9 @@ class Campaign:
         self.start()
         if n is None:
             points = [self._one(_propose)]
+            self._note_asked(points)
         else:
             points = self._block(int(n), _propose)
-        self._note_asked(points)
         issued = None if _issue is None else [_issue(p) for p in points]
         if not self._embedded:
             self.obs.inc("campaign.asks")
@@ -661,17 +657,26 @@ class Campaign:
         return np.asarray(self.strategy.propose(self), dtype=float)
 
     def _block(self, n: int, propose) -> list[np.ndarray]:
+        """Up to ``n`` points (fewer at the budget or the design's end), marked pending."""
         if n < 1:
             raise ValueError("ask(n) needs n >= 1")
         n = min(n, self.max_evals - self.issued)
         if self.in_doe:
             end = min(self.issued + n, self.n_init)
-            return [np.asarray(row, dtype=float) for row in self.design[self.issued:end]]
-        if propose is not None:
-            points = propose(n)
+            points = [np.asarray(row, dtype=float) for row in self.design[self.issued:end]]
+        elif self.strategy.kind == "sync":
+            batch = propose(n) if propose is not None else self.strategy.select(self, n)
+            points = [np.asarray(p, dtype=float) for p in batch]
         else:
-            points = self.strategy.select(self, n)
-        return [np.asarray(p, dtype=float) for p in points]
+            # Mark each member pending before proposing the next: the same
+            # points, pending order and RNG stream as n one-point asks.
+            points = []
+            for _ in range(n):
+                points.append(self._one(propose))
+                self._note_asked(points[-1:])
+            return points
+        self._note_asked(points)
+        return points
 
     def _note_asked(self, points) -> None:
         for p in points:
@@ -1111,7 +1116,7 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     elif family.driver == "sync":
         strategy = SyncBatchStrategy(
             family.strategy, batch_size=batch, lam=knobs["lam"],
-            ucb_kappa=knobs["ucb_kappa"], hc_d=knobs["hc_d"],
+            ucb_kappa=knobs["ucb_kappa"], hc_d=knobs["hc_d"], dim=problem.dim,
         )
     else:
         raise ValueError(
@@ -1129,6 +1134,8 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
         **kwargs,
     )
     campaign._config = campaign_config(campaign, **knobs)
+    if isinstance(strategy, SyncBatchStrategy) and strategy._hc is not None:
+        campaign.side_models = [strategy._hc]
     return campaign
 
 

@@ -80,6 +80,10 @@ class SynchronousBatchBO(BODriverBase):
         self.campaign._config.update(
             lam=self.lam, ucb_kappa=self.ucb_kappa, hc_d=hc_d
         )
+        if self._hc is not None:
+            # pHCBO's per-slot query history is run state: journaled with
+            # every ask and restored at resume.
+            self.campaign.side_models = [self._hc]
 
     @property
     def _hc(self):

@@ -59,7 +59,6 @@ TERMINAL_EVENTS = frozenset(("finished", "closed"))
 _STICKY_FIELDS = (
     "label",
     "problem",
-    "problem_spec",
     "journal",
     "config",
     "evaluate",

@@ -1,13 +1,14 @@
 """Process-based evaluation pool: real OS workers behind the pool contract.
 
-:class:`ProcessWorkerPool` speaks the same protocol as
-:class:`~repro.sched.workers.VirtualWorkerPool` and
-:class:`~repro.sched.executor.ThreadWorkerPool` — ``submit`` / ``wait_next``
-/ ``wait_all`` / ``pending_points`` / ``task_info`` / ``restore`` /
-``restore_task`` — but each of its B workers is a separate OS process
+:class:`ProcessWorkerPool` shares the pool contract's core
+(:class:`~repro.sched.workers.PoolBase`) with the virtual and thread pools,
+but each of its B workers is a separate OS process
 (``python -m repro.distributed.worker``) connected over a loopback socket
 RPC, so CPU-bound simulations genuinely run in parallel instead of taking
-turns on the GIL.
+turns on the GIL.  What this backend adds on top of the core: a task starts
+by being queued in its worker's slot and dispatched over the socket, and a
+finished task is found by the supervision loop below (result frames,
+liveness checks, expired deadlines).  The clock is the real one.
 
 Supervision model
 -----------------
@@ -60,9 +61,8 @@ from repro.distributed.protocol import (
     result_from_dict,
 )
 from repro.distributed.transport import ConnectionClosed, FramedConnection, listen
-from repro.obs import NULL_OBS
-from repro.sched.trace import EvalRecord, ExecutionTrace, PoolTelemetry
-from repro.sched.workers import Completion, _problem_dim
+from repro.sched.trace import PoolTelemetry
+from repro.sched.workers import Completion, PoolBase
 
 __all__ = ["ProcessWorkerPool"]
 
@@ -99,7 +99,7 @@ def _reap(procs: list) -> None:
             pass
 
 
-class ProcessWorkerPool:
+class ProcessWorkerPool(PoolBase):
     """Evaluation pool of ``n_workers`` supervised OS processes.
 
     Parameters
@@ -132,6 +132,8 @@ class ProcessWorkerPool:
         KeyboardInterrupt stays prompt even if every worker goes silent.
     """
 
+    backend = "process"
+
     def __init__(
         self,
         problem,
@@ -145,15 +147,11 @@ class ProcessWorkerPool:
         spawn_timeout: float = 60.0,
         poll_interval: float = 0.5,
     ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        super().__init__(problem, n_workers, policy=policy)
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        self.problem = problem
-        self.n_workers = int(n_workers)
-        self.policy = policy or FailurePolicy()
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = (
             10.0 * self.heartbeat_interval
@@ -164,8 +162,6 @@ class ProcessWorkerPool:
         self.respawn_backoff = float(respawn_backoff)
         self.spawn_timeout = float(spawn_timeout)
         self.poll_interval = float(poll_interval)
-        self.trace = ExecutionTrace(n_workers)
-        self._obs = NULL_OBS
 
         self._init_frame = {
             "type": "init",
@@ -174,12 +170,7 @@ class ProcessWorkerPool:
             "policy": dataclasses.asdict(self.policy),
             "heartbeat_interval": self.heartbeat_interval,
         }
-        self._t0 = time.monotonic()
-        self._next_index = 0
-        self._tasks: dict[int, dict] = {}
         self._ready: collections.deque = collections.deque()
-        self._cost_total = 0.0
-        self._cost_count = 0
         self._closed = False
         self._last_worker_error: str | None = None
 
@@ -201,54 +192,16 @@ class ProcessWorkerPool:
         for slot in self._slots:
             self._spawn(slot)
 
-    def bind_observability(self, obs) -> None:
-        """Attach an :class:`~repro.obs.Observability` facade (live counters:
-        ``pool.submits`` / ``pool.completions`` / ``pool.task_seconds``)."""
-        self._obs = obs if obs is not None else NULL_OBS
-
     # ------------------------------------------------------------ inspection
-    @property
-    def now(self) -> float:
-        """Seconds since pool creation (real time)."""
-        return time.monotonic() - self._t0
-
-    @property
-    def idle_count(self) -> int:
-        return sum(1 for s in self._slots if s.alive and s.task is None)
-
-    @property
-    def busy_count(self) -> int:
-        return len(self._tasks)
-
-    def pending_points(self) -> np.ndarray:
-        """In-flight design points in issue order; shape ``(n_busy, dim)``."""
-        metas = sorted(self._tasks.values(), key=lambda m: m["index"])
-        if not metas:
-            return np.empty((0, _problem_dim(self.problem)))
-        return np.vstack([m["x"] for m in metas])
-
-    def task_info(self, index: int) -> dict:
-        """Issue metadata for an in-flight evaluation (for the run journal)."""
-        meta = self._tasks[index]
-        return {
-            "worker": meta["worker"],
-            "issue_time": meta["issue_time"],
-            "batch": meta["batch"],
-            "lease": meta["lease"],
-        }
-
-    def _lease_deadline(self, issue_time: float) -> float | None:
-        """Lease expiry (mean completed duration x slack); ``None`` if unleased."""
-        slack = self.policy.lease_slack
-        if slack is None or self._cost_count == 0:
-            return None
-        return issue_time + (self._cost_total / self._cost_count) * slack
+    def _idle_workers(self) -> list[int]:
+        # A respawning slot stays submittable; a permanently dead one does not.
+        return [w for w in super()._idle_workers() if self._slots[w].alive]
 
     def telemetry(self) -> PoolTelemetry:
         """Live operational counters (snapshot)."""
         now = self.now
         return PoolTelemetry(
-            backend="process",
+            backend=self.backend,
             n_workers=self.n_workers,
             n_tasks=len(self.trace.records),
             n_respawns=self._n_respawns,
@@ -485,69 +438,32 @@ class ProcessWorkerPool:
                         f"went silent for {now - slot.last_heartbeat:.2f}s "
                         f"(heartbeat timeout {self.heartbeat_timeout:g}s)",
                     )
-        for index, meta in list(self._tasks.items()):
-            slot = self._slots[meta["worker"]]
-            if meta["deadline"] is not None and now >= meta["deadline"]:
-                if slot.task == index:
+        for index, task in list(self._tasks.items()):
+            failure = self._overdue(task, now)
+            if failure is None:
+                continue
+            # Unlike a thread, a wedged process can be reclaimed: kill it.
+            slot = self._slots[task["worker"]]
+            if slot.task == index:
+                if failure.status == STATUS_TIMEOUT:
                     self._n_timeout_kills += 1
-                    self._kill_slot(slot)
-                    self._schedule_respawn(slot)
-                self._ready.append(
-                    (
-                        index,
-                        EvaluationResult.failed(
-                            f"evaluation exceeded timeout of "
-                            f"{self.policy.timeout:g}s",
-                            status=STATUS_TIMEOUT,
-                            cost=self.policy.timeout,
-                        ),
-                        1,
-                    )
-                )
-                meta["deadline"] = None  # fire once
-            elif meta["lease"] is not None and now >= meta["lease"]:
-                if slot.task == index:
-                    self._kill_slot(slot)
-                    self._schedule_respawn(slot)
-                self._ready.append(
-                    (
-                        index,
-                        EvaluationResult.failed(
-                            "worker lease expired with the evaluation still "
-                            "in flight (worker presumed dead)",
-                            status=STATUS_ORPHANED,
-                        ),
-                        1,
-                    )
-                )
-                meta["lease"] = None  # fire once
+                self._kill_slot(slot)
+                self._schedule_respawn(slot)
+            self._ready.append((index, failure, 1))
+            task["deadline"] = task["lease"] = None  # fire once
 
     # ------------------------------------------------------------- operation
-    def _assign(self, index: int, worker: int, x: np.ndarray, *,
-                batch, issue_time: float, queued_at: float) -> int:
-        slot = self._slots[worker]
-        start = self.now
-        meta = {
-            "index": int(index),
-            "worker": int(worker),
-            "x": np.asarray(x, dtype=float).copy(),
-            "issue_time": float(issue_time),
-            "batch": batch,
-            "deadline": None if self.policy.timeout is None
-            else start + self.policy.timeout,
-            "lease": self._lease_deadline(start),
-            "queued_at": float(queued_at),
-            "dispatch_time": None,
-            "queue_wait": None,
-        }
-        self._tasks[meta["index"]] = meta
-        slot.task = meta["index"]
+    def _start(self, task: dict) -> None:
+        """Queue the task in its slot; dispatch it if the worker is connected."""
+        task["queued_at"] = self.now
+        task["dispatch_time"] = task["queue_wait"] = None
+        slot = self._slots[task["worker"]]
+        slot.task = task["index"]
         if slot.state == "ready":
             try:
-                self._dispatch(slot, meta)
+                self._dispatch(slot, task)
             except (ConnectionClosed, OSError):
                 self._worker_failed(slot, "died during task dispatch")
-        return meta["index"]
 
     def submit(self, x: np.ndarray, *, batch: int | None = None) -> int:
         """Dispatch ``x`` to a free worker slot; returns the index.
@@ -560,19 +476,9 @@ class ProcessWorkerPool:
         """
         self._require_open()
         self._service(0.0)
-        free = [s for s in self._slots if s.alive and s.task is None]
-        if not free:
-            if not any(s.alive for s in self._slots):
-                raise RuntimeError(self._all_dead_message())
-            raise RuntimeError("no idle worker; call wait_next() first")
-        slot = min(free, key=lambda s: s.worker_id)
-        index = self._next_index
-        self._next_index += 1
-        now = self.now
-        index = self._assign(index, slot.worker_id, x, batch=batch,
-                             issue_time=now, queued_at=now)
-        self._obs.inc("pool.submits")
-        return index
+        if not any(s.alive for s in self._slots):
+            raise RuntimeError(self._all_dead_message())
+        return super().submit(x, batch=batch)
 
     def wait_next(self) -> Completion:
         """Block until an in-flight evaluation finishes, dies, or times out.
@@ -586,10 +492,9 @@ class ProcessWorkerPool:
         if not self._tasks and not self._ready:
             raise RuntimeError("nothing is running")
         while True:
-            while self._ready:
-                index, result, attempts = self._ready.popleft()
-                if index in self._tasks:
-                    return self._complete(index, result, attempts)
+            completion = self._pop_ready()
+            if completion is not None:
+                return completion
             if not self._tasks:
                 raise RuntimeError("nothing is running")
             if not any(s.alive for s in self._slots):
@@ -606,11 +511,9 @@ class ProcessWorkerPool:
                               if slot.proc is not None else slot.respawn_at)
             elif slot.state == "ready":
                 horizon = min(horizon, slot.last_heartbeat + self.heartbeat_timeout)
-        for meta in self._tasks.values():
-            if meta["deadline"] is not None:
-                horizon = min(horizon, meta["deadline"])
-            if meta["lease"] is not None:
-                horizon = min(horizon, meta["lease"])
+        due = self._next_due()
+        if due is not None:
+            horizon = min(horizon, due[0])
         return max(horizon - now, 0.0)
 
     def _all_dead_message(self) -> str:
@@ -622,50 +525,14 @@ class ProcessWorkerPool:
             message += f"; last worker error: {self._last_worker_error}"
         return message
 
-    def _complete(self, index: int, result: EvaluationResult,
-                  attempts: int) -> Completion:
-        """Resolve one task: trace it, free its slot, hand it back."""
-        finish_time = self.now
-        meta = self._tasks.pop(index)
-        slot = self._slots[meta["worker"]]
-        if slot.task == index:
+    def _release(self, task: dict, finish_time: float) -> None:
+        """Free the task's slot and charge its busy time."""
+        slot = self._slots[task["worker"]]
+        if slot.task == task["index"]:
             slot.task = None
-        busy_since = meta["dispatch_time"]
-        if busy_since is not None:
-            slot.busy_seconds += max(finish_time - busy_since, 0.0)
+        if task["dispatch_time"] is not None:
+            slot.busy_seconds += max(finish_time - task["dispatch_time"], 0.0)
         slot.n_tasks += 1
-        self._cost_total += max(finish_time - meta["issue_time"], 0.0)
-        self._cost_count += 1
-        completion = Completion(
-            index=meta["index"],
-            worker=meta["worker"],
-            x=meta["x"],
-            result=result,
-            issue_time=meta["issue_time"],
-            finish_time=finish_time,
-            batch=meta["batch"],
-            attempts=attempts,
-        )
-        self.trace.add(
-            EvalRecord(
-                index=meta["index"],
-                worker=meta["worker"],
-                x=meta["x"],
-                fom=result.fom,
-                issue_time=meta["issue_time"],
-                finish_time=finish_time,
-                feasible=result.feasible,
-                batch=meta["batch"],
-                status=result.status,
-                error=result.error,
-                attempts=attempts,
-            )
-        )
-        self._obs.inc("pool.completions")
-        self._obs.observe(
-            "pool.task_seconds", max(finish_time - meta["issue_time"], 0.0)
-        )
-        return completion
 
     def poll(self) -> Completion | None:
         """Non-blocking :meth:`wait_next`: a ready completion or ``None``.
@@ -679,74 +546,20 @@ class ProcessWorkerPool:
         if not self._tasks and not self._ready:
             return None
         self._service(0.0)
+        return self._pop_ready()
+
+    def _pop_ready(self) -> Completion | None:
+        """Resolve the first queued outcome whose task is still in flight."""
         while self._ready:
             index, result, attempts = self._ready.popleft()
             if index in self._tasks:
-                return self._complete(index, result, attempts)
+                return self._complete(index, result, attempts, self.now)
         return None
 
-    def wait_all(self) -> list[Completion]:
-        """Drain every outstanding evaluation (synchronous barrier)."""
-        completions = []
-        while self.busy_count:
-            completions.append(self.wait_next())
-        return completions
-
-    # -------------------------------------------------------------- recovery
-    def restore(self, *, now: float, next_index: int, records=()) -> None:
-        """Rewind a fresh pool to a journaled state (crash recovery).
-
-        Shifts the pool epoch so ``self.now`` continues from the journaled
-        clock, sets the next evaluation index, and replays completed
-        records into the trace (rebuilding the duration statistics behind
-        leases).
-        """
-        if self._tasks or self.trace.records:
-            raise RuntimeError("restore() requires a fresh pool")
-        self._t0 = time.monotonic() - float(now)
-        self._next_index = int(next_index)
-        for record in records:
-            self.trace.add(record)
-            self._cost_total += max(record.duration, 0.0)
-            self._cost_count += 1
-
-    def restore_task(
-        self,
-        index: int,
-        worker: int,
-        x: np.ndarray,
-        *,
-        batch: int | None = None,
-        issue_time: float | None = None,
-        attempts_offset: int = 0,
-    ) -> int:
-        """Re-issue an orphaned in-flight evaluation at a chosen slot.
-
-        Keeps the journaled ``issue_time`` for the trace while timeout and
-        lease deadlines restart from the current real time (clocks cannot
-        be rewound per-task).  ``attempts_offset`` is accepted for pool-
-        protocol compatibility; the worker-side retry loop reports its own
-        attempt count.
-        """
+    def restore_task(self, index: int, worker: int, x: np.ndarray, *,
+                     batch: int | None = None, issue_time: float | None = None) -> int:
         self._require_open()
-        if not (0 <= worker < self.n_workers):
-            raise RuntimeError(f"worker {worker} does not exist")
-        slot = self._slots[worker]
-        if not slot.alive:
-            raise RuntimeError(f"worker {worker} is permanently dead")
-        if slot.task is not None:
-            raise RuntimeError(f"worker {worker} is not idle")
-        if index in self._tasks:
-            raise RuntimeError(f"evaluation {index} is already running")
-        now = self.now
-        self._assign(
-            int(index), worker, x, batch=batch,
-            issue_time=now if issue_time is None else float(issue_time),
-            queued_at=now,
-        )
-        self._next_index = max(self._next_index, int(index) + 1)
-        self._obs.inc("pool.submits")
-        return int(index)
+        return super().restore_task(index, worker, x, batch=batch, issue_time=issue_time)
 
     # --------------------------------------------------------------- closing
     def _require_open(self) -> None:
@@ -800,13 +613,3 @@ class ProcessWorkerPool:
         self._listener.close()
         self._selector.close()
         self._finalizer.detach()
-
-    def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002 - parity
-        """Alias for :meth:`close` (thread-pool API parity)."""
-        self.close()
-
-    def __enter__(self) -> "ProcessWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -76,20 +76,17 @@ from repro.core.campaign import (
     read_campaign_journal,
     resume_campaign,
 )
+from repro.core.problem import STATUS_ORPHANED, EvaluationResult
 from repro.distributed.manifest import (
     TERMINAL_EVENTS,
     ServerManifest,
     manifest_state,
     read_manifest,
 )
-from repro.distributed.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    load_problem,
-    result_from_dict,
-)
+from repro.distributed.protocol import PROTOCOL_VERSION, ProtocolError, result_from_dict
 from repro.distributed.transport import ConnectionClosed, FramedConnection, listen
 from repro.obs import NULL_OBS
+from repro.sched import pool_factory_by_name
 
 __all__ = ["CampaignServer", "WorkerLeaseRegistry", "ServerError"]
 
@@ -345,10 +342,10 @@ class CampaignServer:
         Campaigns whose last event is terminal become status-only stubs;
         suspended ones become resumable stubs (revived on demand); everything
         else — including campaigns the crash caught mid-``ask`` — is replayed
-        from its journal to bit-exact state, with leases re-registered and
-        in-flight points resubmitted for server-evaluated campaigns.  A
-        campaign whose journal is missing or corrupt degrades to ``failed``
-        without taking the rest down.
+        from its journal to bit-exact state, with leases re-registered for
+        server-evaluated campaigns and their in-flight points put through the
+        orphan rule.  A campaign whose journal is missing or corrupt degrades
+        to ``failed`` without taking the rest down.
         """
         state = manifest_state(read_manifest(self.manifest.path))
         for campaign_id in sorted(state):
@@ -431,6 +428,12 @@ class CampaignServer:
         journal to bit-exact state, rebuilds the idempotent reply cache from
         the journaled request ids, re-leases workers for server-evaluated
         campaigns, and records the transition in the manifest.
+
+        A server-evaluated campaign's pending points were in flight on a
+        pool that no longer exists.  Each is told back as orphaned, so
+        ``failure_policy.on_orphan`` and ``max_reissues`` decide its fate
+        exactly as at a driver resume; only reissued points go back to
+        workers.
         """
         path = self._journal_path(campaign_id)
         if path is None or not os.path.exists(path):
@@ -448,71 +451,68 @@ class CampaignServer:
             info.get("label")
             or (prior.label if prior is not None else campaign.algorithm)
         )
-        hosted = _Hosted(
-            campaign_id, campaign, label=label,
-            problem_name=campaign.problem.name, owner=owner,
-        )
+        hosted = self._host(campaign_id, campaign, label, info, owner=owner)
         self._rebuild_replies(hosted, path)
-        self._campaigns[campaign_id] = hosted
-        if info.get("evaluate"):
-            requested = int(info.get("n_workers") or campaign.batch_size)
-            granted = self.leases.lease(campaign_id, requested)
-            hosted.pool = self._make_pool(
-                campaign.problem, granted, campaign,
-                backend=info.get("pool", "virtual"),
+        if hosted.evaluating:
+            orphan = EvaluationResult.failed(
+                "in flight when the server lost its pool", status=STATUS_ORPHANED
             )
-            hosted.n_workers = granted
-            # Points the crash caught in flight go straight back to workers;
-            # the drive loop only feeds *fresh* asks.
-            for point in campaign.pending:
-                hosted.pool.submit(point)
-        self._record(
-            "recovered", campaign_id,
-            label=label, problem=hosted.problem_name,
-            evaluate=bool(info.get("evaluate", False)),
-            pool=info.get("pool", "virtual"),
-            n_workers=hosted.n_workers,
-        )
+            for x in list(campaign.pending):
+                if campaign.tell(x, orphan) == "reissued":
+                    hosted.pool.submit(x)
         return hosted
 
     def _rebuild_created(self, campaign_id: str, info: dict) -> _Hosted:
         """Rebuild a campaign the crash caught between create and first write."""
-        if "problem_spec" in info:
-            problem = load_problem(info["problem_spec"])
-        else:
-            from repro.core.recovery import resolve_problem
+        from repro.core.recovery import resolve_problem
 
-            problem = resolve_problem(str(info.get("problem", "")))
         label = str(info.get("label", "EasyBO"))
         campaign = make_campaign(
             label,
-            problem,
+            resolve_problem(str(info.get("problem", ""))),
             journal=self._journal_path(campaign_id),
             obs=self.obs,
             **dict(info.get("config") or {}),
         )
         campaign.start()
+        return self._host(campaign_id, campaign, label, info, owner=None)
+
+    def _host(self, campaign_id: str, campaign: Campaign, label: str, info: dict, *,
+              owner: FramedConnection | None) -> _Hosted:
+        """Put a recovered campaign back under management and record it."""
         hosted = _Hosted(
             campaign_id, campaign, label=label,
-            problem_name=getattr(problem, "name", str(problem)), owner=None,
+            problem_name=campaign.problem.name, owner=owner,
         )
-        self._campaigns[campaign_id] = hosted
+        backend = info.get("pool", "virtual")
         if info.get("evaluate"):
-            granted = self.leases.lease(
-                campaign_id, int(info.get("n_workers") or campaign.batch_size)
+            self._attach_pool(
+                hosted, int(info.get("n_workers") or campaign.batch_size), backend
             )
-            hosted.pool = self._make_pool(
-                problem, granted, campaign, backend=info.get("pool", "virtual")
-            )
-            hosted.n_workers = granted
+        self._campaigns[campaign_id] = hosted
         self._record(
             "recovered", campaign_id,
             label=label, problem=hosted.problem_name,
-            evaluate=bool(info.get("evaluate", False)),
-            pool=info.get("pool", "virtual"),
-            n_workers=hosted.n_workers,
+            evaluate=hosted.evaluating, pool=backend, n_workers=hosted.n_workers,
         )
         return hosted
+
+    def _attach_pool(self, hosted: _Hosted, requested: int, backend: str) -> None:
+        """Lease workers and build the campaign's evaluation pool.
+
+        Every server-evaluated campaign gets its pool here; a pool that
+        cannot be built returns its lease.
+        """
+        granted = self.leases.lease(hosted.id, requested)
+        try:
+            hosted.pool = pool_factory_by_name(backend)(
+                hosted.campaign.problem, granted,
+                policy=hosted.campaign.failure_policy,
+            )
+        except Exception:
+            self.leases.release(hosted.id)
+            raise
+        hosted.n_workers = granted
 
     def _rebuild_replies(self, hosted: _Hosted, path) -> None:
         """Rebuild the reply cache from the journaled request ids.
@@ -687,13 +687,17 @@ class CampaignServer:
         return {"pong": True, "protocol": PROTOCOL_VERSION}
 
     def _verb_create(self, conn, request) -> dict:
-        label = request.get("label", "EasyBO")
-        if "problem_spec" in request:
-            problem = load_problem(request["problem_spec"])
-        else:
-            from repro.core.recovery import resolve_problem
+        from repro.core.recovery import resolve_problem
 
-            problem = resolve_problem(request.get("problem", ""))
+        if "problem_spec" in request:
+            # A spec may carry pickle bytes; unpickling client input would
+            # let any client that can connect run code in the server.
+            raise ServerError(
+                "create does not accept 'problem_spec'; name a registered "
+                "problem in 'problem'"
+            )
+        label = request.get("label", "EasyBO")
+        problem = resolve_problem(request.get("problem", ""))
         campaign_id = f"c{self._next_id:04d}"
         self._next_id += 1
         config = dict(request.get("config", {}))
@@ -712,21 +716,16 @@ class CampaignServer:
         )
         hosted = _Hosted(
             campaign_id, campaign, label=label,
-            problem_name=getattr(problem, "name", str(problem)), owner=conn,
+            problem_name=problem.name, owner=conn,
         )
         self._campaigns[campaign_id] = hosted
-        granted = 0
         if request.get("evaluate"):
-            requested = int(request.get("n_workers", campaign.batch_size))
             try:
-                granted = self.leases.lease(campaign_id, requested)
-                hosted.pool = self._make_pool(
-                    problem, granted, campaign, backend=request.get("pool", "virtual")
+                self._attach_pool(
+                    hosted, int(request.get("n_workers", campaign.batch_size)),
+                    request.get("pool", "virtual"),
                 )
-                hosted.n_workers = granted
             except Exception:
-                self.leases.release(campaign_id)
-                shutdown_pool(hosted.pool)
                 campaign.close()
                 del self._campaigns[campaign_id]
                 raise
@@ -737,10 +736,8 @@ class CampaignServer:
             "config": config,
             "evaluate": bool(request.get("evaluate", False)),
             "pool": request.get("pool", "virtual"),
-            "n_workers": granted,
+            "n_workers": hosted.n_workers,
         }
-        if "problem_spec" in request:
-            created["problem_spec"] = request["problem_spec"]
         if request.get("request_id") is not None:
             created["request_id"] = request["request_id"]
         # Manifest first, then journal: a kill between the two appends leaves
@@ -759,29 +756,7 @@ class CampaignServer:
             campaign.start()
             self._record("started", campaign_id)
         self.obs.inc("campaign.creates")
-        return {"campaign": campaign_id, "n_workers": granted}
-
-    def _make_pool(self, problem, n_workers: int, campaign: Campaign, *,
-                   backend: str = "virtual"):
-        if backend == "virtual":
-            from repro.sched.workers import VirtualWorkerPool
-
-            return VirtualWorkerPool(
-                problem, n_workers, policy=campaign.failure_policy
-            )
-        if backend == "thread":
-            from repro.sched.executor import ThreadWorkerPool
-
-            return ThreadWorkerPool(
-                problem, n_workers, policy=campaign.failure_policy
-            )
-        if backend == "process":
-            from repro.distributed.pool import ProcessWorkerPool
-
-            return ProcessWorkerPool(
-                problem, n_workers, policy=campaign.failure_policy
-            )
-        raise ServerError(f"unknown pool backend {backend!r}")
+        return {"campaign": campaign_id, "n_workers": hosted.n_workers}
 
     def _verb_ask(self, conn, request) -> dict:
         hosted = self._get(request.get("campaign"))

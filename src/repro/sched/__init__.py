@@ -1,5 +1,7 @@
 """Evaluation scheduling: the wall-clock side of the reproduction.
 
+* :class:`PoolBase` — the pool contract's shared core (task table, worker
+  choice, leases, completions, trace, restore); every backend inherits it.
 * :class:`VirtualWorkerPool` — deterministic simulated-clock pool; the
   backend behind every Table/Figure bench (see DESIGN.md §2 for why).
 * :class:`ThreadWorkerPool` — real concurrent backend with the same protocol.
@@ -14,7 +16,7 @@ from repro.sched.durations import ConstantCostModel, CostModel, LognormalCostMod
 from repro.sched.events import Event, EventQueue
 from repro.sched.executor import ThreadWorkerPool
 from repro.sched.trace import EvalRecord, ExecutionTrace, PoolTelemetry, SurrogateStats
-from repro.sched.workers import Completion, VirtualWorkerPool
+from repro.sched.workers import Completion, PoolBase, VirtualWorkerPool
 
 __all__ = [
     "CostModel",
@@ -27,6 +29,7 @@ __all__ = [
     "PoolTelemetry",
     "SurrogateStats",
     "Completion",
+    "PoolBase",
     "VirtualWorkerPool",
     "ThreadWorkerPool",
     "POOL_BACKENDS",

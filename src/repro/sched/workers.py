@@ -1,34 +1,51 @@
-"""Virtual worker pool — the simulated-clock evaluation backend.
+"""The pool contract, its shared core, and the simulated-clock backend.
 
-The paper's "Time" columns count only simulator (HSPICE) time; given each
-evaluation's duration, synchronous/asynchronous wall-clock is a deterministic
-scheduling computation.  :class:`VirtualWorkerPool` performs it exactly:
+Alg. 1 line 3 ("wait for any worker, then refill the idle one") is the
+contract every evaluation pool presents to the drivers:
 
-* ``submit(x, result)`` starts an evaluation on a free worker at the current
-  simulated time; the evaluation occupies the worker for ``result.cost``
-  seconds of simulated time.
-* ``wait_next()`` advances the clock to the earliest completion and returns
-  it — the heartbeat of the asynchronous BO loop (Alg. 1 line 3).
+* ``submit(x)`` starts an evaluation on the lowest-numbered idle worker and
+  returns its index; a full pool refuses before anything runs.
+* ``wait_next()`` returns the next finished evaluation as a
+  :class:`Completion` — the heartbeat of the asynchronous BO loop — and
+  ``poll()`` is its non-blocking form.  Evaluation failures come back as
+  completions, never as exceptions.
 * ``wait_all()`` drains every outstanding evaluation — the synchronous batch
   barrier.
+* ``pending_points()`` / ``task_info()`` expose the in-flight set (the
+  ``X-hat`` of the paper's penalization scheme), and ``restore()`` /
+  ``restore_task()`` rebuild a journaled state after a crash.
 
-The BO drivers use one pool per run; the pool records an
-:class:`~repro.sched.trace.ExecutionTrace` as it goes.
+:class:`PoolBase` holds the bookkeeping behind that contract exactly once:
+task table, worker choice, index allocation, the lease rule, completion
+resolution into the :class:`~repro.sched.trace.ExecutionTrace`, restore, and
+the live ``pool.*`` counters.  A backend adds only how a task starts
+(:meth:`PoolBase._start`), how a finished task is found (``wait_next`` /
+``poll``), and its clock.
+
+:class:`VirtualWorkerPool` is the backend behind every Table/Figure bench.
+The paper's "Time" columns count only simulator (HSPICE) time; given each
+evaluation's duration, synchronous/asynchronous wall-clock is a deterministic
+scheduling computation, and this pool performs it exactly: an evaluation runs
+inline at ``submit`` and occupies its worker for ``result.cost`` seconds of
+simulated time, and ``wait_next`` advances the clock to the earliest
+completion.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 
 from repro.core.faults import FailurePolicy, run_with_policy
-from repro.core.problem import EvaluationResult
+from repro.core.problem import STATUS_ORPHANED, STATUS_TIMEOUT, EvaluationResult
 from repro.obs import NULL_OBS
 from repro.sched.events import EventQueue
 from repro.sched.trace import EvalRecord, ExecutionTrace, PoolTelemetry
 
-__all__ = ["Completion", "VirtualWorkerPool"]
+__all__ = ["Completion", "PoolBase", "VirtualWorkerPool"]
 
 
 def _problem_dim(problem) -> int:
@@ -39,31 +56,330 @@ def _problem_dim(problem) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class Completion:
-    """A finished evaluation handed back to the driver."""
+    """A finished evaluation handed back to the driver.
 
-    index: int
-    worker: int
-    x: np.ndarray
+    ``record`` is the row the pool appended to its trace; the remaining
+    issue facts read through to it.
+    """
+
     result: EvaluationResult
-    issue_time: float
-    finish_time: float
-    batch: int | None = None
-    attempts: int = 1
+    record: EvalRecord
+
+    @property
+    def index(self) -> int:
+        return self.record.index
+
+    @property
+    def worker(self) -> int:
+        return self.record.worker
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.record.x
+
+    @property
+    def issue_time(self) -> float:
+        return self.record.issue_time
+
+    @property
+    def finish_time(self) -> float:
+        return self.record.finish_time
+
+    @property
+    def batch(self) -> int | None:
+        return self.record.batch
+
+    @property
+    def attempts(self) -> int:
+        return self.record.attempts
 
 
-@dataclasses.dataclass
-class _Running:
-    index: int
-    worker: int
-    x: np.ndarray
-    result: EvaluationResult
-    issue_time: float
-    batch: int | None
-    attempts: int = 1
-    lease: float | None = None
+class PoolBase:
+    """The pool contract's bookkeeping, shared by every backend.
+
+    In-flight tasks live in ``_tasks`` (index -> dict with ``index``,
+    ``worker``, ``x``, ``issue_time``, ``batch``, ``lease`` and the
+    ``deadline`` of ``policy.timeout``); a backend may add its own keys in
+    :meth:`_start`.  A worker is idle while no task names it.  Every access
+    to that state holds ``_lock``, which only the thread backend contends.
+
+    The clock is the real one — seconds since the pool was built, shifted by
+    :meth:`restore` — unless a backend overrides :attr:`now`,
+    :meth:`_set_clock` and :meth:`_started_at`.
+    """
+
+    #: ``PoolTelemetry.backend`` of this pool.
+    backend = "base"
+
+    def __init__(self, problem, n_workers: int, *, policy: FailurePolicy | None = None):
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        self.problem = problem
+        self.n_workers = int(n_workers)
+        self.policy = policy or FailurePolicy()
+        self.trace = ExecutionTrace(n_workers)
+        self._obs = NULL_OBS
+        self._lock = threading.Lock()
+        self._t0 = time.monotonic()
+        self._next_index = 0
+        self._tasks: dict[int, dict] = {}
+        # Completed-duration statistics feeding lease deadlines.
+        self._cost_total = 0.0
+        self._cost_count = 0
+
+    def bind_observability(self, obs) -> None:
+        """Attach an :class:`~repro.obs.Observability` facade (live counters:
+        ``pool.submits`` / ``pool.completions`` / ``pool.task_seconds``)."""
+        self._obs = obs if obs is not None else NULL_OBS
+
+    # ----------------------------------------------------------------- clock
+    @property
+    def now(self) -> float:
+        """Seconds since pool creation (real time)."""
+        return time.monotonic() - self._t0
+
+    def _set_clock(self, now: float) -> None:
+        """Continue the clock from a journaled reading (:meth:`restore`)."""
+        self._t0 = time.monotonic() - now
+
+    def _started_at(self, issue_time: float) -> float:
+        """When a task issued at ``issue_time`` starts its timeout and lease.
+
+        A real clock cannot be rewound per task, so a restored task keeps its
+        journaled issue time for the trace but gets a full fresh allowance.
+        """
+        return self.now
+
+    # ------------------------------------------------------------ inspection
+    def _idle_workers(self) -> list[int]:
+        """Workers that can take a task now, lowest id first (lock held)."""
+        busy = {task["worker"] for task in self._tasks.values()}
+        return [w for w in range(self.n_workers) if w not in busy]
+
+    @property
+    def idle_count(self) -> int:
+        with self._lock:
+            return len(self._idle_workers())
+
+    @property
+    def busy_count(self) -> int:
+        with self._lock:
+            return len(self._tasks)
+
+    def pending_points(self) -> np.ndarray:
+        """Design points currently under evaluation, in issue order.
+
+        This is the ``X-hat`` of the paper's penalization scheme (§III-C).
+        Always returns shape ``(n_busy, dim)`` — in particular ``(0, dim)``
+        when nothing is running, so callers can vstack/hallucinate it
+        unconditionally.
+        """
+        with self._lock:
+            tasks = sorted(self._tasks.values(), key=lambda t: t["index"])
+        if not tasks:
+            return np.empty((0, _problem_dim(self.problem)))
+        return np.vstack([t["x"] for t in tasks])
+
+    def task_info(self, index: int) -> dict:
+        """Issue metadata for an in-flight evaluation (for the run journal)."""
+        with self._lock:
+            task = self._tasks[index]
+            return {k: task[k] for k in ("worker", "issue_time", "batch", "lease")}
+
+    def _lease_deadline(self, start: float) -> float | None:
+        """Lease expiry for a task started at ``start`` (lock held).
+
+        The lease is ``mean completed duration x policy.lease_slack``; before
+        any evaluation has completed there is no basis for an expectation and
+        the point is unleased.
+        """
+        slack = self.policy.lease_slack
+        if slack is None or self._cost_count == 0:
+            return None
+        return start + (self._cost_total / self._cost_count) * slack
+
+    def telemetry(self) -> PoolTelemetry:
+        """Operational counters for this pool (trace-derived subset)."""
+        return PoolTelemetry.from_trace(self.trace, backend=self.backend, elapsed=self.now)
+
+    # ------------------------------------------------------------- operation
+    def submit(self, x: np.ndarray, *, batch: int | None = None) -> int:
+        """Start evaluating ``x`` on the lowest idle worker; returns the index.
+
+        Raises if every worker is busy — the driver must ``wait_next()``
+        first (Alg. 1 line 3) — before anything starts, so a full pool never
+        burns a simulation.
+        """
+        with self._lock:
+            idle = self._idle_workers()
+            if not idle:
+                raise RuntimeError("no idle worker; call wait_next() first")
+            task = self._add_task(self._next_index, idle[0], x, batch, self.now)
+        return self._launch(task)
+
+    def _add_task(self, index: int, worker: int, x, batch, issue_time: float) -> dict:
+        """Register one in-flight task (lock held)."""
+        start = self._started_at(issue_time)
+        timeout = self.policy.timeout
+        task = {
+            "index": index,
+            "worker": worker,
+            "x": np.asarray(x, dtype=float).copy(),
+            "issue_time": issue_time,
+            "batch": batch,
+            "lease": self._lease_deadline(start),
+            "deadline": None if timeout is None else start + timeout,
+        }
+        self._tasks[index] = task
+        self._next_index = max(self._next_index, index + 1)
+        return task
+
+    def _launch(self, task: dict) -> int:
+        self._start(task)
+        self._obs.inc("pool.submits")
+        return task["index"]
+
+    def _start(self, task: dict) -> None:  # pragma: no cover - interface
+        """Begin evaluating a freshly registered task."""
+        raise NotImplementedError
+
+    def wait_next(self) -> Completion:  # pragma: no cover - interface
+        """Block until an in-flight evaluation finishes; never raises on its failure."""
+        raise NotImplementedError
+
+    def poll(self) -> Completion | None:  # pragma: no cover - interface
+        """Non-blocking :meth:`wait_next`: a finished evaluation or ``None``."""
+        raise NotImplementedError
+
+    def wait_all(self) -> list[Completion]:
+        """Drain all outstanding evaluations (synchronous batch barrier).
+
+        The clock ends at the *latest* completion — the waiting-for-the-
+        slowest effect the paper's asynchronous scheme removes.
+        """
+        completions = []
+        while self.busy_count:
+            completions.append(self.wait_next())
+        return completions
+
+    def _complete(self, index: int, result: EvaluationResult, attempts: int,
+                  finish_time: float) -> Completion:
+        """Resolve one task: free its worker, trace it, hand it back."""
+        with self._lock:
+            task = self._tasks.pop(index)
+            duration = max(finish_time - task["issue_time"], 0.0)
+            self._cost_total += duration
+            self._cost_count += 1
+        self._release(task, finish_time)
+        record = EvalRecord(
+            index=task["index"],
+            worker=task["worker"],
+            x=task["x"],
+            fom=result.fom,
+            issue_time=task["issue_time"],
+            finish_time=finish_time,
+            feasible=result.feasible,
+            batch=task["batch"],
+            status=result.status,
+            error=result.error,
+            attempts=attempts,
+        )
+        self.trace.add(record)
+        self._obs.inc("pool.completions")
+        self._obs.observe("pool.task_seconds", duration)
+        return Completion(result, record)
+
+    def _release(self, task: dict, finish_time: float) -> None:
+        """Backend bookkeeping for a resolved task (nothing by default)."""
+
+    # ------------------------------------------------------- real deadlines
+    def _next_due(self) -> tuple[float, dict] | None:
+        """``(time, task)`` of the earliest armed timeout or lease in flight."""
+        with self._lock:
+            due = [
+                (at, task)
+                for task in self._tasks.values()
+                for at in (task["deadline"], task["lease"])
+                if at is not None
+            ]
+        return min(due, key=lambda d: (d[0], d[1]["index"]), default=None)
+
+    def _overdue(self, task: dict, now: float) -> EvaluationResult | None:
+        """The failure of a task past its timeout or lease at ``now``, else None."""
+        if task["deadline"] is not None and now >= task["deadline"]:
+            return EvaluationResult.failed(
+                f"evaluation exceeded timeout of {self.policy.timeout:g}s",
+                status=STATUS_TIMEOUT,
+                cost=self.policy.timeout,
+            )
+        if task["lease"] is not None and now >= task["lease"]:
+            return EvaluationResult.failed(
+                "worker lease expired with the evaluation still in flight "
+                "(worker presumed dead)",
+                status=STATUS_ORPHANED,
+            )
+        return None
+
+    # -------------------------------------------------------------- recovery
+    def restore(self, *, now: float, next_index: int, records=()) -> None:
+        """Rewind a fresh pool to a journaled state (crash recovery).
+
+        Continues the clock from ``now``, sets the next evaluation index, and
+        replays completed :class:`EvalRecord` rows into the trace (also
+        rebuilding the duration statistics that drive lease deadlines).  Only
+        valid on a pool that has not run anything yet.
+        """
+        with self._lock:
+            if self._tasks or self.trace.records:
+                raise RuntimeError("restore() requires a fresh pool")
+            self._set_clock(float(now))
+            self._next_index = int(next_index)
+            for record in records:
+                self.trace.add(record)
+                self._cost_total += max(record.duration, 0.0)
+                self._cost_count += 1
+
+    def restore_task(
+        self,
+        index: int,
+        worker: int,
+        x: np.ndarray,
+        *,
+        batch: int | None = None,
+        issue_time: float | None = None,
+    ) -> int:
+        """Re-issue an orphaned in-flight evaluation at its original slot.
+
+        Unlike :meth:`submit`, the caller chooses the evaluation index, the
+        worker, and the (past) issue time the trace records.
+        """
+        with self._lock:
+            if worker not in self._idle_workers():
+                raise RuntimeError(f"worker {worker} is not idle")
+            if index in self._tasks:
+                raise RuntimeError(f"evaluation {index} is already running")
+            task = self._add_task(
+                int(index), int(worker), x, batch,
+                self.now if issue_time is None else float(issue_time),
+            )
+        return self._launch(task)
+
+    # --------------------------------------------------------------- closing
+    def close(self) -> None:
+        """Release the pool's resources (idempotent; nothing by default)."""
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Close the pool; ``wait`` matters only where workers can be joined."""
+        self.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
 
 
-class VirtualWorkerPool:
+class VirtualWorkerPool(PoolBase):
     """Deterministic simulated pool of ``n_workers`` identical workers.
 
     Parameters
@@ -78,266 +394,53 @@ class VirtualWorkerPool:
         :class:`~repro.core.faults.FailurePolicy` governing retries,
         timeouts, and failure costs.  Evaluation exceptions and NaN outputs
         never escape ``submit``; they come back through ``wait_next`` as
-        failed completions after the policy's retries are exhausted.
-    """
-
-    def __init__(self, problem, n_workers: int, *, policy: FailurePolicy | None = None):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.problem = problem
-        self.n_workers = int(n_workers)
-        self.policy = policy or FailurePolicy()
-        self.now = 0.0
-        self.trace = ExecutionTrace(n_workers)
-        self._obs = NULL_OBS
-        self._events = EventQueue()
-        self._free = list(range(n_workers - 1, -1, -1))  # pop() yields worker 0 first
-        self._running: dict[int, _Running] = {}
-        self._next_index = 0
-        # Completed-duration statistics feeding lease deadlines.
-        self._cost_total = 0.0
-        self._cost_count = 0
-
-    def bind_observability(self, obs) -> None:
-        """Attach an :class:`~repro.obs.Observability` facade (live counters:
-        ``pool.submits`` / ``pool.completions`` / ``pool.task_seconds``)."""
-        self._obs = obs if obs is not None else NULL_OBS
-
-    # ------------------------------------------------------------ inspection
-    @property
-    def idle_count(self) -> int:
-        return len(self._free)
-
-    @property
-    def busy_count(self) -> int:
-        return len(self._running)
-
-    def task_info(self, index: int) -> dict:
-        """Issue metadata for an in-flight evaluation (for the run journal)."""
-        task = self._running[index]
-        return {
-            "worker": task.worker,
-            "issue_time": task.issue_time,
-            "batch": task.batch,
-            "lease": task.lease,
-        }
-
-    def _lease_deadline(self, issue_time: float) -> float | None:
-        """Lease expiry for a point issued at ``issue_time``.
-
-        The lease is ``mean completed duration x policy.lease_slack``; before
-        any evaluation has completed there is no basis for an expectation and
-        the point is unleased.
-        """
-        slack = self.policy.lease_slack
-        if slack is None or self._cost_count == 0:
-            return None
-        return issue_time + (self._cost_total / self._cost_count) * slack
-
-    def pending_points(self) -> np.ndarray:
-        """Design points currently under evaluation, in issue order.
-
-        This is the ``X-hat`` of the paper's penalization scheme (§III-C).
-        Always returns shape ``(n_busy, dim)`` — in particular ``(0, dim)``
-        when nothing is running, so callers can vstack/hallucinate it
-        unconditionally.
-        """
-        if not self._running:
-            return np.empty((0, _problem_dim(self.problem)))
-        running = sorted(self._running.values(), key=lambda r: r.index)
-        return np.vstack([r.x for r in running])
-
-    # ------------------------------------------------------------- operation
-    def submit(self, x: np.ndarray, *, batch: int | None = None) -> int:
-        """Start evaluating ``x`` on a free worker at the current time.
-
-        Returns the evaluation index.  Raises if every worker is busy — the
-        driver must ``wait_next()`` first (Alg. 1 line 3) — *before* the
-        evaluation runs, so a full pool never burns a simulation.
-
-        The evaluation runs under the pool's :class:`FailurePolicy`: crashes
+        failed completions after the policy's retries are exhausted.  Crashes
         and NaN outputs are retried in place, timeouts are charged at the
         limit, and the worker stays occupied for the *total* simulated time
         of every attempt plus backoff gaps.
-        """
-        if not self._free:
-            raise RuntimeError("no idle worker; call wait_next() first")
-        x = np.asarray(x, dtype=float)
+    """
+
+    backend = "virtual"
+
+    #: The simulated clock; :meth:`wait_next` advances it.
+    now = 0.0
+
+    def __init__(self, problem, n_workers: int, *, policy: FailurePolicy | None = None):
+        super().__init__(problem, n_workers, policy=policy)
+        self._events = EventQueue()
+
+    def _set_clock(self, now: float) -> None:
+        self.now = now
+
+    def _started_at(self, issue_time: float) -> float:
+        # The simulated clock replays a restored task from its original
+        # issue time, so on a deterministic problem it completes at exactly
+        # the moment the uninterrupted run's did.
+        return issue_time
+
+    def _start(self, task: dict) -> None:
         result, attempts, elapsed = run_with_policy(
-            self.problem, x, self.policy, cost_timeout=True
+            self.problem, task["x"], self.policy, cost_timeout=True
         )
         result = dataclasses.replace(result, cost=elapsed)
-        return self.submit_result(x, result, batch=batch, attempts=attempts)
-
-    def submit_result(
-        self,
-        x: np.ndarray,
-        result: EvaluationResult,
-        *,
-        batch: int | None = None,
-        attempts: int = 1,
-    ) -> int:
-        """Like :meth:`submit` but with a precomputed evaluation outcome.
-
-        The outcome is taken as-is (no policy retries) — this is the raw
-        injection point used by tests and replay tooling.
-        """
-        if not self._free:
-            raise RuntimeError("no idle worker; call wait_next() first")
-        worker = self._free.pop()
-        index = self._next_index
-        self._next_index += 1
-        task = _Running(
-            index=index,
-            worker=worker,
-            x=np.asarray(x, dtype=float).copy(),
-            result=result,
-            issue_time=self.now,
-            batch=batch,
-            attempts=attempts,
-            lease=self._lease_deadline(self.now),
+        self._events.push(
+            task["issue_time"] + max(result.cost, 0.0), (task["index"], result, attempts)
         )
-        self._running[index] = task
-        self._events.push(self.now + max(result.cost, 0.0), index)
-        self._obs.inc("pool.submits")
-        return index
 
     def wait_next(self) -> Completion:
-        """Advance the clock to the earliest completion and return it."""
+        """Advance the clock to the earliest completion (FIFO on ties) and return it."""
         if not self._events:
             raise RuntimeError("nothing is running")
         event = self._events.pop()
         self.now = max(self.now, event.time)
-        task = self._running.pop(event.payload)
-        self._free.append(task.worker)
-        # Keep worker reuse deterministic: lowest-numbered worker first.
-        self._free.sort(reverse=True)
-        self._cost_total += max(event.time - task.issue_time, 0.0)
-        self._cost_count += 1
-        completion = Completion(
-            index=task.index,
-            worker=task.worker,
-            x=task.x,
-            result=task.result,
-            issue_time=task.issue_time,
-            finish_time=event.time,
-            batch=task.batch,
-            attempts=task.attempts,
-        )
-        self.trace.add(
-            EvalRecord(
-                index=task.index,
-                worker=task.worker,
-                x=task.x,
-                fom=task.result.fom,
-                issue_time=task.issue_time,
-                finish_time=event.time,
-                feasible=task.result.feasible,
-                batch=task.batch,
-                status=task.result.status,
-                error=task.result.error,
-                attempts=task.attempts,
-            )
-        )
-        self._obs.inc("pool.completions")
-        self._obs.observe("pool.task_seconds", max(event.time - task.issue_time, 0.0))
-        return completion
+        index, result, attempts = event.payload
+        return self._complete(index, result, attempts, event.time)
 
     def poll(self) -> Completion | None:
         """Non-blocking :meth:`wait_next`: a completion if any task is running.
 
         On the simulated clock every in-flight evaluation is immediately
         completable (time is free to advance), so ``poll`` only returns
-        ``None`` on an idle pool.  This is the hook the campaign server uses
-        to interleave many campaigns without blocking on any one of them.
+        ``None`` on an idle pool.
         """
-        if not self._events:
-            return None
-        return self.wait_next()
-
-    def wait_all(self) -> list[Completion]:
-        """Drain all outstanding evaluations (synchronous batch barrier).
-
-        The clock ends at the *latest* completion — the waiting-for-the-
-        slowest effect the paper's asynchronous scheme removes.
-        """
-        completions = []
-        while self._events:
-            completions.append(self.wait_next())
-        return completions
-
-    def telemetry(self) -> PoolTelemetry:
-        """Operational counters for this pool (simulated-clock subset)."""
-        return PoolTelemetry.from_trace(self.trace, backend="virtual", elapsed=self.now)
-
-    def close(self) -> None:
-        """No-op (nothing to release); part of the shared pool contract."""
-
-    def __enter__(self) -> "VirtualWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -------------------------------------------------------------- recovery
-    def restore(self, *, now: float, next_index: int, records=()) -> None:
-        """Rewind a fresh pool to a journaled state (crash recovery).
-
-        Sets the simulated clock and the next evaluation index, and replays
-        completed :class:`EvalRecord` rows into the trace (also rebuilding the
-        duration statistics that drive lease deadlines).  Only valid on a pool
-        that has not run anything yet.
-        """
-        if self._running or self.trace.records:
-            raise RuntimeError("restore() requires a fresh pool")
-        self.now = float(now)
-        self._next_index = int(next_index)
-        for record in records:
-            self.trace.add(record)
-            self._cost_total += max(record.duration, 0.0)
-            self._cost_count += 1
-
-    def restore_task(
-        self,
-        index: int,
-        worker: int,
-        x: np.ndarray,
-        *,
-        batch: int | None = None,
-        issue_time: float | None = None,
-        attempts_offset: int = 0,
-    ) -> int:
-        """Re-issue an orphaned in-flight evaluation at its original slot.
-
-        Unlike :meth:`submit`, the caller chooses the evaluation index, the
-        worker, and the (past) issue time, so on a deterministic problem the
-        re-run completes at exactly the moment the original would have — the
-        resumed trajectory is indistinguishable from the uninterrupted one.
-        ``attempts_offset`` adds the attempts already burned before the crash.
-        """
-        if worker not in self._free:
-            raise RuntimeError(f"worker {worker} is not idle")
-        if index in self._running:
-            raise RuntimeError(f"evaluation {index} is already running")
-        x = np.asarray(x, dtype=float)
-        result, attempts, elapsed = run_with_policy(
-            self.problem, x, self.policy, cost_timeout=True
-        )
-        result = dataclasses.replace(result, cost=elapsed)
-        issue_time = self.now if issue_time is None else float(issue_time)
-        self._free.remove(worker)
-        task = _Running(
-            index=int(index),
-            worker=int(worker),
-            x=x.copy(),
-            result=result,
-            issue_time=issue_time,
-            batch=batch,
-            attempts=attempts + int(attempts_offset),
-            lease=self._lease_deadline(issue_time),
-        )
-        self._running[task.index] = task
-        self._events.push(issue_time + max(result.cost, 0.0), task.index)
-        self._next_index = max(self._next_index, task.index + 1)
-        self._obs.inc("pool.submits")
-        return task.index
+        return self.wait_next() if self._events else None

@@ -88,6 +88,37 @@ class TestAskTellBasics:
         assert len(campaign.ask(5)) == 1  # clamped to the remaining budget
         assert campaign.exhausted
 
+    def test_async_block_ask_matches_successive_asks(self, tmp_path):
+        """Each member of an asynchronous ``ask(n)`` sees the earlier ones as
+        pending: no duplicates, and the same points, pending order and RNG
+        state as ``n`` one-point asks, journaled as one ``ask`` record."""
+        from repro.circuits.benchmarks import branin
+        from repro.core.journal import read_journal
+
+        def primed(journal=None):
+            campaign = make_campaign(
+                "EasyBO-3", branin(), n_init=5, max_evals=20, rng=0,
+                acq_candidates=256, acq_restarts=1, journal=journal,
+            )
+            for _ in range(5):
+                x = campaign.ask()
+                campaign.tell(x, campaign.problem.evaluate(x))
+            return campaign
+
+        path = tmp_path / "block.jsonl"
+        block = primed(path)
+        points = block.ask(3)
+        block.close()
+        single = primed()
+        expected = [single.ask() for _ in range(3)]
+
+        assert len({p.tobytes() for p in points}) == 3
+        np.testing.assert_array_equal(np.vstack(points), np.vstack(expected))
+        np.testing.assert_array_equal(block.pending_matrix(), single.pending_matrix())
+        assert rng_state_to_dict(block.rng) == rng_state_to_dict(single.rng)
+        asks = [e for e in read_journal(path) if e["type"] == "ask"]
+        assert len(asks) == 6 and len(asks[-1]["points"]) == 3
+
 
 class TestTellActions:
     def _primed(self, **kwargs):

@@ -10,6 +10,9 @@ server is juggling in between.
 
 from __future__ import annotations
 
+import base64
+import os
+import pickle
 import time
 
 import numpy as np
@@ -234,3 +237,21 @@ class TestFailureContainment:
         # The server keeps serving other tenants.
         other = client.create("LCB", "sphere2", config=dict(rng=3, **CONFIG))
         assert client.status(other)["state"] == "active"
+
+    def test_create_refuses_problem_spec_without_unpickling_it(self, client, tmp_path):
+        """A ``problem_spec`` can carry pickle bytes, and unpickling client
+        input would run the client's code in the server: the field is
+        refused by name and never loaded."""
+        sentinel = tmp_path / "unpickled"
+
+        class Payload:
+            def __reduce__(self):
+                return os.mkdir, (str(sentinel),)
+
+        spec = {"kind": "pickle", "name": "sphere2",
+                "data": base64.b64encode(pickle.dumps(Payload())).decode("ascii")}
+        with pytest.raises(CampaignServerError, match="problem_spec"):
+            client.call("create", label="LCB", problem="sphere2",
+                        problem_spec=spec, config=dict(rng=4, **CONFIG))
+        assert not sentinel.exists()
+        assert client.metrics()["campaigns"] == 0

@@ -95,7 +95,7 @@ def test_journaled_run_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("fraction", [0.15, 0.4, 0.6, 0.85, 1.0])
 def test_resume_after_journal_kill_matches_golden(name, fraction, tmp_path):
     # Kill between two journal appends at several depths (1.0 = kill on the
-    # final append, i.e. even run_end itself being lost is recoverable).
+    # final append, i.e. even campaign_end itself being lost is recoverable).
     n_records = journal_length(name, tmp_path)
     kill_at = max(2, round(fraction * n_records))
     path = tmp_path / "run.jsonl"

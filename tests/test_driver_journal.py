@@ -8,7 +8,8 @@ reconciliation.  The golden kill/resume sweeps live in
 ``test_crash_resume.py``; this module covers what those scenarios do not:
 
 * the constrained and cost-aware drivers resume (their side datasets are
-  rebuilt through the same absorb hook as live tells);
+  rebuilt through the same absorb hook as live tells), and pHCBO resumes
+  with its journaled coverage history;
 * family knobs (``hc_d``, ``cost_exponent``) round-trip through the
   journaled config;
 * ``resume_campaign`` on a killed driver journal rebuilds exactly the state
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import sphere
+from repro.circuits.benchmarks import branin
 from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.campaign import resume_campaign
 from repro.core.easybo import make_algorithm
@@ -84,10 +86,8 @@ class TestConstrainedResume:
 
 class TestConfigRoundTrip:
     def test_phcbo_hc_d_survives_resume(self, tmp_path):
-        # Killed before the first model-driven batch is durable: pHCBO's
-        # coverage history is not journaled, so only a resume from there on
-        # is exact (docs/crash_recovery.md) — and both remaining batches are
-        # selected with the journaled hc_d.
+        # Killed before the first model-driven batch is durable, so both
+        # remaining batches are selected with the journaled hc_d.
         kwargs = dict(n_init=5, max_evals=11, rng=3, hc_d=0.5, **FAST)
         reference, resumed, path = kill_and_resume(
             "pHCBO-3", sphere(2), tmp_path, 10, **kwargs
@@ -114,6 +114,21 @@ class TestConfigRoundTrip:
             "caEasyBO-3", problem, **{**kwargs, "cost_exponent": 1.0}
         ).run()
         assert trajectory(plain) != trajectory(reference)
+
+
+class TestCoverageHistoryResume:
+    """pHCBO's per-slot coverage history rides the ask records'
+    ``side_models``, so a kill after model-driven batches still resumes onto
+    the uninterrupted trajectory (31 journal records in all)."""
+
+    KWARGS = dict(n_init=6, max_evals=21, rng=0, **FAST)
+
+    @pytest.mark.parametrize("kill_at", [14, 18, 22, 26])
+    def test_kill_resume_reproduces_the_uninterrupted_run(self, tmp_path, kill_at):
+        reference, resumed, _ = kill_and_resume(
+            "pHCBO-3", branin(), tmp_path, kill_at, **self.KWARGS
+        )
+        assert trajectory(resumed) == trajectory(reference)
 
 
 class TestResumeCampaignMatchesResume:

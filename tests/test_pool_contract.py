@@ -52,6 +52,17 @@ def points(n, seed=0):
                        size=(n, PROBLEM.dim))
 
 
+def poll_until_done(pool, timeout=60.0):
+    """Spin on the non-blocking ``poll()`` until it yields a completion."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        completion = pool.poll()
+        if completion is not None:
+            return completion
+        time.sleep(0.01)
+    raise AssertionError(f"poll() yielded nothing within {timeout:g}s")
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestPoolContract:
     def test_submit_to_capacity_then_reject(self, backend):
@@ -225,6 +236,25 @@ class TestPoolContract:
             pool.submit(points(1, seed=12)[0])
             assert pool.wait_next().result.ok
 
+    def test_poll_on_idle_pool_returns_none(self, backend):
+        with make_pool(backend) as pool:
+            assert pool.poll() is None
+
+    def test_poll_returns_each_index_once(self, backend):
+        """``poll()`` is how the campaign server drives a pool: refilling
+        on each completion, every submitted index comes back exactly once."""
+        with make_pool(backend) as pool:
+            X = points(5, seed=13)
+            submitted = [pool.submit(x) for x in X[:N_WORKERS]]
+            seen = []
+            for x in X[N_WORKERS:]:
+                seen.append(poll_until_done(pool).index)
+                submitted.append(pool.submit(x))
+            while pool.busy_count:
+                seen.append(poll_until_done(pool).index)
+            assert sorted(seen) == sorted(submitted)
+            assert pool.poll() is None
+
     def test_close_is_idempotent_and_reentrant(self, backend):
         pool = make_pool(backend)
         pool.submit(points(1)[0])
@@ -279,3 +309,33 @@ def test_lease_expiry_orphans_hung_evaluation(backend):
         # The slot is reclaimed: the pool keeps serving evaluations.
         pool.submit(point(hangs=False))
         assert pool.wait_next().result.ok
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_poll_returns_expired_lease_as_orphaned(backend):
+    """The non-blocking path expires leases too: a hung evaluation comes
+    back through ``poll()`` as orphaned instead of stalling its slot."""
+    from repro.circuits import OpAmpProblem
+    from repro.core.faults import HangProblem
+
+    policy = FailurePolicy(lease_slack=10.0, on_orphan="impute")
+    inner = OpAmpProblem()
+    lo, hi = inner.bounds[:, 0], inner.bounds[:, 1]
+    hang = HangProblem(inner, hang_above=lo[0] + 0.9 * (hi[0] - lo[0]),
+                       hang_seconds=60.0)
+    x_ok, x_hang = lo.copy(), hi.copy()
+    if backend == "thread":
+        pool = ThreadWorkerPool(hang, 2, policy=policy, poll_interval=0.02)
+    else:
+        pool = ProcessWorkerPool(hang, 2, policy=policy,
+                                 heartbeat_interval=0.1, poll_interval=0.05)
+    with pool:
+        pool.submit(x_ok)
+        assert poll_until_done(pool).result.ok  # arms the lease statistics
+        start = time.monotonic()
+        index = pool.submit(x_hang)  # hangs for 60 s
+        completion = poll_until_done(pool, timeout=30.0)
+        assert completion.index == index
+        assert completion.result.status == "orphaned"
+        assert time.monotonic() - start < 30
+        assert pool.poll() is None

@@ -1,5 +1,6 @@
 """Tests for the thread-pool evaluation backend."""
 
+import sys
 import time
 
 import numpy as np
@@ -102,3 +103,23 @@ class TestThreadPool:
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
             ThreadWorkerPool(SleepyProblem(), 0)
+
+    def test_accounting_holds_under_thread_switch_pressure(self):
+        """More workers than cores and a tiny switch interval: every index
+        completes exactly once and idle + busy always equals the pool size."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadWorkerPool(SleepyProblem(), n_workers=8,
+                                  poll_interval=0.05) as pool:
+                submitted, seen = [], []
+                for i in range(200):
+                    if pool.idle_count == 0:
+                        seen.append(pool.wait_next().index)
+                    submitted.append(pool.submit(np.array([float(i % 100), 0.0])))
+                    assert pool.idle_count + pool.busy_count == 8
+                seen.extend(c.index for c in pool.wait_all())
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(seen) == sorted(submitted) == list(range(200))
+        assert len(pool.trace) == 200

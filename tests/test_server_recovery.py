@@ -19,6 +19,7 @@ import pytest
 
 from repro.circuits.benchmarks import sphere
 from repro.core import make_campaign
+from repro.core.campaign import read_campaign_journal
 from repro.core.journal import JournalError
 from repro.distributed import (
     CampaignClient,
@@ -213,6 +214,42 @@ class TestRestartRecovery:
                 assert client.status(cid)["issued"] == 10
         finally:
             new.stop()
+
+    def test_server_evaluated_in_flight_points_follow_the_orphan_rule(self, tmp_path):
+        """A restarted server tells a server-evaluated campaign's in-flight
+        points back as orphaned, so ``on_orphan="impute"`` imputes them
+        instead of re-running them.  The crash state is built directly: the
+        virtual pool finishes every point within one server pass, so a real
+        kill between passes finds nothing in flight."""
+        config = dict(rng=48, n_init=3, max_evals=8, acq_candidates=32,
+                      acq_restarts=1, failure_policy={"on_orphan": "impute"})
+        journal = tmp_path / "c0000.journal"
+        campaign = make_campaign("EasyBO-2", sphere(2), journal=journal, **config)
+        first, *in_flight = campaign.ask(3)
+        campaign.tell(first, campaign.problem.evaluate(first))
+        campaign.close()
+        with ServerManifest(tmp_path / "server.manifest") as manifest:
+            manifest.record("created", "c0000", label="EasyBO-2",
+                            problem="sphere2", journal=str(journal),
+                            config=config, evaluate=True, pool="virtual",
+                            n_workers=2)
+            manifest.record("started", "c0000")
+
+        server = _serve(tmp_path)
+        try:
+            assert server.recoveries == 1
+            with CampaignClient(port=server.port) as client:
+                deadline = time.monotonic() + 20.0
+                while client.status("c0000")["state"] != "finished":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                assert client.status("c0000")["issued"] == 8
+        finally:
+            server.stop()
+        tells = [e for e in read_campaign_journal(journal) if e["type"] == "tell"]
+        imputed = [e["x"] for e in tells if e["action"] == "imputed"]
+        assert sorted(imputed) == sorted(x.tolist() for x in in_flight)
+        assert all(e["action"] in ("added", "imputed") for e in tells)
 
     def test_recovery_metrics_surface(self, tmp_path):
         old = _serve(tmp_path)
