@@ -37,10 +37,11 @@ class _DistancePenalized(SynchronousBatchBO):
     def _select_batch(self, n_points):
         from repro.core.optimizers import maximize_acquisition
 
+        campaign = self.campaign
         model = self.session.refit()
         points = []
         for slot in range(n_points):
-            w = sample_easybo_weight(self.rng, self.lam)
+            w = sample_easybo_weight(self.rng, campaign.strategy.lam)
             base = WeightedAcquisition(w)
 
             def scorer(U, _base=base, _slot=slot):
@@ -50,8 +51,8 @@ class _DistancePenalized(SynchronousBatchBO):
                 scorer,
                 self.session.unit_bounds(),
                 rng=self.rng,
-                n_candidates=self.acq_candidates,
-                n_restarts=self.acq_restarts,
+                n_candidates=campaign.acq_candidates,
+                n_restarts=campaign.acq_restarts,
             )
             self._distance_penalty.record(slot, u_best)
             points.append(self.session.to_physical(u_best.reshape(1, -1))[0])

@@ -132,24 +132,30 @@ def _print_telemetry(result, args) -> None:
         print(telemetry.summary_line())
 
 
-def cmd_demo(args) -> int:
+def _optimize(args, problem, trace_name: str):
+    """EasyBO on ``problem`` under the circuit/demo commands' flags."""
     from repro import EasyBO
-    from repro.circuits import hartmann6
 
-    problem = hartmann6()
-    batch = _batch(args)
-    print(f"EasyBO on Hartmann-6 (optimum {problem.optimum:.3f}), "
-          f"batch size {batch}, {args.budget} evaluations...")
-    obs_kwargs, finish = _obs_kwargs(args, "demo-trace.jsonl")
+    obs_kwargs, finish = _obs_kwargs(args, f"{trace_name}-trace.jsonl")
     result = None
     try:
         result = EasyBO(
-            problem, batch_size=batch, n_init=15, max_evals=args.budget,
-            rng=args.seed, **_journal_kwargs(args), **_pool_kwargs(args),
-            **obs_kwargs,
+            problem, batch_size=_batch(args), n_init=15,
+            max_evals=args.budget, rng=args.seed, **_journal_kwargs(args),
+            **_pool_kwargs(args), **obs_kwargs,
         ).optimize()
     finally:
         finish(result)
+    return result
+
+
+def cmd_demo(args) -> int:
+    from repro.circuits import hartmann6
+
+    problem = hartmann6()
+    print(f"EasyBO on Hartmann-6 (optimum {problem.optimum:.3f}), "
+          f"batch size {_batch(args)}, {args.budget} evaluations...")
+    result = _optimize(args, problem, "demo")
     print(f"best value {result.best_fom:.4f} "
           f"(regret {problem.regret(result.best_fom):.4f})")
     print(f"simulated wall-clock {result.wall_clock:.0f} s at "
@@ -159,19 +165,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_opamp(args) -> int:
-    from repro import EasyBO
     from repro.circuits import OpAmpProblem
 
-    obs_kwargs, finish = _obs_kwargs(args, "opamp-trace.jsonl")
-    result = None
-    try:
-        result = EasyBO(
-            OpAmpProblem(), batch_size=_batch(args), n_init=15,
-            max_evals=args.budget, rng=args.seed, **_journal_kwargs(args),
-            **_pool_kwargs(args), **obs_kwargs,
-        ).optimize()
-    finally:
-        finish(result)
+    result = _optimize(args, OpAmpProblem(), "opamp")
     check = OpAmpProblem().evaluate(result.best_x)
     print(f"best FOM {result.best_fom:.2f}")
     for key, value in check.metrics.items():
@@ -182,21 +178,10 @@ def cmd_opamp(args) -> int:
 
 
 def cmd_classe(args) -> int:
-    from repro import EasyBO
     from repro.circuits import ClassEProblem
 
-    problem = ClassEProblem(settle_periods=12, measure_periods=3,
-                            steps_per_period=48)
-    obs_kwargs, finish = _obs_kwargs(args, "classe-trace.jsonl")
-    result = None
-    try:
-        result = EasyBO(
-            problem, batch_size=_batch(args), n_init=15,
-            max_evals=args.budget, rng=args.seed, **_journal_kwargs(args),
-            **_pool_kwargs(args), **obs_kwargs,
-        ).optimize()
-    finally:
-        finish(result)
+    problem = ClassEProblem()
+    result = _optimize(args, problem, "classe")
     check = problem.evaluate(result.best_x)
     print(f"best FOM {result.best_fom:.3f}")
     print(f"  PAE  {check.metrics['pae']:.1%}")
@@ -220,23 +205,11 @@ def cmd_resume(args) -> int:
     return 0
 
 
-def _resolve_problem(name: str):
-    """Benchmark problem by CLI name: a circuit or a synthetic function."""
-    from repro import circuits
-
-    if name == "opamp":
-        return circuits.OpAmpProblem()
-    if name == "classe":
-        return circuits.ClassEProblem(settle_periods=12, measure_periods=3,
-                                      steps_per_period=48)
-    return circuits.by_name(name)
-
-
 def cmd_run(args) -> int:
     from repro.core.campaign import parse_label
     from repro.core.easybo import make_algorithm
+    from repro.core.recovery import resolve_problem
 
-    problem = _resolve_problem(args.problem)
     obs_kwargs, finish = _obs_kwargs(args, f"{args.problem}-trace.jsonl")
     policy_kwargs = (
         {} if args.pending_policy is None
@@ -247,6 +220,8 @@ def cmd_run(args) -> int:
         if value is not None:
             policy_kwargs[name] = value
     try:
+        # Resume rebuilds the journaled problem by this same name.
+        problem = resolve_problem(args.problem)
         label = args.algorithm.strip()
         if args.workers is not None:
             label = f"{parse_label(label)[0].display}-{args.workers}"
@@ -437,7 +412,8 @@ def main(argv=None) -> int:
                     "repro.make_algorithm (e.g. EasyBO-5, pBO-10, EI, DE, "
                     "Random) on a named problem (opamp, classe, or a "
                     "synthetic function: branin, hartmann6, ackley, "
-                    "rastrigin, levy, sphere).",
+                    "rastrigin, levy, sphere, with an optional dimension "
+                    "suffix such as sphere2) — the names resume rebuilds.",
     )
     p.add_argument("--problem", default="hartmann6",
                    help="benchmark name (default: hartmann6)")

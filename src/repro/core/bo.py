@@ -1,31 +1,26 @@
-"""Sequential Bayesian optimization (paper §II-B baselines + EasyBO B=1).
+"""The BO drivers' shared loop, and sequential BO (paper §II-B baselines).
 
-:class:`BODriverBase` holds everything the sequential, synchronous-batch, and
-asynchronous drivers share: the surrogate session, the initial design, the
-evaluation pool, and result packaging.  :class:`SequentialBO` is the classic
-one-point-at-a-time loop with a pluggable acquisition (EI / LCB / UCB / PI /
-EasyBO's randomized-weight rule).
+:class:`BODriverBase` holds everything the drivers share: the campaign (built
+by :func:`~repro.core.campaign.make_campaign` from the label each driver
+derives from its constructor arguments), the evaluation pool, the pool facts
+its journal carries, and result packaging.  Its :meth:`~BODriverBase._drive`
+is Alg. 1's wait-any/tell/refill loop: the asynchronous driver runs it with B
+workers, and :class:`SequentialBO` — the classic one-point-at-a-time loop
+with a pluggable acquisition (EI / LCB / UCB / PI / EasyBO's randomized-weight
+rule) — is that loop with one worker.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
-from repro.core.campaign import (
-    FAMILIES,
-    Campaign,
-    SequentialStrategy,
-    campaign_config,
-)
-from repro.core.faults import FailurePolicy
+from repro.core.campaign import Campaign, SequentialStrategy, make_campaign
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.obs import Observability
 from repro.sched.workers import Completion, VirtualWorkerPool
-from repro.utils.rng import as_generator, rng_state_to_dict
+from repro.utils.rng import rng_state_to_dict
 
 __all__ = ["BODriverBase", "SequentialBO", "shutdown_pool"]
 
@@ -49,6 +44,10 @@ class BODriverBase:
     ----------
     problem:
         The black-box maximization problem.
+    label:
+        The label (``"LCB"``, ``"EasyBO-5"``) a subclass derives from its
+        constructor arguments; :func:`~repro.core.campaign.make_campaign`
+        builds the campaign from it and the family knobs in ``kwargs``.
     n_init:
         Random initial samples (the paper uses 20).
     max_evals:
@@ -56,12 +55,12 @@ class BODriverBase:
     rng:
         Seed or generator; the whole run is deterministic given it.
     pool_factory:
-        Callable ``(problem, n_workers) -> pool``; defaults to the
+        Callable ``(problem, n_workers, *, policy) -> pool``; defaults to the
         simulated-clock :class:`VirtualWorkerPool`.  Pass
         :class:`~repro.sched.executor.ThreadWorkerPool` for real concurrency.
     failure_policy:
         :class:`~repro.core.faults.FailurePolicy` shared by the pool (retry
-        / timeout behaviour) and the driver (impute-or-drop of failed
+        / timeout behaviour) and the campaign (impute-or-drop of failed
         evaluations).  Defaults to no retries with pessimistic imputation.
     surrogate_update:
         ``"incremental"`` (default) reuses the surrogate's cached Cholesky
@@ -111,79 +110,40 @@ class BODriverBase:
         packaging time, so resumed runs never double-count replayed events.
     """
 
-    #: Subclasses set their display name (used in result rows).
+    #: Display name of the result rows (the campaign's).
     algorithm_name = "bo"
+
+    #: Async drivers report their pending-point policy name; it rides along
+    #: in the packaged RunResult (runs format v7).
+    pending_policy: str | None = None
 
     def __init__(
         self,
         problem: Problem,
+        label: str,
         *,
-        n_init: int = 20,
-        max_evals: int = 150,
-        rng=None,
         pool_factory=None,
-        acq_candidates: int = 2048,
-        acq_restarts: int = 4,
-        failure_policy: FailurePolicy | None = None,
-        surrogate_update: str = "incremental",
-        surrogate: str = "auto",
-        max_exact_n: int | None = None,
-        n_inducing: int | None = None,
-        refit_every: int = 1,
-        journal=None,
         checkpoint_every: int = 0,
         tracer=None,
         metrics=None,
+        **kwargs,
     ):
-        if n_init < 2:
-            raise ValueError("n_init must be >= 2 (the GP needs data)")
-        if max_evals < n_init:
-            raise ValueError("max_evals must be >= n_init")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         self.problem = problem
-        self.n_init = int(n_init)
-        self.max_evals = int(max_evals)
-        self.rng = as_generator(rng)
         self.pool_factory = pool_factory or VirtualWorkerPool
-        self.failure_policy = failure_policy or FailurePolicy()
-        self.acq_candidates = int(acq_candidates)
-        self.acq_restarts = int(acq_restarts)
         self.checkpoint_every = int(checkpoint_every)
         self.obs = Observability(tracer, metrics)
         self._run_span = None
-        # The ask/tell core: proposal pipeline, pending-point bookkeeping,
-        # failure-policy state, and the journal all live here.  The driver is
-        # a thin loop over it — subclasses plug in their family strategy
-        # after super() and add their knobs to the journaled config.
-        self.campaign = Campaign(
-            problem,
-            None,
-            n_init=self.n_init,
-            max_evals=self.max_evals,
-            rng=self.rng,
-            failure_policy=self.failure_policy,
-            acq_candidates=self.acq_candidates,
-            acq_restarts=self.acq_restarts,
-            surrogate_update=surrogate_update,
-            surrogate=surrogate,
-            max_exact_n=max_exact_n,
-            n_inducing=n_inducing,
-            refit_every=refit_every,
-            obs=self.obs,
-            journal=journal,
-            algorithm=self.algorithm_name,
-            embedded=True,
-        )
-        self.campaign._config = campaign_config(self.campaign)
-        # The driver's pool also consumes the retry/timeout/lease fields.
-        self.campaign._config["failure_policy"] = dataclasses.asdict(
-            self.failure_policy
-        )
         self._since_checkpoint = 0
-        # Async drivers overwrite this with their pending-point policy name;
-        # it rides along in the packaged RunResult (runs format v7).
-        self.pending_policy: str | None = None
+        # The ask/tell core: proposal pipeline, pending-point bookkeeping,
+        # failure-policy state, and the journal all live here.
+        self.campaign = self._new_campaign(label, obs=self.obs, embedded=True, **kwargs)
+        self.algorithm_name = self.campaign.algorithm
+
+    def _new_campaign(self, label: str, **kwargs) -> Campaign:
+        """The campaign for ``label`` (GP-Hedge, with no family, overrides it)."""
+        return make_campaign(label, self.problem, **kwargs)
 
     # ------------------------------------------------------- campaign state
     @property
@@ -191,53 +151,98 @@ class BODriverBase:
         """The surrogate session (owned by the embedded campaign)."""
         return self.campaign.session
 
-    # ------------------------------------------------------------- helpers
-    def _make_pool(self, n_workers: int):
-        """Build the evaluation pool, passing the failure policy through.
+    @property
+    def rng(self):
+        return self.campaign.rng
 
-        Custom ``pool_factory`` callables that predate failure handling may
-        only accept ``(problem, n_workers)``; fall back to that signature.
+    @property
+    def max_evals(self) -> int:
+        return self.campaign.max_evals
+
+    @property
+    def batch_size(self) -> int:
+        return self.campaign.batch_size
+
+    # ------------------------------------------------------------ the loop
+    def _open_pool(self, *, resumed: bool = False):
+        """Build the campaign's B-worker pool and open the root ``run`` span.
+
+        The pool runs under the campaign's failure policy; the span is
+        closed again by :meth:`_package`.
         """
-        try:
-            pool = self.pool_factory(
-                self.problem, n_workers, policy=self.failure_policy
-            )
-        except TypeError:
-            pool = self.pool_factory(self.problem, n_workers)
-        # Attach observability post-construction so any factory signature
-        # (including user-supplied ones) picks it up.
+        n_workers = self.campaign.batch_size
+        pool = self.pool_factory(
+            self.problem, n_workers, policy=self.campaign.failure_policy
+        )
+        # Attach observability post-construction so user-supplied factories
+        # pick it up too.
         bind = getattr(pool, "bind_observability", None)
         if callable(bind):
             bind(self.obs)
-        return pool
-
-    # ------------------------------------------------------------ the loop
-    def _begin_observability(self, n_workers: int, *, resumed: bool = False) -> None:
-        """Open the root ``run`` span (closed again by :meth:`_package`)."""
         if self._run_span is None:
             self._run_span = self.obs.span(
                 "run",
                 algorithm=self.algorithm_name,
                 problem=self.problem.name,
-                n_workers=int(n_workers),
-                resumed=bool(resumed),
+                n_workers=n_workers,
+                resumed=resumed,
             )
             self._run_span.__enter__()
+        return pool
 
     def run(self) -> RunResult:
         """Run to completion: journal the start and initial design, then drive."""
-        pool = self._make_pool(self.campaign.batch_size)
+        pool = self._open_pool()
         try:
-            self._begin_observability(self.campaign.batch_size)
             self.campaign.start(checkpoint_every=self.checkpoint_every)
             return self._drive(pool)
         finally:
             shutdown_pool(pool)
             self.campaign.close()
 
-    def _drive(self, pool) -> RunResult:  # pragma: no cover - interface
-        """The family's ask/tell loop, resumable at any journal boundary."""
-        raise NotImplementedError
+    def _drive(self, pool) -> RunResult:
+        """Alg. 1 as an ask/tell loop, resumable at any boundary.
+
+        ``refill`` is a fixpoint (fill every idle worker, budget permitting),
+        so entering the loop with restored in-flight points behaves exactly
+        as the uninterrupted run at the same boundary would.  With one worker
+        it alternates strictly between asking and consuming (sequential BO).
+        """
+        campaign = self.campaign
+
+        def refill() -> None:
+            """Keep every idle worker busy (initial design first, then BO)."""
+            while not campaign.exhausted and pool.idle_count > 0:
+                campaign.ask(
+                    _propose=lambda: self._propose_async(pool),
+                    _issue=lambda x: self._submit(pool, x),
+                )
+
+        refill()
+        iteration = 0
+        while not campaign.exhausted:
+            # One Alg. 1 cycle: wait for any worker, absorb, refill idle
+            # slots (each refill nests fit/hallucinate/acquisition spans).
+            with self.obs.span("iteration", index=iteration):
+                self._consume(pool, self._wait(pool))
+                refill()
+            self.obs.inc("driver.iterations")
+            iteration += 1
+        while pool.busy_count:
+            with self.obs.span("drain"):
+                self._consume(pool, self._wait(pool))
+        return self._package(pool)
+
+    def _propose_async(self, pool) -> np.ndarray:
+        """One Alg. 1 iteration of model refinement and point selection.
+
+        Thin hook over :meth:`Campaign.propose` — the campaign's pending set
+        mirrors ``pool.pending_points()`` point-for-point, so the Eq. 9
+        hallucination sees the same matrix it always did.  Subclasses
+        (constrained, cost-aware) override this to plug their side models
+        into :meth:`AsyncBatchStrategy.propose`.
+        """
+        return self.campaign.propose()
 
     def _submit(self, pool, x, *, batch: int | None = None) -> dict:
         """Submit one point; return the issue facts its ask/tell journals.
@@ -306,14 +311,6 @@ class BODriverBase:
                 "rng_state": rng_state_to_dict(self.rng),
             }
         )
-
-    def _propose(self, acquisition, model=None) -> np.ndarray:
-        """Maximize an acquisition on the unit cube; return a physical point."""
-        return self.campaign.maximize(acquisition, model=model)
-
-    def _standardized_best(self) -> float:
-        """Incumbent best in the GP's standardized output scale."""
-        return self.campaign.standardized_best()
 
     def _package(self, pool) -> RunResult:
         trace = pool.trace
@@ -399,33 +396,9 @@ class SequentialBO(BODriverBase):
         ei_xi: float = 0.0,
         **kwargs,
     ):
-        super().__init__(problem, **kwargs)
-        strategy = SequentialStrategy(
-            acquisition, lam=lam, ucb_kappa=ucb_kappa, ei_xi=ei_xi
+        if acquisition.lower() not in SequentialStrategy.ACQUISITIONS:
+            raise ValueError(f"unknown acquisition {acquisition!r}")
+        super().__init__(
+            problem, acquisition, lam=lam, ucb_kappa=ucb_kappa, ei_xi=ei_xi,
+            **kwargs,
         )
-        self.acquisition = strategy.acquisition
-        self.lam = strategy.lam
-        self.ucb_kappa = strategy.ucb_kappa
-        self.ei_xi = strategy.ei_xi
-        self.algorithm_name = FAMILIES[self.acquisition].display
-        self.campaign.strategy = strategy
-        self.campaign.algorithm = self.algorithm_name
-        self.campaign._config.update(
-            lam=self.lam, ucb_kappa=self.ucb_kappa, ei_xi=self.ei_xi
-        )
-
-    def _drive(self, pool) -> RunResult:
-        """One-at-a-time ask/tell loop, resumable at any boundary.
-
-        Identical trajectory to the classic submit/absorb interleaving: with
-        one worker the pool alternates strictly between busy (consume the
-        completion) and idle (ask the campaign for the next point).
-        """
-        while True:
-            if pool.busy_count:
-                self._consume(pool, self._wait(pool))
-            elif self.campaign.exhausted:
-                break
-            else:
-                self.campaign.ask(_issue=lambda x: self._submit(pool, x))
-        return self._package(pool)

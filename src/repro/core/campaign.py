@@ -15,9 +15,10 @@ an explicit ask/tell object whose state is a value:
   policy (impute / drop / budget-neutral orphan reissue).
 
 The ``SequentialBO`` / ``AsynchronousBatchBO`` / ``SynchronousBatchBO``
-drivers are thin loops over a Campaign (byte-for-byte equal to the golden
-trajectories — see ``tests/test_campaign_equivalence.py``) and write their
-crash-safe journal through it, and :mod:`repro.distributed.server` serves
+drivers are thin loops over the Campaign :func:`make_campaign` builds for
+their label (byte-for-byte equal to the golden trajectories — see
+``tests/test_campaign_equivalence.py``) and write their crash-safe journal
+through it, and :mod:`repro.distributed.server` serves
 many concurrent Campaigns over the framed socket RPC.  Every journal is the
 same event log (``campaign_start`` / ``doe`` / ``ask`` / ``tell`` /
 ``campaign_end``), replayed by one loop (:meth:`Campaign._replay`).
@@ -29,6 +30,7 @@ backs both the embedded drivers and standalone campaigns.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import NamedTuple
 
@@ -54,7 +56,7 @@ from repro.core.journal import (
     recover_journal,
 )
 from repro.core.optimizers import maximize_acquisition
-from repro.core.pending import make_pending_policy
+from repro.core.pending import LocalPenalisationPolicy, make_pending_policy
 from repro.core.problem import STATUS_ORPHANED, Problem
 from repro.core.surrogate import SurrogateSession
 from repro.obs import NULL_OBS
@@ -123,6 +125,8 @@ class SequentialStrategy:
 
     kind = "sequential"
 
+    ACQUISITIONS = ("easybo", "ei", "pi", "lcb", "ucb")
+
     def __init__(
         self,
         acquisition: str = "easybo",
@@ -132,7 +136,7 @@ class SequentialStrategy:
         ei_xi: float = 0.0,
     ):
         acquisition = acquisition.lower()
-        if acquisition not in ("easybo", "ei", "pi", "lcb", "ucb"):
+        if acquisition not in self.ACQUISITIONS:
             raise ValueError(f"unknown acquisition {acquisition!r}")
         self.acquisition = acquisition
         self.lam = float(lam)
@@ -401,18 +405,9 @@ class SyncBatchStrategy:
 
     def _estimate_lipschitz(self, core, model, n_probes: int = 256) -> float:
         """Max-norm finite-difference gradient of the posterior mean."""
-        d = core.session.dim
-        U = core.rng.uniform(size=(n_probes, d))
-        eps = 1e-4
-        mu0 = model.predict(U, return_std=False)
-        grad_sq = np.zeros(n_probes)
-        for j in range(d):
-            shifted = U.copy()
-            shifted[:, j] = np.minimum(shifted[:, j] + eps, 1.0)
-            mu1 = model.predict(shifted, return_std=False)
-            grad_sq += ((mu1 - mu0) / eps) ** 2
-        lipschitz = float(np.sqrt(grad_sq.max()))
-        return max(lipschitz, 1e-6)
+        return LocalPenalisationPolicy.estimate_lipschitz(
+            model, core.session.dim, core.rng, n_probes
+        )
 
 
 # --------------------------------------------------------------------------
@@ -1007,11 +1002,11 @@ FAMILIES = {
 def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
     """Resolve a paper-style label into its :class:`Family` and batch size.
 
-    Case-insensitive; a trailing ``-<int>`` is the batch size.  Plain
-    ``EasyBO`` at B=1 is the sequential driver unless a ``pending_policy``
-    asks for the asynchronous one (the sequential driver has no pending
-    set to apply a policy to); other families without a pending set refuse
-    a ``pending_policy``.
+    Case-insensitive; a trailing ``-<int>`` is the batch size, at least 1.
+    Plain ``EasyBO`` at B=1 is the sequential driver unless a
+    ``pending_policy`` asks for the asynchronous one (the sequential driver
+    has no pending set to apply a policy to); other families without a
+    pending set refuse a ``pending_policy``.
     """
     match = _LABEL_RE.match(label.strip())
     if not match:
@@ -1024,6 +1019,8 @@ def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
         )
     family = FAMILIES[key]
     batch = int(match.group("batch") or 1)
+    if batch < 1:
+        raise ValueError(f"batch size must be >= 1 in label {label!r}")
     if key == "easybo" and batch == 1 and pending_policy is None:
         return Family("sequential", "easybo", family.display), 1
     if pending_policy is not None and family.driver not in (
@@ -1048,10 +1045,11 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
     """The journaled config that rebuilds ``campaign`` from its label.
 
     The ``campaign_start`` record carries it; ``knobs`` are the family
-    parameters (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, plus a
-    driver's own such as ``cost_exponent``) layered over their defaults.
+    parameters (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``).  The whole
+    failure policy rides along, so a resumed driver or server campaign
+    rebuilds its pool with the same retries, timeout and lease.
     """
-    session, policy = campaign.session, campaign.failure_policy
+    session = campaign.session
     config = {
         "n_init": campaign.n_init,
         "max_evals": campaign.max_evals,
@@ -1062,16 +1060,7 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
         "max_exact_n": session.max_exact_n,
         "n_inducing": session.n_inducing,
         "refit_every": session.refit_every,
-        "failure_policy": {
-            k: getattr(policy, k)
-            for k in ("on_failure", "on_orphan", "max_reissues",
-                      "impute_value", "impute_margin")
-            if hasattr(policy, k)
-        },
-        "lam": EASYBO_LAMBDA,
-        "ucb_kappa": 2.0,
-        "ei_xi": 0.0,
-        "hc_d": None,
+        "failure_policy": dataclasses.asdict(campaign.failure_policy),
         **knobs,
     }
     if isinstance(campaign.strategy, AsyncBatchStrategy):
@@ -1082,13 +1071,17 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
 
 
 def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
-    """Build a standalone :class:`Campaign` from a paper-style label.
+    """Build a :class:`Campaign` from a paper-style label.
 
-    Accepts the same labels as :func:`repro.core.easybo.make_algorithm` for
-    the BO families (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``, ...); the
-    non-ask/tell baselines (DE, random search, portfolio) and the drivers
-    with side models (cEasyBO, caEasyBO) have no campaign form.  Keyword
-    arguments are Campaign constructor kwargs plus the family knobs
+    The one place a label becomes a campaign: its strategy, display name,
+    batch size and journaled config.  Accepts the same labels as
+    :func:`repro.core.easybo.make_algorithm` for the BO families
+    (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``, ...), and every BO driver
+    builds its campaign here too (``embedded=True``); the non-ask/tell
+    baselines (DE, random search, portfolio) have no campaign form, and the
+    drivers with side models (cEasyBO, caEasyBO) rename the asynchronous
+    one.  Keyword arguments are Campaign constructor kwargs (a dict
+    ``failure_policy``, as journaled, is accepted) plus the family knobs
     ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` and, for the
     asynchronous EasyBO family, ``pending_policy`` (a name from
     :data:`repro.core.pending.PENDING_POLICIES` or a policy instance) —

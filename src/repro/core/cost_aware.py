@@ -32,9 +32,9 @@ class CostAwareEasyBO(AsynchronousBatchBO):
     """EasyBO whose acquisition is normalized by predicted evaluation cost."""
 
     def __init__(self, problem, *, cost_exponent: float = 1.0, **kwargs):
-        super().__init__(problem, **kwargs)
         if cost_exponent < 0:
             raise ValueError("cost_exponent must be non-negative")
+        super().__init__(problem, **kwargs)
         self.cost_exponent = float(cost_exponent)
         self.algorithm_name = FAMILIES["caeasybo"].label(self.batch_size)
         self.campaign.algorithm = self.algorithm_name

@@ -10,7 +10,8 @@
 
 :func:`make_algorithm` turns the paper's row labels ("pBO-5", "EasyBO-SP-10",
 "DE", "LCB", ...) into configured drivers, which is how the Table I/II benches
-enumerate their grids.
+enumerate their grids; the facade's modes are labels too.  Every BO driver
+builds its campaign with :func:`~repro.core.campaign.make_campaign`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,21 @@ from repro.baselines.random_search import RandomSearch
 from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.bo import SequentialBO
 from repro.core.campaign import FAMILIES, parse_label
-from repro.core.faults import FailurePolicy
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.core.sync_batch import SynchronousBatchBO
 
 __all__ = ["EasyBO", "make_algorithm", "ALGORITHM_FAMILIES"]
+
+
+#: ``EasyBO(mode=...)``: the label family each mode runs, and the pending
+#: policy that keeps the asynchronous modes asynchronous at B = 1.
+_MODES = {
+    "async": ("EasyBO", "hallucinate"),
+    "async-nopen": ("EasyBO", "none"),
+    "sync": ("EasyBO-SP", None),
+    "sync-nopen": ("EasyBO-S", None),
+}
 
 
 class EasyBO:
@@ -72,34 +82,19 @@ class EasyBO:
         pool_factory=None,
         **driver_kwargs,
     ):
-        mode = mode.lower()
-        common = dict(
-            n_init=n_init,
-            max_evals=max_evals,
-            rng=rng,
-            pool_factory=pool_factory,
-            **driver_kwargs,
-        )
-        if mode == "async":
-            self.driver = AsynchronousBatchBO(
-                problem, batch_size=batch_size, penalized=True, **common
-            )
-        elif mode == "async-nopen":
-            self.driver = AsynchronousBatchBO(
-                problem, batch_size=batch_size, penalized=False, **common
-            )
-        elif mode == "sync":
-            self.driver = SynchronousBatchBO(
-                problem, batch_size=batch_size, strategy="easybo-sp", **common
-            )
-        elif mode == "sync-nopen":
-            self.driver = SynchronousBatchBO(
-                problem, batch_size=batch_size, strategy="easybo-s", **common
-            )
-        else:
+        try:
+            family, policy = _MODES[mode.lower()]
+        except KeyError:
             raise ValueError(
                 f"unknown mode {mode!r}; choose async, async-nopen, sync, sync-nopen"
-            )
+            ) from None
+        if policy is not None and driver_kwargs.get("pending_policy") is None:
+            driver_kwargs["pending_policy"] = policy
+        self.driver = make_algorithm(
+            f"{family}-{batch_size}", problem, n_init=n_init,
+            max_evals=max_evals, rng=rng, pool_factory=pool_factory,
+            **driver_kwargs,
+        )
 
     def optimize(self) -> RunResult:
         """Run the optimization to completion and return the result."""
@@ -109,15 +104,6 @@ class EasyBO:
 #: The label families ``make_algorithm`` accepts (the registry shared with
 #: :func:`repro.core.campaign.make_campaign`).
 ALGORITHM_FAMILIES = FAMILIES
-
-#: Family knobs each driver takes; the journaled config carries all of them.
-_KNOBS = {
-    "sequential": ("lam", "ucb_kappa", "ei_xi"),
-    "async": ("lam", "pending_policy"),
-    "constrained": ("lam", "pending_policy"),
-    "cost-aware": ("lam", "pending_policy", "cost_exponent"),
-    "sync": ("lam", "ucb_kappa", "hc_d"),
-}
 
 
 def make_algorithm(label: str, problem: Problem, **kwargs):
@@ -132,10 +118,11 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
     ``"EasyBO-LP-5"`` (local penalisation), ``"EasyBO-PESS-5"``
     (pessimistic), ``"EasyBO-A-5"`` (standard acquisition) — equivalently,
     pass ``pending_policy=`` to the ``EasyBO`` family.  Keyword arguments
-    are forwarded to the driver; the family knobs (``lam`` / ``ucb_kappa``
-    / ``ei_xi`` / ``hc_d`` / ``pending_policy``) reach the drivers that use
-    them, as in ``make_campaign``, so a journaled config round-trips.
-    DE and random search cannot resume and refuse ``journal=``.
+    are forwarded to the driver, whose campaign
+    :func:`~repro.core.campaign.make_campaign` builds from the same label
+    and knobs (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` /
+    ``pending_policy``), so a journaled config round-trips.  DE and random
+    search cannot resume and refuse ``journal=``.
     """
     family, batch = parse_label(label, kwargs.get("pending_policy"))
     if family.driver in ("de", "random"):
@@ -152,20 +139,14 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
         from repro.core.portfolio import PortfolioBO
 
         return PortfolioBO(problem, **kwargs)
-    knobs = {k: kwargs.pop(k) for k in set().union(*_KNOBS.values()) if k in kwargs}
-    kwargs.update(
-        (k, v) for k, v in knobs.items()
-        if v is not None and k in _KNOBS[family.driver]
-    )
-    if isinstance(kwargs.get("failure_policy"), dict):
-        kwargs["failure_policy"] = FailurePolicy(**kwargs["failure_policy"])
     if family.driver == "sequential":
         return SequentialBO(problem, acquisition=family.strategy, **kwargs)
     if family.driver == "sync":
         return SynchronousBatchBO(
             problem, batch_size=batch, strategy=family.strategy, **kwargs
         )
-    kwargs.setdefault("pending_policy", family.strategy)
+    if kwargs.get("pending_policy") is None:
+        kwargs["pending_policy"] = family.strategy
     if family.driver == "constrained":
         from repro.core.constrained import ConstrainedEasyBO as cls
     elif family.driver == "cost-aware":

@@ -18,6 +18,7 @@ from repro.core.acquisition import (
     UpperConfidenceBound,
 )
 from repro.core.bo import BODriverBase
+from repro.core.campaign import Campaign
 from repro.core.doe import random_design
 from repro.core.results import RunResult
 
@@ -46,7 +47,7 @@ class PortfolioBO(BODriverBase):
             raise ValueError(
                 f"{self.algorithm_name} cannot resume, so it does not take journal="
             )
-        super().__init__(problem, **kwargs)
+        super().__init__(problem, self.algorithm_name, **kwargs)
         if eta <= 0:
             raise ValueError("eta must be positive")
         self.eta = float(eta)
@@ -57,8 +58,12 @@ class PortfolioBO(BODriverBase):
         #: How many times each member's nominee was played (diagnostics).
         self.plays = dict.fromkeys(self.member_names, 0)
 
+    def _new_campaign(self, label: str, **kwargs) -> Campaign:
+        # GP-Hedge has no ask/tell family: a bare campaign holds its data.
+        return Campaign(self.problem, algorithm=label, **kwargs)
+
     def _members(self):
-        best = self._standardized_best()
+        best = self.campaign.standardized_best()
         return (
             ExpectedImprovement(best, xi=self.ei_xi),
             ProbabilityOfImprovement(best, xi=self.ei_xi),
@@ -76,10 +81,11 @@ class PortfolioBO(BODriverBase):
         self.campaign.absorb(completion.x, completion.result)
 
     def _drive(self, pool) -> RunResult:
-        for x in self.campaign.design:
+        campaign = self.campaign
+        for x in campaign.design:
             self._evaluate(pool, x)
-        evaluations = self.n_init
-        while evaluations < self.max_evals:
+        evaluations = campaign.n_init
+        while evaluations < campaign.max_evals:
             if self.session.n_observations < 2:
                 # Dropped failures can starve the GP; explore uniformly
                 # (no Hedge update — no nominees were scored).
@@ -87,7 +93,7 @@ class PortfolioBO(BODriverBase):
                 evaluations += 1
                 continue
             model = self.session.refit()
-            nominees = [self._propose(acq, model=model) for acq in self._members()]
+            nominees = [campaign.maximize(acq, model=model) for acq in self._members()]
             probs = self._probabilities()
             choice = int(self.rng.choice(len(nominees), p=probs))
             self.plays[self.member_names[choice]] += 1

@@ -61,8 +61,10 @@ def resolve_problem(name: str):
 
     Synthetic benchmarks resolve through the factory registry (with a
     ``name<dim>`` suffix convention, e.g. ``sphere2``); the circuit
-    testbenches resolve by their class defaults.  Anything else —
-    custom problems, wrapped problems — must be passed to :func:`resume`
+    testbenches resolve by their class defaults.  The CLI, the campaign
+    server and the tournament name problems the same way, so every run
+    they start resumes on the problem it ran.  Anything else — custom
+    problems, wrapped problems — must be passed to :func:`resume`
     explicitly via ``problem=``.
     """
     from repro.circuits import benchmarks
@@ -95,8 +97,8 @@ def resolve_problem(name: str):
         if instance.name == name:
             return instance
     raise ValueError(
-        f"cannot rebuild problem {name!r} from the journal alone; "
-        "pass problem=... to resume()"
+        f"unknown problem {name!r}: not a benchmark or circuit name; "
+        "pass custom problems as problem=... (e.g. to resume())"
     )
 
 
@@ -169,9 +171,7 @@ def resume(journal_path, *, problem=None, pool_factory=None, tracer=None,
     campaign = driver.campaign._replay(events)
     records, issued, clock, next_index = _pool_state(events)
 
-    n_workers = campaign.batch_size
-    driver._begin_observability(n_workers, resumed=True)
-    pool = driver._make_pool(n_workers)
+    pool = driver._open_pool(resumed=True)
     try:
         pool.restore(now=clock, next_index=next_index, records=records)
         unissued = [x for x in campaign.pending if x.tobytes() not in issued]

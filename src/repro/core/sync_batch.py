@@ -20,7 +20,9 @@ One driver, several batch-selection strategies:
 
 All strategies share the synchronous schedule: the next batch is only issued
 once every member of the previous batch has finished (the barrier the paper's
-asynchronous scheme removes).
+asynchronous scheme removes).  The driver names its campaign
+(``<strategy>-<B>``) and runs that barrier loop; the batch rules themselves
+live in :class:`~repro.core.campaign.SyncBatchStrategy`.
 
 The hallucinating strategies (``easybo-sp``, ``bucb``) build each batch
 member's model through :meth:`SurrogateSession.model_with_pending`, so in
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
 from repro.core.bo import BODriverBase
-from repro.core.campaign import FAMILIES, SyncBatchStrategy, _pareto_front_mask  # noqa: F401 — re-export
+from repro.core.campaign import SyncBatchStrategy, _pareto_front_mask  # noqa: F401 — re-export
 from repro.core.results import RunResult
 
 __all__ = ["SynchronousBatchBO", "SYNC_STRATEGIES"]
@@ -59,36 +61,19 @@ class SynchronousBatchBO(BODriverBase):
         hc_d: float | None = None,
         **kwargs,
     ):
-        super().__init__(problem, **kwargs)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = int(batch_size)
-        self.campaign.strategy = SyncBatchStrategy(
-            strategy,
-            batch_size=self.batch_size,
-            lam=lam,
-            ucb_kappa=ucb_kappa,
-            hc_d=hc_d,
-            dim=self.session.dim,
+        if strategy.lower() not in SYNC_STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; choose from {SYNC_STRATEGIES}"
+            )
+        super().__init__(
+            problem, f"{strategy}-{batch_size}", lam=lam, ucb_kappa=ucb_kappa,
+            hc_d=hc_d, **kwargs,
         )
-        self.strategy = self.campaign.strategy.strategy
-        self.lam = float(lam)
-        self.ucb_kappa = float(ucb_kappa)
-        self.algorithm_name = FAMILIES[self.strategy].label(self.batch_size)
-        self.campaign.batch_size = self.batch_size
-        self.campaign.algorithm = self.algorithm_name
-        self.campaign._config.update(
-            lam=self.lam, ucb_kappa=self.ucb_kappa, hc_d=hc_d
-        )
-        if self._hc is not None:
-            # pHCBO's per-slot query history is run state: journaled with
-            # every ask and restored at resume.
-            self.campaign.side_models = [self._hc]
 
     @property
-    def _hc(self):
-        """The pHCBO coverage-penalty state (lives on the strategy)."""
-        return self.campaign.strategy._hc
+    def strategy(self) -> str:
+        """The batch-selection rule (``"pbo"``, ``"easybo-sp"``, ...)."""
+        return self.campaign.strategy.strategy
 
     # -------------------------------------------------------------- selection
     def _select_batch(self, n_points: int) -> list[np.ndarray]:
@@ -116,7 +101,7 @@ class SynchronousBatchBO(BODriverBase):
         """
         campaign = self.campaign
         # Batches go out in B-sized chunks, initial design and BO phase alike.
-        doe = min(campaign.issued, self.n_init)
+        doe = min(campaign.issued, campaign.n_init)
         batch_index = math.ceil(doe / self.batch_size) + math.ceil(
             (campaign.issued - doe) / self.batch_size
         )
@@ -137,7 +122,7 @@ class SynchronousBatchBO(BODriverBase):
         while pool.busy_count:
             self._consume(pool, self._wait(pool))
         while campaign.in_doe:
-            issue(min(self.batch_size, self.n_init - campaign.issued))
+            issue(min(self.batch_size, campaign.n_init - campaign.issued))
             batch_index += 1
         while not campaign.exhausted:
             # One synchronous cycle: ask for a batch, issue it, barrier.  Too

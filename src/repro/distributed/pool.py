@@ -324,7 +324,9 @@ class ProcessWorkerPool(PoolBase):
                 self._dispatch(slot, meta)
 
     def _dispatch(self, slot: _Slot, meta: dict) -> None:
-        meta["dispatch_time"] = self.now
+        # The evaluation starts running here, not at submit: a task queued
+        # in a spawning slot must not count the spawn as evaluation time.
+        meta["dispatch_time"] = meta["started"] = self.now
         slot.conn.send(
             {
                 "type": "task",

@@ -198,8 +198,9 @@ class _Hosted:
         #: server shutdown): a retried ask/tell revives it transparently.
         self.auto_resumable = False
         self.replies = _ReplyCache()
-        #: Manifest-derived creation context for stubs, so a later revival
-        #: can rebuild worker leases/pools without the client re-sending them.
+        #: Creation context (the ``created`` manifest record), so a later
+        #: revival can rebuild worker leases/pools without the client
+        #: re-sending them.
         self.manifest_info: dict | None = None
 
     @property
@@ -740,6 +741,7 @@ class CampaignServer:
         }
         if request.get("request_id") is not None:
             created["request_id"] = request["request_id"]
+        hosted.manifest_info = created  # a later resume re-leases from it
         # Manifest first, then journal: a kill between the two appends leaves
         # a ``created`` record whose config rebuilds the campaign fresh
         # (:meth:`_rebuild_created`); the reverse order would orphan a

@@ -98,8 +98,9 @@ class PoolBase:
     """The pool contract's bookkeeping, shared by every backend.
 
     In-flight tasks live in ``_tasks`` (index -> dict with ``index``,
-    ``worker``, ``x``, ``issue_time``, ``batch``, ``lease`` and the
-    ``deadline`` of ``policy.timeout``); a backend may add its own keys in
+    ``worker``, ``x``, ``issue_time``, ``batch``, ``lease``, the
+    ``deadline`` of ``policy.timeout`` and the time it ``started`` running,
+    from which lease durations count); a backend may add its own keys in
     :meth:`_start`.  A worker is idle while no task names it.  Every access
     to that state holds ``_lock``, which only the thread backend contends.
 
@@ -229,6 +230,7 @@ class PoolBase:
             "batch": batch,
             "lease": self._lease_deadline(start),
             "deadline": None if timeout is None else start + timeout,
+            "started": start,
         }
         self._tasks[index] = task
         self._next_index = max(self._next_index, index + 1)
@@ -267,7 +269,7 @@ class PoolBase:
         """Resolve one task: free its worker, trace it, hand it back."""
         with self._lock:
             task = self._tasks.pop(index)
-            duration = max(finish_time - task["issue_time"], 0.0)
+            duration = max(finish_time - task["started"], 0.0)
             self._cost_total += duration
             self._cost_count += 1
         self._release(task, finish_time)

@@ -261,6 +261,11 @@ class TestMakeCampaign:
         with pytest.raises(ValueError, match="cannot parse"):
             make_campaign("3-easybo", sphere(2))
 
+    @pytest.mark.parametrize("label", ["EasyBO-0", "pBO-0"])
+    def test_batch_zero_rejected(self, label):
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            make_campaign(label, sphere(2))
+
 
 class TestPendingPolicySelection:
     @pytest.mark.parametrize(

@@ -76,7 +76,7 @@ def _tell(campaign, pool, completion) -> None:
 
 
 def drive_sequential(campaign, pool) -> None:
-    """Mirror of ``SequentialBO._drive``: strict busy/idle alternation."""
+    """Mirror of ``BODriverBase._drive`` at B = 1: strict busy/idle alternation."""
     while True:
         if pool.busy_count:
             _tell(campaign, pool, pool.wait_next())
@@ -87,7 +87,7 @@ def drive_sequential(campaign, pool) -> None:
 
 
 def drive_async(campaign, pool) -> None:
-    """Mirror of ``AsynchronousBatchBO._drive``: wait-any + refill fixpoint.
+    """Mirror of ``BODriverBase._drive``: wait-any + refill fixpoint.
 
     Refills one ``ask()`` at a time so every proposal sees the previously
     refilled points as pending — the Eq. 9 hallucination matrix must match

@@ -238,6 +238,11 @@ class TestFailureContainment:
         other = client.create("LCB", "sphere2", config=dict(rng=3, **CONFIG))
         assert client.status(other)["state"] == "active"
 
+    def test_create_refuses_batch_zero_label(self, client):
+        with pytest.raises(CampaignServerError, match="batch size"):
+            client.create("pBO-0", "sphere2", config=dict(rng=5, **CONFIG))
+        assert client.metrics()["campaigns"] == 0
+
     def test_create_refuses_problem_spec_without_unpickling_it(self, client, tmp_path):
         """A ``problem_spec`` can carry pickle bytes, and unpickling client
         input would run the client's code in the server: the field is

@@ -4,7 +4,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+
+import repro
+from repro import __main__ as cli
+from repro.core import easybo
+from repro.core.recovery import resolve_problem
 
 
 def run_cli(*args, timeout=600):
@@ -129,6 +135,19 @@ class TestCli:
         assert label in result.stderr
         assert not journal.exists()
 
+    def test_run_accepts_a_dimension_suffixed_problem(self):
+        result = run_cli(
+            "run", "--problem", "sphere2", "--algorithm", "LCB",
+            "--budget", "6", "--n-init", "3",
+        )
+        assert result.returncode == 0, result.stderr
+        assert "on sphere2" in result.stdout
+
+    def test_run_refuses_an_unknown_problem(self):
+        result = run_cli("run", "--problem", "teapot", "--algorithm", "LCB")
+        assert result.returncode == 2
+        assert "teapot" in result.stderr
+
     def test_requires_command(self):
         result = run_cli()
         assert result.returncode != 0
@@ -136,3 +155,43 @@ class TestCli:
     def test_unknown_command(self):
         result = run_cli("fly")
         assert result.returncode != 0
+
+
+class _Built(Exception):
+    """Stops a CLI command once it has built its problem."""
+
+
+def cli_problem(monkeypatch, argv):
+    """The problem a CLI command would optimize, captured before it runs."""
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(args[1] if len(args) > 1 else args[0])
+        raise _Built
+
+    monkeypatch.setattr(easybo, "make_algorithm", capture)
+    monkeypatch.setattr(repro, "EasyBO", capture)
+    with pytest.raises(_Built):
+        cli.main(argv)
+    return seen[0]
+
+
+class TestProblemNames:
+    """The CLI names problems as ``resume`` rebuilds them, so a resumed CLI
+    run continues on the problem it ran."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["opamp"], ["classe"]]
+        + [["run", "--problem", name] for name in (
+            "opamp", "classe", "branin", "hartmann6", "sphere", "sphere3",
+            "sphere2",
+        )],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_resume_rebuilds_the_cli_problem(self, monkeypatch, argv):
+        problem = cli_problem(monkeypatch, argv)
+        rebuilt = resolve_problem(problem.name)
+        np.testing.assert_array_equal(problem.bounds, rebuilt.bounds)
+        x = problem.bounds.mean(axis=1)
+        assert problem.evaluate(x).fom == rebuilt.evaluate(x).fom

@@ -7,6 +7,7 @@ from repro.baselines.random_search import RandomSearch
 from repro.circuits.benchmarks import sphere
 from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.bo import SequentialBO
+from repro.core.campaign import make_campaign
 from repro.core.easybo import EasyBO, make_algorithm
 from repro.core.sync_batch import SynchronousBatchBO
 from repro.sched.durations import ConstantCostModel
@@ -17,6 +18,21 @@ def problem():
 
 
 QUICK = dict(n_init=4, max_evals=10, rng=0, acq_candidates=128, acq_restarts=1)
+
+#: Every label with an ask/tell campaign form.
+ASK_TELL_LABELS = [
+    "EI", "PI", "LCB", "UCB", "EasyBO", "EasyBO-3", "EasyBO-A-3", "EasyBO-LP-3",
+    "EasyBO-PESS-3", "pBO-3", "pHCBO-3", "EasyBO-S-3", "EasyBO-SP-3", "BUCB-3",
+    "LP-3", "MACE-3",
+]
+
+
+def settings(obj) -> dict:
+    """An object's fields, nested policy/penalty objects by type and fields."""
+    return {
+        k: (type(v).__name__, settings(v)) if hasattr(v, "__dict__") else v
+        for k, v in vars(obj).items()
+    }
 
 
 class TestFacade:
@@ -94,3 +110,17 @@ class TestRegistry:
             == "EasyBO-SP-10"
         )
         assert make_algorithm("LCB", problem(), **QUICK).algorithm_name == "LCB"
+
+    @pytest.mark.parametrize("label", ASK_TELL_LABELS)
+    def test_driver_campaign_is_the_one_make_campaign_builds(self, label):
+        """One factory: the label decides strategy, name, batch and config once."""
+        driven = make_algorithm(label, problem(), **QUICK).campaign
+        standalone = make_campaign(label, problem(), **QUICK)
+        assert driven.algorithm == standalone.algorithm
+        assert driven.batch_size == standalone.batch_size
+        assert type(driven.strategy) is type(standalone.strategy)
+        assert settings(driven.strategy) == settings(standalone.strategy)
+        assert driven._config == standalone._config
+        assert [m.snapshot() for m in driven.side_models] == [
+            m.snapshot() for m in standalone.side_models
+        ]

@@ -339,3 +339,18 @@ def test_poll_returns_expired_lease_as_orphaned(backend):
         assert completion.result.status == "orphaned"
         assert time.monotonic() - start < 30
         assert pool.poll() is None
+
+
+def test_process_lease_statistic_starts_at_dispatch():
+    """The first task on a fresh process pool waits for its worker to spawn;
+    that wait is not evaluation time, so it must not stretch later leases."""
+    slack = 10.0
+    with make_pool("process", policy=FailurePolicy(lease_slack=slack),
+                   n_workers=1) as pool:
+        X = points(2)
+        pool.submit(X[0])
+        first = pool.wait_next()
+        info = pool.task_info(pool.submit(X[1]))
+        lease = info["lease"] - info["issue_time"]
+        assert lease < slack * (first.finish_time - first.issue_time)
+        assert pool.wait_next().result.ok

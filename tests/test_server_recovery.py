@@ -20,6 +20,7 @@ import pytest
 from repro.circuits.benchmarks import sphere
 from repro.core import make_campaign
 from repro.core.campaign import read_campaign_journal
+from repro.core.faults import FailurePolicy
 from repro.core.journal import JournalError
 from repro.distributed import (
     CampaignClient,
@@ -250,6 +251,49 @@ class TestRestartRecovery:
         imputed = [e["x"] for e in tells if e["action"] == "imputed"]
         assert sorted(imputed) == sorted(x.tolist() for x in in_flight)
         assert all(e["action"] in ("added", "imputed") for e in tells)
+
+    #: Every pool-side field off its default, so a dropped one shows.
+    POOL_POLICY = {"max_retries": 2, "retry_backoff": 0.5, "timeout": 50.0,
+                   "lease_slack": 4.0}
+
+    def _create_evaluated(self, client):
+        """A server-evaluated campaign whose budget outlasts the test."""
+        return client.create(
+            "EasyBO-2", "sphere2",
+            config=dict(rng=49, n_init=3, max_evals=500, acq_candidates=32,
+                        acq_restarts=1, failure_policy=self.POOL_POLICY),
+            evaluate=True, n_workers=2,
+        )
+
+    def test_restart_rebuilds_the_pool_with_the_whole_failure_policy(self, tmp_path):
+        """The journaled config carries every failure-policy field, so the
+        recovered pool retries, times out and leases like the created one."""
+        old = _serve(tmp_path)
+        client = CampaignClient(port=old.port)
+        cid = self._create_evaluated(client)
+        created = old._campaigns[cid].pool.policy
+        assert created == FailurePolicy(**self.POOL_POLICY)
+        _kill(old)
+        client.close()
+
+        new = _serve(tmp_path)
+        try:
+            assert new.recoveries == 1
+            assert new._campaigns[cid].pool.policy == created
+        finally:
+            new.stop()
+
+    def test_resume_verb_rebuilds_the_pool_with_the_whole_failure_policy(self, tmp_path):
+        server = _serve(tmp_path)
+        try:
+            with CampaignClient(port=server.port) as client:
+                cid = self._create_evaluated(client)
+                created = server._campaigns[cid].pool.policy
+                assert client.suspend(cid) == "suspended"
+                client.resume(cid)
+                assert server._campaigns[cid].pool.policy == created
+        finally:
+            server.stop()
 
     def test_recovery_metrics_surface(self, tmp_path):
         old = _serve(tmp_path)
