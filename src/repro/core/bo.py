@@ -1,16 +1,21 @@
-"""The BO drivers' shared loop, and sequential BO (paper §II-B baselines).
+"""The BO loop step, the drivers' shared loop, and sequential BO (§II-B).
 
-:class:`BODriverBase` holds everything the drivers share: the campaign (built
-by :func:`~repro.core.campaign.make_campaign` from the label each driver
-derives from its constructor arguments), the evaluation pool, the pool facts
-its journal carries, and result packaging.  Its :meth:`~BODriverBase._drive`
-is Alg. 1's wait-any/tell/refill loop: the asynchronous driver runs it with B
-workers, and :class:`SequentialBO` — the classic one-point-at-a-time loop
-with a pluggable acquisition (EI / LCB / UCB / PI / EasyBO's randomized-weight
+Alg. 1 is one step repeated — wait for any worker, tell its result, refill
+the idle worker — and :func:`submit` / :func:`refill` / :func:`consume` are
+that step, taken by the drivers, by :func:`repro.core.recovery.resume`, and
+by the campaign server for its evaluated campaigns.  :class:`BODriverBase`
+holds what the drivers share: the campaign (built by
+:func:`~repro.core.campaign.make_campaign` from the label each driver
+derives from its constructor arguments), the pool, and result packaging.
+Its :meth:`~BODriverBase._drive` repeats the step with B workers, and
+:class:`SequentialBO` — the classic one-point-at-a-time loop with a
+pluggable acquisition (EI / LCB / UCB / PI / EasyBO's randomized-weight
 rule) — is that loop with one worker.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,7 +27,8 @@ from repro.obs import Observability
 from repro.sched.workers import Completion, VirtualWorkerPool
 from repro.utils.rng import rng_state_to_dict
 
-__all__ = ["BODriverBase", "SequentialBO", "shutdown_pool"]
+__all__ = ["BODriverBase", "SequentialBO", "consume", "refill", "shutdown_pool",
+           "submit"]
 
 
 def shutdown_pool(pool) -> None:
@@ -35,6 +41,58 @@ def shutdown_pool(pool) -> None:
     close = getattr(pool, "close", None)
     if callable(close):
         close()
+
+
+def submit(pool, obs, x, *, batch: int | None = None) -> dict:
+    """Dispatch one point; return its pool facts (index, worker, issue time, batch)."""
+    with obs.span("dispatch") as span:
+        index = pool.submit(x, batch=batch)
+        span.annotate(index=int(index))
+    obs.inc("driver.submits")
+    info = pool.task_info(index)
+    return {
+        "index": int(index),
+        "worker": int(info["worker"]),
+        "issue_time": float(info["issue_time"]),
+        "batch": batch,
+    }
+
+
+def refill(campaign: Campaign, pool, obs, propose=None) -> None:
+    """Give idle workers points: sequential and asynchronous campaigns ask
+    until none is idle (a fixpoint), a synchronous one its next batch once the
+    pool is empty (the barrier).  ``propose`` is a driver's proposal hook;
+    ``None`` uses the strategy's own proposal, as the hooks do by default."""
+    if campaign.strategy.kind != "sync":
+        while not campaign.exhausted and pool.idle_count > 0:
+            campaign.ask(_propose=propose, _issue=lambda x: submit(pool, obs, x))
+        return
+    if campaign.exhausted or pool.busy_count:
+        return
+    size, issued = campaign.batch_size, campaign.issued
+    # Batches go out in B-sized chunks, initial design and BO phase alike.
+    doe = min(issued, campaign.n_init)
+    batch = math.ceil(doe / size) + math.ceil((issued - doe) / size)
+    end = campaign.n_init if campaign.in_doe else campaign.max_evals
+    campaign.ask(
+        min(size, end - issued),
+        _propose=propose,
+        _issue=lambda x: submit(pool, obs, x, batch=batch),
+    )
+
+
+def consume(campaign: Campaign, pool, obs, completion: Completion) -> str:
+    """Tell one completion, journaled with its trace record and the clock; a
+    reissued orphan (``failure_policy.on_orphan``) goes straight back."""
+    return campaign.tell(
+        completion.x,
+        completion.result,
+        _extra=lambda _action: {
+            "record": completion.record.as_dict(),
+            "clock": float(pool.now),
+        },
+        _issue=lambda x: submit(pool, obs, x, batch=completion.batch),
+    )
 
 
 class BODriverBase:
@@ -164,13 +222,13 @@ class BODriverBase:
         return self.campaign.batch_size
 
     # ------------------------------------------------------------ the loop
-    def _open_pool(self, *, resumed: bool = False):
-        """Build the campaign's B-worker pool and open the root ``run`` span.
+    def _open_pool(self, *, resumed: bool = False, n_workers: int | None = None):
+        """Build the campaign's pool and open the root ``run`` span.
 
-        The pool runs under the campaign's failure policy; the span is
-        closed again by :meth:`_package`.
+        The pool has B workers unless a resumed journal says otherwise; the
+        span is closed again by :meth:`_package`.
         """
-        n_workers = self.campaign.batch_size
+        n_workers = int(n_workers or self.campaign.batch_size)
         pool = self.pool_factory(
             self.problem, n_workers, policy=self.campaign.failure_policy
         )
@@ -203,35 +261,29 @@ class BODriverBase:
     def _drive(self, pool) -> RunResult:
         """Alg. 1 as an ask/tell loop, resumable at any boundary.
 
-        ``refill`` is a fixpoint (fill every idle worker, budget permitting),
-        so entering the loop with restored in-flight points behaves exactly
-        as the uninterrupted run at the same boundary would.  With one worker
-        it alternates strictly between asking and consuming (sequential BO).
+        :func:`refill` is a fixpoint, so entering the loop with restored
+        in-flight points behaves exactly as the uninterrupted run at the same
+        boundary would.
         """
         campaign = self.campaign
-
-        def refill() -> None:
-            """Keep every idle worker busy (initial design first, then BO)."""
-            while not campaign.exhausted and pool.idle_count > 0:
-                campaign.ask(
-                    _propose=lambda: self._propose_async(pool),
-                    _issue=lambda x: self._submit(pool, x),
-                )
-
-        refill()
+        refill(campaign, pool, self.obs, self._proposer(pool))
         iteration = 0
         while not campaign.exhausted:
             # One Alg. 1 cycle: wait for any worker, absorb, refill idle
             # slots (each refill nests fit/hallucinate/acquisition spans).
             with self.obs.span("iteration", index=iteration):
                 self._consume(pool, self._wait(pool))
-                refill()
+                refill(campaign, pool, self.obs, self._proposer(pool))
             self.obs.inc("driver.iterations")
             iteration += 1
         while pool.busy_count:
             with self.obs.span("drain"):
                 self._consume(pool, self._wait(pool))
         return self._package(pool)
+
+    def _proposer(self, pool):
+        """The proposal hook each :func:`refill` hands to :meth:`Campaign.ask`."""
+        return lambda: self._propose_async(pool)
 
     def _propose_async(self, pool) -> np.ndarray:
         """One Alg. 1 iteration of model refinement and point selection.
@@ -244,24 +296,6 @@ class BODriverBase:
         """
         return self.campaign.propose()
 
-    def _submit(self, pool, x, *, batch: int | None = None) -> dict:
-        """Submit one point; return the issue facts its ask/tell journals.
-
-        :func:`repro.core.recovery.resume` re-runs a point the crash caught
-        in flight at exactly this index, worker, and issue time.
-        """
-        with self.obs.span("dispatch") as span:
-            index = pool.submit(x, batch=batch)
-            span.annotate(index=int(index))
-        self.obs.inc("driver.submits")
-        info = pool.task_info(index)
-        return {
-            "index": int(index),
-            "worker": int(info["worker"]),
-            "issue_time": float(info["issue_time"]),
-            "batch": batch,
-        }
-
     def _wait(self, pool) -> Completion:
         """Block on ``pool.wait_next()`` under a ``wait`` span."""
         with self.obs.span("wait") as span:
@@ -273,24 +307,8 @@ class BODriverBase:
         return completion
 
     def _consume(self, pool, completion: Completion) -> None:
-        """Tell the campaign one completion, journaled with its trace record.
-
-        Orphaned completions (a worker whose lease expired with the point
-        still in flight) follow ``failure_policy.on_orphan``: the campaign
-        re-issues the point budget-neutrally (up to ``max_reissues`` per
-        point, then falls back to imputation) and it goes straight back to
-        the pool, or it is imputed / dropped like any failure.
-        """
-        action = self.campaign.tell(
-            completion.x,
-            completion.result,
-            _extra=lambda _action: {
-                "record": completion.record.as_dict(),
-                "clock": float(pool.now),
-            },
-            _issue=lambda x: self._submit(pool, x, batch=completion.batch),
-        )
-        if action != "reissued":
+        """:func:`consume` one completion, then count it toward a checkpoint."""
+        if consume(self.campaign, pool, self.obs, completion) != "reissued":
             self._maybe_checkpoint(pool)
 
     def _maybe_checkpoint(self, pool) -> None:

@@ -35,7 +35,6 @@ import re
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from repro.core.acquisition import (
     EASYBO_LAMBDA,
@@ -377,18 +376,14 @@ class SyncBatchStrategy:
         lipschitz = self._estimate_lipschitz(core, model)
         best_std = core.standardized_best()
         ei = ExpectedImprovement(best_std)
+        factor = LocalPenalisationPolicy.penalisation_factor
         points: list[np.ndarray] = []
-        unit_points: list[np.ndarray] = []
+        balls: list[tuple] = []  # (u_j, mu_j, sigma_j) per batch member
 
         def scorer(U):
             values = np.log(np.maximum(ei(model, U), 1e-40))
-            for u_j in unit_points:
-                mu_j, sigma_j = model.predict(u_j.reshape(1, -1))
-                radius = np.linalg.norm(U - u_j[None, :], axis=1)
-                z = (lipschitz * radius - (best_std - mu_j[0])) / np.maximum(
-                    np.sqrt(2.0) * sigma_j[0], 1e-12
-                )
-                values += np.log(np.maximum(stats.norm.cdf(z), 1e-40))
+            for u_j, mu_j, sigma_j in balls:
+                values += np.log(factor(U, u_j, mu_j, sigma_j, lipschitz, best_std))
             return values
 
         for _ in range(n_points):
@@ -399,7 +394,8 @@ class SyncBatchStrategy:
                 n_candidates=core.acq_candidates,
                 n_restarts=core.acq_restarts,
             )
-            unit_points.append(u_best)
+            mu_j, sigma_j = model.predict(u_best.reshape(1, -1))
+            balls.append((u_best, mu_j[0], sigma_j[0]))
             points.append(core.session.to_physical(u_best.reshape(1, -1))[0])
         return points
 
@@ -425,9 +421,9 @@ class Campaign:
     Parameters mirror the drivers'; ``journal`` attaches a write-ahead
     journal (path or object with ``append``) recording every ask/tell so
     :func:`resume_campaign` can rebuild the exact state after a crash.  A
-    driver's campaign writes the driver's journal: its asks and tells also
-    carry the pool facts (issue slot, evaluation record, clock) that
-    :func:`repro.core.recovery.resume` needs to restore the pool.
+    campaign evaluated on a pool (a driver's, or a server-evaluated one)
+    also journals the pool facts (issue slot, evaluation record, clock) that
+    :func:`repro.core.recovery.reconcile` needs to restore the pool.
 
     Drivers with side models (constraint slacks, evaluation costs) hook in
     two ways: ``on_absorb(x, result)`` runs after every observation (real or
@@ -606,13 +602,13 @@ class Campaign:
         rides along in the journal event so the campaign server can rebuild
         its idempotent reply cache after a restart (a retried ``ask`` whose
         reply was lost replays the journaled points instead of issuing new
-        ones).  ``_propose`` and ``_issue`` are the embedded drivers' hooks,
-        not part of the public surface: ``_propose`` routes proposals through
-        their overridable methods (one point per call, or the whole batch of
-        ``n`` for the synchronous family), and ``_issue(x)`` submits each point to
-        the pool and returns the issue facts (index, worker, issue time,
-        batch) journaled with the ask, so the record is written once the
-        points are really in flight.
+        ones).  ``_propose`` and ``_issue`` are the hooks of the loop step in
+        :mod:`repro.core.bo`, not part of the public surface: ``_propose``
+        routes proposals through a driver's overridable methods (one point
+        per call, or the whole batch of ``n`` for the synchronous family),
+        and ``_issue(x)`` submits each point to the pool and returns the
+        issue facts (index, worker, issue time, batch) journaled with the
+        ask, so the record is written once the points are really in flight.
         """
         if self.exhausted:
             raise CampaignExhausted(
@@ -686,9 +682,9 @@ class Campaign:
         at a pessimistic FOM), ``"dropped"`` (budget spent, posterior
         unchanged), or ``"reissued"`` (orphaned point kept pending — the
         caller should evaluate it again; budget-neutral).  ``request_id``
-        is journaled with the event (see :meth:`ask`).  The embedded
-        drivers' hooks: ``_extra(action)`` returns pool facts to journal with
-        the outcome (the evaluation record and the clock), and ``_issue(x)``
+        is journaled with the event (see :meth:`ask`).  The loop step's
+        hooks: ``_extra(action)`` returns pool facts to journal with the
+        outcome (the evaluation record and the clock), and ``_issue(x)``
         re-submits a reissued point, its new issue facts journaled too.
 
         Raises :class:`CampaignError` when ``x`` is not in the pending set —

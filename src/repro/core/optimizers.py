@@ -62,6 +62,9 @@ def maximize_acquisition(
         raise ValueError(
             f"acquisition returned shape {values.shape}, expected ({n_candidates},)"
         )
+    # Non-finite scores rank below every finite one (NaN would sort first
+    # here), so a finite polish result beats a non-finite incumbent.
+    values = np.where(np.isfinite(values), values, -np.inf)
     order = np.argsort(values)[::-1]
 
     best_x = candidates[order[0]]

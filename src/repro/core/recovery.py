@@ -1,26 +1,25 @@
-"""Checkpoint/resume: continue a crashed driver run from its journal.
+"""Checkpoint/resume: continue a crashed run from its journal.
 
 A driver writes its journal through its :class:`~repro.core.campaign.Campaign`
 — the same ``campaign_start`` / ``doe`` / ``ask`` / ``tell`` event log the
 campaign server writes, with the pool facts riding along as optional fields
-(issue slot on each ask, evaluation record and clock on each tell).
-:func:`resume` is :func:`~repro.core.campaign.resume_campaign` plus pool
-reconciliation:
+(issue slot on each ask, evaluation record and clock on each tell), as does
+a server-evaluated campaign's.  :func:`resume` is
+:func:`~repro.core.campaign.resume_campaign` plus :func:`reconcile`:
 
 1. rebuild the driver from the journaled label and config, and replay the
    events into its campaign — the GP training set (through the same absorb
    path as live tells, so a driver's side datasets are rebuilt too), the
    surrogate hyperparameters and refit schedule, and the bit-exact
    ``np.random.Generator`` state;
-2. restore the pool clock, next evaluation index, and trace from the told
-   records;
-3. tell every point that was in flight at the crash as orphaned, so the
-   campaign's orphan rule (reissue / impute / drop, bounded by
-   ``max_reissues``) decides: a reissue is journaled before the point re-runs
-   at its original index, worker, and issue time;
-4. submit asked points that never reached a worker (a journal without pool
-   facts, such as a standalone campaign's) to the workers left idle;
-5. hand control back to the driver's ordinary loop.
+2. open the journaled ``n_workers`` (else B, and never fewer than the
+   pending points need) and restore the pool clock, next evaluation index,
+   and trace from the told records;
+3. tell every pending point back as orphaned, so the campaign's orphan rule
+   (reissue / impute / drop, bounded by ``max_reissues``) decides: a reissue
+   is journaled before the point re-runs at its original index, worker, and
+   issue time (or, without a journaled slot, on an idle worker);
+4. hand control back to the driver's ordinary loop.
 
 Resume-equivalence guarantee
 ----------------------------
@@ -45,13 +44,13 @@ import re
 
 import numpy as np
 
-from repro.core.bo import shutdown_pool
+from repro.core.bo import shutdown_pool, submit
 from repro.core.campaign import read_resumable_journal
 from repro.core.problem import STATUS_ORPHANED, EvaluationResult
 from repro.core.results import RunResult
 from repro.sched.trace import EvalRecord
 
-__all__ = ["resume", "resolve_problem"]
+__all__ = ["reconcile", "resume", "resolve_problem", "workers_needed"]
 
 _DIM_SUFFIX = re.compile(r"^([a-zA-Z]+?)(\d+)$")
 
@@ -123,6 +122,63 @@ def _pool_state(events: list[dict]):
     return records, issued, clock, next_index
 
 
+def workers_needed(campaign, events=()) -> int:
+    """Fewest workers ``campaign`` can go on with: B behind a barrier, and
+    after ``events`` one per pending point, past every journaled slot."""
+    issued = _pool_state(events)[1]
+    slots = [issued.get(x.tobytes()) for x in campaign.pending]
+    barrier = campaign.batch_size if campaign.strategy.kind == "sync" else 1
+    return max([barrier, len(slots)] + [f["worker"] + 1 for f in slots if f is not None])
+
+
+def reconcile(campaign, pool, events: list[dict], obs) -> None:
+    """Restore a fresh pool from the journal; orphan every pending point.
+
+    The pool half of :func:`resume` (steps 2-3 above, points in issue
+    order), which the campaign server runs for evaluated campaigns too, on
+    a pool of at least :func:`workers_needed` workers.
+    """
+    records, issued, clock, next_index = _pool_state(events)
+    pool.restore(now=clock, next_index=next_index, records=records)
+    error = "in flight at crash; reconciled at resume"
+    orphaned = EvaluationResult.failed(error, status=STATUS_ORPHANED)
+    unslotted = {"index": float("inf")}
+    for x in sorted(
+        campaign.pending, key=lambda x: issued.get(x.tobytes(), unslotted)["index"]
+    ):
+        facts = issued.get(x.tobytes())
+        if facts is None:  # never reached a worker: a reissue takes an idle one
+            campaign.tell(x, orphaned, _issue=lambda x: submit(pool, obs, x))
+            continue
+        # The pool facts are the issue fields of the orphan's trace row.
+        orphan = EvalRecord(
+            **facts,
+            x=x,
+            fom=float("nan"),
+            finish_time=max(clock, facts["issue_time"]),
+            feasible=False,
+            status=STATUS_ORPHANED,
+            error=error,
+        )
+        action = campaign.tell(
+            x,
+            orphaned,
+            # A reissue re-runs in place, so only a resolved orphan leaves a
+            # trace row behind.
+            _extra=lambda action, orphan=orphan: (
+                {} if action == "reissued"
+                else {"record": orphan.as_dict(), "clock": clock}
+            ),
+        )
+        if action == "reissued":
+            pool.restore_task(
+                orphan.index, orphan.worker, x, batch=orphan.batch,
+                issue_time=orphan.issue_time,
+            )
+        else:
+            pool.trace.add(orphan)
+
+
 def resume(journal_path, *, problem=None, pool_factory=None, tracer=None,
            metrics=None) -> RunResult:
     """Resume a crashed run from its write-ahead journal.
@@ -169,49 +225,12 @@ def resume(journal_path, *, problem=None, pool_factory=None, tracer=None,
         **start.get("config", {}),
     )
     campaign = driver.campaign._replay(events)
-    records, issued, clock, next_index = _pool_state(events)
-
-    pool = driver._open_pool(resumed=True)
+    pool = driver._open_pool(resumed=True, n_workers=max(
+        start.get("n_workers") or campaign.batch_size,
+        workers_needed(campaign, events),
+    ))
     try:
-        pool.restore(now=clock, next_index=next_index, records=records)
-        unissued = [x for x in campaign.pending if x.tobytes() not in issued]
-        orphans = sorted(
-            (x for x in campaign.pending if x.tobytes() in issued),
-            key=lambda x: issued[x.tobytes()]["index"],
-        )
-        for x in orphans:
-            facts = issued[x.tobytes()]
-            orphan = EvalRecord(
-                index=int(facts["index"]),
-                worker=int(facts["worker"]),
-                x=x,
-                fom=float("nan"),
-                issue_time=float(facts["issue_time"]),
-                finish_time=max(clock, float(facts["issue_time"])),
-                feasible=False,
-                batch=facts["batch"],
-                status=STATUS_ORPHANED,
-                error="in flight at crash; reconciled at resume",
-            )
-            action = campaign.tell(
-                x,
-                EvaluationResult.failed(orphan.error, status=STATUS_ORPHANED),
-                # A reissue re-runs in place, so only a resolved orphan
-                # leaves a trace row behind.
-                _extra=lambda action, orphan=orphan: (
-                    {} if action == "reissued"
-                    else {"record": orphan.as_dict(), "clock": clock}
-                ),
-            )
-            if action == "reissued":
-                pool.restore_task(
-                    orphan.index, orphan.worker, x, batch=orphan.batch,
-                    issue_time=orphan.issue_time,
-                )
-            else:
-                pool.trace.add(orphan)
-        for x in unissued:
-            driver._submit(pool, x)
+        reconcile(campaign, pool, events, driver.obs)
         return driver._drive(pool)
     finally:
         shutdown_pool(pool)

@@ -20,9 +20,10 @@ One driver, several batch-selection strategies:
 
 All strategies share the synchronous schedule: the next batch is only issued
 once every member of the previous batch has finished (the barrier the paper's
-asynchronous scheme removes).  The driver names its campaign
-(``<strategy>-<B>``) and runs that barrier loop; the batch rules themselves
-live in :class:`~repro.core.campaign.SyncBatchStrategy`.
+asynchronous scheme removes), which is :func:`~repro.core.bo.refill`'s rule
+for the family.  The driver names its campaign (``<strategy>-<B>``) and hands
+``refill`` its batch hook; the rules live in
+:class:`~repro.core.campaign.SyncBatchStrategy`.
 
 The hallucinating strategies (``easybo-sp``, ``bucb``) build each batch
 member's model through :meth:`SurrogateSession.model_with_pending`, so in
@@ -33,14 +34,11 @@ factor rather than a per-point posterior rebuild.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
 from repro.core.bo import BODriverBase
 from repro.core.campaign import SyncBatchStrategy, _pareto_front_mask  # noqa: F401 — re-export
-from repro.core.results import RunResult
 
 __all__ = ["SynchronousBatchBO", "SYNC_STRATEGIES"]
 
@@ -76,6 +74,18 @@ class SynchronousBatchBO(BODriverBase):
         return self.campaign.strategy.strategy
 
     # -------------------------------------------------------------- selection
+    def _proposer(self, pool):
+        """The batch hook :func:`~repro.core.bo.refill` hands to ``ask``; none
+        (uniform exploration) while dropped failures leave too few points."""
+        if self.session.n_observations < 2:
+            return None
+
+        def select(n_points):
+            with self.obs.span("select-batch", n_points=n_points):
+                return self._select_batch(n_points)
+
+        return select
+
     def _select_batch(self, n_points: int) -> list[np.ndarray]:
         """Choose ``n_points`` query points for the next batch.
 
@@ -89,50 +99,3 @@ class SynchronousBatchBO(BODriverBase):
         return self.campaign.strategy._estimate_lipschitz(
             self.campaign, model, n_probes
         )
-
-    # -------------------------------------------------------------- main loop
-    def _drive(self, pool) -> RunResult:
-        """Batch-by-batch ask/tell loop, resumable at any journal boundary.
-
-        Every batch — initial-design chunks first — is one ``ask`` whose
-        record is written once all its points are in flight, so a resumed
-        run is always at a batch boundary: it finishes the batch the crash
-        caught in flight (re-issued in place by resume), then carries on.
-        """
-        campaign = self.campaign
-        # Batches go out in B-sized chunks, initial design and BO phase alike.
-        doe = min(campaign.issued, campaign.n_init)
-        batch_index = math.ceil(doe / self.batch_size) + math.ceil(
-            (campaign.issued - doe) / self.batch_size
-        )
-
-        def select(n_points):
-            with self.obs.span("select-batch", n_points=n_points):
-                return self._select_batch(n_points)
-
-        def issue(n_points, propose=None) -> None:
-            campaign.ask(
-                n_points,
-                _propose=propose,
-                _issue=lambda x: self._submit(pool, x, batch=batch_index),
-            )
-            while pool.busy_count:
-                self._consume(pool, self._wait(pool))
-
-        while pool.busy_count:
-            self._consume(pool, self._wait(pool))
-        while campaign.in_doe:
-            issue(min(self.batch_size, campaign.n_init - campaign.issued))
-            batch_index += 1
-        while not campaign.exhausted:
-            # One synchronous cycle: ask for a batch, issue it, barrier.  Too
-            # many dropped failures for the GP fall back to the campaign's
-            # uniform exploration for the batch.
-            with self.obs.span("iteration", batch=batch_index):
-                issue(
-                    min(self.batch_size, self.max_evals - campaign.issued),
-                    select if self.session.n_observations >= 2 else None,
-                )
-            self.obs.inc("driver.iterations")
-            batch_index += 1
-        return self._package(pool)

@@ -10,8 +10,8 @@ CRC-framed loopback socket RPC the process-worker fleet uses
   with ``ask`` / ``tell`` round-trips (the client owns evaluation), or
 * create them with ``evaluate=True`` and let the server lease workers from
   a shared :class:`WorkerLeaseRegistry` and run the evaluations itself,
-  interleaving every campaign's pool through the non-blocking ``poll()``
-  hook — no campaign ever blocks another.
+  stepping every campaign's pool with the drivers' loop step through the
+  non-blocking ``poll()`` hook — no campaign ever blocks another.
 
 Durability and supervision
 --------------------------
@@ -21,12 +21,11 @@ server-level manifest (``journal_dir/server.manifest``, see
 :mod:`repro.distributed.manifest`).  A killed client, a server crash
 (kill -9 included), or an explicit ``suspend`` all leave durable journals:
 on start with a ``journal_dir`` the server scans the manifest and replays
-every non-terminal campaign via
-:func:`~repro.core.campaign.resume_campaign` to bit-exact state (GP data,
-hyperparameters, RNG stream, pending set), re-leasing workers for
-server-evaluated campaigns — a restarted server answers ``status``/``ask``
-as if nothing happened.  A campaign whose journal is missing or corrupt
-degrades to ``failed`` while the rest recover.
+every non-terminal campaign to bit-exact state (GP data, hyperparameters,
+RNG stream, pending set), re-leasing and reconciling the pools of
+server-evaluated campaigns as :func:`~repro.core.recovery.resume` does — a
+restarted server answers ``status``/``ask`` as if nothing happened.  A
+campaign whose journal is missing or corrupt degrades to ``failed``.
 
 A client disconnect mid-campaign suspends the campaigns it owns: their
 pools are shut down (no leaked worker processes), their leases return to
@@ -68,7 +67,7 @@ import time
 
 import numpy as np
 
-from repro.core.bo import shutdown_pool
+from repro.core.bo import consume, refill, shutdown_pool
 from repro.core.campaign import (
     Campaign,
     CampaignExhausted,
@@ -76,7 +75,7 @@ from repro.core.campaign import (
     read_campaign_journal,
     resume_campaign,
 )
-from repro.core.problem import STATUS_ORPHANED, EvaluationResult
+from repro.core.recovery import reconcile, resolve_problem, workers_needed
 from repro.distributed.manifest import (
     TERMINAL_EVENTS,
     ServerManifest,
@@ -102,6 +101,10 @@ _IDEMPOTENT_VERBS = frozenset(("create", "ask", "tell"))
 
 class ServerError(RuntimeError):
     """A request the server understood but must refuse."""
+
+
+class LeaseShortfall(ServerError):
+    """Too few free workers for a server-evaluated campaign; retry later."""
 
 
 class WorkerLeaseRegistry:
@@ -140,7 +143,7 @@ class WorkerLeaseRegistry:
             requested, self.available
         )
         if granted < 1:
-            raise ServerError(
+            raise LeaseShortfall(
                 f"no worker capacity available ({self.leased}/{self.capacity} "
                 "leased); retry after a campaign finishes"
             )
@@ -344,9 +347,10 @@ class CampaignServer:
         suspended ones become resumable stubs (revived on demand); everything
         else — including campaigns the crash caught mid-``ask`` — is replayed
         from its journal to bit-exact state, with leases re-registered for
-        server-evaluated campaigns and their in-flight points put through the
-        orphan rule.  A campaign whose journal is missing or corrupt degrades
-        to ``failed`` without taking the rest down.
+        server-evaluated campaigns and their pools reconciled.  A campaign
+        whose journal is missing or corrupt degrades to ``failed`` without
+        taking the rest down; one that cannot lease the workers it needs
+        waits as a suspended stub for ``resume`` (or the next restart).
         """
         state = manifest_state(read_manifest(self.manifest.path))
         for campaign_id in sorted(state):
@@ -380,22 +384,10 @@ class CampaignServer:
             # created / started / resumed / recovered: the crash caught it
             # live.
             try:
-                path = self._journal_path(campaign_id)
-                if (
-                    path is not None
-                    and not os.path.exists(path)
-                    and last == "created"
-                    and isinstance(info.get("config"), dict)
-                ):
-                    # Killed inside create, after the manifest append but
-                    # before the journal materialized: rebuild fresh from
-                    # the recorded config — same seed, same trajectory.
-                    # (Once ``started`` was recorded the journal existed;
-                    # a missing file then is data loss and degrades below.)
-                    self._rebuild_created(campaign_id, info)
-                else:
-                    self._load_campaign(campaign_id, info, owner=None)
+                self._load_campaign(campaign_id, info, owner=None)
                 self.recoveries += 1
+            except LeaseShortfall as exc:  # the manifest keeps it live: retried
+                self._stub(campaign_id, info, "suspended", error=str(exc))
             except Exception as exc:  # noqa: BLE001 — degrade this one only
                 stub = self._stub(
                     campaign_id, info, "failed",
@@ -403,8 +395,6 @@ class CampaignServer:
                 )
                 self._record("failed", campaign_id, error=stub.error)
                 self.obs.inc("campaign.errors")
-        if self.recoveries:
-            self.obs.inc("campaign.resumes", self.recoveries)
 
     def _stub(self, campaign_id: str, info: dict, state: str, *,
               error: str | None = None) -> _Hosted:
@@ -428,45 +418,46 @@ class CampaignServer:
         the transparent revival of auto-resumable suspensions: replays the
         journal to bit-exact state, rebuilds the idempotent reply cache from
         the journaled request ids, re-leases workers for server-evaluated
-        campaigns, and records the transition in the manifest.
-
-        A server-evaluated campaign's pending points were in flight on a
-        pool that no longer exists.  Each is told back as orphaned, so
-        ``failure_policy.on_orphan`` and ``max_reissues`` decide its fate
-        exactly as at a driver resume; only reissued points go back to
-        workers.
+        campaigns, and records the transition in the manifest.  Their points
+        were in flight on a pool that no longer exists:
+        :func:`~repro.core.recovery.reconcile` puts them through the orphan
+        rule exactly as at a driver resume.
         """
+        prior = self._campaigns.get(campaign_id)
+        if info is None:
+            info = prior.manifest_info if prior is not None else None
+        if info is None:
+            info = {}
         path = self._journal_path(campaign_id)
+        if (
+            path is not None
+            and not os.path.exists(path)
+            and info.get("state") == "created"
+            and isinstance(info.get("config"), dict)
+        ):
+            # Killed inside create before the journal materialized (it exists
+            # once ``started`` is recorded): rebuild fresh from the config.
+            return self._rebuild_created(campaign_id, info, owner)
         if path is None or not os.path.exists(path):
             raise ServerError(
                 f"campaign {campaign_id!r} has no journal to resume from"
             )
         campaign = resume_campaign(path)
         campaign.obs = self.obs
-        prior = self._campaigns.get(campaign_id)
-        if info is None:
-            info = prior.manifest_info if prior is not None else None
-        if info is None:
-            info = {}
+        # One read serves the reply cache and the pool reconciliation.
+        events = read_campaign_journal(path)
         label = str(
             info.get("label")
             or (prior.label if prior is not None else campaign.algorithm)
         )
-        hosted = self._host(campaign_id, campaign, label, info, owner=owner)
-        self._rebuild_replies(hosted, path)
-        if hosted.evaluating:
-            orphan = EvaluationResult.failed(
-                "in flight when the server lost its pool", status=STATUS_ORPHANED
-            )
-            for x in list(campaign.pending):
-                if campaign.tell(x, orphan) == "reissued":
-                    hosted.pool.submit(x)
+        hosted = self._host(campaign_id, campaign, label, info, owner=owner,
+                            events=events)
+        self._rebuild_replies(hosted, events)
         return hosted
 
-    def _rebuild_created(self, campaign_id: str, info: dict) -> _Hosted:
+    def _rebuild_created(self, campaign_id: str, info: dict,
+                         owner: FramedConnection | None) -> _Hosted:
         """Rebuild a campaign the crash caught between create and first write."""
-        from repro.core.recovery import resolve_problem
-
         label = str(info.get("label", "EasyBO"))
         campaign = make_campaign(
             label,
@@ -475,11 +466,10 @@ class CampaignServer:
             obs=self.obs,
             **dict(info.get("config") or {}),
         )
-        campaign.start()
-        return self._host(campaign_id, campaign, label, info, owner=None)
+        return self._host(campaign_id, campaign, label, info, owner=owner)
 
     def _host(self, campaign_id: str, campaign: Campaign, label: str, info: dict, *,
-              owner: FramedConnection | None) -> _Hosted:
+              owner: FramedConnection | None, events=()) -> _Hosted:
         """Put a recovered campaign back under management and record it."""
         hosted = _Hosted(
             campaign_id, campaign, label=label,
@@ -488,9 +478,13 @@ class CampaignServer:
         backend = info.get("pool", "virtual")
         if info.get("evaluate"):
             self._attach_pool(
-                hosted, int(info.get("n_workers") or campaign.batch_size), backend
+                hosted, int(info.get("n_workers") or campaign.batch_size), backend,
+                events,
             )
+        if campaign.design is None:  # rebuilt fresh: journal it, pool size known
+            self._start(hosted)
         self._campaigns[campaign_id] = hosted
+        self.obs.inc("campaign.resumes")
         self._record(
             "recovered", campaign_id,
             label=label, problem=hosted.problem_name,
@@ -498,24 +492,42 @@ class CampaignServer:
         )
         return hosted
 
-    def _attach_pool(self, hosted: _Hosted, requested: int, backend: str) -> None:
+    def _attach_pool(self, hosted: _Hosted, requested: int, backend: str,
+                     events=()) -> None:
         """Lease workers and build the campaign's evaluation pool.
 
-        Every server-evaluated campaign gets its pool here; a pool that
-        cannot be built returns its lease.
+        Every server-evaluated campaign gets its pool here, reconciled with
+        the journal ``events`` on recovery.  A grant below
+        :func:`~repro.core.recovery.workers_needed` is refused before any
+        journal write; a refusal or a failed pool returns the lease.
         """
+        campaign = hosted.campaign
         granted = self.leases.lease(hosted.id, requested)
         try:
+            needed = workers_needed(campaign, events)
+            if granted < needed:
+                raise LeaseShortfall(
+                    f"{hosted.label!r} needs {needed} workers at once; "
+                    f"{granted} available"
+                )
             hosted.pool = pool_factory_by_name(backend)(
-                hosted.campaign.problem, granted,
-                policy=hosted.campaign.failure_policy,
+                campaign.problem, granted, policy=campaign.failure_policy,
             )
+            if events:
+                reconcile(campaign, hosted.pool, events, self.obs)
         except Exception:
-            self.leases.release(hosted.id)
+            self._release_pool(hosted)
+            campaign.close()
             raise
         hosted.n_workers = granted
 
-    def _rebuild_replies(self, hosted: _Hosted, path) -> None:
+    @staticmethod
+    def _start(hosted: _Hosted) -> None:
+        """Start the journal; for an evaluated campaign, record its pool size."""
+        fields = {"n_workers": hosted.n_workers} if hosted.evaluating else {}
+        hosted.campaign.start(**fields)
+
+    def _rebuild_replies(self, hosted: _Hosted, events: list[dict]) -> None:
         """Rebuild the reply cache from the journaled request ids.
 
         The journal *is* the durable reply cache: every ask/tell that was
@@ -523,10 +535,6 @@ class CampaignServer:
         crash still replays the original answer instead of hitting a
         "not pending" error or double-issuing points.
         """
-        try:
-            events = read_campaign_journal(path)
-        except Exception:  # noqa: BLE001 — cache rebuild is best-effort
-            return
         for event in events:
             request_id = event.get("request_id")
             if not request_id:
@@ -608,7 +616,7 @@ class CampaignServer:
                 # Revive before the cache lookup: the revival *rebuilds* the
                 # reply cache from the journal, and a retry whose original
                 # ask raced a crash must find its cached answer there.
-                self._revive_if_needed(request.get("campaign"), conn)
+                self._admit_client_verb(request.get("campaign"), conn)
             cached = self._cached_reply(verb, request_id, request)
             if cached is not None:
                 self.rpc_replayed_replies += 1
@@ -661,13 +669,15 @@ class CampaignServer:
             )
         return hosted
 
-    def _revive_if_needed(self, campaign_id, conn) -> None:
-        """Transparently resume a campaign suspended *on* (not *by*) its client.
+    def _admit_client_verb(self, campaign_id, conn) -> None:
+        """Ready the campaign a client ``ask``/``tell`` names, or refuse it.
 
         Disconnect- and shutdown-suspensions are bookkeeping, not intent: a
         reconnected client retrying an ``ask``/``tell`` should find its
         campaign exactly where it left it, without knowing the server
-        suspended (or restarted) in between.
+        suspended (or restarted) in between, so it revives transparently.
+        A server-evaluated campaign refuses both verbs: the server asks and
+        tells for it.
         """
         hosted = self._campaigns.get(campaign_id)
         if (
@@ -675,8 +685,12 @@ class CampaignServer:
             and hosted.state == "suspended"
             and hosted.auto_resumable
         ):
-            self._load_campaign(campaign_id, None, owner=conn)
-            self.obs.inc("campaign.resumes")
+            hosted = self._load_campaign(campaign_id, None, owner=conn)
+        if hosted is not None and hosted.evaluating:
+            raise ServerError(
+                f"campaign {hosted.id!r} is server-evaluated; poll status "
+                "instead of asking"
+            )
 
     def _journal_path(self, campaign_id: str):
         if self.journal_dir is None:
@@ -688,8 +702,6 @@ class CampaignServer:
         return {"pong": True, "protocol": PROTOCOL_VERSION}
 
     def _verb_create(self, conn, request) -> dict:
-        from repro.core.recovery import resolve_problem
-
         if "problem_spec" in request:
             # A spec may carry pickle bytes; unpickling client input would
             # let any client that can connect run code in the server.
@@ -719,17 +731,12 @@ class CampaignServer:
             campaign_id, campaign, label=label,
             problem_name=problem.name, owner=conn,
         )
-        self._campaigns[campaign_id] = hosted
         if request.get("evaluate"):
-            try:
-                self._attach_pool(
-                    hosted, int(request.get("n_workers", campaign.batch_size)),
-                    request.get("pool", "virtual"),
-                )
-            except Exception:
-                campaign.close()
-                del self._campaigns[campaign_id]
-                raise
+            self._attach_pool(
+                hosted, int(request.get("n_workers", campaign.batch_size)),
+                request.get("pool", "virtual"),
+            )
+        self._campaigns[campaign_id] = hosted
         created = {
             "label": str(label),
             "problem": hosted.problem_name,
@@ -755,18 +762,13 @@ class CampaignServer:
             # a *missing* journal is data loss, not a creation crash, and
             # recovery degrades the campaign instead of silently rebuilding
             # a fresh one whose replies would diverge.
-            campaign.start()
+            self._start(hosted)
             self._record("started", campaign_id)
         self.obs.inc("campaign.creates")
         return {"campaign": campaign_id, "n_workers": hosted.n_workers}
 
     def _verb_ask(self, conn, request) -> dict:
         hosted = self._get(request.get("campaign"))
-        if hosted.evaluating:
-            raise ServerError(
-                f"campaign {hosted.id!r} is server-evaluated; poll status "
-                "instead of asking"
-            )
         n = request.get("n")
         request_id = request.get("request_id")
         try:
@@ -777,8 +779,7 @@ class CampaignServer:
         except CampaignExhausted as exc:
             raise ServerError(str(exc)) from None
         except Exception as exc:
-            hosted.error = f"{type(exc).__name__}: {exc}"
-            self._fail(hosted)
+            self._fail(hosted, exc)
             raise
         return {"points": [[float(v) for v in p] for p in points]}
 
@@ -791,8 +792,7 @@ class CampaignServer:
                 x, result, request_id=request.get("request_id")
             )
         except Exception as exc:
-            hosted.error = f"{type(exc).__name__}: {exc}"
-            self._fail(hosted)
+            self._fail(hosted, exc)
             raise
         if hosted.campaign.done:
             self._finish(hosted)
@@ -848,7 +848,6 @@ class CampaignServer:
         hosted = self._campaigns.get(campaign_id)
         if hosted is None or hosted.state != "active":
             hosted = self._load_campaign(campaign_id, None, owner=conn)
-            self.obs.inc("campaign.resumes")
         else:
             # Idempotent: a retried resume whose reply was lost finds the
             # campaign already active and just reads it back.
@@ -938,8 +937,9 @@ class CampaignServer:
         self._record("finished", hosted.id)
         self.obs.inc("campaign.finishes")
 
-    def _fail(self, hosted: _Hosted) -> None:
+    def _fail(self, hosted: _Hosted, exc: Exception) -> None:
         """An ask/tell blew up: reap the pool, keep the journal for triage."""
+        hosted.error = f"{type(exc).__name__}: {exc}"
         self._release_pool(hosted)
         hosted.state = "failed"
         hosted.campaign.close()
@@ -949,30 +949,28 @@ class CampaignServer:
     def _drive_evaluating(self) -> None:
         """Advance every server-evaluated campaign without blocking.
 
-        For each active campaign with a pool: keep idle workers fed with
-        ``ask()`` points, fold at most a handful of ``poll()`` completions
-        back via ``tell()``.  Work is bounded per pass so one campaign
-        cannot starve the socket loop.
+        Each pass takes the drivers' loop step from ``poll()``: refill, then
+        fold in at most ``n_workers`` completions, each consumed and followed
+        by a refill — on the virtual pool exactly the driver's asks and
+        tells.  Work is bounded per pass so one campaign cannot starve the
+        socket loop.
         """
         for hosted in list(self._campaigns.values()):
             if hosted.state != "active" or not hosted.evaluating:
                 continue
             campaign, pool = hosted.campaign, hosted.pool
             try:
-                while not campaign.exhausted and pool.idle_count > 0:
-                    pool.submit(campaign.ask())
+                refill(campaign, pool, self.obs)
                 for _ in range(hosted.n_workers):
                     completion = pool.poll()
                     if completion is None:
                         break
-                    action = campaign.tell(completion.x, completion.result)
-                    if action == "reissued":
-                        pool.submit(completion.x)
+                    consume(campaign, pool, self.obs, completion)
+                    refill(campaign, pool, self.obs)
                 if campaign.done:
                     self._finish(hosted)
             except Exception as exc:  # noqa: BLE001 — isolate per campaign
-                hosted.error = f"{type(exc).__name__}: {exc}"
-                self._fail(hosted)
+                self._fail(hosted, exc)
                 self.obs.inc("campaign.errors")
 
 

@@ -107,7 +107,8 @@ def drive_async(campaign, pool) -> None:
 
 
 def drive_sync(campaign, pool, batch_size: int) -> None:
-    """Mirror of ``SynchronousBatchBO._drive``: batches behind a barrier."""
+    """Mirror of ``BODriverBase._drive`` under ``refill``'s synchronous rule:
+    batches behind a barrier."""
     batch_index = 0
     while campaign.in_doe:
         points = campaign.ask(min(batch_size, campaign.n_init - campaign.issued))

@@ -20,6 +20,8 @@ import pytest
 
 from repro.circuits.benchmarks import sphere
 from repro.core import make_campaign
+from repro.core.campaign import read_campaign_journal
+from repro.core.easybo import make_algorithm
 from repro.distributed import CampaignClient, CampaignServerError, serve
 from repro.distributed.protocol import PROTOCOL_VERSION
 from repro.obs import MetricsRegistry, Observability
@@ -143,6 +145,93 @@ class TestWorkerLeases:
         status = client.status(cid)
         assert status["issued"] == CONFIG["max_evals"]
         assert status["best_fom"] is not None
+
+
+    @pytest.mark.parametrize(
+        "taken, requested", [(0, 2), (2, 3)], ids=["request", "capacity"]
+    )
+    def test_barrier_label_is_refused_a_lease_below_b(self, client, taken, requested):
+        """A synchronous label issues B points at once behind its barrier:
+        a grant below B is refused, whether the request or the capacity is
+        short, and the lease goes back to the registry."""
+        slow = dict(rng=8, n_init=3, max_evals=40,
+                    acq_candidates=32, acq_restarts=1)
+        if taken:
+            client.create("EasyBO-2", "sphere2", config=slow,
+                          evaluate=True, n_workers=taken)
+        with pytest.raises(CampaignServerError, match="needs 3 workers"):
+            client.create("pBO-3", "sphere2", config=dict(slow, rng=9),
+                          evaluate=True, n_workers=requested)
+        assert client.metrics()["workers_leased"] == taken
+
+    def test_stray_tell_is_refused_and_the_campaign_runs_on(self, client):
+        """A client ``tell`` to a server-evaluated campaign gets the ``ask``
+        refusal; the campaign neither fails nor loses its pool."""
+        config = dict(rng=10, n_init=3, max_evals=30,
+                      acq_candidates=32, acq_restarts=1)
+        cid = client.create("EasyBO-2", "sphere2", config=config,
+                            evaluate=True)
+        x = np.array([0.1, 0.2])
+        with pytest.raises(CampaignServerError, match="server-evaluated"):
+            client.tell(cid, x, sphere(2).evaluate(x))
+        assert client.status(cid)["state"] == "active"
+        assert _wait_for(lambda: client.status(cid)["state"] == "finished",
+                         timeout=60.0)
+        assert client.status(cid)["issued"] == config["max_evals"]
+
+
+def _run_evaluated(journal_dir, label, config, **create):
+    """Run one server-evaluated campaign to its end; return its journal."""
+    srv = serve(journal_dir=journal_dir, max_workers=4, background=True)
+    try:
+        with CampaignClient(port=srv.port) as c:
+            cid = c.create(label, "sphere2", config=config, evaluate=True,
+                           **create)
+            assert _wait_for(lambda: c.status(cid)["state"] == "finished",
+                             timeout=120.0)
+    finally:
+        srv.stop()
+    return read_campaign_journal(journal_dir / f"{cid}.journal")
+
+
+class TestServerEvaluation:
+    """A server-evaluated campaign takes the drivers' loop step, so its
+    journal is a driver journal, pool facts included."""
+
+    ASK = ("points", "issued", "side_models")
+    TELL = ("x", "result", "action", "value", "record", "clock", "done")
+
+    def _records(self, events):
+        fields = {"ask": self.ASK, "tell": self.TELL}
+        return [
+            (e["type"], {k: e.get(k) for k in fields[e["type"]]})
+            for e in events if e["type"] in fields
+        ]
+
+    @pytest.mark.parametrize(
+        "label", ["EasyBO-2", "EasyBO-LP-3", "pBO-3", "pHCBO-3", "LCB", "EasyBO-SP-2"]
+    )
+    def test_virtual_pool_journal_equals_the_driver_journal(self, tmp_path, label):
+        config = dict(rng=3, n_init=4, max_evals=11,
+                      acq_candidates=32, acq_restarts=1)
+        make_algorithm(label, sphere(2), journal=tmp_path / "driver.journal",
+                       **config).run()
+        served = _run_evaluated(tmp_path / "server", label, config)
+        driven = read_campaign_journal(tmp_path / "driver.journal")
+        assert self._records(served) == self._records(driven)
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_real_clock_journal_carries_pool_facts(self, tmp_path, pool):
+        config = dict(rng=12, n_init=3, max_evals=7,
+                      acq_candidates=32, acq_restarts=1)
+        events = _run_evaluated(tmp_path, "EasyBO-2", config, pool=pool)
+        asks = [e for e in events if e["type"] == "ask"]
+        assert all(len(e["issued"]) == len(e["points"]) for e in asks)
+        told = [e for e in events
+                if e["type"] == "tell" and e["action"] != "reissued"]
+        assert all("record" in e and "clock" in e for e in told)
+        indices = sorted(e["record"]["index"] for e in told)
+        assert indices == list(range(config["max_evals"]))
 
 
 class TestSuspendResume:

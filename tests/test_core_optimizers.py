@@ -54,6 +54,22 @@ class TestMaximize:
         x = maximize_acquisition(sometimes_nan, BOUNDS, rng=0)
         assert np.all(np.isfinite(x))
 
+    @pytest.mark.parametrize("polish", [True, False])
+    def test_nan_sweep_scores_never_win(self, polish):
+        """A NaN sweep score ranks below every finite one: the returned
+        point scores finite, with and without polish."""
+        unit = np.array([[0.0, 1.0], [0.0, 1.0]])
+
+        def nan_near_edge(U):
+            values = -np.sum((U - 0.7) ** 2, axis=1)
+            values[U[:, 0] < 0.05] = np.nan
+            return values
+
+        x = maximize_acquisition(
+            nan_near_edge, unit, rng=0, n_candidates=256, polish=polish
+        )
+        assert np.isfinite(nan_near_edge(x.reshape(1, -1))[0])
+
     def test_shape_validation(self):
         def bad(X):
             return np.zeros((len(X), 2))

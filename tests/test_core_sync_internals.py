@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import sphere
+from repro.core.faults import SimulationError
+from repro.core.problem import EvaluationResult, Problem
 from repro.core.sync_batch import SynchronousBatchBO, _pareto_front_mask
 from repro.sched.durations import ConstantCostModel
 
@@ -91,3 +93,40 @@ class TestBatchSelection:
         primed = self._primed(driver, "mace")
         points = np.vstack(primed._select_batch(4))
         assert len(np.unique(points.round(12), axis=0)) == 4
+
+
+class _FailsFirst(Problem):
+    """Crashes on its first ``n_fail`` evaluations, then a quadratic."""
+
+    name = "fails-first"
+
+    def __init__(self, n_fail):
+        self.n_fail, self.n_calls = n_fail, 0
+
+    @property
+    def bounds(self):
+        return np.array([[-2.0, 2.0], [-2.0, 2.0]])
+
+    def evaluate(self, x):
+        self.n_calls += 1
+        if self.n_calls <= self.n_fail:
+            raise SimulationError("scheduled crash")
+        return EvaluationResult(fom=-float(np.sum(x**2)), cost=1.0)
+
+
+def test_select_batch_waits_for_two_observations():
+    """While dropped failures leave the GP under two observations, the
+    campaign's uniform exploration picks the batch: a ``_select_batch``
+    override never runs on a model it cannot fit."""
+    seen = []
+
+    class Spy(SynchronousBatchBO):
+        def _select_batch(self, n_points):
+            seen.append(self.session.n_observations)
+            return super()._select_batch(n_points)
+
+    result = Spy(_FailsFirst(n_fail=5), batch_size=2, strategy="pbo",
+                 n_init=4, max_evals=12, rng=0, acq_candidates=32,
+                 acq_restarts=1, failure_policy={"on_failure": "drop"}).run()
+    assert result.n_evaluations == 12
+    assert seen and min(seen) >= 2

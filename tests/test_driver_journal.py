@@ -14,6 +14,7 @@ reconciliation.  The golden kill/resume sweeps live in
   journaled config;
 * ``resume_campaign`` on a killed driver journal rebuilds exactly the state
   ``resume`` continues from;
+* a pending point without pool facts follows the orphan rule at resume;
 * drivers that cannot resume refuse ``journal=``, and retired run journals
   are refused;
 * ``cEasyBO`` honours non-default pending policies.
@@ -27,7 +28,7 @@ import pytest
 from repro.circuits import sphere
 from repro.circuits.benchmarks import branin
 from repro.core.async_batch import AsynchronousBatchBO
-from repro.core.campaign import resume_campaign
+from repro.core.campaign import make_campaign, read_campaign_journal, resume_campaign
 from repro.core.easybo import make_algorithm
 from repro.core.faults import KillSwitchJournal, ProcessKilled
 from repro.core.journal import JOURNAL_VERSION, JournalError, JournalWriter, read_journal
@@ -163,6 +164,28 @@ class TestResumeCampaignMatchesResume:
         assert seen["issued"] == campaign.issued
         np.testing.assert_array_equal(seen["pending"], campaign.pending_matrix())
         assert seen["rng"] == rng_state_to_dict(campaign.rng)
+
+
+class TestUnslottedPendingPoint:
+    def test_reissue_takes_an_idle_worker_and_journals_its_slot(self, tmp_path):
+        """A standalone campaign's journal holds no pool facts: ``resume``
+        tells its pending point back as orphaned, and the reissue runs on an
+        idle worker with the new slot on the reissue tell."""
+        path = tmp_path / "campaign.jsonl"
+        campaign = make_campaign("EasyBO-2", sphere(2), journal=path,
+                                 n_init=3, max_evals=6, rng=7, **FAST)
+        told, pending = campaign.ask(2)
+        campaign.tell(told, campaign.problem.evaluate(told))
+        campaign.close()
+        result = resume(path)
+        (reissue,) = [e for e in read_campaign_journal(path)
+                      if e["type"] == "tell" and e["action"] == "reissued"]
+        assert reissue["x"] == pending.tolist()
+        slot = reissue["issued"][0]
+        rows = [r for r in result.trace.records if tuple(r.x) == tuple(pending)]
+        assert [(r.index, r.worker) for r in rows] == [(slot["index"], slot["worker"])]
+        # The point told before the crash left no trace row to restore.
+        assert result.n_evaluations == 5
 
 
 class TestRefusals:

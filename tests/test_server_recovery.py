@@ -20,8 +20,10 @@ import pytest
 from repro.circuits.benchmarks import sphere
 from repro.core import make_campaign
 from repro.core.campaign import read_campaign_journal
+from repro.core.easybo import make_algorithm
 from repro.core.faults import FailurePolicy
 from repro.core.journal import JournalError
+from repro.core.recovery import resume
 from repro.distributed import (
     CampaignClient,
     CampaignServerError,
@@ -219,9 +221,10 @@ class TestRestartRecovery:
     def test_server_evaluated_in_flight_points_follow_the_orphan_rule(self, tmp_path):
         """A restarted server tells a server-evaluated campaign's in-flight
         points back as orphaned, so ``on_orphan="impute"`` imputes them
-        instead of re-running them.  The crash state is built directly: the
-        virtual pool finishes every point within one server pass, so a real
-        kill between passes finds nothing in flight."""
+        instead of re-running them.  The crash state is built directly, by
+        a standalone campaign whose journal holds no pool facts: the
+        points have no issue slot to re-run at, and the orphan rule still
+        decides their fate."""
         config = dict(rng=48, n_init=3, max_evals=8, acq_candidates=32,
                       acq_restarts=1, failure_policy={"on_orphan": "impute"})
         journal = tmp_path / "c0000.journal"
@@ -251,6 +254,153 @@ class TestRestartRecovery:
         imputed = [e["x"] for e in tells if e["action"] == "imputed"]
         assert sorted(imputed) == sorted(x.tolist() for x in in_flight)
         assert all(e["action"] in ("added", "imputed") for e in tells)
+
+    #: A budget the kill lands well inside (the server paces its passes).
+    KILL_CONFIG = dict(n_init=4, max_evals=20, acq_candidates=32,
+                       acq_restarts=1, surrogate_update="full")
+
+    def _kill_mid_campaign(self, tmp_path, label, n_workers, rng):
+        """kill -9 a server once its evaluated campaign has issued past the
+        initial design; return the campaign's journal path."""
+        old = _serve(tmp_path)
+        client = CampaignClient(port=old.port)
+        cid = client.create(label, "sphere2",
+                            config=dict(self.KILL_CONFIG, rng=rng),
+                            evaluate=True, n_workers=n_workers)
+        campaign = old._campaigns[cid].campaign
+        deadline = time.monotonic() + 20.0
+        while campaign.issued <= self.KILL_CONFIG["n_init"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+        _kill(old)
+        client.close()
+        journal = tmp_path / f"{cid}.journal"
+        events = read_campaign_journal(journal)
+        assert not any(e["type"] == "campaign_end" for e in events), (
+            "the kill must land mid-campaign"
+        )
+        return journal
+
+    @staticmethod
+    def _told_rows(journal):
+        return [e["record"] for e in read_campaign_journal(journal)
+                if e["type"] == "tell" and "record" in e]
+
+    @staticmethod
+    def _ask_tell(journal):
+        return [e for e in read_campaign_journal(journal)
+                if e["type"] in ("ask", "tell")]
+
+    @staticmethod
+    def _await_finished(client, cid):
+        deadline = time.monotonic() + 60.0
+        while client.status(cid)["state"] != "finished":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+
+    def _driver_rows(self, tmp_path, label, rng, **config):
+        make_algorithm(label, sphere(2), rng=rng, journal=tmp_path / "driver",
+                       **dict(self.KILL_CONFIG, **config)).run()
+        return self._told_rows(tmp_path / "driver")
+
+    @pytest.mark.parametrize("label", ["EasyBO-2", "EasyBO-3", "pBO-3"])
+    def test_kill9_restart_keeps_the_driver_trajectory(self, tmp_path, label):
+        """The restarted server re-runs in-flight points at their journaled
+        slots, so the campaign finishes on the uninterrupted driver's
+        trajectory."""
+        journal = self._kill_mid_campaign(tmp_path / "srv", label, None, rng=50)
+        new = _serve(tmp_path / "srv")
+        try:
+            assert new.recoveries == 1
+            with CampaignClient(port=new.port) as client:
+                self._await_finished(client, "c0000")
+        finally:
+            new.stop()
+        assert self._told_rows(journal) == self._driver_rows(tmp_path, label, 50)
+
+    @pytest.mark.parametrize(
+        "label, n_workers", [("EasyBO-2", 2), ("EasyBO-2", 3), ("pBO-3", 3)]
+    )
+    def test_killed_server_journal_finishes_with_resume(self, tmp_path, label,
+                                                        n_workers):
+        """``resume`` finishes a killed server's journal on the leased pool
+        size: every evaluation in the trace, each index once."""
+        journal = self._kill_mid_campaign(tmp_path, label, n_workers, rng=51)
+        result = resume(journal)
+        max_evals = self.KILL_CONFIG["max_evals"]
+        assert result.n_evaluations == max_evals
+        assert sorted(r.index for r in result.trace.records) == list(range(max_evals))
+
+    def test_restart_short_of_workers_waits_suspended(self, tmp_path):
+        """A restarted server with fewer workers than the in-flight slots
+        need refuses the lease before any tell: the campaign waits as a
+        suspended stub, its lease returned and its journal untouched, and a
+        restart with the workers finishes it on the driver trajectory."""
+        journal = self._kill_mid_campaign(tmp_path / "srv", "EasyBO-3", None,
+                                          rng=52)
+        before = self._ask_tell(journal)
+        short = serve(journal_dir=tmp_path / "srv", max_workers=2,
+                      background=True)
+        try:
+            hosted = short._campaigns["c0000"]
+            assert hosted.state == "suspended"
+            assert "needs 3 workers" in hosted.error
+            assert short.leases.leased == 0
+        finally:
+            short.stop()
+        assert self._ask_tell(journal) == before
+        new = _serve(tmp_path / "srv")
+        try:
+            assert new.recoveries == 1
+            with CampaignClient(port=new.port) as client:
+                self._await_finished(client, "c0000")
+        finally:
+            new.stop()
+        assert self._told_rows(journal) == self._driver_rows(
+            tmp_path, "EasyBO-3", 52
+        )
+
+    def test_resume_short_of_workers_is_refused_before_any_tell(self, tmp_path):
+        """Suspend an evaluated ``EasyBO-3`` mid-run and let another tenant
+        take its capacity: ``resume`` is refused with the workers it needs
+        and the journal gains no tell.  Once the capacity frees, ``resume``
+        finishes it on the driver trajectory with no point imputed."""
+        config = dict(self.KILL_CONFIG, rng=53, max_evals=30)
+        server = _serve(tmp_path / "srv")
+        try:
+            with CampaignClient(port=server.port) as client:
+                cid = client.create("EasyBO-3", "sphere2", config=config,
+                                    evaluate=True)
+                campaign = server._campaigns[cid].campaign
+                deadline = time.monotonic() + 20.0
+                while campaign.issued <= config["n_init"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.002)
+                client.suspend(cid)
+                # Mid-run: every worker busy, so resuming needs all three.
+                assert client.status(cid)["n_pending"] == 3
+                journal = tmp_path / "srv" / f"{cid}.journal"
+                before = self._ask_tell(journal)
+                other = client.create(
+                    "EasyBO-2", "sphere2", evaluate=True,
+                    config=dict(rng=54, n_init=3, max_evals=500,
+                                acq_candidates=32, acq_restarts=1),
+                )
+                with pytest.raises(CampaignServerError, match="needs 3 workers"):
+                    client.resume(cid)
+                assert client.status(cid)["state"] == "suspended"
+                assert client.metrics()["workers_leased"] == 2
+                assert self._ask_tell(journal) == before
+                client.close_campaign(other)
+                client.resume(cid)
+                self._await_finished(client, cid)
+        finally:
+            server.stop()
+        tells = [e for e in self._ask_tell(journal) if e["type"] == "tell"]
+        assert all(e["action"] != "imputed" for e in tells)
+        assert self._told_rows(journal) == self._driver_rows(
+            tmp_path, "EasyBO-3", 53, max_evals=30
+        )
 
     #: Every pool-side field off its default, so a dropped one shows.
     POOL_POLICY = {"max_retries": 2, "retry_backoff": 0.5, "timeout": 50.0,
