@@ -21,27 +21,25 @@ import numpy as np
 
 from repro.circuits import OpAmpProblem
 from repro.core.acquisition import HighCoveragePenalty, WeightedAcquisition, sample_easybo_weight
+from repro.core.campaign import SyncBatchStrategy
+from repro.core.optimizers import maximize_acquisition
 from repro.core.sync_batch import SynchronousBatchBO
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import format_table
 
 
-class _DistancePenalized(SynchronousBatchBO):
+class _DistancePenalized(SyncBatchStrategy):
     """EasyBO's randomized-weight acquisition with pHCBO's distance penalty."""
 
-    def __init__(self, problem, **kwargs):
-        super().__init__(problem, strategy="easybo-s", **kwargs)
-        self.algorithm_name = f"EasyBO-HC-{self.batch_size}"
-        self._distance_penalty = HighCoveragePenalty(self.session.dim)
+    def __init__(self, dim, **kwargs):
+        super().__init__("easybo-s", dim=dim, **kwargs)
+        self._distance_penalty = HighCoveragePenalty(dim)
 
-    def _select_batch(self, n_points):
-        from repro.core.optimizers import maximize_acquisition
-
-        campaign = self.campaign
-        model = self.session.refit()
+    def model_batch(self, core, n_points):
+        model = core.session.refit()
         points = []
         for slot in range(n_points):
-            w = sample_easybo_weight(self.rng, campaign.strategy.lam)
+            w = sample_easybo_weight(core.rng, self.lam)
             base = WeightedAcquisition(w)
 
             def scorer(U, _base=base, _slot=slot):
@@ -49,14 +47,24 @@ class _DistancePenalized(SynchronousBatchBO):
 
             u_best = maximize_acquisition(
                 scorer,
-                self.session.unit_bounds(),
-                rng=self.rng,
-                n_candidates=campaign.acq_candidates,
-                n_restarts=campaign.acq_restarts,
+                core.session.unit_bounds(),
+                rng=core.rng,
+                n_candidates=core.acq_candidates,
+                n_restarts=core.acq_restarts,
             )
             self._distance_penalty.record(slot, u_best)
-            points.append(self.session.to_physical(u_best.reshape(1, -1))[0])
+            points.append(core.session.to_physical(u_best.reshape(1, -1))[0])
         return points
+
+
+def _distance_penalized(problem, **kwargs) -> SynchronousBatchBO:
+    """An EasyBO-S driver whose campaign selects with :class:`_DistancePenalized`."""
+    driver = SynchronousBatchBO(problem, strategy="easybo-s", **kwargs)
+    driver.campaign.strategy = _DistancePenalized(
+        problem.dim, batch_size=driver.batch_size
+    )
+    driver.algorithm_name = f"EasyBO-HC-{driver.batch_size}"
+    return driver
 
 
 def batch_diversity(result) -> float:
@@ -84,7 +92,7 @@ def run_ablation(repetitions: int = 2, max_evals: int = 60, seed: int = 0,
         "none (EasyBO-S)": lambda rng: SynchronousBatchBO(
             OpAmpProblem(), strategy="easybo-s", rng=rng, **common
         ),
-        "distance (Eq.6)": lambda rng: _DistancePenalized(
+        "distance (Eq.6)": lambda rng: _distance_penalized(
             OpAmpProblem(), rng=rng, **common
         ),
         "hallucination (EasyBO-SP)": lambda rng: SynchronousBatchBO(

@@ -10,9 +10,10 @@ The loop is the paper's Algorithm 1, :meth:`BODriverBase._drive
 4. draw ``w = kappa/(kappa+1)``, ``kappa ~ U[0, lambda]``, and maximize
    ``(1-w) mu + w sigma_hat`` (Eq. 9) for the idle worker (line 7).
 
-This driver only names its campaign: ``EasyBO-<B>`` with a pending-point
-policy.  ``penalized=False`` gives the EasyBO-A ablation (asynchronous
-issue, plain sigma).  ``batch_size=1`` degenerates to sequential EasyBO.
+This driver only names its campaign: ``<family>-<B>`` with a pending-point
+policy (``cEasyBO`` / ``caEasyBO`` for the side-model drivers).
+``penalized=False`` gives the EasyBO-A ablation (asynchronous issue, plain
+sigma).  ``batch_size=1`` degenerates to sequential EasyBO.
 Step 3's pending-point handling is pluggable via ``pending_policy=`` (see
 :mod:`repro.core.pending`): ``"hallucinate"`` (the default, Eq. 9),
 ``"lp"`` (local penalisation), ``"pessimistic"`` (pessimistic asynchronous
@@ -39,6 +40,9 @@ __all__ = ["AsynchronousBatchBO"]
 class AsynchronousBatchBO(BODriverBase):
     """EasyBO (penalized) and EasyBO-A (unpenalized) asynchronous drivers."""
 
+    #: Label family the campaign is built from: ``<family>-<batch_size>``.
+    family = "EasyBO"
+
     def __init__(
         self,
         problem,
@@ -52,7 +56,7 @@ class AsynchronousBatchBO(BODriverBase):
         if pending_policy is None:
             pending_policy = FAMILIES["easybo" if penalized else "easybo-a"].strategy
         super().__init__(
-            problem, f"EasyBO-{batch_size}", lam=lam,
+            problem, f"{self.family}-{batch_size}", lam=lam,
             pending_policy=pending_policy, **kwargs,
         )
 

@@ -7,10 +7,11 @@ by the campaign server for its evaluated campaigns.  :class:`BODriverBase`
 holds what the drivers share: the campaign (built by
 :func:`~repro.core.campaign.make_campaign` from the label each driver
 derives from its constructor arguments), the pool, and result packaging.
-Its :meth:`~BODriverBase._drive` repeats the step with B workers, and
-:class:`SequentialBO` — the classic one-point-at-a-time loop with a
-pluggable acquisition (EI / LCB / UCB / PI / EasyBO's randomized-weight
-rule) — is that loop with one worker.
+Its :meth:`~BODriverBase._drive` repeats the step with B workers for every
+BO label, and :class:`SequentialBO` — the classic one-point-at-a-time loop
+with a pluggable acquisition (EI / LCB / UCB / PI / EasyBO's
+randomized-weight rule) — is that loop with one worker.  Drivers never
+propose: every point comes from the campaign's strategy.
 """
 
 from __future__ import annotations
@@ -58,14 +59,13 @@ def submit(pool, obs, x, *, batch: int | None = None) -> dict:
     }
 
 
-def refill(campaign: Campaign, pool, obs, propose=None) -> None:
+def refill(campaign: Campaign, pool, obs) -> None:
     """Give idle workers points: sequential and asynchronous campaigns ask
     until none is idle (a fixpoint), a synchronous one its next batch once the
-    pool is empty (the barrier).  ``propose`` is a driver's proposal hook;
-    ``None`` uses the strategy's own proposal, as the hooks do by default."""
+    pool is empty (the barrier).  The points are the campaign strategy's."""
     if campaign.strategy.kind != "sync":
         while not campaign.exhausted and pool.idle_count > 0:
-            campaign.ask(_propose=propose, _issue=lambda x: submit(pool, obs, x))
+            campaign.ask(_issue=lambda x: submit(pool, obs, x))
         return
     if campaign.exhausted or pool.busy_count:
         return
@@ -75,9 +75,7 @@ def refill(campaign: Campaign, pool, obs, propose=None) -> None:
     batch = math.ceil(doe / size) + math.ceil((issued - doe) / size)
     end = campaign.n_init if campaign.in_doe else campaign.max_evals
     campaign.ask(
-        min(size, end - issued),
-        _propose=propose,
-        _issue=lambda x: submit(pool, obs, x, batch=batch),
+        min(size, end - issued), _issue=lambda x: submit(pool, obs, x, batch=batch)
     )
 
 
@@ -196,12 +194,8 @@ class BODriverBase:
         self._since_checkpoint = 0
         # The ask/tell core: proposal pipeline, pending-point bookkeeping,
         # failure-policy state, and the journal all live here.
-        self.campaign = self._new_campaign(label, obs=self.obs, embedded=True, **kwargs)
+        self.campaign = make_campaign(label, problem, obs=self.obs, embedded=True, **kwargs)
         self.algorithm_name = self.campaign.algorithm
-
-    def _new_campaign(self, label: str, **kwargs) -> Campaign:
-        """The campaign for ``label`` (GP-Hedge, with no family, overrides it)."""
-        return make_campaign(label, self.problem, **kwargs)
 
     # ------------------------------------------------------- campaign state
     @property
@@ -266,35 +260,20 @@ class BODriverBase:
         boundary would.
         """
         campaign = self.campaign
-        refill(campaign, pool, self.obs, self._proposer(pool))
+        refill(campaign, pool, self.obs)
         iteration = 0
         while not campaign.exhausted:
             # One Alg. 1 cycle: wait for any worker, absorb, refill idle
             # slots (each refill nests fit/hallucinate/acquisition spans).
             with self.obs.span("iteration", index=iteration):
                 self._consume(pool, self._wait(pool))
-                refill(campaign, pool, self.obs, self._proposer(pool))
+                refill(campaign, pool, self.obs)
             self.obs.inc("driver.iterations")
             iteration += 1
         while pool.busy_count:
             with self.obs.span("drain"):
                 self._consume(pool, self._wait(pool))
         return self._package(pool)
-
-    def _proposer(self, pool):
-        """The proposal hook each :func:`refill` hands to :meth:`Campaign.ask`."""
-        return lambda: self._propose_async(pool)
-
-    def _propose_async(self, pool) -> np.ndarray:
-        """One Alg. 1 iteration of model refinement and point selection.
-
-        Thin hook over :meth:`Campaign.propose` — the campaign's pending set
-        mirrors ``pool.pending_points()`` point-for-point, so the Eq. 9
-        hallucination sees the same matrix it always did.  Subclasses
-        (constrained, cost-aware) override this to plug their side models
-        into :meth:`AsyncBatchStrategy.propose`.
-        """
-        return self.campaign.propose()
 
     def _wait(self, pool) -> Completion:
         """Block on ``pool.wait_next()`` under a ``wait`` span."""

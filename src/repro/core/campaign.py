@@ -14,18 +14,17 @@ an explicit ask/tell object whose state is a value:
 * :meth:`Campaign.tell` folds one observation back in, applying the failure
   policy (impute / drop / budget-neutral orphan reissue).
 
-The ``SequentialBO`` / ``AsynchronousBatchBO`` / ``SynchronousBatchBO``
-drivers are thin loops over the Campaign :func:`make_campaign` builds for
-their label (byte-for-byte equal to the golden trajectories — see
-``tests/test_campaign_equivalence.py``) and write their crash-safe journal
+Every BO driver is a thin loop over the Campaign :func:`make_campaign`
+builds for its label (byte-for-byte equal to the golden trajectories — see
+``tests/test_campaign_equivalence.py``) and writes its crash-safe journal
 through it, and :mod:`repro.distributed.server` serves
 many concurrent Campaigns over the framed socket RPC.  Every journal is the
 same event log (``campaign_start`` / ``doe`` / ``ask`` / ``tell`` /
 ``campaign_end``), replayed by one loop (:meth:`Campaign._replay`).
 
-Proposal logic lives in per-family strategy objects (:class:`SequentialStrategy`,
-:class:`AsyncBatchStrategy`, :class:`SyncBatchStrategy`) so the same pipeline
-backs both the embedded drivers and standalone campaigns.
+Proposals come only from per-family :class:`Strategy` objects, side models
+included, so the same pipeline backs the drivers, standalone campaigns and
+the server for every BO label.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ __all__ = [
     "Campaign",
     "CampaignError",
     "CampaignExhausted",
+    "Strategy",
     "SequentialStrategy",
     "AsyncBatchStrategy",
     "SyncBatchStrategy",
@@ -116,10 +116,30 @@ def _pareto_front_mask(scores: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Per-family proposal strategies.  Each receives the Campaign ("core") and
-# uses only its public surface: session, rng, pending_matrix, maximize,
-# standardized_best, cold_point.
+# uses only its public surface: session, rng, obs, pending_matrix, maximize,
+# standardized_best, cold_point, cold_block.
 # --------------------------------------------------------------------------
-class SequentialStrategy:
+class Strategy:
+    """The protocol every family strategy follows.
+
+    One-point kinds (``"sequential"``, ``"async"``) implement
+    ``propose(core)``; the synchronous kind implements ``select(core, n)``.
+    Side state lives in ``side_models`` (``snapshot()``/``restore()``
+    objects, journaled with every ask) and is fed by :meth:`absorb`, which
+    runs after every observation enters the surrogate, live and on replay.
+    """
+
+    kind: str
+
+    @property
+    def side_models(self) -> list:
+        return []
+
+    def absorb(self, core: "Campaign", x, result) -> None:
+        """Fold one observation into the side datasets (none by default)."""
+
+
+class SequentialStrategy(Strategy):
     """One-at-a-time proposals with a pluggable acquisition rule."""
 
     kind = "sequential"
@@ -160,7 +180,7 @@ class SequentialStrategy:
         return core.maximize(self.make_acquisition(core))
 
 
-class AsyncBatchStrategy:
+class AsyncBatchStrategy(Strategy):
     """The paper's Alg. 1 proposal with a pluggable pending-point policy.
 
     The policy decides how in-flight points shape the proposal: the default
@@ -169,7 +189,8 @@ class AsyncBatchStrategy:
     acquisition in Lipschitz balls around them, ``"pessimistic"``
     hallucinates at ``mu - beta * sigma``, and ``"none"`` ignores them
     (standard acquisition, the historical ``penalized=False``).  See
-    :mod:`repro.core.pending`.
+    :mod:`repro.core.pending`.  Subclasses with side models (constrained,
+    cost-aware) override :meth:`fit_side_models` and :meth:`reshape`.
     """
 
     kind = "async"
@@ -187,22 +208,15 @@ class AsyncBatchStrategy:
         self.penalized = self.pending_policy.name == "hallucinate"
         self.lam = float(lam)
 
-    def propose(self, core: "Campaign", *, fit=None, transform=None) -> np.ndarray:
-        """One Alg. 1 proposal.
-
-        Drivers with side models (constrained, cost-aware) plug in two
-        hooks: ``fit()`` runs right after the GP refit, so its RNG draws
-        keep their place in the stream, and ``transform(values, U)``
-        reshapes the policy's acquisition values before maximization.
-        """
+    def propose(self, core: "Campaign") -> np.ndarray:
+        """One Alg. 1 proposal."""
         if core.session.n_observations < 2:
             # The whole initial design may still be in flight (B >= n_init);
             # the GP has nothing to say yet, so explore uniformly — but never
             # re-issue a point that is already under evaluation.
             return core.cold_point()
         core.session.refit()
-        if fit is not None:
-            fit()
+        self.fit_side_models(core)
         policy = self.pending_policy
         pending = core.pending_matrix()
         model = policy.model(core.session, pending)
@@ -210,16 +224,18 @@ class AsyncBatchStrategy:
         acquisition = policy.wrap(
             core.session, model, WeightedAcquisition(w), pending, rng=core.rng
         )
-        if transform is not None:
-            inner = acquisition
+        return core.maximize(self.reshape(acquisition), model=model)
 
-            def acquisition(m, U):
-                return transform(inner(m, U), U)
+    def fit_side_models(self, core: "Campaign") -> None:
+        """Refit the side models; runs right after the GP refit, so their
+        RNG draws keep their place in the stream (none by default)."""
 
-        return core.maximize(acquisition, model=model)
+    def reshape(self, acquisition):
+        """The acquisition to maximize, given the pending policy's one."""
+        return acquisition
 
 
-class SyncBatchStrategy:
+class SyncBatchStrategy(Strategy):
     """Synchronous batch selection: pBO / pHCBO / EasyBO-S(P) / BUCB / LP / MACE."""
 
     kind = "sync"
@@ -234,7 +250,7 @@ class SyncBatchStrategy:
         lam: float = EASYBO_LAMBDA,
         ucb_kappa: float = 2.0,
         hc_d: float | None = None,
-        dim: int | None = None,
+        dim: int,
     ):
         strategy = strategy.lower()
         if strategy not in self.STRATEGIES:
@@ -246,19 +262,12 @@ class SyncBatchStrategy:
         self.lam = float(lam)
         self.ucb_kappa = float(ucb_kappa)
         self.hc_d = hc_d
-        self._hc = (
-            HighCoveragePenalty(dim, d=hc_d)
-            if strategy == "phcbo" and dim is not None
-            else None
-        )
+        self._hc = HighCoveragePenalty(dim, d=hc_d) if strategy == "phcbo" else None
 
-    def _coverage(self, core: "Campaign") -> HighCoveragePenalty:
-        if self._hc is None:
-            self._hc = HighCoveragePenalty(core.session.dim, d=self.hc_d)
-        return self._hc
-
-    def propose(self, core: "Campaign") -> np.ndarray:
-        return self.select(core, 1)[0]
+    @property
+    def side_models(self) -> list:
+        """pHCBO's per-slot coverage history."""
+        return [] if self._hc is None else [self._hc]
 
     def select(self, core: "Campaign", n_points: int) -> list[np.ndarray]:
         """Choose ``n_points`` query points for the next batch."""
@@ -266,6 +275,11 @@ class SyncBatchStrategy:
             # Too many dropped failures for the GP: fall back to uniform
             # exploration for this batch.
             return core.cold_block(n_points)
+        with core.obs.span("select-batch", n_points=n_points):
+            return self.model_batch(core, n_points)
+
+    def model_batch(self, core: "Campaign", n_points: int) -> list[np.ndarray]:
+        """The batch the refitted GP picks (ablations override this)."""
         model = core.session.refit()
         if self.strategy == "pbo":
             return [
@@ -331,7 +345,7 @@ class SyncBatchStrategy:
         The penalty and the weighted acquisition are combined on the unit
         cube; each slot's chosen point is recorded for the next batches.
         """
-        hc = self._coverage(core)
+        hc = self._hc
         points = []
         for slot, w in enumerate(pbo_weights(self.batch_size)[:n_points]):
             base = WeightedAcquisition(w)
@@ -373,7 +387,9 @@ class SyncBatchStrategy:
         gradient norm of the posterior mean over a random probe set
         (Gonzalez et al. 2016, eq. 11 simplified).
         """
-        lipschitz = self._estimate_lipschitz(core, model)
+        lipschitz = LocalPenalisationPolicy.estimate_lipschitz(
+            model, core.session.dim, core.rng
+        )
         best_std = core.standardized_best()
         ei = ExpectedImprovement(best_std)
         factor = LocalPenalisationPolicy.penalisation_factor
@@ -399,12 +415,6 @@ class SyncBatchStrategy:
             points.append(core.session.to_physical(u_best.reshape(1, -1))[0])
         return points
 
-    def _estimate_lipschitz(self, core, model, n_probes: int = 256) -> float:
-        """Max-norm finite-difference gradient of the posterior mean."""
-        return LocalPenalisationPolicy.estimate_lipschitz(
-            model, core.session.dim, core.rng, n_probes
-        )
-
 
 # --------------------------------------------------------------------------
 # The Campaign itself.
@@ -425,19 +435,14 @@ class Campaign:
     also journals the pool facts (issue slot, evaluation record, clock) that
     :func:`repro.core.recovery.reconcile` needs to restore the pool.
 
-    Drivers with side models (constraint slacks, evaluation costs) hook in
-    two ways: ``on_absorb(x, result)`` runs after every observation (real or
-    imputed) enters the surrogate — live and on replay — to keep their
-    datasets aligned, and the objects in ``side_models`` (their
-    :class:`~repro.core.surrogate.SideGP` models, or pHCBO's coverage
-    history) have their ``snapshot()`` journaled with every ask and
-    ``restore()``-d at resume.
+    The ``strategy`` is the only source of proposals; its side state rides
+    the journal too (see :class:`Strategy`).
     """
 
     def __init__(
         self,
         problem: Problem,
-        strategy=None,
+        strategy: Strategy,
         *,
         n_init: int = 20,
         max_evals: int = 150,
@@ -492,8 +497,6 @@ class Campaign:
         self.reissue_counts: dict[bytes, int] = {}
         self.last_action: tuple[str | None, float | None] = (None, None)
         self.finished = False
-        self.on_absorb = None
-        self.side_models: list = []
         self._pending_failure_action: str | None = None
         self._embedded = bool(embedded)
         self._config: dict = {}
@@ -528,6 +531,11 @@ class Campaign:
     @property
     def n_observations(self) -> int:
         return self.session.n_observations
+
+    @property
+    def side_models(self) -> list:
+        """The strategy's side models, journaled with every ask."""
+        return self.strategy.side_models
 
     def best(self) -> tuple[np.ndarray, float] | None:
         """Best observation so far, or ``None`` before any data."""
@@ -591,36 +599,42 @@ class Campaign:
 
     # ------------------------------------------------------------- ask/tell
     def ask(self, n: int | None = None, *, request_id: str | None = None,
-            _propose=None, _issue=None):
+            _issue=None):
         """Return the next point (``n=None``) or batch of ``n`` points.
 
         Initial-design rows are served first; afterwards the family strategy
         runs the refit/hallucinate/acquisition pipeline.  Asked points are
         tracked as pending until the matching :meth:`tell`; a batch from a
         one-point family (sequential, asynchronous) is ``n`` successive
-        proposals, each seeing the earlier ones as pending.  ``request_id``
-        rides along in the journal event so the campaign server can rebuild
-        its idempotent reply cache after a restart (a retried ``ask`` whose
-        reply was lost replays the journaled points instead of issuing new
-        ones).  ``_propose`` and ``_issue`` are the hooks of the loop step in
-        :mod:`repro.core.bo`, not part of the public surface: ``_propose``
-        routes proposals through a driver's overridable methods (one point
-        per call, or the whole batch of ``n`` for the synchronous family),
-        and ``_issue(x)`` submits each point to the pool and returns the
-        issue facts (index, worker, issue time, batch) journaled with the
-        ask, so the record is written once the points are really in flight.
+        proposals, each seeing the earlier ones as pending.  Past its design
+        a synchronous campaign is asked in whole batches only,
+        ``ask(min(B, max_evals - issued))``: any other ask, like ``n < 1``,
+        raises :class:`CampaignError` before any state changes.
+        ``request_id`` rides along in the journal event so the campaign
+        server can rebuild its idempotent reply cache after a restart (a
+        retried ``ask`` whose reply was lost replays the journaled points
+        instead of issuing new ones).  ``_issue`` is the hook of the loop
+        step in :mod:`repro.core.bo`, not part of the public surface:
+        ``_issue(x)`` submits each point to the pool and returns the issue
+        facts (index, worker, issue time, batch) journaled with the ask, so
+        the record is written once the points are really in flight.
         """
         if self.exhausted:
             raise CampaignExhausted(
                 f"campaign {self.algorithm!r} has issued its whole budget "
                 f"({self.max_evals} evaluations)"
             )
+        size = min(1 if n is None else int(n), self.max_evals - self.issued)
+        if size < 1:
+            raise CampaignError("ask(n) needs n >= 1")
+        whole = min(self.batch_size, self.max_evals - self.issued)
+        if self.strategy.kind == "sync" and not self.in_doe and size != whole:
+            raise CampaignError(
+                f"synchronous campaign {self.algorithm!r} is asked in whole "
+                f"batches past its design: ask({whole})"
+            )
         self.start()
-        if n is None:
-            points = [self._one(_propose)]
-            self._note_asked(points)
-        else:
-            points = self._block(int(n), _propose)
+        points = self._block(size)
         issued = None if _issue is None else [_issue(p) for p in points]
         if not self._embedded:
             self.obs.inc("campaign.asks")
@@ -640,30 +654,19 @@ class Campaign:
             self._journal.append(event)
         return points[0] if n is None else points
 
-    def _one(self, propose) -> np.ndarray:
-        if self.in_doe:
-            return np.asarray(self.design[self.issued], dtype=float)
-        if propose is not None:
-            return np.asarray(propose(), dtype=float)
-        return np.asarray(self.strategy.propose(self), dtype=float)
-
-    def _block(self, n: int, propose) -> list[np.ndarray]:
-        """Up to ``n`` points (fewer at the budget or the design's end), marked pending."""
-        if n < 1:
-            raise ValueError("ask(n) needs n >= 1")
-        n = min(n, self.max_evals - self.issued)
+    def _block(self, n: int) -> list[np.ndarray]:
+        """``n`` points (fewer at the design's end), marked pending."""
         if self.in_doe:
             end = min(self.issued + n, self.n_init)
             points = [np.asarray(row, dtype=float) for row in self.design[self.issued:end]]
         elif self.strategy.kind == "sync":
-            batch = propose(n) if propose is not None else self.strategy.select(self, n)
-            points = [np.asarray(p, dtype=float) for p in batch]
+            points = [np.asarray(p, dtype=float) for p in self.strategy.select(self, n)]
         else:
             # Mark each member pending before proposing the next: the same
             # points, pending order and RNG stream as n one-point asks.
             points = []
             for _ in range(n):
-                points.append(self._one(propose))
+                points.append(np.asarray(self.strategy.propose(self), dtype=float))
                 self._note_asked(points[-1:])
             return points
         self._note_asked(points)
@@ -768,11 +771,10 @@ class Campaign:
         return False
 
     def _observe(self, x, result, action: str, value) -> bool:
-        """Add one observation (real or imputed) and run the absorb hook."""
+        """Add one observation (real or imputed); the strategy absorbs it too."""
         self.session.add(x, value)
         self.last_action = (action, float(value))
-        if self.on_absorb is not None:
-            self.on_absorb(x, result)
+        self.strategy.absorb(self, x, result)
         return True
 
     def imputed_fom(self) -> float:
@@ -792,10 +794,6 @@ class Campaign:
         return None
 
     # --------------------------------------------------- strategy utilities
-    def propose(self) -> np.ndarray:
-        """Run the family strategy once (without budget bookkeeping)."""
-        return self.strategy.propose(self)
-
     def maximize(self, acquisition, model=None) -> np.ndarray:
         """Maximize an acquisition on the unit cube; return a physical point."""
         scorer = self.session.acquisition_on_unit(acquisition, model=model)
@@ -894,7 +892,7 @@ class Campaign:
 
         Told observations re-enter the surrogate in their original order
         through the same path as live tells (imputed values included, the
-        ``on_absorb`` hook too), the hyperparameter snapshot and the
+        strategy's ``absorb`` too), the hyperparameter snapshot and the
         bit-exact RNG state come from the last ask, and asked-but-untold
         points come back as pending.  Integrity ``checkpoint`` records are
         verified against the replayed dataset.
@@ -952,9 +950,9 @@ _LABEL_RE = re.compile(r"^(?P<family>[a-zA-Z][a-zA-Z-]*?)(?:-(?P<batch>\d+))?$")
 class Family(NamedTuple):
     """One label family: the driver that runs it, its strategy, its name."""
 
-    #: ``"sequential"``, ``"async"``, ``"sync"`` (the ask/tell families),
-    #: ``"constrained"`` / ``"cost-aware"`` (async drivers with side
-    #: models), or ``"portfolio"`` / ``"de"`` / ``"random"``.
+    #: ``"sequential"``, ``"async"``, ``"sync"``, ``"constrained"`` /
+    #: ``"cost-aware"`` (async with side models), ``"portfolio"`` (sequential
+    #: GP-Hedge) — the ask/tell families — or ``"de"`` / ``"random"``.
     driver: str
     #: Acquisition (sequential), pending policy (async), or batch rule (sync).
     strategy: str | None
@@ -998,7 +996,8 @@ FAMILIES = {
 def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
     """Resolve a paper-style label into its :class:`Family` and batch size.
 
-    Case-insensitive; a trailing ``-<int>`` is the batch size, at least 1.
+    Case-insensitive; a trailing ``-<int>`` is the batch size, at least 1
+    (always 1 for the sequential families and GP-Hedge).
     Plain ``EasyBO`` at B=1 is the sequential driver unless a
     ``pending_policy`` asks for the asynchronous one (the sequential driver
     has no pending set to apply a policy to); other families without a
@@ -1026,7 +1025,7 @@ def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
             "pending_policy applies to the asynchronous EasyBO family "
             f"only, not to {label!r}"
         )
-    return family, 1 if family.driver == "sequential" else batch
+    return family, 1 if family.driver in ("sequential", "portfolio") else batch
 
 
 def policy_family(policy: str) -> Family:
@@ -1041,7 +1040,8 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
     """The journaled config that rebuilds ``campaign`` from its label.
 
     The ``campaign_start`` record carries it; ``knobs`` are the family
-    parameters (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``).  The whole
+    parameters (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, plus
+    ``cost_exponent`` for caEasyBO and ``eta`` for GP-Hedge).  The whole
     failure policy rides along, so a resumed driver or server campaign
     rebuilds its pool with the same retries, timeout and lease.
     """
@@ -1069,48 +1069,70 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
 def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     """Build a :class:`Campaign` from a paper-style label.
 
-    The one place a label becomes a campaign: its strategy, display name,
-    batch size and journaled config.  Accepts the same labels as
-    :func:`repro.core.easybo.make_algorithm` for the BO families
-    (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``, ...), and every BO driver
-    builds its campaign here too (``embedded=True``); the non-ask/tell
-    baselines (DE, random search, portfolio) have no campaign form, and the
-    drivers with side models (cEasyBO, caEasyBO) rename the asynchronous
-    one.  Keyword arguments are Campaign constructor kwargs (a dict
-    ``failure_policy``, as journaled, is accepted) plus the family knobs
-    ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` and, for the
-    asynchronous EasyBO family, ``pending_policy`` (a name from
+    The one place a label becomes a campaign: its strategy (side models
+    included), display name, batch size and journaled config.  Accepts
+    every BO label of :func:`repro.core.easybo.make_algorithm`
+    (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``, ``"cEasyBO-3"``,
+    ``"GP-Hedge"``, ...), and every BO driver builds its campaign here too
+    (``embedded=True``); only the non-BO baselines (DE, random search) have
+    no campaign form.  Keyword arguments are Campaign constructor kwargs (a
+    dict ``failure_policy``, as journaled, is accepted) plus the family
+    knobs ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, ``cost_exponent``
+    (caEasyBO), ``eta`` (GP-Hedge) and, for the asynchronous families,
+    ``pending_policy`` (a name from
     :data:`repro.core.pending.PENDING_POLICIES` or a policy instance) —
     equivalently spelled as a label: ``"EasyBO-LP-5"`` / ``"EasyBO-PESS-5"``
-    / ``"EasyBO-A-5"``.
+    / ``"EasyBO-A-5"`` (cEasyBO and caEasyBO keep their name).
     """
     pending_policy = kwargs.pop("pending_policy", None)
     family, batch = parse_label(label, pending_policy)
+    if family.driver in ("de", "random"):
+        raise ValueError(
+            f"algorithm family {family.display!r} has no ask/tell campaign form"
+        )
     knobs = {
         "lam": float(kwargs.pop("lam", EASYBO_LAMBDA)),
         "ucb_kappa": float(kwargs.pop("ucb_kappa", 2.0)),
         "ei_xi": float(kwargs.pop("ei_xi", 0.0)),
         "hc_d": kwargs.pop("hc_d", None),
     }
+    # Knobs of one family are journaled for that family alone.
+    if family.driver == "cost-aware":
+        knobs["cost_exponent"] = float(kwargs.pop("cost_exponent", 1.0))
+    elif family.driver == "portfolio":
+        knobs["eta"] = float(kwargs.pop("eta", 1.0))
+    # Side models draw from the campaign's own generator.
+    rng = kwargs["rng"] = as_generator(kwargs.get("rng"))
+    async_kwargs = dict(lam=knobs["lam"], pending_policy=pending_policy or family.strategy)
     if family.driver == "sequential":
         strategy = SequentialStrategy(
             family.strategy, lam=knobs["lam"], ucb_kappa=knobs["ucb_kappa"],
             ei_xi=knobs["ei_xi"],
         )
-    elif family.driver == "async":
-        strategy = AsyncBatchStrategy(
-            lam=knobs["lam"], pending_policy=pending_policy or family.strategy
-        )
-        family = policy_family(strategy.pending_policy.name)
     elif family.driver == "sync":
         strategy = SyncBatchStrategy(
             family.strategy, batch_size=batch, lam=knobs["lam"],
             ucb_kappa=knobs["ucb_kappa"], hc_d=knobs["hc_d"], dim=problem.dim,
         )
-    else:
-        raise ValueError(
-            f"algorithm family {family.display!r} has no ask/tell campaign form"
+    elif family.driver == "portfolio":
+        from repro.core.portfolio import HedgeStrategy
+
+        strategy = HedgeStrategy(
+            eta=knobs["eta"], ucb_kappa=knobs["ucb_kappa"], ei_xi=knobs["ei_xi"]
         )
+    elif family.driver == "constrained":
+        from repro.core.constrained import ConstrainedStrategy
+
+        strategy = ConstrainedStrategy(problem, rng, **async_kwargs)
+    elif family.driver == "cost-aware":
+        from repro.core.cost_aware import CostAwareStrategy
+
+        strategy = CostAwareStrategy(
+            problem.dim, rng, cost_exponent=knobs["cost_exponent"], **async_kwargs
+        )
+    else:
+        strategy = AsyncBatchStrategy(**async_kwargs)
+        family = policy_family(strategy.pending_policy.name)
     policy = kwargs.pop("failure_policy", None)
     if isinstance(policy, dict):
         policy = FailurePolicy(**policy)
@@ -1123,8 +1145,6 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
         **kwargs,
     )
     campaign._config = campaign_config(campaign, **knobs)
-    if isinstance(strategy, SyncBatchStrategy) and strategy._hc is not None:
-        campaign.side_models = [strategy._hc]
     return campaign
 
 

@@ -13,7 +13,8 @@ Gelbart et al. 2014]:
 * the incumbent is the best *feasible* observation.
 
 A :class:`ConstrainedProblem` reports constraint slacks alongside the FOM;
-positive slack means satisfied.
+positive slack means satisfied.  :class:`ConstrainedStrategy` holds the
+constraint GPs and slacks; :class:`ConstrainedEasyBO` only names its label.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import numpy as np
 from scipy import stats
 
 from repro.core.async_batch import AsynchronousBatchBO
-from repro.core.campaign import FAMILIES
+from repro.core.campaign import AsyncBatchStrategy
 from repro.core.problem import EvaluationResult, Problem
 from repro.core.surrogate import SideGP
 
-__all__ = ["ConstraintSpec", "ConstrainedProblem", "ConstrainedEasyBO"]
+__all__ = ["ConstraintSpec", "ConstrainedProblem", "ConstrainedStrategy",
+           "ConstrainedEasyBO"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,33 +81,32 @@ class _ConstraintModel(SideGP):
         return stats.norm.cdf((mu - threshold) / np.maximum(sigma, 1e-12))
 
 
-class ConstrainedEasyBO(AsynchronousBatchBO):
+class ConstrainedStrategy(AsyncBatchStrategy):
     """EasyBO with probability-of-feasibility constraint handling.
 
-    The driver tracks a GP per constraint; the Eq. 9 acquisition value is
+    The strategy tracks a GP per constraint; the Eq. 9 acquisition value is
     shifted to be positive and multiplied by the joint feasibility
     probability, so infeasible regions are suppressed smoothly while the
     asynchronous machinery (busy-point hallucination included) is unchanged.
     """
 
-    def __init__(self, problem: ConstrainedProblem, **kwargs):
+    def __init__(self, problem: ConstrainedProblem, rng, **kwargs):
         if not isinstance(problem, ConstrainedProblem):
             raise TypeError("ConstrainedEasyBO needs a ConstrainedProblem")
-        super().__init__(problem, **kwargs)
-        self.algorithm_name = FAMILIES["ceasybo"].label(self.batch_size)
-        self.campaign.algorithm = self.algorithm_name
+        super().__init__(**kwargs)
         self._constraint_models = [
-            _ConstraintModel(self.session.dim, self.rng)
-            for _ in problem.constraint_specs
+            _ConstraintModel(problem.dim, rng) for _ in problem.constraint_specs
         ]
         self._slacks: list[np.ndarray] = []
-        self.campaign.on_absorb = self._record_slack
-        self.campaign.side_models = self._constraint_models
+
+    @property
+    def side_models(self) -> list:
+        return self._constraint_models
 
     # -------------------------------------------------------------- dataset
-    def _record_slack(self, x, result) -> None:
+    def absorb(self, core, x, result) -> None:
         if result.ok:
-            slack = self.problem.constraint_vector(result)
+            slack = core.problem.constraint_vector(result)
         else:
             # Imputed failure: no metrics to read slacks from.  Treat the
             # point as maximally infeasible so the feasibility model also
@@ -120,29 +121,27 @@ class ConstrainedEasyBO(AsynchronousBatchBO):
             return np.minimum(worst, -np.abs(worst) - 1.0)
         return np.full(n, -1.0)
 
-    def _fit_constraints(self) -> None:
-        U = self.session.transform.to_unit(self.session.X)
+    def fit_side_models(self, core) -> None:
+        U = core.session.transform.to_unit(core.session.X)
         slacks = np.vstack(self._slacks)
         for i, model in enumerate(self._constraint_models):
             model.fit(U, slacks[:, i])
 
     # ------------------------------------------------------------- proposal
-    def _weigh_feasibility(self, values: np.ndarray, U: np.ndarray) -> np.ndarray:
-        # Shift to positive before weighting by feasibility, so the
-        # product cannot reward infeasibility via negative values.
-        values = values - values.min() + 1e-9
-        for constraint in self._constraint_models:
-            values = values * constraint.feasibility_probability(U)
-        return values
+    def reshape(self, acquisition):
+        def weighted(model, U):
+            # Shift to positive before weighting by feasibility, so the
+            # product cannot reward infeasibility via negative values.
+            values = acquisition(model, U)
+            values = values - values.min() + 1e-9
+            for constraint in self._constraint_models:
+                values = values * constraint.feasibility_probability(U)
+            return values
 
-    def _propose_async(self, pool) -> np.ndarray:
-        return self.campaign.strategy.propose(
-            self.campaign, fit=self._fit_constraints,
-            transform=self._weigh_feasibility,
-        )
+        return weighted
 
     # --------------------------------------------------------------- report
-    def best_feasible(self) -> tuple[np.ndarray, float] | None:
+    def best_feasible(self, core) -> tuple[np.ndarray, float] | None:
         """Best observation with every constraint satisfied, if any."""
         if not self._slacks:
             return None
@@ -150,7 +149,18 @@ class ConstrainedEasyBO(AsynchronousBatchBO):
         feasible = np.all(slacks >= 0.0, axis=1)
         if not feasible.any():
             return None
-        y = self.session.y
-        X = self.session.X
+        y = core.session.y
+        X = core.session.X
         idx = int(np.argmax(np.where(feasible, y, -np.inf)))
         return X[idx].copy(), float(y[idx])
+
+
+class ConstrainedEasyBO(AsynchronousBatchBO):
+    """The asynchronous driver of :class:`ConstrainedStrategy` (``cEasyBO-B``);
+    the problem must be a :class:`ConstrainedProblem`."""
+
+    family = "cEasyBO"
+
+    def best_feasible(self) -> tuple[np.ndarray, float] | None:
+        """Best observation with every constraint satisfied, if any."""
+        return self.campaign.strategy.best_feasible(self.campaign)

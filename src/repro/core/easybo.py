@@ -11,7 +11,8 @@
 :func:`make_algorithm` turns the paper's row labels ("pBO-5", "EasyBO-SP-10",
 "DE", "LCB", ...) into configured drivers, which is how the Table I/II benches
 enumerate their grids; the facade's modes are labels too.  Every BO driver
-builds its campaign with :func:`~repro.core.campaign.make_campaign`.
+builds its campaign with :func:`~repro.core.campaign.make_campaign`, whose
+strategy (side models included) is the only source of proposals.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from repro.baselines.random_search import RandomSearch
 from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.bo import SequentialBO
 from repro.core.campaign import FAMILIES, parse_label
+from repro.core.constrained import ConstrainedEasyBO
+from repro.core.cost_aware import CostAwareEasyBO
+from repro.core.portfolio import PortfolioBO
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.core.sync_batch import SynchronousBatchBO
@@ -121,8 +125,9 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
     are forwarded to the driver, whose campaign
     :func:`~repro.core.campaign.make_campaign` builds from the same label
     and knobs (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` /
-    ``pending_policy``), so a journaled config round-trips.  DE and random
-    search cannot resume and refuse ``journal=``.
+    ``pending_policy`` / ``cost_exponent`` / ``eta``), so a journaled config
+    round-trips.  DE and random search cannot resume and refuse
+    ``journal=``.
     """
     family, batch = parse_label(label, kwargs.get("pending_policy"))
     if family.driver in ("de", "random"):
@@ -136,8 +141,6 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
             allowed += ("pop_size", "f", "cr")
         return cls(problem, **{k: v for k, v in kwargs.items() if k in allowed})
     if family.driver == "portfolio":
-        from repro.core.portfolio import PortfolioBO
-
         return PortfolioBO(problem, **kwargs)
     if family.driver == "sequential":
         return SequentialBO(problem, acquisition=family.strategy, **kwargs)
@@ -147,10 +150,7 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
         )
     if kwargs.get("pending_policy") is None:
         kwargs["pending_policy"] = family.strategy
-    if family.driver == "constrained":
-        from repro.core.constrained import ConstrainedEasyBO as cls
-    elif family.driver == "cost-aware":
-        from repro.core.cost_aware import CostAwareEasyBO as cls
-    else:
-        cls = AsynchronousBatchBO
+    cls = {"constrained": ConstrainedEasyBO, "cost-aware": CostAwareEasyBO}.get(
+        family.driver, AsynchronousBatchBO
+    )
     return cls(problem, batch_size=batch, **kwargs)

@@ -1,11 +1,14 @@
 """GP-Hedge acquisition portfolio (the paper's reference [31]).
 
 The paper notes that "a portfolio of several acquisition functions is also
-possible" [Hoffman, Brochu & de Freitas, UAI 2011].  This driver implements
-GP-Hedge on top of the sequential loop: each iteration every portfolio member
-nominates a candidate, one nomination is played with probability proportional
-to ``exp(eta * gain)``, and every member's gain is updated afterwards by the
-posterior mean at *its own* nominee.
+possible" [Hoffman, Brochu & de Freitas, UAI 2011].  :class:`HedgeStrategy`
+implements GP-Hedge as a sequential campaign strategy: each proposal every
+portfolio member nominates a candidate, one nomination is played with
+probability proportional to ``exp(eta * gain)``, and every member's gain is
+updated by the posterior mean at *its own* nominee.  The gains are the
+strategy's side state, journaled with every ask, so GP-Hedge resumes and
+runs on the campaign server like any other label; :class:`PortfolioBO` is
+the driver that names it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,65 @@ from repro.core.acquisition import (
     UpperConfidenceBound,
 )
 from repro.core.bo import BODriverBase
-from repro.core.campaign import Campaign
-from repro.core.doe import random_design
-from repro.core.results import RunResult
+from repro.core.campaign import Strategy
 
-__all__ = ["PortfolioBO"]
+__all__ = ["HedgeStrategy", "PortfolioBO"]
+
+
+class HedgeStrategy(Strategy):
+    """Sequential GP-Hedge over {EI, PI, UCB}; its own side model."""
+
+    kind = "sequential"
+
+    def __init__(self, *, eta: float = 1.0, ucb_kappa: float = 2.0,
+                 ei_xi: float = 0.0):
+        if eta <= 0:
+            raise ValueError("eta must be positive")
+        self.eta = float(eta)
+        self.ucb_kappa = float(ucb_kappa)
+        self.ei_xi = float(ei_xi)
+        self.member_names = ("EI", "PI", "UCB")
+        self.gains = np.zeros(len(self.member_names))
+        #: How many times each member's nominee was played (diagnostics).
+        self.plays = dict.fromkeys(self.member_names, 0)
+
+    @property
+    def side_models(self) -> list:
+        return [self]
+
+    def snapshot(self) -> dict:
+        """Gains (exact through JSON) and play counts, journaled with every ask."""
+        return {"gains": [float(g) for g in self.gains], "plays": dict(self.plays)}
+
+    def restore(self, snap: dict) -> None:
+        self.gains = np.asarray(snap["gains"], dtype=float)
+        self.plays = {name: int(snap["plays"][name]) for name in self.member_names}
+
+    def _probabilities(self) -> np.ndarray:
+        logits = self.eta * (self.gains - self.gains.max())
+        weights = np.exp(logits)
+        return weights / weights.sum()
+
+    def propose(self, core) -> np.ndarray:
+        if core.session.n_observations < 2:
+            # Dropped failures can starve the GP; explore uniformly (no
+            # Hedge update — no nominees were scored).
+            return core.cold_point()
+        model = core.session.refit()
+        best = core.standardized_best()
+        members = (
+            ExpectedImprovement(best, xi=self.ei_xi),
+            ProbabilityOfImprovement(best, xi=self.ei_xi),
+            UpperConfidenceBound(self.ucb_kappa),
+        )
+        nominees = [core.maximize(acq, model=model) for acq in members]
+        choice = int(core.rng.choice(len(nominees), p=self._probabilities()))
+        self.plays[self.member_names[choice]] += 1
+        # Hedge update: reward every member by the posterior mean at its
+        # nominee (Hoffman et al., eq. 2), on the model that scored them.
+        U = core.session.transform.to_unit(np.vstack(nominees))
+        self.gains += model.predict(U, return_std=False)
+        return nominees[choice]
 
 
 class PortfolioBO(BODriverBase):
@@ -35,73 +92,13 @@ class PortfolioBO(BODriverBase):
     ucb_kappa / ei_xi:
         Member-acquisition parameters.
 
-    The Hedge gains are not journaled, so the portfolio cannot resume and
-    refuses ``journal=``.
+    The gains and play counts live on ``campaign.strategy``
+    (:class:`HedgeStrategy`).
     """
-
-    algorithm_name = "GP-Hedge"
 
     def __init__(self, problem, *, eta: float = 1.0, ucb_kappa: float = 2.0,
                  ei_xi: float = 0.0, **kwargs):
-        if kwargs.get("journal") is not None:
-            raise ValueError(
-                f"{self.algorithm_name} cannot resume, so it does not take journal="
-            )
-        super().__init__(problem, self.algorithm_name, **kwargs)
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        self.eta = float(eta)
-        self.ucb_kappa = float(ucb_kappa)
-        self.ei_xi = float(ei_xi)
-        self.member_names = ("EI", "PI", "UCB")
-        self.gains = np.zeros(len(self.member_names))
-        #: How many times each member's nominee was played (diagnostics).
-        self.plays = dict.fromkeys(self.member_names, 0)
-
-    def _new_campaign(self, label: str, **kwargs) -> Campaign:
-        # GP-Hedge has no ask/tell family: a bare campaign holds its data.
-        return Campaign(self.problem, algorithm=label, **kwargs)
-
-    def _members(self):
-        best = self.campaign.standardized_best()
-        return (
-            ExpectedImprovement(best, xi=self.ei_xi),
-            ProbabilityOfImprovement(best, xi=self.ei_xi),
-            UpperConfidenceBound(self.ucb_kappa),
+        super().__init__(
+            problem, "GP-Hedge", eta=eta, ucb_kappa=ucb_kappa, ei_xi=ei_xi,
+            **kwargs,
         )
-
-    def _probabilities(self) -> np.ndarray:
-        logits = self.eta * (self.gains - self.gains.max())
-        weights = np.exp(logits)
-        return weights / weights.sum()
-
-    def _evaluate(self, pool, x) -> None:
-        pool.submit(x)
-        completion = pool.wait_next()
-        self.campaign.absorb(completion.x, completion.result)
-
-    def _drive(self, pool) -> RunResult:
-        campaign = self.campaign
-        for x in campaign.design:
-            self._evaluate(pool, x)
-        evaluations = campaign.n_init
-        while evaluations < campaign.max_evals:
-            if self.session.n_observations < 2:
-                # Dropped failures can starve the GP; explore uniformly
-                # (no Hedge update — no nominees were scored).
-                self._evaluate(pool, random_design(self.problem.bounds, 1, self.rng)[0])
-                evaluations += 1
-                continue
-            model = self.session.refit()
-            nominees = [campaign.maximize(acq, model=model) for acq in self._members()]
-            probs = self._probabilities()
-            choice = int(self.rng.choice(len(nominees), p=probs))
-            self.plays[self.member_names[choice]] += 1
-            self._evaluate(pool, nominees[choice])
-            evaluations += 1
-            # Hedge update: reward every member by the *current* posterior
-            # mean at its nominee (Hoffman et al., eq. 2).
-            model = self.session.require_model()
-            U = self.session.transform.to_unit(np.vstack(nominees))
-            self.gains += model.predict(U, return_std=False)
-        return self._package(pool)

@@ -9,7 +9,7 @@ a server-evaluated campaign's.  :func:`resume` is
 
 1. rebuild the driver from the journaled label and config, and replay the
    events into its campaign — the GP training set (through the same absorb
-   path as live tells, so a driver's side datasets are rebuilt too), the
+   path as live tells, so a strategy's side datasets are rebuilt too), the
    surrogate hyperparameters and refit schedule, and the bit-exact
    ``np.random.Generator`` state;
 2. open the journaled ``n_workers`` (else B, and never fewer than the

@@ -21,9 +21,10 @@ One driver, several batch-selection strategies:
 All strategies share the synchronous schedule: the next batch is only issued
 once every member of the previous batch has finished (the barrier the paper's
 asynchronous scheme removes), which is :func:`~repro.core.bo.refill`'s rule
-for the family.  The driver names its campaign (``<strategy>-<B>``) and hands
-``refill`` its batch hook; the rules live in
-:class:`~repro.core.campaign.SyncBatchStrategy`.
+for the family.  The driver only names its campaign (``<strategy>-<B>``); the
+rules live in :class:`~repro.core.campaign.SyncBatchStrategy`, whose
+``select`` is the one source of batches for drivers, standalone campaigns and
+the server alike (ablations subclass it and override ``model_batch``).
 
 The hallucinating strategies (``easybo-sp``, ``bucb``) build each batch
 member's model through :meth:`SurrogateSession.model_with_pending`, so in
@@ -33,8 +34,6 @@ factor rather than a per-point posterior rebuild.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
 from repro.core.bo import BODriverBase
@@ -72,30 +71,3 @@ class SynchronousBatchBO(BODriverBase):
     def strategy(self) -> str:
         """The batch-selection rule (``"pbo"``, ``"easybo-sp"``, ...)."""
         return self.campaign.strategy.strategy
-
-    # -------------------------------------------------------------- selection
-    def _proposer(self, pool):
-        """The batch hook :func:`~repro.core.bo.refill` hands to ``ask``; none
-        (uniform exploration) while dropped failures leave too few points."""
-        if self.session.n_observations < 2:
-            return None
-
-        def select(n_points):
-            with self.obs.span("select-batch", n_points=n_points):
-                return self._select_batch(n_points)
-
-        return select
-
-    def _select_batch(self, n_points: int) -> list[np.ndarray]:
-        """Choose ``n_points`` query points for the next batch.
-
-        Thin hook over :meth:`SyncBatchStrategy.select`; kept overridable
-        for ablations that reshape the batch rule.
-        """
-        return self.campaign.strategy.select(self.campaign, n_points)
-
-    def _estimate_lipschitz(self, model, n_probes: int = 256) -> float:
-        """Delegate to the strategy's Lipschitz probe (kept for tests/ablations)."""
-        return self.campaign.strategy._estimate_lipschitz(
-            self.campaign, model, n_probes
-        )

@@ -70,7 +70,7 @@ import numpy as np
 from repro.core.bo import consume, refill, shutdown_pool
 from repro.core.campaign import (
     Campaign,
-    CampaignExhausted,
+    CampaignError,
     make_campaign,
     read_campaign_journal,
     resume_campaign,
@@ -776,7 +776,7 @@ class CampaignServer:
                 points = [hosted.campaign.ask(request_id=request_id)]
             else:
                 points = hosted.campaign.ask(int(n), request_id=request_id)
-        except CampaignExhausted as exc:
+        except CampaignError as exc:  # refused before any state changed
             raise ServerError(str(exc)) from None
         except Exception as exc:
             self._fail(hosted, exc)

@@ -119,6 +119,28 @@ class TestAskTellBasics:
         asks = [e for e in read_journal(path) if e["type"] == "ask"]
         assert len(asks) == 6 and len(asks[-1]["points"]) == 3
 
+    def test_sync_campaign_past_its_design_is_asked_in_whole_batches(self):
+        """A piecemeal ask would maximize pBO's first grid weight every time:
+        it is refused before any state changes, and the whole batch is not."""
+        campaign = _campaign("pBO-3", n_init=3, max_evals=9)
+        for x in [campaign.ask() for _ in range(3)]:  # design rows: one at a time
+            campaign.tell(x, campaign.problem.evaluate(x))
+        campaign.ask(3)
+        pending, rng = campaign.pending_matrix(), rng_state_to_dict(campaign.rng)
+        for n in (None, 2):
+            with pytest.raises(CampaignError, match=r"whole batches .*ask\(3\)"):
+                campaign.ask(n)
+            assert campaign.issued == 6
+            np.testing.assert_array_equal(campaign.pending_matrix(), pending)
+            assert rng_state_to_dict(campaign.rng) == rng
+        assert len(campaign.ask(3)) == 3 and campaign.exhausted
+
+    def test_ask_for_no_points_is_refused(self):
+        campaign = _campaign("EasyBO-2")
+        with pytest.raises(CampaignError, match="n >= 1"):
+            campaign.ask(0)
+        assert campaign.issued == 0 and campaign.design is None
+
 
 class TestTellActions:
     def _primed(self, **kwargs):

@@ -112,6 +112,12 @@ class TestMultiTenancy:
         assert status["state"] == "active"
         assert status["max_evals"] == CONFIG["max_evals"]
         assert client.metrics()["active"] >= 1
+        # Side-model labels are campaigns like any other.
+        constrained = client.create("cEasyBO-2", "opamp-constrained",
+                                    config=dict(rng=1, **CONFIG))
+        status = client.status(constrained)
+        assert (status["state"], status["algorithm"]) == ("active", "cEasyBO-2")
+        assert client.metrics()["active"] >= 2
 
 
 class TestWorkerLeases:
@@ -209,7 +215,8 @@ class TestServerEvaluation:
         ]
 
     @pytest.mark.parametrize(
-        "label", ["EasyBO-2", "EasyBO-LP-3", "pBO-3", "pHCBO-3", "LCB", "EasyBO-SP-2"]
+        "label", ["EasyBO-2", "EasyBO-LP-3", "pBO-3", "pHCBO-3", "LCB", "EasyBO-SP-2",
+                  "GP-Hedge", "caEasyBO-2"]
     )
     def test_virtual_pool_journal_equals_the_driver_journal(self, tmp_path, label):
         config = dict(rng=3, n_init=4, max_evals=11,
@@ -326,6 +333,23 @@ class TestFailureContainment:
         # The server keeps serving other tenants.
         other = client.create("LCB", "sphere2", config=dict(rng=3, **CONFIG))
         assert client.status(other)["state"] == "active"
+
+    def test_bad_asks_are_refused_and_the_campaign_stays_active(self, client):
+        """A piecemeal ask of a synchronous campaign past its design, and an
+        ask for no points, are the client's mistakes: refused, not fatal."""
+        problem = sphere(2)
+        sync = client.create("pBO-3", "sphere2", config=dict(rng=6, **CONFIG))
+        for x in client.ask(sync, n=3):
+            client.tell(sync, x, problem.evaluate(x))
+        with pytest.raises(CampaignServerError, match=r"whole batches .*ask\(3\)"):
+            client.ask(sync)
+        assert client.status(sync)["state"] == "active"
+        assert len(client.ask(sync, n=3)) == 3
+        cid = client.create("EasyBO-2", "sphere2", config=dict(rng=7, **CONFIG))
+        with pytest.raises(CampaignServerError, match="n >= 1"):
+            client.ask(cid, n=0)
+        assert client.status(cid)["state"] == "active"
+        assert client.status(cid)["issued"] == 0
 
     def test_create_refuses_batch_zero_label(self, client):
         with pytest.raises(CampaignServerError, match="batch size"):

@@ -124,7 +124,7 @@ class TestCli:
         assert result.returncode != 0
         assert "already completed" in result.stderr
 
-    @pytest.mark.parametrize("label", ["DE", "GP-Hedge"])
+    @pytest.mark.parametrize("label", ["DE"])
     def test_run_refuses_a_journal_it_could_not_resume(self, label, tmp_path):
         journal = tmp_path / "j.jsonl"
         result = run_cli(

@@ -62,12 +62,13 @@ class TestCostAware:
         driver.run()
         U_cheap = np.array([[0.2, 0.5]])  # x[0] = -0.6
         U_dear = np.array([[0.8, 0.5]])  # x[0] = +0.6
-        assert driver.predicted_cost(U_dear)[0] > driver.predicted_cost(U_cheap)[0]
+        strategy = driver.campaign.strategy
+        assert strategy.predicted_cost(U_dear)[0] > strategy.predicted_cost(U_cheap)[0]
 
     def test_cost_model_needs_fit(self):
         driver = CostAwareEasyBO(plateau_problem(), batch_size=2, **QUICK)
         with pytest.raises(RuntimeError):
-            driver.predicted_cost(np.array([[0.5, 0.5]]))
+            driver.campaign.strategy.predicted_cost(np.array([[0.5, 0.5]]))
 
     def test_exponent_validated(self):
         with pytest.raises(ValueError):

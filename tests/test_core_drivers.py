@@ -151,13 +151,14 @@ class TestAsynchronous:
         problem, kw = quick()
         driver = AsynchronousBatchBO(problem, batch_size=3, **kw)
         seen = []
-        original = driver._propose_async
+        strategy = driver.campaign.strategy
+        original = strategy.propose
 
-        def spy(pool):
-            seen.append(pool.pending_points().shape[0])
-            return original(pool)
+        def spy(core):
+            seen.append(core.pending_matrix().shape[0])
+            return original(core)
 
-        driver._propose_async = spy
+        strategy.propose = spy
         driver.run()
         assert seen  # model-driven phase happened
         assert all(n == 2 for n in seen)  # B - 1 busy points every time

@@ -1,5 +1,6 @@
 """Tests for the EasyBO facade and the algorithm label registry."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.de import DifferentialEvolution
@@ -7,7 +8,7 @@ from repro.baselines.random_search import RandomSearch
 from repro.circuits.benchmarks import sphere
 from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.bo import SequentialBO
-from repro.core.campaign import make_campaign
+from repro.core.campaign import FAMILIES, make_campaign
 from repro.core.easybo import EasyBO, make_algorithm
 from repro.core.sync_batch import SynchronousBatchBO
 from repro.sched.durations import ConstantCostModel
@@ -23,16 +24,22 @@ QUICK = dict(n_init=4, max_evals=10, rng=0, acq_candidates=128, acq_restarts=1)
 ASK_TELL_LABELS = [
     "EI", "PI", "LCB", "UCB", "EasyBO", "EasyBO-3", "EasyBO-A-3", "EasyBO-LP-3",
     "EasyBO-PESS-3", "pBO-3", "pHCBO-3", "EasyBO-S-3", "EasyBO-SP-3", "BUCB-3",
-    "LP-3", "MACE-3",
+    "LP-3", "MACE-3", "caEasyBO-3", "GP-Hedge",
 ]
 
 
 def settings(obj) -> dict:
-    """An object's fields, nested policy/penalty objects by type and fields."""
-    return {
-        k: (type(v).__name__, settings(v)) if hasattr(v, "__dict__") else v
-        for k, v in vars(obj).items()
-    }
+    """An object's fields, nested policy/penalty/side-model objects by type
+    and fields, arrays and generators by value."""
+
+    def value(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, np.random.Generator):
+            return v.bit_generator.state
+        return (type(v).__name__, settings(v)) if hasattr(v, "__dict__") else v
+
+    return {k: value(v) for k, v in vars(obj).items()}
 
 
 class TestFacade:
@@ -124,3 +131,16 @@ class TestRegistry:
         assert [m.snapshot() for m in driven.side_models] == [
             m.snapshot() for m in standalone.side_models
         ]
+
+    def test_make_campaign_builds_every_bo_family(self):
+        """Every family but the non-BO baselines has a campaign form."""
+        from tests.test_core_constrained import DiskProblem
+
+        for key, family in FAMILIES.items():
+            if family.driver in ("de", "random"):
+                with pytest.raises(ValueError, match="no ask/tell campaign form"):
+                    make_campaign(family.display, problem(), **QUICK)
+                continue
+            target = DiskProblem() if key == "ceasybo" else problem()
+            campaign = make_campaign(f"{family.display}-2", target, **QUICK)
+            assert campaign.algorithm == family.label(campaign.batch_size)

@@ -22,20 +22,21 @@ class TestPortfolio:
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
         driver = PortfolioBO(problem, **QUICK)
         driver.run()
-        assert sum(driver.plays.values()) == 20 - 6
-        assert all(count >= 0 for count in driver.plays.values())
+        plays = driver.campaign.strategy.plays
+        assert sum(plays.values()) == 20 - 6
+        assert all(count >= 0 for count in plays.values())
 
     def test_gains_updated(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
         driver = PortfolioBO(problem, **QUICK)
         driver.run()
-        assert np.any(driver.gains != 0.0)
+        assert np.any(driver.campaign.strategy.gains != 0.0)
 
     def test_probabilities_normalized(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
         driver = PortfolioBO(problem, **QUICK)
-        driver.gains = np.array([0.0, 5.0, -3.0])
-        probs = driver._probabilities()
+        driver.campaign.strategy.gains = np.array([0.0, 5.0, -3.0])
+        probs = driver.campaign.strategy._probabilities()
         assert probs.sum() == pytest.approx(1.0)
         assert probs[1] > probs[0] > probs[2]
 

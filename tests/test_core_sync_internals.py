@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import sphere
+from repro.core.campaign import SyncBatchStrategy
 from repro.core.faults import SimulationError
+from repro.core.pending import LocalPenalisationPolicy
 from repro.core.problem import EvaluationResult, Problem
 from repro.core.sync_batch import SynchronousBatchBO, _pareto_front_mask
 from repro.sched.durations import ConstantCostModel
@@ -66,7 +68,7 @@ class TestBatchSelection:
                                           "bucb", "lp", "mace"])
     def test_selection_returns_n_points_in_bounds(self, driver, strategy):
         primed = self._primed(driver, strategy)
-        points = primed._select_batch(4)
+        points = primed.campaign.strategy.select(primed.campaign, 4)
         assert len(points) == 4
         for x in points:
             assert x.shape == (2,)
@@ -74,7 +76,7 @@ class TestBatchSelection:
 
     def test_hallucinated_batch_is_diverse(self, driver):
         primed = self._primed(driver, "easybo-sp")
-        points = np.vstack(primed._select_batch(4))
+        points = np.vstack(primed.campaign.strategy.select(primed.campaign, 4))
         # The hallucination penalty must keep batch members apart.
         min_dist = min(
             np.linalg.norm(points[i] - points[j])
@@ -86,12 +88,14 @@ class TestBatchSelection:
     def test_lipschitz_estimate_positive(self, driver):
         primed = self._primed(driver, "lp")
         model = primed.session.refit()
-        lipschitz = primed._estimate_lipschitz(model)
+        lipschitz = LocalPenalisationPolicy.estimate_lipschitz(
+            model, primed.session.dim, primed.rng
+        )
         assert lipschitz > 0
 
     def test_mace_points_distinct(self, driver):
         primed = self._primed(driver, "mace")
-        points = np.vstack(primed._select_batch(4))
+        points = np.vstack(primed.campaign.strategy.select(primed.campaign, 4))
         assert len(np.unique(points.round(12), axis=0)) == 4
 
 
@@ -116,17 +120,19 @@ class _FailsFirst(Problem):
 
 def test_select_batch_waits_for_two_observations():
     """While dropped failures leave the GP under two observations, the
-    campaign's uniform exploration picks the batch: a ``_select_batch``
-    override never runs on a model it cannot fit."""
+    campaign's uniform exploration picks the batch: a strategy's
+    ``model_batch`` override never runs on a model it cannot fit."""
     seen = []
 
-    class Spy(SynchronousBatchBO):
-        def _select_batch(self, n_points):
-            seen.append(self.session.n_observations)
-            return super()._select_batch(n_points)
+    class Spy(SyncBatchStrategy):
+        def model_batch(self, core, n_points):
+            seen.append(core.session.n_observations)
+            return super().model_batch(core, n_points)
 
-    result = Spy(_FailsFirst(n_fail=5), batch_size=2, strategy="pbo",
-                 n_init=4, max_evals=12, rng=0, acq_candidates=32,
-                 acq_restarts=1, failure_policy={"on_failure": "drop"}).run()
+    driver = SynchronousBatchBO(_FailsFirst(n_fail=5), batch_size=2, strategy="pbo",
+                                n_init=4, max_evals=12, rng=0, acq_candidates=32,
+                                acq_restarts=1, failure_policy={"on_failure": "drop"})
+    driver.campaign.strategy = Spy("pbo", batch_size=2, dim=2)
+    result = driver.run()
     assert result.n_evaluations == 12
     assert seen and min(seen) >= 2

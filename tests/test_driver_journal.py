@@ -8,12 +8,13 @@ reconciliation.  The golden kill/resume sweeps live in
 ``test_crash_resume.py``; this module covers what those scenarios do not:
 
 * the constrained and cost-aware drivers resume (their side datasets are
-  rebuilt through the same absorb hook as live tells), and pHCBO resumes
-  with its journaled coverage history;
+  rebuilt through the same absorb hook as live tells), pHCBO resumes
+  with its journaled coverage history, and GP-Hedge with its journaled
+  Hedge gains;
 * family knobs (``hc_d``, ``cost_exponent``) round-trip through the
   journaled config;
 * ``resume_campaign`` on a killed driver journal rebuilds exactly the state
-  ``resume`` continues from;
+  ``resume`` continues from, side-state labels included;
 * a pending point without pool facts follows the orphan rule at resume;
 * drivers that cannot resume refuse ``journal=``, and retired run journals
   are refused;
@@ -27,12 +28,11 @@ import pytest
 
 from repro.circuits import sphere
 from repro.circuits.benchmarks import branin
-from repro.core.async_batch import AsynchronousBatchBO
+from repro.core.bo import BODriverBase
 from repro.core.campaign import make_campaign, read_campaign_journal, resume_campaign
 from repro.core.easybo import make_algorithm
 from repro.core.faults import KillSwitchJournal, ProcessKilled
 from repro.core.journal import JOURNAL_VERSION, JournalError, JournalWriter, read_journal
-from repro.core.portfolio import PortfolioBO
 from repro.core.problem import FunctionProblem
 from repro.core.recovery import resume
 from repro.utils.rng import rng_state_to_dict
@@ -132,22 +132,57 @@ class TestCoverageHistoryResume:
         assert trajectory(resumed) == trajectory(reference)
 
 
+class TestPortfolioResume:
+    """GP-Hedge's gains and play counts ride the ask records'
+    ``side_models``, so a kill anywhere resumes onto the uninterrupted
+    trajectory (27 journal records in all)."""
+
+    KWARGS = dict(n_init=4, max_evals=12, rng=0, **FAST)
+
+    @pytest.mark.parametrize("kill_at", [8, 13, 17, 22])
+    def test_kill_resume_reproduces_the_uninterrupted_run(self, tmp_path, kill_at):
+        reference, resumed, path = kill_and_resume(
+            "GP-Hedge", branin(), tmp_path, kill_at, **self.KWARGS
+        )
+        assert trajectory(resumed) == trajectory(reference)
+        uninterrupted = tmp_path / "uninterrupted.jsonl"
+        make_algorithm("GP-Hedge", branin(), journal=uninterrupted, **self.KWARGS).run()
+
+        def last_ask(journal):
+            return [e for e in read_journal(journal) if e["type"] == "ask"][-1]
+
+        hedge = last_ask(uninterrupted)["side_models"]
+        assert sum(hedge[0]["plays"].values()) == 12 - 4
+        assert last_ask(path)["side_models"] == hedge
+
+
 class TestResumeCampaignMatchesResume:
+    @pytest.mark.parametrize(
+        "label, make_problem, kill_at",
+        [
+            ("EasyBO-3", lambda: sphere(2), 11),
+            ("cEasyBO-3", DiskProblem, 15),
+            ("caEasyBO-3", plateau_problem, 15),
+            ("GP-Hedge", lambda: sphere(2), 14),
+        ],
+        ids=["EasyBO-3", "cEasyBO-3", "caEasyBO-3", "GP-Hedge"],
+    )
     def test_same_issued_pending_and_rng_as_the_driver_resume(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, label, make_problem, kill_at
     ):
+        problem = make_problem()
         path = tmp_path / "run.jsonl"
-        writer = KillSwitchJournal(JournalWriter(path), kill_at=11)
+        writer = KillSwitchJournal(JournalWriter(path), kill_at=kill_at)
         kwargs = dict(n_init=4, max_evals=10, rng=5, **FAST)
         with pytest.raises(ProcessKilled):
-            make_algorithm("EasyBO-3", sphere(2), journal=writer, **kwargs).run()
+            make_algorithm(label, problem, journal=writer, **kwargs).run()
         writer.close()
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(path.read_bytes())
 
-        campaign = resume_campaign(copy)
+        campaign = resume_campaign(copy, problem=problem)
         seen = {}
-        drive = AsynchronousBatchBO._drive
+        drive = BODriverBase._drive
 
         def spy(driver, pool):
             seen.update(
@@ -157,8 +192,8 @@ class TestResumeCampaignMatchesResume:
             )
             return drive(driver, pool)
 
-        monkeypatch.setattr(AsynchronousBatchBO, "_drive", spy)
-        result = resume(path)
+        monkeypatch.setattr(BODriverBase, "_drive", spy)
+        result = resume(path, problem=problem)
         assert result.n_evaluations == 10
         assert campaign.n_pending > 0  # the kill left points in flight
         assert seen["issued"] == campaign.issued
@@ -189,7 +224,7 @@ class TestUnslottedPendingPoint:
 
 
 class TestRefusals:
-    @pytest.mark.parametrize("label", ["GP-Hedge", "DE", "Random"])
+    @pytest.mark.parametrize("label", ["DE", "Random"])
     def test_non_resumable_algorithms_refuse_a_journal(self, label, tmp_path):
         with pytest.raises(ValueError, match=label):
             make_algorithm(
@@ -197,10 +232,6 @@ class TestRefusals:
                 journal=tmp_path / "j.jsonl",
             )
         assert not (tmp_path / "j.jsonl").exists()
-
-    def test_portfolio_refuses_a_journal_when_built_directly(self, tmp_path):
-        with pytest.raises(ValueError, match="GP-Hedge"):
-            PortfolioBO(sphere(2), n_init=4, max_evals=8, journal=tmp_path / "j")
 
     def test_retired_run_journal_is_refused(self, tmp_path):
         path = tmp_path / "old.jsonl"
