@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_matrix
@@ -34,10 +34,16 @@ __all__ = [
     "pbo_weights",
     "HighCoveragePenalty",
     "EASYBO_LAMBDA",
+    "norm_pdf",
 ]
 
 #: The paper's lambda: kappa is drawn uniformly from [0, 6] (§III-B).
 EASYBO_LAMBDA = 6.0
+
+
+def norm_pdf(z):
+    """Standard normal density (what ``scipy.stats.norm.pdf`` evaluates)."""
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 class Acquisition(abc.ABC):
@@ -77,7 +83,7 @@ class ExpectedImprovement(Acquisition):
         sigma = np.maximum(sigma, 1e-12)
         improve = mu - self.best_y - self.xi
         z = improve / sigma
-        return improve * stats.norm.cdf(z) + sigma * stats.norm.pdf(z)
+        return improve * ndtr(z) + sigma * norm_pdf(z)
 
 
 class ProbabilityOfImprovement(Acquisition):
@@ -90,7 +96,7 @@ class ProbabilityOfImprovement(Acquisition):
     def __call__(self, model, X) -> np.ndarray:
         mu, sigma = model.predict(check_matrix(X))
         sigma = np.maximum(sigma, 1e-12)
-        return stats.norm.cdf((mu - self.best_y - self.xi) / sigma)
+        return ndtr((mu - self.best_y - self.xi) / sigma)
 
 
 class WeightedAcquisition(Acquisition):

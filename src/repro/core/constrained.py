@@ -23,7 +23,7 @@ import abc
 import dataclasses
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.campaign import AsyncBatchStrategy
@@ -78,7 +78,7 @@ class _ConstraintModel(SideGP):
         mu, sigma = self.model.predict(U)
         # Standardized threshold for slack = 0.
         threshold = self.output.transform(np.zeros(1))[0]
-        return stats.norm.cdf((mu - threshold) / np.maximum(sigma, 1e-12))
+        return ndtr((mu - threshold) / np.maximum(sigma, 1e-12))
 
 
 class ConstrainedStrategy(AsyncBatchStrategy):

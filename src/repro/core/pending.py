@@ -28,7 +28,7 @@ or by label family (``EasyBO-LP-5`` / ``EasyBO-PESS-5`` / ``EasyBO-A-5``).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 __all__ = [
     "PENDING_POLICIES",
@@ -145,7 +145,7 @@ class LocalPenalisationPolicy(PendingPolicy):
         z = (float(lipschitz) * radius - (float(best) - float(mu_j))) / max(
             np.sqrt(2.0) * float(sigma_j), 1e-12
         )
-        return np.clip(stats.norm.cdf(z), 1e-300, 1.0)
+        return np.clip(ndtr(z), 1e-300, 1.0)
 
     @staticmethod
     def estimate_lipschitz(model, dim, rng, n_probes: int = 256) -> float:

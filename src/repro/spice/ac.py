@@ -1,9 +1,10 @@
 """Small-signal AC analysis.
 
 Linearizes every nonlinear device around a DC operating point and solves the
-complex MNA system ``(G + jwC) x = z`` at each requested frequency.  The AC
-stimulus is the ``ac`` magnitude of the independent sources (DC-only sources
-are stamped with zero AC value, i.e. shorts/opens as appropriate).
+complex MNA system ``(G + jwC) x = z`` at each requested frequency; all
+frequencies are assembled and solved as one stack.  The AC stimulus is the
+``ac`` magnitude of the independent sources (DC-only sources are stamped with
+zero AC value, i.e. shorts/opens as appropriate).
 """
 
 from __future__ import annotations
@@ -13,20 +14,9 @@ import dataclasses
 import numpy as np
 
 from repro.spice.dc import OperatingPoint, dc_operating_point
-from repro.spice.diode import Diode
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Resistor,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
 from repro.spice.exceptions import SingularMatrixError
-from repro.spice.mosfet import Mosfet
+from repro.spice.mna import ac_system
 from repro.spice.netlist import Circuit
-from repro.spice.stamps import MnaAssembler
 
 __all__ = ["AcResult", "ac_analysis", "logspace_frequencies"]
 
@@ -87,87 +77,16 @@ def ac_analysis(
     if op is None:
         op = dc_operating_point(circuit)
 
-    node_idx = circuit.node_index()
-    branch_idx = circuit.branch_index()
-    n = circuit.n_unknowns
-    solution = np.zeros((len(freqs), n), dtype=complex)
-
-    def idx(node: str) -> int:
-        return -1 if Circuit.is_ground(node) else node_idx[node]
-
-    for k, freq in enumerate(freqs):
-        omega = 2.0 * np.pi * freq
-        asm = MnaAssembler(n, dtype=complex)
-        for element in circuit.elements:
-            if isinstance(element, Resistor):
-                asm.conductance(idx(element.n_plus), idx(element.n_minus), element.conductance)
-            elif isinstance(element, Capacitor):
-                asm.conductance(
-                    idx(element.n_plus), idx(element.n_minus), 1j * omega * element.capacitance
-                )
-            elif isinstance(element, Inductor):
-                asm.branch_impedance(
-                    idx(element.n_plus),
-                    idx(element.n_minus),
-                    branch_idx[element.name],
-                    1j * omega * element.inductance,
-                )
-            elif isinstance(element, VoltageSource):
-                asm.voltage_source(
-                    idx(element.n_plus),
-                    idx(element.n_minus),
-                    branch_idx[element.name],
-                    element.ac,
-                )
-            elif isinstance(element, CurrentSource):
-                asm.current_source(idx(element.n_plus), idx(element.n_minus), element.ac)
-            elif isinstance(element, Vcvs):
-                asm.vcvs(
-                    idx(element.n_plus),
-                    idx(element.n_minus),
-                    idx(element.ctrl_plus),
-                    idx(element.ctrl_minus),
-                    branch_idx[element.name],
-                    element.gain,
-                )
-            elif isinstance(element, Vccs):
-                asm.vccs(
-                    idx(element.n_plus),
-                    idx(element.n_minus),
-                    idx(element.ctrl_plus),
-                    idx(element.ctrl_minus),
-                    element.gm,
-                )
-            elif isinstance(element, Mosfet):
-                _stamp_mosfet_ac(asm, element, op, idx, omega)
-            elif isinstance(element, Diode):
-                a, c = idx(element.anode), idx(element.cathode)
-                bias = op.v(element.anode) - op.v(element.cathode)
-                small_signal = element.evaluate(bias)
-                asm.conductance(a, c, small_signal.gd)
-                asm.conductance(a, c, 1j * omega * element.params.cj0)
-            else:
-                raise TypeError(f"unsupported element type {type(element).__name__}")
-        asm.gmin_to_ground(len(node_idx), gmin)
-        try:
-            solution[k] = np.linalg.solve(asm.A, asm.z)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                f"singular AC MNA matrix at f={freq:g} Hz in {circuit.title!r}"
-            ) from None
-    return AcResult(freqs, node_idx, branch_idx, solution, op)
-
-
-def _stamp_mosfet_ac(asm: MnaAssembler, mosfet: Mosfet, op: OperatingPoint, idx, omega: float):
-    """Small-signal model: gm/gds/gmb plus Meyer + junction capacitances."""
-    device_op = op.mosfet_ops[mosfet.name]
-    d, g, s, b = (idx(mosfet.drain), idx(mosfet.gate), idx(mosfet.source), idx(mosfet.bulk))
-    asm.vccs(d, s, g, s, device_op.gm)
-    asm.conductance(d, s, device_op.gds)
-    asm.vccs(d, s, b, s, device_op.gmb)
-    caps = mosfet.capacitances(device_op)
-    asm.conductance(g, s, 1j * omega * caps["cgs"])
-    asm.conductance(g, d, 1j * omega * caps["cgd"])
-    asm.conductance(g, b, 1j * omega * caps["cgb"])
-    asm.conductance(d, b, 1j * omega * caps["cdb"])
-    asm.conductance(s, b, 1j * omega * caps["csb"])
+    A, z = ac_system(circuit, op, freqs, gmin)
+    try:
+        solution = np.linalg.solve(A, z[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        for matrix, rhs, freq in zip(A, z, freqs):
+            try:
+                np.linalg.solve(matrix, rhs)
+            except np.linalg.LinAlgError:
+                raise SingularMatrixError(
+                    f"singular AC MNA matrix at f={freq:g} Hz in {circuit.title!r}"
+                ) from None
+        raise
+    return AcResult(freqs, circuit.node_index(), circuit.branch_index(), solution, op)

@@ -14,20 +14,10 @@ import dataclasses
 
 import numpy as np
 
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Resistor,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
-from repro.spice.diode import Diode
 from repro.spice.exceptions import ConvergenceError, SingularMatrixError
-from repro.spice.mosfet import Mosfet, MosfetOp
+from repro.spice.mna import DcTape
+from repro.spice.mosfet import MosfetOp
 from repro.spice.netlist import Circuit
-from repro.spice.stamps import MnaAssembler
 
 __all__ = ["OperatingPoint", "dc_operating_point"]
 
@@ -87,14 +77,15 @@ def dc_operating_point(
     if x.shape != (n,):
         raise ValueError(f"v_guess must have shape ({n},), got {x.shape}")
 
+    tape = DcTape(circuit).compile()
     # Attempt 1: plain Newton.
-    solution = _newton(circuit, x, gmin=gmin, source_scale=1.0, max_iter=max_iter)
+    solution = _newton(tape, x, gmin=gmin, source_scale=1.0, max_iter=max_iter)
     if solution is None:
         # Attempt 2: gmin stepping.
-        solution = _gmin_stepping(circuit, x, gmin_final=gmin, max_iter=max_iter)
+        solution = _gmin_stepping(tape, x, gmin_final=gmin, max_iter=max_iter)
     if solution is None:
         # Attempt 3: source stepping.
-        solution = _source_stepping(circuit, x, gmin=gmin, max_iter=max_iter)
+        solution = _source_stepping(tape, x, gmin=gmin, max_iter=max_iter)
     if solution is None:
         raise ConvergenceError(
             f"DC operating point of {circuit.title!r} did not converge"
@@ -127,12 +118,12 @@ def _node_voltage(x: np.ndarray, node_idx: dict[str, int], node: str) -> float:
     return float(x[node_idx[node]])
 
 
-def _gmin_stepping(circuit, x0, *, gmin_final, max_iter):
+def _gmin_stepping(tape, x0, *, gmin_final, max_iter):
     x = x0.copy()
     total_iterations = 0
     gmin = 1e-2
     while gmin >= gmin_final:
-        solution = _newton(circuit, x, gmin=gmin, source_scale=1.0, max_iter=max_iter)
+        solution = _newton(tape, x, gmin=gmin, source_scale=1.0, max_iter=max_iter)
         if solution is None:
             return None
         x, iters = solution
@@ -143,11 +134,11 @@ def _gmin_stepping(circuit, x0, *, gmin_final, max_iter):
     return x, total_iterations
 
 
-def _source_stepping(circuit, x0, *, gmin, max_iter):
+def _source_stepping(tape, x0, *, gmin, max_iter):
     x = np.zeros_like(x0)
     total_iterations = 0
     for scale in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
-        solution = _newton(circuit, x, gmin=gmin, source_scale=scale, max_iter=max_iter)
+        solution = _newton(tape, x, gmin=gmin, source_scale=scale, max_iter=max_iter)
         if solution is None:
             return None
         x, iters = solution
@@ -155,138 +146,48 @@ def _source_stepping(circuit, x0, *, gmin, max_iter):
     return x, total_iterations
 
 
-def _newton(circuit, x0, *, gmin, source_scale, max_iter):
-    """Newton iteration; returns ``(x, iterations)`` or ``None`` on failure."""
-    node_idx = circuit.node_index()
-    branch_idx = circuit.branch_index()
-    n_nodes = len(node_idx)
+def _newton(tape: DcTape, x0, *, gmin, source_scale, max_iter):
+    """One DC Newton solve; returns ``(x, iterations)`` or ``None`` on failure."""
+    tape.bias(gmin=gmin, source_scale=source_scale)
+    return newton(
+        tape, x0, max_iter=max_iter, vtol=VTOL, check_residual=True,
+        singular=f"singular MNA matrix in {tape.title!r} (floating node or "
+        f"voltage-source loop?)",
+    )
+
+
+def newton(tape: DcTape, x, *, max_iter, vtol, singular, check_residual=False):
+    """Damped Newton on a compiled tape; returns ``(x, iterations)`` or ``None``.
+
+    Shared with :mod:`repro.spice.transient`, whose tape adds the companion
+    models of the reactive elements.  ``singular`` is the message of the
+    :class:`SingularMatrixError` raised for a singular system.
+    """
+    n_nodes = tape.n_nodes
     # Step damping exists to keep the exponential/square-law devices inside
     # their basin of convergence; a linear circuit solves in one full step
     # (and damping would need unbounded iterations for large node voltages).
-    nonlinear = bool(circuit.mosfets()) or bool(circuit.elements_of(Diode))
-    x = x0.copy()
+    nonlinear = bool(tape.devices)
     for iteration in range(1, max_iter + 1):
-        asm = assemble_dc(circuit, x, node_idx, branch_idx, gmin, source_scale)
+        tape.linearize(x)
+        A, z = tape.assemble()
         try:
-            x_new = np.linalg.solve(asm.A, asm.z)
+            x_new = np.linalg.solve(A, z)
         except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                f"singular MNA matrix in {circuit.title!r} (floating node or "
-                f"voltage-source loop?)"
-            ) from None
-        if not np.all(np.isfinite(x_new)):
+            raise SingularMatrixError(singular) from None
+        if not np.isfinite(x_new).all():
             return None
         dx = x_new - x
-        max_dv = float(np.max(np.abs(dx[:n_nodes]))) if n_nodes else 0.0
+        max_dv = float(np.abs(dx[:n_nodes]).max()) if n_nodes else 0.0
         if nonlinear and max_dv > MAX_STEP:
             x = x + dx * (MAX_STEP / max_dv)
         else:
             x = x_new
-            if max_dv < VTOL and _residual_ok(asm, x):
+            if max_dv < vtol and (not check_residual or _residual_ok(A, z, x)):
                 return x, iteration
     return None
 
 
-def _residual_ok(asm: MnaAssembler, x: np.ndarray) -> bool:
-    residual = asm.A @ x - asm.z
+def _residual_ok(A: np.ndarray, z: np.ndarray, x: np.ndarray) -> bool:
+    residual = A @ x - z
     return bool(np.max(np.abs(residual)) < ITOL * max(1.0, float(np.max(np.abs(x)))))
-
-
-def assemble_dc(
-    circuit: Circuit,
-    x: np.ndarray,
-    node_idx: dict[str, int],
-    branch_idx: dict[str, int],
-    gmin: float,
-    source_scale: float,
-    skip_reactive: bool = False,
-) -> MnaAssembler:
-    """Assemble the linearized DC MNA system at state ``x``.
-
-    Shared with :mod:`repro.spice.transient`, which passes
-    ``skip_reactive=True`` and stamps its own companion models for capacitors
-    and inductors on top.
-    """
-    asm = MnaAssembler(circuit.n_unknowns)
-
-    def idx(node: str) -> int:
-        return -1 if Circuit.is_ground(node) else node_idx[node]
-
-    for element in circuit.elements:
-        if isinstance(element, Resistor):
-            asm.conductance(idx(element.n_plus), idx(element.n_minus), element.conductance)
-        elif isinstance(element, Capacitor):
-            continue  # open circuit at DC; transient adds its companion
-        elif isinstance(element, Inductor):
-            if skip_reactive:
-                continue  # transient adds the companion branch stamp
-            asm.branch_impedance(
-                idx(element.n_plus), idx(element.n_minus), branch_idx[element.name], 0.0
-            )
-        elif isinstance(element, VoltageSource):
-            asm.voltage_source(
-                idx(element.n_plus),
-                idx(element.n_minus),
-                branch_idx[element.name],
-                source_scale * element.dc_value,
-            )
-        elif isinstance(element, CurrentSource):
-            asm.current_source(
-                idx(element.n_plus), idx(element.n_minus), source_scale * element.dc_value
-            )
-        elif isinstance(element, Vcvs):
-            asm.vcvs(
-                idx(element.n_plus),
-                idx(element.n_minus),
-                idx(element.ctrl_plus),
-                idx(element.ctrl_minus),
-                branch_idx[element.name],
-                element.gain,
-            )
-        elif isinstance(element, Vccs):
-            asm.vccs(
-                idx(element.n_plus),
-                idx(element.n_minus),
-                idx(element.ctrl_plus),
-                idx(element.ctrl_minus),
-                element.gm,
-            )
-        elif isinstance(element, Mosfet):
-            _stamp_mosfet(asm, element, x, idx)
-        elif isinstance(element, Diode):
-            _stamp_diode(asm, element, x, idx)
-        else:
-            raise TypeError(f"unsupported element type {type(element).__name__}")
-
-    asm.gmin_to_ground(len(node_idx), gmin)
-    return asm
-
-
-def _stamp_mosfet(asm: MnaAssembler, mosfet: Mosfet, x: np.ndarray, idx) -> None:
-    """Linearized companion stamp: i_d = gm vgs + gds vds + gmb vbs + ieq."""
-    d, g, s, b = (idx(mosfet.drain), idx(mosfet.gate), idx(mosfet.source), idx(mosfet.bulk))
-
-    def volt(i: int) -> float:
-        return 0.0 if i < 0 else float(x[i])
-
-    op = mosfet.evaluate(volt(d), volt(g), volt(s), volt(b))
-    # gm * vgs: current d->s controlled by (g, s)
-    asm.vccs(d, s, g, s, op.gm)
-    # gds * vds: conductance between d and s
-    asm.conductance(d, s, op.gds)
-    # gmb * vbs: current d->s controlled by (b, s)
-    asm.vccs(d, s, b, s, op.gmb)
-    # Companion current source ieq flowing d -> s.
-    asm.current_source(d, s, op.ieq)
-
-
-def _stamp_diode(asm: MnaAssembler, diode: Diode, x: np.ndarray, idx) -> None:
-    """Linearized companion stamp: i = gd * v + ieq, anode -> cathode."""
-    a, c = idx(diode.anode), idx(diode.cathode)
-
-    def volt(i: int) -> float:
-        return 0.0 if i < 0 else float(x[i])
-
-    op = diode.evaluate(volt(a) - volt(c))
-    asm.conductance(a, c, op.gd)
-    asm.current_source(a, c, op.ieq)

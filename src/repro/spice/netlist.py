@@ -8,7 +8,7 @@ consume this layout when stamping.
 
 from __future__ import annotations
 
-import networkx as nx
+import collections
 
 from repro.spice.elements import (
     Capacitor,
@@ -119,8 +119,8 @@ class Circuit:
         """
         if not self.elements:
             raise TopologyError("circuit has no elements")
-        graph = nx.Graph()
-        graph.add_node("0")
+        # Undirected conduction graph; ground is "0".
+        neighbours: dict[str, set[str]] = {"0": set()}
         has_ground = False
         for element in self.elements:
             normalized = ["0" if self.is_ground(n) else n for n in element.nodes]
@@ -132,16 +132,20 @@ class Circuit:
                 conductive = normalized[:2]
             else:
                 conductive = normalized
-            for a in conductive:
-                for b in conductive:
-                    if a != b:
-                        graph.add_edge(a, b, element=element.name)
             for n in normalized:
-                graph.add_node(n)
+                neighbours.setdefault(n, set())
+            for a in conductive:
+                neighbours[a].update(b for b in conductive if b != a)
         if not has_ground:
             raise TopologyError("circuit has no ground node")
-        connected = nx.node_connected_component(graph, "0")
-        floating = [n for n in graph.nodes if n not in connected]
+        # Breadth-first search from ground.
+        connected = {"0"}
+        frontier = collections.deque(["0"])
+        while frontier:
+            for neighbour in neighbours[frontier.popleft()] - connected:
+                connected.add(neighbour)
+                frontier.append(neighbour)
+        floating = [n for n in neighbours if n not in connected]
         if floating:
             raise TopologyError(f"nodes with no path to ground: {sorted(floating)}")
 

@@ -25,18 +25,10 @@ import scipy.linalg as sla
 from repro.spice.ac import ac_analysis
 from repro.spice.dc import OperatingPoint, dc_operating_point
 from repro.spice.diode import Diode
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Resistor,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
+from repro.spice.elements import CurrentSource, Resistor, VoltageSource
+from repro.spice.mna import ac_system, lookup
 from repro.spice.mosfet import Mosfet
 from repro.spice.netlist import Circuit
-from repro.spice.stamps import MnaAssembler
 
 __all__ = ["NoiseResult", "noise_analysis", "BOLTZMANN", "TEMPERATURE"]
 
@@ -105,7 +97,6 @@ def noise_analysis(
         op = dc_operating_point(circuit, gmin=gmin)
 
     node_idx = circuit.node_index()
-    branch_idx = circuit.branch_index()
     if output_node not in node_idx:
         raise KeyError(f"unknown output node {output_node!r}")
     out = node_idx[output_node]
@@ -131,9 +122,10 @@ def noise_analysis(
             element.ac = original_ac
         gain_squared = np.abs(ac.v(output_node)) ** 2
 
+    # The AC matrices; noise never reads their right-hand side.
+    matrices, _ = ac_system(circuit, op, freqs, gmin)
     for k, freq in enumerate(freqs):
-        A = _complex_matrix(circuit, op, node_idx, branch_idx, idx, freq, gmin)
-        lu = sla.lu_factor(A)
+        lu = sla.lu_factor(matrices[k])
         # Adjoint trick: one solve of A^H z = e_out gives the transfer from
         # *every* injection node to the output at once.
         e_out = np.zeros(n, dtype=complex)
@@ -159,93 +151,49 @@ def noise_analysis(
 
 
 # ------------------------------------------------------------------ internals
+def _resistor_noise(resistor, op, four_kt):
+    """Thermal current noise ``4kT / R``."""
+    psd = four_kt / resistor.resistance
+    return resistor.n_plus, resistor.n_minus, lambda f, _p=psd: _p
+
+
+def _mosfet_noise(mosfet, op, four_kt):
+    """Channel thermal noise plus the optional ``1/f`` flicker term."""
+    device_op = op.mosfet_ops[mosfet.name]
+    gm = max(device_op.gm, 0.0)
+    thermal = four_kt * MOS_GAMMA * gm
+    kf = getattr(mosfet.params, "kf", 0.0)
+    if kf:
+        cox_area = mosfet.params.cox * mosfet.w * mosfet.l
+        flicker_num = kf * abs(device_op.ids)
+    else:
+        cox_area = 1.0
+        flicker_num = 0.0
+
+    def psd(f, _t=thermal, _fn=flicker_num, _ca=cox_area):
+        return _t + (_fn / (_ca * f) if _fn else 0.0)
+
+    return mosfet.drain, mosfet.source, psd
+
+
+def _diode_noise(diode, op, four_kt):
+    """Shot noise ``2 q |I|``."""
+    bias = op.v(diode.anode) - op.v(diode.cathode)
+    shot = 2.0 * Q_ELECTRON * abs(diode.evaluate(bias).current)
+    return diode.anode, diode.cathode, lambda f, _p=shot: _p
+
+
+#: Noisy element kind -> ``(n_plus, n_minus, psd(freq) -> A^2/Hz)``.
+_NOISE_SOURCES = {Resistor: _resistor_noise, Mosfet: _mosfet_noise, Diode: _diode_noise}
+
+
 def _collect_noise_sources(circuit, op, idx):
     """(name, n_plus, n_minus, psd(freq) -> A^2/Hz) for every noisy element."""
     four_kt = 4.0 * BOLTZMANN * TEMPERATURE
     sources = []
     for element in circuit.elements:
-        if isinstance(element, Resistor):
-            psd = four_kt / element.resistance
-            sources.append(
-                (element.name, idx(element.n_plus), idx(element.n_minus),
-                 lambda f, _p=psd: _p)
-            )
-        elif isinstance(element, Mosfet):
-            device_op = op.mosfet_ops[element.name]
-            gm = max(device_op.gm, 0.0)
-            thermal = four_kt * MOS_GAMMA * gm
-            kf = getattr(element.params, "kf", 0.0)
-            if kf:
-                cox_area = element.params.cox * element.w * element.l
-                flicker_num = kf * abs(device_op.ids)
-            else:
-                cox_area = 1.0
-                flicker_num = 0.0
-
-            def psd(f, _t=thermal, _fn=flicker_num, _ca=cox_area):
-                return _t + (_fn / (_ca * f) if _fn else 0.0)
-
-            sources.append(
-                (element.name, idx(element.drain), idx(element.source), psd)
-            )
-        elif isinstance(element, Diode):
-            bias = op.v(element.anode) - op.v(element.cathode)
-            current = abs(element.evaluate(bias).current)
-            shot = 2.0 * Q_ELECTRON * current
-            sources.append(
-                (element.name, idx(element.anode), idx(element.cathode),
-                 lambda f, _p=shot: _p)
-            )
+        noise = lookup(_NOISE_SOURCES, element)
+        if noise is not None:
+            n_plus, n_minus, psd = noise(element, op, four_kt)
+            sources.append((element.name, idx(n_plus), idx(n_minus), psd))
     return sources
-
-
-def _complex_matrix(circuit, op, node_idx, branch_idx, idx, freq, gmin):
-    """The AC system matrix at one frequency (reuses the AC stamping)."""
-    from repro.spice.ac import _stamp_mosfet_ac
-
-    omega = 2.0 * np.pi * freq
-    asm = MnaAssembler(circuit.n_unknowns, dtype=complex)
-    for element in circuit.elements:
-        if isinstance(element, Resistor):
-            asm.conductance(idx(element.n_plus), idx(element.n_minus), element.conductance)
-        elif isinstance(element, Capacitor):
-            asm.conductance(
-                idx(element.n_plus), idx(element.n_minus), 1j * omega * element.capacitance
-            )
-        elif isinstance(element, Inductor):
-            asm.branch_impedance(
-                idx(element.n_plus), idx(element.n_minus),
-                branch_idx[element.name], 1j * omega * element.inductance,
-            )
-        elif isinstance(element, VoltageSource):
-            asm.voltage_source(
-                idx(element.n_plus), idx(element.n_minus), branch_idx[element.name], 0.0
-            )
-        elif isinstance(element, CurrentSource):
-            continue  # open for noise purposes
-        elif isinstance(element, Vcvs):
-            asm.vcvs(
-                idx(element.n_plus), idx(element.n_minus),
-                idx(element.ctrl_plus), idx(element.ctrl_minus),
-                branch_idx[element.name], element.gain,
-            )
-        elif isinstance(element, Vccs):
-            asm.vccs(
-                idx(element.n_plus), idx(element.n_minus),
-                idx(element.ctrl_plus), idx(element.ctrl_minus), element.gm,
-            )
-        elif isinstance(element, Mosfet):
-            _stamp_mosfet_ac(asm, element, op, idx, omega)
-        elif isinstance(element, Diode):
-            bias = op.v(element.anode) - op.v(element.cathode)
-            asm.conductance(
-                idx(element.anode), idx(element.cathode), element.evaluate(bias).gd
-            )
-            asm.conductance(
-                idx(element.anode), idx(element.cathode),
-                1j * omega * element.params.cj0,
-            )
-        else:
-            raise TypeError(f"unsupported element type {type(element).__name__}")
-    asm.gmin_to_ground(len(node_idx), gmin)
-    return asm.A

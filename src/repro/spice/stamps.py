@@ -5,7 +5,9 @@ and exposes the classic stamps.  Node index ``-1`` denotes ground; stamps
 touching ground silently drop the corresponding rows/columns, which keeps the
 per-element stamping code free of special cases.
 
-The same assembler serves DC and transient (real dtype) and AC (complex).
+The same assembler serves DC and transient (real dtype) and AC (complex);
+:class:`repro.spice.mna.Tape` overrides ``add_A``/``add_z`` to record the same
+stamps once per analysis.
 """
 
 from __future__ import annotations
@@ -100,4 +102,4 @@ class MnaAssembler:
     def gmin_to_ground(self, node_count: int, gmin: float) -> None:
         """Add ``gmin`` from every node to ground (convergence aid)."""
         for i in range(node_count):
-            self.A[i, i] += gmin
+            self.add_A(i, i, gmin)

@@ -16,9 +16,11 @@ import dataclasses
 
 import numpy as np
 
-from repro.spice.dc import MAX_STEP, OperatingPoint, assemble_dc, dc_operating_point
+from repro.spice.dc import OperatingPoint, dc_operating_point, newton
+from repro.spice.diode import Diode
 from repro.spice.elements import Capacitor, CurrentSource, Inductor, VoltageSource
-from repro.spice.exceptions import ConvergenceError, SingularMatrixError
+from repro.spice.exceptions import ConvergenceError
+from repro.spice.mna import DcTape
 from repro.spice.netlist import Circuit
 
 __all__ = ["TransientResult", "transient_analysis"]
@@ -72,6 +74,10 @@ class _CapBranch:
     n_minus: str
     capacitance: float
 
+    @property
+    def nodes(self) -> tuple[str, str]:
+        return self.n_plus, self.n_minus
+
 
 def _collect_capacitances(circuit: Circuit) -> list[_CapBranch]:
     branches = [
@@ -89,72 +95,93 @@ def _collect_capacitances(circuit: Circuit) -> list[_CapBranch]:
             value = caps[label]
             if value > 0.0 and na != nb:
                 branches.append(_CapBranch(f"{m.name}.{label}", na, nb, value))
-    from repro.spice.diode import Diode
-
     for d in circuit.elements_of(Diode):
         if d.params.cj0 > 0.0 and d.anode != d.cathode:
             branches.append(_CapBranch(f"{d.name}.cj", d.anode, d.cathode, d.params.cj0))
     return branches
 
 
-class _ReactiveState:
-    """Companion-model state: capacitor currents and last node voltages."""
+class _TransientTape(DcTape):
+    """The transient system, and the state its companion slots come from.
 
-    def __init__(self, circuit: Circuit, x0: np.ndarray, node_idx, branch_idx):
-        self.caps = _collect_capacitances(circuit)
-        self.inds = circuit.elements_of(Inductor)
-        self.node_idx = node_idx
-        self.branch_idx = branch_idx
-        # At the DC operating point capacitor current is zero.
-        self.cap_current = {c.name: 0.0 for c in self.caps}
-        self.x = x0.copy()
+    The tape records, in this order: the DC stamps (inductors left out) and
+    gmin, the waveform sources' deltas from their DC values, the capacitor
+    companions (see :func:`_collect_capacitances`) and the inductor
+    companions.  :meth:`prepare` computes the deltas and companion values
+    once per time step; :meth:`advance` moves the state past a solved step.
+    """
 
-    def voltage_across(self, element, x: np.ndarray) -> float:
-        vp = 0.0 if Circuit.is_ground(element.n_plus) else x[self.node_idx[element.n_plus]]
-        vm = 0.0 if Circuit.is_ground(element.n_minus) else x[self.node_idx[element.n_minus]]
-        return float(vp - vm)
+    def __init__(self, circuit: Circuit, x0: np.ndarray, method: str, gmin: float):
+        super().__init__(circuit, transient=True)
+        self.trap = method == "trap"
+        self.scale = 2.0 if self.trap else 1.0
+        # Waveform sources: the DC stamp holds dc_value and a delta slot adds
+        # value_at(t) - dc_value.  That sum rounds differently from
+        # value_at(t) alone, and recorded reference results depend on it.
+        v_waves = [e for e in circuit.elements_of(VoltageSource) if e.waveform is not None]
+        i_waves = [e for e in circuit.elements_of(CurrentSource) if e.waveform is not None]
+        self.waves = [(e, e.dc_value) for e in v_waves + i_waves]
+        deltas = self.slots(len(self.waves))
+        for source, delta in zip(v_waves, deltas):
+            self.add_z(self.branch_index[source.name], delta)
+        for source, delta in zip(i_waves, deltas[len(v_waves):]):
+            self.current_source(*self.pins(source), delta)
+        caps = _collect_capacitances(circuit)
+        self.capacitance = np.array([c.capacitance for c in caps])
+        self.cap_pins = self._pin_array(caps)
+        geq, ieq = self.slots(len(caps)), self.slots(len(caps))
+        for cap, g, i in zip(caps, geq, ieq):
+            self.conductance(*self.pins(cap), g)
+            self.current_source(*self.pins(cap), i)
+        inductors = circuit.elements_of(Inductor)
+        self.inductance = np.array([ind.inductance for ind in inductors])
+        self.ind_pins = self._pin_array(inductors)
+        branches = [self.branch_index[ind.name] for ind in inductors]
+        self.ind_branch = np.array(branches, dtype=np.intp)
+        zeq, rhs = self.slots(len(inductors)), self.slots(len(inductors))
+        for ind, branch, z, r in zip(inductors, branches, zeq, rhs):
+            self.branch_impedance(*self.pins(ind), branch, z)
+            self.add_z(branch, r)
+        self._ranges = [_span(slots) for slots in (deltas, geq, ieq, zeq, rhs)]
+        self.compile()
+        self.bias(gmin=gmin, source_scale=1.0)
+        # The state: the last solution (ground appended) and the capacitor
+        # currents, which are zero at the DC operating point.
+        self.state = np.append(x0, 0.0)
+        self.cap_current = np.zeros(len(caps))
 
-    def advance(self, x_new: np.ndarray, dt: float, method: str) -> None:
-        """Update stored state after a successful step."""
-        for cap in self.caps:
-            geq = self._cap_geq(cap, dt, method)
-            ieq = self._cap_ieq(cap, dt, method)
-            self.cap_current[cap.name] = geq * self.voltage_across(cap, x_new) + ieq
-        self.x = x_new.copy()
+    def _pin_array(self, elements) -> np.ndarray:
+        """(2, k) unknown indices of two-terminal elements (ground is -1)."""
+        return np.array([self.pins(e) for e in elements], dtype=np.intp).reshape(-1, 2).T
 
-    def _cap_geq(self, cap, dt: float, method: str) -> float:
-        return (2.0 if method == "trap" else 1.0) * cap.capacitance / dt
+    def _across(self, pins: np.ndarray) -> np.ndarray:
+        return self.state[pins[0]] - self.state[pins[1]]
 
-    def _cap_ieq(self, cap, dt: float, method: str) -> float:
-        v_old = self.voltage_across(cap, self.x)
-        geq = self._cap_geq(cap, dt, method)
-        if method == "trap":
-            return -(geq * v_old + self.cap_current[cap.name])
-        return -geq * v_old
+    def prepare(self, t_new: float, dt: float) -> None:
+        """Write the source and companion slots of a step of ``dt`` to ``t_new``."""
+        deltas, geq_slots, ieq_slots, zeq_slots, rhs_slots = self._ranges
+        self.values[deltas] = [source.value_at(t_new) - dc for source, dc in self.waves]
+        self.geq = self.scale * self.capacitance / dt
+        v_cap = self._across(self.cap_pins)
+        self.ieq = -(self.geq * v_cap + self.cap_current) if self.trap else -self.geq * v_cap
+        self.values[geq_slots] = self.geq
+        self.values[ieq_slots] = self.ieq
+        zeq = self.scale * self.inductance / dt
+        i_ind, v_ind = self.state[self.ind_branch], self._across(self.ind_pins)
+        self.values[zeq_slots] = zeq
+        # The branch row reads v(n+) - v(n-) - zeq * i = rhs.
+        self.values[rhs_slots] = -v_ind - zeq * i_ind if self.trap else -zeq * i_ind
 
-    def stamp(self, asm, dt: float, method: str, idx) -> None:
-        """Add companion stamps for all reactive elements."""
-        for cap in self.caps:
-            geq = self._cap_geq(cap, dt, method)
-            ieq = self._cap_ieq(cap, dt, method)
-            asm.conductance(idx(cap.n_plus), idx(cap.n_minus), geq)
-            asm.current_source(idx(cap.n_plus), idx(cap.n_minus), ieq)
-        for ind in self.inds:
-            branch = self.branch_idx[ind.name]
-            scale = 2.0 if method == "trap" else 1.0
-            zeq = scale * ind.inductance / dt
-            i_old = float(self.x[branch])
-            v_old = self.voltage_across(ind, self.x)
-            # Branch row already holds v(n+) - v(n-) - zeq * i = rhs.
-            asm.add_A(idx(ind.n_plus), branch, 1.0)
-            asm.add_A(idx(ind.n_minus), branch, -1.0)
-            asm.add_A(branch, idx(ind.n_plus), 1.0)
-            asm.add_A(branch, idx(ind.n_minus), -1.0)
-            asm.add_A(branch, branch, -zeq)
-            if method == "trap":
-                asm.add_z(branch, -v_old - zeq * i_old)
-            else:
-                asm.add_z(branch, -zeq * i_old)
+    def advance(self, x_new: np.ndarray) -> None:
+        """Move the state past the step :meth:`prepare` set up."""
+        self.state[:-1] = x_new
+        self.cap_current = self.geq * self._across(self.cap_pins) + self.ieq
+
+
+def _span(slots) -> slice:
+    """The consecutive slot indices of ``slots`` as a slice."""
+    first = slots[0].index if slots else 0
+    return slice(first, first + len(slots))
 
 
 def transient_analysis(
@@ -196,83 +223,37 @@ def transient_analysis(
     solution = np.zeros((n_steps + 1, n))
     solution[0] = x0
 
-    state = _ReactiveState(circuit, x0, node_idx, branch_idx)
+    tape = _TransientTape(circuit, x0, method, gmin)
     x = x0.copy()
     for step in range(1, n_steps + 1):
         t_new = t_grid[step]
-        x = _advance_to(circuit, state, x, t_new - dt, dt, method, node_idx, branch_idx, gmin)
+        x = _advance_to(tape, x, t_new - dt, dt)
         solution[step] = x
     return TransientResult(t_grid, node_idx, branch_idx, solution, op0)
 
 
 # ------------------------------------------------------------------ internals
-def _advance_to(
-    circuit, state, x, t_old, dt, method, node_idx, branch_idx, gmin, depth: int = 0
-):
+def _advance_to(tape: _TransientTape, x, t_old, dt, depth: int = 0):
     """Advance the state by ``dt`` (splitting the step on Newton failure)."""
-    x_new = _solve_step(circuit, state, x, t_old + dt, dt, method, node_idx, branch_idx, gmin)
+    x_new = _solve_step(tape, x, t_old + dt, dt)
     if x_new is not None:
-        state.advance(x_new, dt, method)
+        tape.advance(x_new)
         return x_new
     if depth >= MAX_HALVINGS:
         raise ConvergenceError(
             f"transient step at t={t_old + dt:g}s did not converge in "
-            f"{circuit.title!r} (after {depth} halvings)"
+            f"{tape.title!r} (after {depth} halvings)"
         )
     half = dt / 2.0
-    x_mid = _advance_to(
-        circuit, state, x, t_old, half, method, node_idx, branch_idx, gmin, depth + 1
-    )
-    return _advance_to(
-        circuit, state, x_mid, t_old + half, half, method, node_idx, branch_idx, gmin, depth + 1
-    )
+    x_mid = _advance_to(tape, x, t_old, half, depth + 1)
+    return _advance_to(tape, x_mid, t_old + half, half, depth + 1)
 
 
-def _solve_step(circuit, state, x_guess, t_new, dt, method, node_idx, branch_idx, gmin):
+def _solve_step(tape: _TransientTape, x_guess, t_new, dt):
     """Newton solve for one time point; returns the solution or ``None``."""
-    from repro.spice.diode import Diode
-
-    n_nodes = len(node_idx)
-    nonlinear = bool(circuit.mosfets()) or bool(circuit.elements_of(Diode))
-    x = x_guess.copy()
-    for _ in range(MAX_NEWTON):
-        asm = assemble_dc(
-            circuit, x, node_idx, branch_idx, gmin, source_scale=1.0, skip_reactive=True
-        )
-        _override_time_sources(circuit, asm, t_new, node_idx, branch_idx)
-        state.stamp(asm, dt, method, lambda node: -1 if Circuit.is_ground(node) else node_idx[node])
-        try:
-            x_new = np.linalg.solve(asm.A, asm.z)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                f"singular transient MNA matrix at t={t_new:g}s in {circuit.title!r}"
-            ) from None
-        if not np.all(np.isfinite(x_new)):
-            return None
-        dx = x_new - x
-        max_dv = float(np.max(np.abs(dx[:n_nodes]))) if n_nodes else 0.0
-        if nonlinear and max_dv > MAX_STEP:
-            x = x + dx * (MAX_STEP / max_dv)
-        else:
-            x = x_new
-            if max_dv < VTOL:
-                return x
-    return None
-
-
-def _override_time_sources(circuit, asm, t_new, node_idx, branch_idx):
-    """Replace DC source values stamped by assemble_dc with values at t_new.
-
-    ``assemble_dc`` stamps ``dc_value`` (the t=0 waveform value); here we add
-    the difference so the net stamp equals the waveform value at ``t_new``.
-    """
-    for element in circuit.elements_of(VoltageSource):
-        if element.waveform is not None:
-            delta = element.value_at(t_new) - element.dc_value
-            asm.add_z(branch_idx[element.name], delta)
-    for element in circuit.elements_of(CurrentSource):
-        if element.waveform is not None:
-            delta = element.value_at(t_new) - element.dc_value
-            n_plus = -1 if Circuit.is_ground(element.n_plus) else node_idx[element.n_plus]
-            n_minus = -1 if Circuit.is_ground(element.n_minus) else node_idx[element.n_minus]
-            asm.current_source(n_plus, n_minus, delta)
+    tape.prepare(t_new, dt)
+    solution = newton(
+        tape, x_guess, max_iter=MAX_NEWTON, vtol=VTOL,
+        singular=f"singular transient MNA matrix at t={t_new:g}s in {tape.title!r}",
+    )
+    return None if solution is None else solution[0]

@@ -12,6 +12,7 @@ from repro.core.acquisition import (
     ProbabilityOfImprovement,
     UpperConfidenceBound,
     WeightedAcquisition,
+    norm_pdf,
     pbo_weights,
     sample_easybo_weight,
 )
@@ -24,6 +25,18 @@ def model():
     X = rng.uniform(0, 1, size=(30, 2))
     y = np.sin(5 * X[:, 0]) + X[:, 1]
     return GaussianProcess(2, noise_variance=1e-6).fit(X, y)
+
+
+class TestNormal:
+    def test_matches_scipy_stats_bit_for_bit(self):
+        from scipy import stats
+        from scipy.special import ndtr
+
+        z = np.concatenate(
+            [[np.inf, -np.inf, np.nan, 40.0, -40.0, 0.0, -0.0], np.linspace(-45, 45, 9001)]
+        )
+        assert np.array_equal(ndtr(z), stats.norm.cdf(z), equal_nan=True)
+        assert np.array_equal(norm_pdf(z), stats.norm.pdf(z), equal_nan=True)
 
 
 class TestUCB:

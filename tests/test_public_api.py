@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +46,7 @@ MODULES = [
     "repro.spice.diode",
     "repro.spice.elements",
     "repro.spice.exceptions",
+    "repro.spice.mna",
     "repro.spice.mosfet",
     "repro.spice.netlist",
     "repro.spice.noise",
@@ -111,3 +114,17 @@ def test_readme_quickstart_symbols_exist():
     assert hasattr(repro, "EasyBO")
     assert hasattr(repro, "make_algorithm")
     assert hasattr(repro, "__version__")
+
+
+def test_cold_import_skips_heavy_modules():
+    """Importing the package, the circuits and the distributed layer loads
+    neither ``scipy.stats`` nor ``networkx``."""
+    code = (
+        "import sys, repro, repro.circuits, repro.distributed; "
+        "print([m for m in ('scipy.stats', 'networkx') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

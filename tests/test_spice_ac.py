@@ -5,6 +5,8 @@ import pytest
 
 from repro.spice import (
     Circuit,
+    OperatingPoint,
+    SingularMatrixError,
     ac_analysis,
     bode_metrics,
     dc_operating_point,
@@ -124,6 +126,18 @@ class TestValidation:
         c.R("r", "a", "0", 1)
         with pytest.raises(ValueError):
             ac_analysis(c, np.array([0.0, 1.0]))
+
+    def test_singular_system_names_the_first_frequency(self):
+        """A voltage-source loop is singular at every frequency of the sweep."""
+        c = Circuit("loop")
+        c.V("v1", "a", "0", dc=1.0, ac=1.0)
+        c.V("v2", "a", "0", dc=1.0)
+        c.R("r", "a", "0", 1e3)
+        op = OperatingPoint({"a": 1.0}, {"v1": 0.0, "v2": 0.0}, {}, 1)
+        with pytest.raises(
+            SingularMatrixError, match=r"^singular AC MNA matrix at f=1000 Hz in 'loop'$"
+        ):
+            ac_analysis(c, np.array([1e3, 10.0, 1e5]), op=op)
 
 
 class TestBodeMetrics:

@@ -1,5 +1,8 @@
 """Tests for repro.spice.netlist."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.spice import Circuit, Resistor, nmos_180
@@ -97,6 +100,28 @@ class TestValidation:
         c.G("g1", "0", "out", "in", "0", 1e-3)
         c.R("rl", "out", "0", 1000)
         c.validate()
+
+    def test_validates_without_networkx(self):
+        """The connectivity check needs nothing beyond the declared deps."""
+        code = "\n".join([
+            "import sys",
+            "sys.modules['networkx'] = None",
+            "from repro.spice import Circuit, TopologyError",
+            "c = Circuit()",
+            "c.V('vin', 'in', '0', dc=1.0)",
+            "c.R('r1', 'in', '0', 100)",
+            "c.validate()",
+            "c.R('r2', 'x', 'y', 100)",
+            "try:",
+            "    c.validate()",
+            "except TopologyError as exc:",
+            "    print(exc)",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "nodes with no path to ground: ['x', 'y']"
 
 
 class TestSummary:
