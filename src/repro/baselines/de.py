@@ -5,13 +5,16 @@ run for 20000 (op-amp) / 15000 (class-E) sequential simulations.  This is the
 canonical DE: for each population member a mutant ``a + F (b - c)`` is built
 from three distinct other members, binomially crossed over with rate CR, and
 the trial replaces its parent only if it improves the FOM.
+
+DE is the one driver with its own loop rather than a campaign: a generation
+is a barrier over the whole population, which may outnumber the workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bo import shutdown_pool
+from repro.core.bo import incumbent, shutdown_pool
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.sched.workers import VirtualWorkerPool
@@ -114,13 +117,13 @@ class DifferentialEvolution:
             population[:n_trials][improved] = trials[improved]
             fitness[:n_trials][improved] = trial_fit[improved]
 
-        best = pool.trace.best_record()
+        best_x, best_fom = incumbent(pool.trace, d)
         return RunResult(
             algorithm=self.algorithm_name,
             problem=self.problem.name,
             trace=pool.trace,
-            best_x=best.x.copy(),
-            best_fom=best.fom,
+            best_x=best_x,
+            best_fom=best_fom,
             n_evaluations=len(pool.trace),
             wall_clock=pool.trace.makespan,
             n_failures=pool.trace.n_failures,

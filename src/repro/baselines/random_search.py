@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from repro.core.bo import shutdown_pool
-from repro.core.doe import random_design
+from repro.core.bo import BODriverBase
 from repro.core.problem import Problem
-from repro.core.results import RunResult
-from repro.sched.workers import VirtualWorkerPool
-from repro.utils.rng import as_generator
 
 __all__ = ["RandomSearch"]
 
 
-class RandomSearch:
-    """Evaluate ``max_evals`` uniform points, ``n_workers`` at a time."""
+class RandomSearch(BODriverBase):
+    """Evaluate ``max_evals`` uniform points, ``n_workers`` at a time.
 
-    algorithm_name = "Random"
+    Its campaign (label ``Random-<n_workers>``) is all initial design:
+    ``n_init = max_evals``, drawn in one call up front.  The shared loop
+    keeps every worker busy, so random search journals and resumes like
+    every BO label.  Other keyword arguments (``failure_policy``,
+    ``journal``, ``tracer``, ...) are the BO drivers'.
+    """
 
     def __init__(
         self,
@@ -25,42 +26,11 @@ class RandomSearch:
         rng=None,
         n_workers: int = 1,
         pool_factory=None,
+        **kwargs,
     ):
         if max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        self.problem = problem
-        self.max_evals = int(max_evals)
-        self.rng = as_generator(rng)
-        self.n_workers = int(n_workers)
-        self.pool_factory = pool_factory or VirtualWorkerPool
-
-    def run(self) -> RunResult:
-        pool = self.pool_factory(self.problem, self.n_workers)
-        try:
-            return self._drive(pool)
-        finally:
-            shutdown_pool(pool)
-
-    def _drive(self, pool) -> RunResult:
-        X = random_design(self.problem.bounds, self.max_evals, self.rng)
-        submitted = 0
-        while submitted < self.max_evals and pool.idle_count > 0:
-            pool.submit(X[submitted])
-            submitted += 1
-        done = 0
-        while done < self.max_evals:
-            pool.wait_next()
-            done += 1
-            if submitted < self.max_evals:
-                pool.submit(X[submitted])
-                submitted += 1
-        best = pool.trace.best_record()
-        return RunResult(
-            algorithm=self.algorithm_name,
-            problem=self.problem.name,
-            trace=pool.trace,
-            best_x=best.x.copy(),
-            best_fom=best.fom,
-            n_evaluations=len(pool.trace),
-            wall_clock=pool.trace.makespan,
+        super().__init__(
+            problem, f"Random-{int(n_workers)}", max_evals=max_evals, rng=rng,
+            pool_factory=pool_factory, **kwargs,
         )

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuits.opamp import DEFAULT_COST, build_opamp, opamp_design_space
+from repro.circuits.opamp import DEFAULT_COST, opamp_design_space, simulate_opamp
 from repro.core.constrained import ConstrainedProblem, ConstraintSpec
 from repro.core.problem import EvaluationResult
 from repro.sched.durations import CostModel
-from repro.spice import SpiceError, ac_analysis, bode_metrics, dc_operating_point, logspace_frequencies
+from repro.spice import SpiceError, logspace_frequencies
 
 __all__ = ["ConstrainedOpAmpProblem"]
 
@@ -63,10 +63,7 @@ class ConstrainedOpAmpProblem(ConstrainedProblem):
         cost = self.cost_model.duration(x)
         values = self.space.to_values(x)
         try:
-            circuit = build_opamp(values)
-            op = dc_operating_point(circuit)
-            ac = ac_analysis(circuit, self.freqs, op=op)
-            metrics = bode_metrics(ac.freqs, ac.v("out"))
+            metrics = simulate_opamp(values, self.freqs)
         except SpiceError:
             return EvaluationResult(
                 fom=FAILED_UGF,

@@ -26,7 +26,9 @@ import numpy as np
 from repro.core.problem import EvaluationResult, Problem
 from repro.sched.durations import CostModel, LognormalCostModel
 from repro.spice import (
+    BodeMetrics,
     Circuit,
+    MosfetParams,
     SpiceError,
     ac_analysis,
     bode_metrics,
@@ -37,7 +39,8 @@ from repro.spice import (
 )
 from repro.circuits.spec import DesignSpace, Parameter
 
-__all__ = ["OpAmpProblem", "build_opamp", "opamp_design_space", "FAILURE_FOM"]
+__all__ = ["OpAmpProblem", "build_opamp", "simulate_opamp", "opamp_fom",
+           "opamp_design_space", "FAILURE_FOM"]
 
 #: FOM assigned to designs whose simulation fails (penalty, not NaN).
 FAILURE_FOM = 0.0
@@ -82,15 +85,20 @@ def opamp_design_space() -> DesignSpace:
     )
 
 
-def build_opamp(values: dict[str, float]) -> Circuit:
+def build_opamp(
+    values: dict[str, float],
+    nmos: MosfetParams | None = None,
+    pmos: MosfetParams | None = None,
+) -> Circuit:
     """Construct the op-amp netlist for one set of physical sizes.
 
     The testbench applies a +/- 0.5 V AC differential stimulus around the
     common mode, so ``v(out)`` *is* the differential open-loop transfer
-    function.
+    function.  ``nmos`` / ``pmos`` replace the nominal 180 nm model cards
+    (process corners, Monte Carlo; see :mod:`repro.circuits.variation`).
     """
-    nmos = nmos_180()
-    pmos = pmos_180()
+    nmos = nmos_180() if nmos is None else nmos
+    pmos = pmos_180() if pmos is None else pmos
     c = Circuit("two-stage Miller op-amp (reproduction of paper Fig. 3)")
     c.V("vdd", "vdd", "0", dc=VDD)
     c.V("vip", "ip", "0", dc=VCM, ac=+0.5)
@@ -112,6 +120,38 @@ def build_opamp(values: dict[str, float]) -> Circuit:
     c.C("cc", "cz", "out", values["cc"])
     c.C("cl", "out", "0", CLOAD)
     return c
+
+
+def simulate_opamp(
+    values: dict[str, float],
+    freqs: np.ndarray,
+    nmos: MosfetParams | None = None,
+    pmos: MosfetParams | None = None,
+) -> BodeMetrics:
+    """Build → DC → AC → Bode for one sizing; raises ``SpiceError`` on failure."""
+    circuit = build_opamp(values, nmos, pmos)
+    op = dc_operating_point(circuit)
+    ac = ac_analysis(circuit, freqs, op=op)
+    return bode_metrics(ac.freqs, ac.v("out"))
+
+
+def opamp_fom(bode: BodeMetrics) -> tuple[float, bool, dict[str, float]]:
+    """Eq. 10 FOM, feasibility and metrics of one simulated sizing."""
+    gain_db = bode.dc_gain_db
+    ugf_mhz = bode.ugf_hz / 1e6
+    pm_deg = bode.phase_margin_deg
+    # Eq. 10 with UGF expressed in tens of MHz, which balances the three
+    # terms into the paper's few-hundred FOM range (see module docstring).
+    fom = 1.2 * gain_db + 10.0 * (ugf_mhz / 10.0) + 1.6 * min(pm_deg, 120.0)
+    feasible = pm_deg >= MIN_PHASE_MARGIN
+    if not feasible:
+        # Soft stability penalty: the idealized level-1 model otherwise
+        # rewards near-oscillatory designs with huge UGF.  A graded
+        # penalty keeps the response surface informative for the GP,
+        # matching how mis-sized HSPICE designs degrade in the paper.
+        fom -= PM_PENALTY_PER_DEG * (MIN_PHASE_MARGIN - max(pm_deg, 0.0))
+    fom = max(float(fom), FAILURE_FOM)
+    return fom, feasible, {"gain_db": gain_db, "ugf_mhz": ugf_mhz, "pm_deg": pm_deg}
 
 
 class OpAmpProblem(Problem):
@@ -149,31 +189,12 @@ class OpAmpProblem(Problem):
         cost = self.cost_model.duration(x)
         values = self.space.to_values(x)
         try:
-            circuit = build_opamp(values)
-            op = dc_operating_point(circuit)
-            ac = ac_analysis(circuit, self.freqs, op=op)
-            metrics = bode_metrics(ac.freqs, ac.v("out"))
+            bode = simulate_opamp(values, self.freqs)
         except SpiceError:
             return EvaluationResult(
                 fom=FAILURE_FOM, metrics={}, cost=cost, feasible=False
             )
-        gain_db = metrics.dc_gain_db
-        ugf_mhz = metrics.ugf_hz / 1e6
-        pm_deg = metrics.phase_margin_deg
-        # Eq. 10 with UGF expressed in tens of MHz, which balances the three
-        # terms into the paper's few-hundred FOM range (see module docstring).
-        fom = 1.2 * gain_db + 10.0 * (ugf_mhz / 10.0) + 1.6 * min(pm_deg, 120.0)
-        feasible = pm_deg >= MIN_PHASE_MARGIN
-        if not feasible:
-            # Soft stability penalty: the idealized level-1 model otherwise
-            # rewards near-oscillatory designs with huge UGF.  A graded
-            # penalty keeps the response surface informative for the GP,
-            # matching how mis-sized HSPICE designs degrade in the paper.
-            fom -= PM_PENALTY_PER_DEG * (MIN_PHASE_MARGIN - max(pm_deg, 0.0))
-        fom = max(float(fom), FAILURE_FOM)
+        fom, feasible, metrics = opamp_fom(bode)
         return EvaluationResult(
-            fom=fom,
-            metrics={"gain_db": gain_db, "ugf_mhz": ugf_mhz, "pm_deg": pm_deg},
-            cost=cost,
-            feasible=feasible,
+            fom=fom, metrics=metrics, cost=cost, feasible=feasible
         )

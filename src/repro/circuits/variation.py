@@ -7,10 +7,10 @@ models global process variation by perturbing the MOSFET model cards:
   and transconductance of NMOS/PMOS together (fast = lower vt0, higher kp);
 * **Monte Carlo** — Gaussian perturbations of (vt0, kp) per run.
 
-Both wrap any circuit problem whose netlist builder accepts model cards via
-:func:`build_with_models`, and a :class:`RobustOpAmpProblem` is provided that
-scores a design by its *worst-corner* FOM — turning EasyBO into a robust
-(minimax) sizing loop.
+Both run the op-amp testbench of :mod:`repro.circuits.opamp` with shifted
+model cards (its builder takes them as optional arguments), and a
+:class:`RobustOpAmpProblem` is provided that scores a design by its
+*worst-corner* FOM — turning EasyBO into a robust (minimax) sizing loop.
 """
 
 from __future__ import annotations
@@ -20,25 +20,17 @@ import dataclasses
 import numpy as np
 
 from repro.circuits.opamp import (
-    CLOAD,
     DEFAULT_COST,
     FAILURE_FOM,
-    IBIAS,
-    MIN_PHASE_MARGIN,
-    PM_PENALTY_PER_DEG,
-    VCM,
-    VDD,
     opamp_design_space,
+    opamp_fom,
+    simulate_opamp,
 )
 from repro.core.problem import EvaluationResult, Problem
 from repro.sched.durations import CostModel
 from repro.spice import (
-    Circuit,
     MosfetParams,
     SpiceError,
-    ac_analysis,
-    bode_metrics,
-    dc_operating_point,
     logspace_frequencies,
     nmos_180,
     pmos_180,
@@ -49,7 +41,6 @@ __all__ = [
     "ProcessShift",
     "CORNERS",
     "shift_params",
-    "build_opamp_with_models",
     "evaluate_opamp_at_corner",
     "RobustOpAmpProblem",
     "monte_carlo_foms",
@@ -87,33 +78,6 @@ def shift_params(base: MosfetParams, dvt: float, kp_scale: float) -> MosfetParam
     return dataclasses.replace(base, vt0=base.vt0 + dvt, kp=base.kp * kp_scale)
 
 
-def build_opamp_with_models(
-    values: dict[str, float], nmos: MosfetParams, pmos: MosfetParams
-) -> Circuit:
-    """The op-amp netlist with explicit (possibly shifted) model cards.
-
-    Mirrors :func:`repro.circuits.opamp.build_opamp`, which uses the nominal
-    cards.
-    """
-    c = Circuit("two-stage Miller op-amp (process-shifted)")
-    c.V("vdd", "vdd", "0", dc=VDD)
-    c.V("vip", "ip", "0", dc=VCM, ac=+0.5)
-    c.V("vim", "im", "0", dc=VCM, ac=-0.5)
-    c.I("ibias", "vdd", "bn", dc=IBIAS)
-    c.M("m8", "bn", "bn", "0", "0", nmos, w=4e-6, l=0.5e-6)
-    c.M("m5", "tail", "bn", "0", "0", nmos, w=values["w5"], l=0.5e-6)
-    c.M("m1", "x1", "ip", "tail", "0", nmos, w=values["w12"], l=values["l12"])
-    c.M("m2", "x2", "im", "tail", "0", nmos, w=values["w12"], l=values["l12"])
-    c.M("m3", "x1", "x1", "vdd", "vdd", pmos, w=values["w34"], l=values["l34"])
-    c.M("m4", "x2", "x1", "vdd", "vdd", pmos, w=values["w34"], l=values["l34"])
-    c.M("m6", "out", "x2", "vdd", "vdd", pmos, w=values["w6"], l=values["l6"])
-    c.M("m7", "out", "bn", "0", "0", nmos, w=values["w7"], l=0.5e-6)
-    c.R("rz", "x2", "cz", values["rz"])
-    c.C("cc", "cz", "out", values["cc"])
-    c.C("cl", "out", "0", CLOAD)
-    return c
-
-
 _FREQS = logspace_frequencies(10.0, 10e9, 12)
 
 
@@ -122,20 +86,11 @@ def evaluate_opamp_at_corner(
 ) -> tuple[float, dict[str, float]]:
     """Eq. 10 FOM of a sizing under the given model cards."""
     try:
-        circuit = build_opamp_with_models(values, nmos, pmos)
-        op = dc_operating_point(circuit)
-        ac = ac_analysis(circuit, _FREQS, op=op)
-        metrics = bode_metrics(ac.freqs, ac.v("out"))
+        bode = simulate_opamp(values, _FREQS, nmos, pmos)
     except SpiceError:
         return FAILURE_FOM, {}
-    gain_db = metrics.dc_gain_db
-    ugf_mhz = metrics.ugf_hz / 1e6
-    pm_deg = metrics.phase_margin_deg
-    fom = 1.2 * gain_db + 10.0 * (ugf_mhz / 10.0) + 1.6 * min(pm_deg, 120.0)
-    if pm_deg < MIN_PHASE_MARGIN:
-        fom -= PM_PENALTY_PER_DEG * (MIN_PHASE_MARGIN - max(pm_deg, 0.0))
-    fom = max(float(fom), FAILURE_FOM)
-    return fom, {"gain_db": gain_db, "ugf_mhz": ugf_mhz, "pm_deg": pm_deg}
+    fom, _, metrics = opamp_fom(bode)
+    return fom, metrics
 
 
 class RobustOpAmpProblem(Problem):

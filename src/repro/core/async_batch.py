@@ -63,8 +63,4 @@ class AsynchronousBatchBO(BODriverBase):
     @property
     def penalized(self) -> bool:
         """Whether pending points are hallucinated (Eq. 9)."""
-        return self.campaign.strategy.penalized
-
-    @property
-    def pending_policy(self) -> str:
-        return self.campaign.strategy.pending_policy.name
+        return self.pending_policy == "hallucinate"

@@ -8,8 +8,8 @@ holds what the drivers share: the campaign (built by
 :func:`~repro.core.campaign.make_campaign` from the label each driver
 derives from its constructor arguments), the pool, and result packaging.
 Its :meth:`~BODriverBase._drive` repeats the step with B workers for every
-BO label, and :class:`SequentialBO` — the classic one-point-at-a-time loop
-with a pluggable acquisition (EI / LCB / UCB / PI / EasyBO's
+label but DE, and :class:`SequentialBO` — the classic one-point-at-a-time
+loop with a pluggable acquisition (EI / LCB / UCB / PI / EasyBO's
 randomized-weight rule) — is that loop with one worker.  Drivers never
 propose: every point comes from the campaign's strategy.
 """
@@ -21,15 +21,15 @@ import math
 import numpy as np
 
 from repro.core.acquisition import EASYBO_LAMBDA
-from repro.core.campaign import Campaign, SequentialStrategy, make_campaign
+from repro.core.campaign import AsyncBatchStrategy, Campaign, make_campaign
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.obs import Observability
 from repro.sched.workers import Completion, VirtualWorkerPool
 from repro.utils.rng import rng_state_to_dict
 
-__all__ = ["BODriverBase", "SequentialBO", "consume", "refill", "shutdown_pool",
-           "submit"]
+__all__ = ["BODriverBase", "SequentialBO", "consume", "incumbent", "refill",
+           "shutdown_pool", "submit"]
 
 
 def shutdown_pool(pool) -> None:
@@ -42,6 +42,18 @@ def shutdown_pool(pool) -> None:
     close = getattr(pool, "close", None)
     if callable(close):
         close()
+
+
+def incumbent(trace, dim: int) -> tuple[np.ndarray, float]:
+    """Best (x, FOM) of a finished run's trace.
+
+    When every evaluation failed the incumbent is empty — NaN ``x`` and a
+    ``-inf`` FOM — rather than an error for a run that survived to the end.
+    """
+    if not trace.has_success:
+        return np.full(dim, np.nan), float("-inf")
+    best = trace.best_record()
+    return best.x.copy(), best.fom
 
 
 def submit(pool, obs, x, *, batch: int | None = None) -> dict:
@@ -60,9 +72,9 @@ def submit(pool, obs, x, *, batch: int | None = None) -> dict:
 
 
 def refill(campaign: Campaign, pool, obs) -> None:
-    """Give idle workers points: sequential and asynchronous campaigns ask
-    until none is idle (a fixpoint), a synchronous one its next batch once the
-    pool is empty (the barrier).  The points are the campaign strategy's."""
+    """Give idle workers points: one-point campaigns ask until none is idle
+    (a fixpoint), a synchronous one its next batch once the pool is empty
+    (the barrier).  The points are the campaign strategy's."""
     if campaign.strategy.kind != "sync":
         while not campaign.exhausted and pool.idle_count > 0:
             campaign.ask(_issue=lambda x: submit(pool, obs, x))
@@ -169,10 +181,6 @@ class BODriverBase:
     #: Display name of the result rows (the campaign's).
     algorithm_name = "bo"
 
-    #: Async drivers report their pending-point policy name; it rides along
-    #: in the packaged RunResult (runs format v7).
-    pending_policy: str | None = None
-
     def __init__(
         self,
         problem: Problem,
@@ -214,6 +222,13 @@ class BODriverBase:
     @property
     def batch_size(self) -> int:
         return self.campaign.batch_size
+
+    @property
+    def pending_policy(self) -> str | None:
+        """The EasyBO families' pending-point policy name (the journaled
+        one), ``None`` for labels whose policy is not selectable; it rides
+        along in the packaged RunResult (runs format v7)."""
+        return self.campaign._config.get("pending_policy")
 
     # ------------------------------------------------------------ the loop
     def _open_pool(self, *, resumed: bool = False, n_workers: int | None = None):
@@ -315,14 +330,7 @@ class BODriverBase:
         tele_fn = getattr(pool, "telemetry", None)
         telemetry = tele_fn() if callable(tele_fn) else None
         trace.pool_telemetry = telemetry
-        if trace.has_success:
-            best = trace.best_record()
-            best_x, best_fom = best.x.copy(), best.fom
-        else:
-            # Every single evaluation failed; report an empty incumbent
-            # rather than crashing a run that survived to the end.
-            best_x = np.full(self.problem.dim, np.nan)
-            best_fom = float("-inf")
+        best_x, best_fom = incumbent(trace, self.problem.dim)
         metrics_snapshot = self._fold_metrics(trace, telemetry)
         result = RunResult(
             algorithm=self.algorithm_name,
@@ -393,7 +401,7 @@ class SequentialBO(BODriverBase):
         ei_xi: float = 0.0,
         **kwargs,
     ):
-        if acquisition.lower() not in SequentialStrategy.ACQUISITIONS:
+        if acquisition.lower() not in AsyncBatchStrategy.ACQUISITIONS:
             raise ValueError(f"unknown acquisition {acquisition!r}")
         super().__init__(
             problem, acquisition, lam=lam, ucb_kappa=ucb_kappa, ei_xi=ei_xi,

@@ -14,7 +14,7 @@ an explicit ask/tell object whose state is a value:
 * :meth:`Campaign.tell` folds one observation back in, applying the failure
   policy (impute / drop / budget-neutral orphan reissue).
 
-Every BO driver is a thin loop over the Campaign :func:`make_campaign`
+Every driver but DE is a thin loop over the Campaign :func:`make_campaign`
 builds for its label (byte-for-byte equal to the golden trajectories — see
 ``tests/test_campaign_equivalence.py``) and writes its crash-safe journal
 through it, and :mod:`repro.distributed.server` serves
@@ -24,7 +24,9 @@ same event log (``campaign_start`` / ``doe`` / ``ask`` / ``tell`` /
 
 Proposals come only from per-family :class:`Strategy` objects, side models
 included, so the same pipeline backs the drivers, standalone campaigns and
-the server for every BO label.
+the server for every label but DE: every one-point label proposes through
+:class:`AsyncBatchStrategy`, and random search is a campaign whose initial
+design is its whole budget.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ __all__ = [
     "CampaignError",
     "CampaignExhausted",
     "Strategy",
-    "SequentialStrategy",
     "AsyncBatchStrategy",
     "SyncBatchStrategy",
     "FAMILIES",
@@ -117,13 +118,13 @@ def _pareto_front_mask(scores: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Per-family proposal strategies.  Each receives the Campaign ("core") and
 # uses only its public surface: session, rng, obs, pending_matrix, maximize,
-# standardized_best, cold_point, cold_block.
+# maximize_unit, standardized_best, cold_point, cold_block.
 # --------------------------------------------------------------------------
 class Strategy:
     """The protocol every family strategy follows.
 
-    One-point kinds (``"sequential"``, ``"async"``) implement
-    ``propose(core)``; the synchronous kind implements ``select(core, n)``.
+    The one-point kind (``"async"``) implements ``propose(core)``; the
+    synchronous kind (``"sync"``) implements ``select(core, n)``.
     Side state lives in ``side_models`` (``snapshot()``/``restore()``
     objects, journaled with every ask) and is fed by :meth:`absorb`, which
     runs after every observation enters the surrogate, live and on replay.
@@ -139,10 +140,27 @@ class Strategy:
         """Fold one observation into the side datasets (none by default)."""
 
 
-class SequentialStrategy(Strategy):
-    """One-at-a-time proposals with a pluggable acquisition rule."""
+class AsyncBatchStrategy(Strategy):
+    """One-point proposals: the paper's Alg. 1 step for every one-point label.
 
-    kind = "sequential"
+    Each proposal refits the GP, refits the side models, asks the pending
+    policy for the model to maximize over, and maximizes the base
+    ``acquisition`` on it: ``"easybo"`` (the randomized-weight rule of
+    Eq. 8), ``"ei"`` / ``"pi"`` (improvement baselines) or ``"lcb"`` /
+    ``"ucb"`` (the optimistic baseline; the paper's LCB is the minimization
+    spelling of UCB).  The policy decides how in-flight points shape the
+    proposal: the default ``"hallucinate"`` folds them in at predictive
+    means (lines 5-6, Eq. 9), ``"lp"`` penalizes the acquisition in
+    Lipschitz balls around them, ``"pessimistic"`` hallucinates at
+    ``mu - beta * sigma``, and ``"none"`` ignores them (standard
+    acquisition).  See :mod:`repro.core.pending`.  With nothing in flight
+    every policy maximizes over the fitted model, so at B = 1 this is
+    classic sequential BO.  Subclasses with side models (constrained,
+    cost-aware) override :meth:`fit_side_models` and :meth:`reshape`;
+    GP-Hedge overrides :meth:`choose`.
+    """
+
+    kind = "async"
 
     ACQUISITIONS = ("easybo", "ei", "pi", "lcb", "ucb")
 
@@ -153,14 +171,37 @@ class SequentialStrategy(Strategy):
         lam: float = EASYBO_LAMBDA,
         ucb_kappa: float = 2.0,
         ei_xi: float = 0.0,
+        pending_policy=None,
     ):
         acquisition = acquisition.lower()
         if acquisition not in self.ACQUISITIONS:
             raise ValueError(f"unknown acquisition {acquisition!r}")
         self.acquisition = acquisition
+        self.pending_policy = make_pending_policy(pending_policy)
         self.lam = float(lam)
         self.ucb_kappa = float(ucb_kappa)
         self.ei_xi = float(ei_xi)
+
+    def propose(self, core: "Campaign") -> np.ndarray:
+        """One Alg. 1 proposal."""
+        if core.session.n_observations < 2:
+            # The whole initial design may still be in flight (B >= n_init),
+            # or dropped failures starved the GP; it has nothing to say yet,
+            # so explore uniformly — but never re-issue a point that is
+            # already under evaluation.
+            return core.cold_point()
+        core.session.refit()
+        self.fit_side_models(core)
+        pending = core.pending_matrix()
+        model = self.pending_policy.model(core.session, pending)
+        return self.choose(core, model, pending)
+
+    def choose(self, core: "Campaign", model, pending) -> np.ndarray:
+        """Maximize the policy-wrapped, reshaped acquisition over ``model``."""
+        acquisition = self.pending_policy.wrap(
+            core.session, model, self.make_acquisition(core), pending, rng=core.rng
+        )
+        return core.maximize(self.reshape(acquisition), model=model)
 
     def make_acquisition(self, core: "Campaign"):
         if self.acquisition == "easybo":
@@ -170,61 +211,6 @@ class SequentialStrategy(Strategy):
         if self.acquisition == "pi":
             return ProbabilityOfImprovement(core.standardized_best(), xi=self.ei_xi)
         return UpperConfidenceBound(self.ucb_kappa)
-
-    def propose(self, core: "Campaign") -> np.ndarray:
-        if core.session.n_observations < 2:
-            # Failures (under a "drop" policy) can leave the GP with too
-            # little data; explore uniformly until it has a footing.
-            return core.cold_point()
-        core.session.refit()
-        return core.maximize(self.make_acquisition(core))
-
-
-class AsyncBatchStrategy(Strategy):
-    """The paper's Alg. 1 proposal with a pluggable pending-point policy.
-
-    The policy decides how in-flight points shape the proposal: the default
-    ``"hallucinate"`` folds them in at predictive means (lines 5-6, Eq. 9,
-    byte-for-byte the historical pipeline), ``"lp"`` penalizes the
-    acquisition in Lipschitz balls around them, ``"pessimistic"``
-    hallucinates at ``mu - beta * sigma``, and ``"none"`` ignores them
-    (standard acquisition, the historical ``penalized=False``).  See
-    :mod:`repro.core.pending`.  Subclasses with side models (constrained,
-    cost-aware) override :meth:`fit_side_models` and :meth:`reshape`.
-    """
-
-    kind = "async"
-
-    def __init__(
-        self,
-        *,
-        penalized: bool = True,
-        lam: float = EASYBO_LAMBDA,
-        pending_policy=None,
-    ):
-        if pending_policy is None:
-            pending_policy = "hallucinate" if penalized else "none"
-        self.pending_policy = make_pending_policy(pending_policy)
-        self.penalized = self.pending_policy.name == "hallucinate"
-        self.lam = float(lam)
-
-    def propose(self, core: "Campaign") -> np.ndarray:
-        """One Alg. 1 proposal."""
-        if core.session.n_observations < 2:
-            # The whole initial design may still be in flight (B >= n_init);
-            # the GP has nothing to say yet, so explore uniformly — but never
-            # re-issue a point that is already under evaluation.
-            return core.cold_point()
-        core.session.refit()
-        self.fit_side_models(core)
-        policy = self.pending_policy
-        pending = core.pending_matrix()
-        model = policy.model(core.session, pending)
-        w = sample_easybo_weight(core.rng, self.lam)
-        acquisition = policy.wrap(
-            core.session, model, WeightedAcquisition(w), pending, rng=core.rng
-        )
-        return core.maximize(self.reshape(acquisition), model=model)
 
     def fit_side_models(self, core: "Campaign") -> None:
         """Refit the side models; runs right after the GP refit, so their
@@ -353,13 +339,7 @@ class SyncBatchStrategy(Strategy):
             def scorer(U, _slot=slot, _base=base):
                 return _base(model, U) - hc(_slot, U)
 
-            u_best = maximize_acquisition(
-                scorer,
-                core.session.unit_bounds(),
-                rng=core.rng,
-                n_candidates=core.acq_candidates,
-                n_restarts=core.acq_restarts,
-            )
+            u_best = core.maximize_unit(scorer)
             hc.record(slot, u_best)
             points.append(core.session.to_physical(u_best.reshape(1, -1))[0])
         return points
@@ -403,17 +383,19 @@ class SyncBatchStrategy(Strategy):
             return values
 
         for _ in range(n_points):
-            u_best = maximize_acquisition(
-                scorer,
-                core.session.unit_bounds(),
-                rng=core.rng,
-                n_candidates=core.acq_candidates,
-                n_restarts=core.acq_restarts,
-            )
+            u_best = core.maximize_unit(scorer)
             mu_j, sigma_j = model.predict(u_best.reshape(1, -1))
             balls.append((u_best, mu_j[0], sigma_j[0]))
             points.append(core.session.to_physical(u_best.reshape(1, -1))[0])
         return points
+
+
+class DesignStrategy(Strategy):
+    """Random search: the initial design is the whole budget (``n_init =
+    max_evals``), so the campaign serves design rows only and never asks
+    this strategy to propose."""
+
+    kind = "async"
 
 
 # --------------------------------------------------------------------------
@@ -457,12 +439,12 @@ class Campaign:
         n_inducing: int | None = None,
         refit_every: int = 1,
         obs=None,
-        session: SurrogateSession | None = None,
         journal=None,
         algorithm: str = "campaign",
         embedded: bool = False,
     ):
-        if n_init < 2:
+        if n_init < 1 or (n_init < 2 and max_evals > n_init):
+            # A design-only campaign (random search) never fits the GP.
             raise ValueError("n_init must be >= 2 (the GP needs data)")
         if max_evals < n_init:
             raise ValueError("max_evals must be >= n_init")
@@ -482,7 +464,7 @@ class Campaign:
             surrogate_kwargs["max_exact_n"] = int(max_exact_n)
         if n_inducing is not None:
             surrogate_kwargs["n_inducing"] = int(n_inducing)
-        self.session = session or SurrogateSession(
+        self.session = SurrogateSession(
             problem.bounds,
             rng=self.rng,
             surrogate_update=surrogate_update,
@@ -605,11 +587,11 @@ class Campaign:
         Initial-design rows are served first; afterwards the family strategy
         runs the refit/hallucinate/acquisition pipeline.  Asked points are
         tracked as pending until the matching :meth:`tell`; a batch from a
-        one-point family (sequential, asynchronous) is ``n`` successive
-        proposals, each seeing the earlier ones as pending.  Past its design
-        a synchronous campaign is asked in whole batches only,
-        ``ask(min(B, max_evals - issued))``: any other ask, like ``n < 1``,
-        raises :class:`CampaignError` before any state changes.
+        one-point family is ``n`` successive proposals, each seeing the
+        earlier ones as pending.  Past its design a synchronous campaign is
+        asked in whole batches only, ``ask(min(B, max_evals - issued))``:
+        any other ask, like ``n < 1``, raises :class:`CampaignError` before
+        any state changes.
         ``request_id`` rides along in the journal event so the campaign
         server can rebuild its idempotent reply cache after a restart (a
         retried ``ask`` whose reply was lost replays the journaled points
@@ -797,8 +779,16 @@ class Campaign:
     def maximize(self, acquisition, model=None) -> np.ndarray:
         """Maximize an acquisition on the unit cube; return a physical point."""
         scorer = self.session.acquisition_on_unit(acquisition, model=model)
+        return self.session.to_physical(self.maximize_unit(scorer).reshape(1, -1))[0]
+
+    def maximize_unit(self, scorer) -> np.ndarray:
+        """Maximize a unit-cube scorer ``scorer(U)``; return the unit-cube point.
+
+        Every acquisition maximization runs here, under an
+        ``acquisition-maximize`` span, with the campaign's RNG and budget.
+        """
         with self.obs.span("acquisition-maximize"):
-            u_best = maximize_acquisition(
+            return maximize_acquisition(
                 scorer,
                 self.session.unit_bounds(),
                 rng=self.rng,
@@ -806,7 +796,6 @@ class Campaign:
                 n_restarts=self.acq_restarts,
                 obs=self.obs,
             )
-        return self.session.to_physical(u_best.reshape(1, -1))[0]
 
     def standardized_best(self) -> float:
         """Incumbent best in the GP's standardized output scale."""
@@ -946,13 +935,17 @@ class Campaign:
 #: The one algorithm-label grammar: a family, then an optional ``-<batch>``.
 _LABEL_RE = re.compile(r"^(?P<family>[a-zA-Z][a-zA-Z-]*?)(?:-(?P<batch>\d+))?$")
 
+#: The family drivers whose pending-point policy is selectable (and journaled).
+_POLICY_DRIVERS = ("async", "constrained", "cost-aware")
+
 
 class Family(NamedTuple):
     """One label family: the driver that runs it, its strategy, its name."""
 
-    #: ``"sequential"``, ``"async"``, ``"sync"``, ``"constrained"`` /
-    #: ``"cost-aware"`` (async with side models), ``"portfolio"`` (sequential
-    #: GP-Hedge) — the ask/tell families — or ``"de"`` / ``"random"``.
+    #: ``"sequential"`` (the one-point EI / PI / LCB / UCB baselines),
+    #: ``"async"``, ``"sync"``, ``"constrained"`` / ``"cost-aware"`` (async
+    #: with side models), ``"portfolio"`` (GP-Hedge), ``"random"`` (random
+    #: search) — the ask/tell families — or ``"de"``.
     driver: str
     #: Acquisition (sequential), pending policy (async), or batch rule (sync).
     strategy: str | None
@@ -973,7 +966,6 @@ FAMILIES = {
     "pi": Family("sequential", "pi", "PI"),
     "lcb": Family("sequential", "lcb", "LCB"),
     "ucb": Family("sequential", "ucb", "UCB"),
-    # Sequential at B=1 without an explicit pending policy (parse_label).
     "easybo": Family("async", "hallucinate", "EasyBO"),
     "easybo-a": Family("async", "none", "EasyBO-A"),
     "easybo-lp": Family("async", "lp", "EasyBO-LP"),
@@ -997,11 +989,10 @@ def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
     """Resolve a paper-style label into its :class:`Family` and batch size.
 
     Case-insensitive; a trailing ``-<int>`` is the batch size, at least 1
-    (always 1 for the sequential families and GP-Hedge).
-    Plain ``EasyBO`` at B=1 is the sequential driver unless a
-    ``pending_policy`` asks for the asynchronous one (the sequential driver
-    has no pending set to apply a policy to); other families without a
-    pending set refuse a ``pending_policy``.
+    (always 1 for the sequential families and GP-Hedge).  Only the EasyBO
+    families (:data:`_POLICY_DRIVERS`) take a ``pending_policy``; the
+    other one-point families hallucinate their in-flight points, a policy
+    that is fixed, not selected.
     """
     match = _LABEL_RE.match(label.strip())
     if not match:
@@ -1016,11 +1007,7 @@ def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
     batch = int(match.group("batch") or 1)
     if batch < 1:
         raise ValueError(f"batch size must be >= 1 in label {label!r}")
-    if key == "easybo" and batch == 1 and pending_policy is None:
-        return Family("sequential", "easybo", family.display), 1
-    if pending_policy is not None and family.driver not in (
-        "async", "constrained", "cost-aware"
-    ):
+    if pending_policy is not None and family.driver not in _POLICY_DRIVERS:
         raise ValueError(
             "pending_policy applies to the asynchronous EasyBO family "
             f"only, not to {label!r}"
@@ -1041,12 +1028,13 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
 
     The ``campaign_start`` record carries it; ``knobs`` are the family
     parameters (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, plus
-    ``cost_exponent`` for caEasyBO and ``eta`` for GP-Hedge).  The whole
-    failure policy rides along, so a resumed driver or server campaign
-    rebuilds its pool with the same retries, timeout and lease.
+    ``cost_exponent`` for caEasyBO, ``eta`` for GP-Hedge and the
+    ``pending_policy`` of the EasyBO families).  The whole failure policy
+    rides along, so a resumed driver or server campaign rebuilds its pool
+    with the same retries, timeout and lease.
     """
     session = campaign.session
-    config = {
+    return {
         "n_init": campaign.n_init,
         "max_evals": campaign.max_evals,
         "acq_candidates": campaign.acq_candidates,
@@ -1059,11 +1047,6 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
         "failure_policy": dataclasses.asdict(campaign.failure_policy),
         **knobs,
     }
-    if isinstance(campaign.strategy, AsyncBatchStrategy):
-        # Journaled so resume rebuilds the same policy even when the label
-        # alone would imply a different one.
-        config["pending_policy"] = campaign.strategy.pending_policy.name
-    return config
 
 
 def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
@@ -1071,14 +1054,15 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
 
     The one place a label becomes a campaign: its strategy (side models
     included), display name, batch size and journaled config.  Accepts
-    every BO label of :func:`repro.core.easybo.make_algorithm`
-    (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``, ``"cEasyBO-3"``,
-    ``"GP-Hedge"``, ...), and every BO driver builds its campaign here too
-    (``embedded=True``); only the non-BO baselines (DE, random search) have
-    no campaign form.  Keyword arguments are Campaign constructor kwargs (a
-    dict ``failure_policy``, as journaled, is accepted) plus the family
-    knobs ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, ``cost_exponent``
-    (caEasyBO), ``eta`` (GP-Hedge) and, for the asynchronous families,
+    every label of :func:`repro.core.easybo.make_algorithm` but DE, whose
+    generation barrier has no campaign form (``"EasyBO-5"``, ``"pBO-3"``,
+    ``"LCB"``, ``"cEasyBO-3"``, ``"GP-Hedge"``, ``"Random-4"``, ...), and
+    every driver but DE builds its campaign here too (``embedded=True``).
+    Random search is a campaign whose initial design is its whole budget.
+    Keyword arguments are Campaign constructor kwargs (a dict
+    ``failure_policy``, as journaled, is accepted) plus the family knobs
+    ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, ``cost_exponent``
+    (caEasyBO), ``eta`` (GP-Hedge) and, for the EasyBO families,
     ``pending_policy`` (a name from
     :data:`repro.core.pending.PENDING_POLICIES` or a policy instance) —
     equivalently spelled as a label: ``"EasyBO-LP-5"`` / ``"EasyBO-PESS-5"``
@@ -1086,7 +1070,7 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     """
     pending_policy = kwargs.pop("pending_policy", None)
     family, batch = parse_label(label, pending_policy)
-    if family.driver in ("de", "random"):
+    if family.driver == "de":
         raise ValueError(
             f"algorithm family {family.display!r} has no ask/tell campaign form"
         )
@@ -1105,7 +1089,7 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     rng = kwargs["rng"] = as_generator(kwargs.get("rng"))
     async_kwargs = dict(lam=knobs["lam"], pending_policy=pending_policy or family.strategy)
     if family.driver == "sequential":
-        strategy = SequentialStrategy(
+        strategy = AsyncBatchStrategy(
             family.strategy, lam=knobs["lam"], ucb_kappa=knobs["ucb_kappa"],
             ei_xi=knobs["ei_xi"],
         )
@@ -1120,6 +1104,9 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
         strategy = HedgeStrategy(
             eta=knobs["eta"], ucb_kappa=knobs["ucb_kappa"], ei_xi=knobs["ei_xi"]
         )
+    elif family.driver == "random":
+        strategy = DesignStrategy()
+        kwargs["n_init"] = kwargs.setdefault("max_evals", 150)
     elif family.driver == "constrained":
         from repro.core.constrained import ConstrainedStrategy
 
@@ -1133,6 +1120,10 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     else:
         strategy = AsyncBatchStrategy(**async_kwargs)
         family = policy_family(strategy.pending_policy.name)
+    if family.driver in _POLICY_DRIVERS:
+        # Journaled so resume rebuilds the same policy even when the label
+        # alone would imply a different one.
+        knobs["pending_policy"] = strategy.pending_policy.name
     policy = kwargs.pop("failure_policy", None)
     if isinstance(policy, dict):
         policy = FailurePolicy(**policy)

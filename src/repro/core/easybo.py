@@ -10,8 +10,8 @@
 
 :func:`make_algorithm` turns the paper's row labels ("pBO-5", "EasyBO-SP-10",
 "DE", "LCB", ...) into configured drivers, which is how the Table I/II benches
-enumerate their grids; the facade's modes are labels too.  Every BO driver
-builds its campaign with :func:`~repro.core.campaign.make_campaign`, whose
+enumerate their grids; the facade's modes are labels too.  Every driver but
+DE builds its campaign with :func:`~repro.core.campaign.make_campaign`, whose
 strategy (side models included) is the only source of proposals.
 """
 
@@ -32,13 +32,12 @@ from repro.core.sync_batch import SynchronousBatchBO
 __all__ = ["EasyBO", "make_algorithm", "ALGORITHM_FAMILIES"]
 
 
-#: ``EasyBO(mode=...)``: the label family each mode runs, and the pending
-#: policy that keeps the asynchronous modes asynchronous at B = 1.
+#: ``EasyBO(mode=...)``: the label family each mode runs.
 _MODES = {
-    "async": ("EasyBO", "hallucinate"),
-    "async-nopen": ("EasyBO", "none"),
-    "sync": ("EasyBO-SP", None),
-    "sync-nopen": ("EasyBO-S", None),
+    "async": "EasyBO",
+    "async-nopen": "EasyBO-A",
+    "sync": "EasyBO-SP",
+    "sync-nopen": "EasyBO-S",
 }
 
 
@@ -87,13 +86,11 @@ class EasyBO:
         **driver_kwargs,
     ):
         try:
-            family, policy = _MODES[mode.lower()]
+            family = _MODES[mode.lower()]
         except KeyError:
             raise ValueError(
                 f"unknown mode {mode!r}; choose async, async-nopen, sync, sync-nopen"
             ) from None
-        if policy is not None and driver_kwargs.get("pending_policy") is None:
-            driver_kwargs["pending_policy"] = policy
         self.driver = make_algorithm(
             f"{family}-{batch_size}", problem, n_init=n_init,
             max_evals=max_evals, rng=rng, pool_factory=pool_factory,
@@ -126,20 +123,21 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
     :func:`~repro.core.campaign.make_campaign` builds from the same label
     and knobs (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` /
     ``pending_policy`` / ``cost_exponent`` / ``eta``), so a journaled config
-    round-trips.  DE and random search cannot resume and refuse
-    ``journal=``.
+    round-trips.  ``"Random-4"`` is random search on 4 workers (or pass
+    ``n_workers=``).  DE cannot resume and refuses ``journal=``.
     """
     family, batch = parse_label(label, kwargs.get("pending_policy"))
-    if family.driver in ("de", "random"):
+    if family.driver == "de":
         if kwargs.get("journal") is not None:
-            raise ValueError(
-                f"{family.display} cannot resume, so it does not take journal="
-            )
-        cls = DifferentialEvolution if family.driver == "de" else RandomSearch
-        allowed = ("max_evals", "rng", "pool_factory", "n_workers")
-        if family.driver == "de":
-            allowed += ("pop_size", "f", "cr")
-        return cls(problem, **{k: v for k, v in kwargs.items() if k in allowed})
+            raise ValueError("DE cannot resume, so it does not take journal=")
+        allowed = ("max_evals", "rng", "pool_factory", "n_workers", "pop_size",
+                   "f", "cr")
+        return DifferentialEvolution(
+            problem, **{k: v for k, v in kwargs.items() if k in allowed}
+        )
+    if family.driver == "random":
+        kwargs.setdefault("n_workers", batch)
+        return RandomSearch(problem, **kwargs)
     if family.driver == "portfolio":
         return PortfolioBO(problem, **kwargs)
     if family.driver == "sequential":

@@ -2,13 +2,15 @@
 
 The paper notes that "a portfolio of several acquisition functions is also
 possible" [Hoffman, Brochu & de Freitas, UAI 2011].  :class:`HedgeStrategy`
-implements GP-Hedge as a sequential campaign strategy: each proposal every
-portfolio member nominates a candidate, one nomination is played with
-probability proportional to ``exp(eta * gain)``, and every member's gain is
-updated by the posterior mean at *its own* nominee.  The gains are the
-strategy's side state, journaled with every ask, so GP-Hedge resumes and
-runs on the campaign server like any other label; :class:`PortfolioBO` is
-the driver that names it.
+implements GP-Hedge as a one-point campaign strategy: it takes the refit
+and pending-policy steps of every one-point label (in-flight points are
+hallucinated), then every portfolio member nominates a candidate on that
+model, one nomination is played with probability proportional to
+``exp(eta * gain)``, and every member's gain is updated by the posterior
+mean at *its own* nominee.  The gains are the strategy's side state,
+journaled with every ask, so GP-Hedge resumes and runs on the campaign
+server like any other label; :class:`PortfolioBO` is the driver that names
+it.
 """
 
 from __future__ import annotations
@@ -21,23 +23,20 @@ from repro.core.acquisition import (
     UpperConfidenceBound,
 )
 from repro.core.bo import BODriverBase
-from repro.core.campaign import Strategy
+from repro.core.campaign import AsyncBatchStrategy
 
 __all__ = ["HedgeStrategy", "PortfolioBO"]
 
 
-class HedgeStrategy(Strategy):
-    """Sequential GP-Hedge over {EI, PI, UCB}; its own side model."""
-
-    kind = "sequential"
+class HedgeStrategy(AsyncBatchStrategy):
+    """GP-Hedge over {EI, PI, UCB}; its own side model."""
 
     def __init__(self, *, eta: float = 1.0, ucb_kappa: float = 2.0,
                  ei_xi: float = 0.0):
         if eta <= 0:
             raise ValueError("eta must be positive")
+        super().__init__(ucb_kappa=ucb_kappa, ei_xi=ei_xi)
         self.eta = float(eta)
-        self.ucb_kappa = float(ucb_kappa)
-        self.ei_xi = float(ei_xi)
         self.member_names = ("EI", "PI", "UCB")
         self.gains = np.zeros(len(self.member_names))
         #: How many times each member's nominee was played (diagnostics).
@@ -60,12 +59,8 @@ class HedgeStrategy(Strategy):
         weights = np.exp(logits)
         return weights / weights.sum()
 
-    def propose(self, core) -> np.ndarray:
-        if core.session.n_observations < 2:
-            # Dropped failures can starve the GP; explore uniformly (no
-            # Hedge update — no nominees were scored).
-            return core.cold_point()
-        model = core.session.refit()
+    def choose(self, core, model, pending) -> np.ndarray:
+        """Every member nominates on ``model``; one nominee is played."""
         best = core.standardized_best()
         members = (
             ExpectedImprovement(best, xi=self.ei_xi),

@@ -487,11 +487,13 @@ class SurrogateSession:
         exactly, so restoring avoids the one-ulp drift an ``exp(log(x))``
         round-trip could introduce and keeps warm-started ML-II bit-exact.
         The training set itself is not captured — it is replayed from the
-        journal's completion records.
+        journal's completion records — and neither are the per-event timing
+        samples: only the stats counters, so an ask record stays the same
+        size as the run grows and two same-seed runs journal the same bytes.
         """
         snap = {
             "countdown": int(self._refit_countdown),
-            "stats": self.stats.as_dict(),
+            "stats": self.stats.counters(),
             "model": None,
         }
         if self.model is not None:
@@ -529,7 +531,10 @@ class SurrogateSession:
         self._refit_countdown = int(snap.get("countdown", 0))
         stats = snap.get("stats")
         if stats is not None:
-            self.stats = SurrogateStats.from_dict(stats)
+            # Counters continue the run's totals; timing samples stay with
+            # the process that measured them (older journals carry them too).
+            for name, value in SurrogateStats.from_dict(stats).counters().items():
+                setattr(self.stats, name, value)
         params = snap.get("model")
         if params is None:
             self.model = None

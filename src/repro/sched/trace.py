@@ -29,7 +29,10 @@ class SurrogateStats:
     hallucination counters split pending-point posteriors
     between the factored :class:`~repro.core.surrogate.HallucinatedView` and
     the rebuild-per-point legacy path.  ``refit_seconds`` and
-    ``hallucination_seconds`` hold per-event wall-clock seconds.
+    ``hallucination_seconds`` hold per-event wall-clock seconds measured in
+    this process: the journal carries only the counters, so after a resume
+    the counters are run totals and the timing lists hold the resumed
+    samples.
     """
 
     n_refits: int = 0
@@ -57,6 +60,10 @@ class SurrogateStats:
     def as_dict(self) -> dict:
         """JSON-serializable representation (used by persistence v3)."""
         return dataclasses.asdict(self)
+
+    def counters(self) -> dict:
+        """The integer counters alone (what a journal snapshot carries)."""
+        return {k: v for k, v in self.as_dict().items() if isinstance(v, int)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurrogateStats":

@@ -6,7 +6,15 @@ import pytest
 from repro.baselines.de import DifferentialEvolution
 from repro.baselines.random_search import RandomSearch
 from repro.circuits.benchmarks import rastrigin, sphere
+from repro.core.faults import FaultInjectionProblem
 from repro.sched.durations import ConstantCostModel
+
+
+def assert_empty_incumbent(result, budget):
+    """Every evaluation failed: counted, and no incumbent to report."""
+    assert result.n_evaluations == result.n_failures == budget
+    assert result.best_fom == float("-inf")
+    assert np.isnan(result.best_x).all()
 
 
 class TestDE:
@@ -62,6 +70,11 @@ class TestDE:
         with pytest.raises(ValueError):
             DifferentialEvolution(problem, max_evals=1)
 
+    def test_all_failed_run_reports_an_empty_incumbent(self):
+        problem = FaultInjectionProblem(sphere(2), crash_rate=1.0, rng=0)
+        result = DifferentialEvolution(problem, max_evals=20, rng=0).run()
+        assert_empty_incumbent(result, 20)
+
 
 class TestRandomSearch:
     def test_budget_and_bounds(self):
@@ -83,3 +96,24 @@ class TestRandomSearch:
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomSearch(sphere(2), max_evals=0)
+
+    def test_is_a_design_only_campaign(self):
+        rs = RandomSearch(sphere(2), max_evals=7, rng=0, n_workers=3)
+        assert rs.campaign.n_init == rs.campaign.max_evals == 7
+        assert rs.campaign.batch_size == 3
+        result = rs.run()
+        assert result.algorithm == "Random-3"
+        assert result.n_evaluations == 7
+        assert RandomSearch(sphere(2), max_evals=1, rng=0).run().n_evaluations == 1
+
+    def test_failures_are_counted(self):
+        problem = FaultInjectionProblem(sphere(2), crash_rate=0.25, rng=3)
+        result = RandomSearch(problem, max_evals=20, rng=0).run()
+        failed = sum(not r.ok for r in result.trace.records)
+        assert failed > 0
+        assert result.n_failures == failed
+
+    def test_all_failed_run_reports_an_empty_incumbent(self):
+        problem = FaultInjectionProblem(sphere(2), crash_rate=1.0, rng=0)
+        result = RandomSearch(problem, max_evals=20, rng=0, n_workers=3).run()
+        assert_empty_incumbent(result, 20)

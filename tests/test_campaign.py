@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.circuits.benchmarks import sphere
+from repro.circuits.benchmarks import branin, sphere
 from repro.core import (
     Campaign,
     CampaignError,
@@ -261,8 +261,8 @@ class TestMakeCampaign:
     @pytest.mark.parametrize(
         "label,algorithm,kind,batch",
         [
-            ("LCB", "LCB", "sequential", 1),
-            ("EasyBO", "EasyBO", "sequential", 1),
+            ("LCB", "LCB", "async", 1),
+            ("EasyBO", "EasyBO", "async", 1),
             ("EasyBO-3", "EasyBO-3", "async", 3),
             ("EasyBO-A-4", "EasyBO-A-4", "async", 4),
             ("pBO-3", "pBO-3", "sync", 3),
@@ -334,6 +334,28 @@ class TestPendingPolicySelection:
     def test_non_async_families_reject_policy(self, label):
         with pytest.raises(ValueError, match="asynchronous EasyBO family"):
             _campaign(label, pending_policy="lp")
+
+
+class TestOnePointLabelsHallucinate:
+    """Every one-point label proposes through ``AsyncBatchStrategy``, whose
+    fixed hallucinate policy (neither selectable nor journaled for EI, PI,
+    LCB, UCB and GP-Hedge) folds in the points in flight, so a batch ask no
+    longer returns one maximizer three times."""
+
+    @pytest.mark.parametrize("label", ["LCB", "EI"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_ask_spreads_out(self, label, seed):
+        problem = branin()
+        campaign = make_campaign(
+            label, problem, n_init=6, max_evals=12, rng=seed, **ACQ
+        )
+        for x in campaign.ask(6):
+            campaign.tell(x, problem.evaluate(x))
+        U = campaign.session.transform.to_unit(np.vstack(campaign.ask(3)))
+        gaps = [np.linalg.norm(U[i] - U[j]) for i in range(3) for j in range(i)]
+        assert min(gaps) > 1e-6
+        assert campaign.session.stats.n_hallucinated_views == 2
+        assert "pending_policy" not in campaign._config
 
 
 class TestCampaignJournalResume:

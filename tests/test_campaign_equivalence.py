@@ -6,11 +6,11 @@ proves the converse direction: a *standalone* campaign, driven by hand with
 trajectories byte-for-byte.  Any RNG draw added, removed, or reordered on
 either side of the refactor breaks these tests.
 
-Three hand-rolled harnesses mirror the three driver families:
+Two hand-rolled harnesses mirror the two loop rules:
 
-* sequential — one worker, strict submit/consume alternation;
-* asynchronous — keep B workers busy, wait-any, refill one ask at a time
-  (each proposal must see the earlier ones as pending, Eq. 9);
+* one-point (sequential at B = 1, asynchronous at B > 1) — keep B workers
+  busy, wait-any, refill one ask at a time (each proposal must see the
+  earlier ones as pending, Eq. 9);
 * synchronous — DoE slices then full batches with a ``wait_all`` barrier.
 
 Both ``surrogate_update`` modes are covered with the same guarantees as
@@ -75,17 +75,6 @@ def _tell(campaign, pool, completion) -> None:
     assert action != "reissued"
 
 
-def drive_sequential(campaign, pool) -> None:
-    """Mirror of ``BODriverBase._drive`` at B = 1: strict busy/idle alternation."""
-    while True:
-        if pool.busy_count:
-            _tell(campaign, pool, pool.wait_next())
-        elif campaign.exhausted:
-            break
-        else:
-            pool.submit(campaign.ask())
-
-
 def drive_async(campaign, pool) -> None:
     """Mirror of ``BODriverBase._drive``: wait-any + refill fixpoint.
 
@@ -131,10 +120,7 @@ def run_ask_tell_scenario(name: str, *, surrogate_update: str) -> RunResult:
     n_workers = campaign.batch_size
     pool = VirtualWorkerPool(problem, n_workers)
     try:
-        kind = campaign.strategy.kind
-        if kind == "sequential":
-            drive_sequential(campaign, pool)
-        elif kind == "async":
+        if campaign.strategy.kind == "async":
             drive_async(campaign, pool)
         else:
             drive_sync(campaign, pool, campaign.batch_size)

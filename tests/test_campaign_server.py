@@ -186,12 +186,12 @@ class TestWorkerLeases:
         assert client.status(cid)["issued"] == config["max_evals"]
 
 
-def _run_evaluated(journal_dir, label, config, **create):
+def _run_evaluated(journal_dir, label, config, problem="sphere2", **create):
     """Run one server-evaluated campaign to its end; return its journal."""
     srv = serve(journal_dir=journal_dir, max_workers=4, background=True)
     try:
         with CampaignClient(port=srv.port) as c:
-            cid = c.create(label, "sphere2", config=config, evaluate=True,
+            cid = c.create(label, problem, config=config, evaluate=True,
                            **create)
             assert _wait_for(lambda: c.status(cid)["state"] == "finished",
                              timeout=120.0)
@@ -226,6 +226,19 @@ class TestServerEvaluation:
         served = _run_evaluated(tmp_path / "server", label, config)
         driven = read_campaign_journal(tmp_path / "driver.journal")
         assert self._records(served) == self._records(driven)
+
+    def test_one_point_label_on_three_workers_hallucinates_its_points(
+        self, tmp_path
+    ):
+        """LCB leased three workers asks while points are in flight; each
+        proposal sees them hallucinated, so no point is issued twice (a
+        proposal blind to them reissued a maximizer still in flight)."""
+        config = dict(rng=0, n_init=6, max_evals=14)
+        events = _run_evaluated(tmp_path, "LCB", config, "branin", n_workers=3)
+        X = np.array([p for e in events if e["type"] == "ask" for p in e["points"]])
+        gaps = [np.linalg.norm(X[i] - X[j]) for i in range(len(X)) for j in range(i)]
+        assert len(X) == 14
+        assert min(gaps) > 1e-6
 
     @pytest.mark.parametrize("pool", ["thread", "process"])
     def test_real_clock_journal_carries_pool_facts(self, tmp_path, pool):

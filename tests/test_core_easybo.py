@@ -73,7 +73,7 @@ class TestRegistry:
         [
             ("EI", SequentialBO, None),
             ("LCB", SequentialBO, None),
-            ("EasyBO", SequentialBO, None),
+            ("EasyBO", AsynchronousBatchBO, 1),
             ("pBO-5", SynchronousBatchBO, 5),
             ("pHCBO-10", SynchronousBatchBO, 10),
             ("EasyBO-S-5", SynchronousBatchBO, 5),
@@ -133,11 +133,11 @@ class TestRegistry:
         ]
 
     def test_make_campaign_builds_every_bo_family(self):
-        """Every family but the non-BO baselines has a campaign form."""
+        """Every family but DE has a campaign form."""
         from tests.test_core_constrained import DiskProblem
 
         for key, family in FAMILIES.items():
-            if family.driver in ("de", "random"):
+            if family.driver == "de":
                 with pytest.raises(ValueError, match="no ask/tell campaign form"):
                     make_campaign(family.display, problem(), **QUICK)
                 continue

@@ -136,3 +136,22 @@ def test_select_batch_waits_for_two_observations():
     result = driver.run()
     assert result.n_evaluations == 12
     assert seen and min(seen) >= 2
+
+
+@pytest.mark.parametrize("label", ["pBO-3", "EasyBO-SP-3", "pHCBO-3", "LP-3"])
+def test_every_model_driven_maximization_is_observed(tmp_path, label):
+    """pHCBO's and LP's unit-cube scorers go through the campaign's one
+    maximization entry, so each of the 9 model-driven points leaves an
+    ``acquisition-maximize`` span and an ``acquisition.maximizations`` tick."""
+    from repro.core.easybo import make_algorithm
+    from repro.obs import MetricsRegistry, Tracer, load_trace
+
+    tracer, metrics = Tracer(tmp_path / "trace.jsonl"), MetricsRegistry()
+    make_algorithm(
+        label, sphere(2), n_init=3, max_evals=12, rng=0, acq_candidates=32,
+        acq_restarts=1, tracer=tracer, metrics=metrics,
+    ).run()
+    tracer.close()
+    names = [s["name"] for s in load_trace(tmp_path / "trace.jsonl")]
+    assert names.count("acquisition-maximize") == 9
+    assert metrics.counter("acquisition.maximizations") == 9

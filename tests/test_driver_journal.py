@@ -16,12 +16,17 @@ reconciliation.  The golden kill/resume sweeps live in
 * ``resume_campaign`` on a killed driver journal rebuilds exactly the state
   ``resume`` continues from, side-state labels included;
 * a pending point without pool facts follows the orphan rule at resume;
-* drivers that cannot resume refuse ``journal=``, and retired run journals
+* random search, a campaign that is all initial design, resumes too;
+* journals carry no wall-clock samples: two same-seed runs journal the same
+  bytes, and an ask record does not grow with the run;
+* DE, which cannot resume, refuses ``journal=``, and retired run journals
   are refused;
 * ``cEasyBO`` honours non-default pending policies.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -223,8 +228,64 @@ class TestUnslottedPendingPoint:
         assert result.n_evaluations == 5
 
 
+class TestRandomSearchResume:
+    """Random search is a campaign whose initial design is its whole budget,
+    so a kill anywhere resumes onto the uninterrupted run (2 + 2 * 12
+    journal records in all)."""
+
+    KWARGS = dict(max_evals=12, rng=0, n_init=4)
+
+    @pytest.mark.parametrize("label", ["Random", "Random-3"])
+    @pytest.mark.parametrize("kill_at", [2, 9, 20])
+    def test_kill_resume_reproduces_the_uninterrupted_run(
+        self, tmp_path, label, kill_at
+    ):
+        reference, resumed, path = kill_and_resume(
+            label, sphere(2), tmp_path, kill_at, **self.KWARGS
+        )
+        assert read_journal(path)[0]["config"]["n_init"] == 12
+        assert resumed.algorithm == reference.algorithm == label
+        assert trajectory(resumed) == trajectory(reference)
+
+
+class TestJournalBytes:
+    """The surrogate snapshot on every ask journals the stats counters, not
+    the per-event timing samples."""
+
+    KWARGS = dict(n_init=4, max_evals=30, rng=0, acq_candidates=32, acq_restarts=1)
+
+    @pytest.mark.parametrize("label", ["EasyBO-3", "LCB", "pBO-3", "GP-Hedge"])
+    def test_same_seed_runs_journal_identical_bytes(self, tmp_path, label):
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in paths:
+            make_algorithm(label, sphere(2), journal=path, **self.KWARGS).run()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("kill_at", [12, 31])
+    def test_resume_keeps_counter_totals_and_its_own_timings(self, tmp_path, kill_at):
+        reference, resumed, _ = kill_and_resume(
+            "EasyBO-2", sphere(2), tmp_path, kill_at,
+            **{**self.KWARGS, "surrogate_update": "full"},
+        )
+        ref, res = reference.surrogate_stats, resumed.surrogate_stats
+        assert len(ref.refit_seconds) == ref.n_refits
+        # Only the refits the resumed process ran were timed there.
+        assert 0 < len(res.refit_seconds) < res.n_refits
+        assert res.counters() == ref.counters()
+
+    def test_ask_records_do_not_grow_with_the_run(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        make_algorithm("EasyBO-2", sphere(2), journal=path, **self.KWARGS).run()
+        sizes = [
+            len(json.dumps(e)) for e in read_journal(path)
+            if e["type"] == "ask" and e["surrogate"]["model"] is not None
+        ]
+        assert len(sizes) == 26
+        assert sizes[-1] < sizes[0] + 64
+
+
 class TestRefusals:
-    @pytest.mark.parametrize("label", ["DE", "Random"])
+    @pytest.mark.parametrize("label", ["DE"])
     def test_non_resumable_algorithms_refuse_a_journal(self, label, tmp_path):
         with pytest.raises(ValueError, match=label):
             make_algorithm(

@@ -105,6 +105,7 @@ class TestDriverRoundTrips:
             ("EasyBO-A-3", "none"),
             ("EasyBO-LP-3", "lp"),
             ("EasyBO-PESS-3", "pessimistic"),
+            ("EasyBO", "hallucinate"),
         ],
     )
     def test_label_sets_policy_and_result_field(self, label, policy):
