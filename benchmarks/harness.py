@@ -80,8 +80,6 @@ def run_label(
         problem = problem_factory()
         if label.upper() == "DE":
             algo = make_algorithm(label, problem, max_evals=scale.de_evals, rng=rng)
-        elif label.upper() in ("RANDOM",):
-            algo = make_algorithm(label, problem, max_evals=scale.max_evals, rng=rng)
         else:
             algo = make_algorithm(
                 label,

@@ -223,12 +223,15 @@ def cmd_run(args) -> int:
         # Resume rebuilds the journaled problem by this same name.
         problem = resolve_problem(args.problem)
         label = args.algorithm.strip()
+        family, _ = parse_label(label)
         if args.workers is not None:
-            label = f"{parse_label(label)[0].display}-{args.workers}"
+            label = f"{family.display}-{args.workers}"
+        # Only a campaign has an initial design; DE starts from its population.
+        design = {} if family.build is None else {"n_init": args.n_init}
         algorithm = make_algorithm(
-            label, problem, max_evals=args.budget, rng=args.seed,
-            n_init=args.n_init, **policy_kwargs, **_journal_kwargs(args),
-            **_pool_kwargs(args), **obs_kwargs,
+            label, problem, max_evals=args.budget, rng=args.seed, **design,
+            **policy_kwargs, **_journal_kwargs(args), **_pool_kwargs(args),
+            **obs_kwargs,
         )
     except ValueError as exc:
         print(f"run: {exc}", file=sys.stderr)
@@ -423,7 +426,8 @@ def main(argv=None) -> int:
     p.add_argument("--budget", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-init", type=int, default=10, dest="n_init",
-                   help="initial design size for the BO drivers")
+                   help="initial design size for the BO drivers (DE has "
+                        "none; random search's is its budget)")
     p.add_argument(
         "--journal", default=None, metavar="PATH",
         help="write a crash-safe run journal to PATH",

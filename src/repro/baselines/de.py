@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bo import incumbent, shutdown_pool
+from repro.core.campaign import FAMILIES
+from repro.core.faults import FailurePolicy
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.sched.workers import VirtualWorkerPool
@@ -35,10 +37,15 @@ class DifferentialEvolution:
     cr:
         Crossover rate in [0, 1].
     n_workers:
-        Evaluation parallelism (the paper runs DE sequentially: 1).
-    """
+        Evaluation parallelism (the paper runs DE sequentially: 1), the
+        ``B`` of a ``DE-B`` label and of its result rows.
+    failure_policy:
+        The pool's :class:`~repro.core.faults.FailurePolicy` (retries,
+        timeout); a failed evaluation loses its selection tournament.
 
-    algorithm_name = "DE"
+    DE has no campaign, so any other keyword (``journal``, ``metrics``,
+    ``n_init``, ...) is refused with a ``ValueError`` that names it.
+    """
 
     def __init__(
         self,
@@ -51,7 +58,14 @@ class DifferentialEvolution:
         rng=None,
         n_workers: int = 1,
         pool_factory=None,
+        failure_policy: FailurePolicy | None = None,
+        **unsupported,
     ):
+        if "journal" in unsupported:
+            raise ValueError("DE cannot resume, so it does not take journal=")
+        if unsupported:
+            names = ", ".join(f"{name}=" for name in unsupported)
+            raise ValueError(f"DE does not take {names}")
         if max_evals < 2:
             raise ValueError("max_evals must be >= 2")
         if not 0.0 <= f <= 2.0:
@@ -68,9 +82,13 @@ class DifferentialEvolution:
         self.rng = as_generator(rng)
         self.n_workers = int(n_workers)
         self.pool_factory = pool_factory or VirtualWorkerPool
+        self.failure_policy = failure_policy
+        self.algorithm_name = FAMILIES["de"].label(self.n_workers)
 
     def run(self) -> RunResult:
-        pool = self.pool_factory(self.problem, self.n_workers)
+        pool = self.pool_factory(
+            self.problem, self.n_workers, policy=self.failure_policy
+        )
         try:
             return self._drive(pool)
         finally:

@@ -11,7 +11,8 @@ The loop is the paper's Algorithm 1, :meth:`BODriverBase._drive
    ``(1-w) mu + w sigma_hat`` (Eq. 9) for the idle worker (line 7).
 
 This driver only names its campaign: ``<family>-<B>`` with a pending-point
-policy (``cEasyBO`` / ``caEasyBO`` for the side-model drivers).
+policy (``cEasyBO`` / ``caEasyBO`` for the side-model drivers), the label
+that :func:`~repro.core.easybo.make_algorithm` hands the base driver as is.
 ``penalized=False`` gives the EasyBO-A ablation (asynchronous issue, plain
 sigma).  ``batch_size=1`` degenerates to sequential EasyBO.
 Step 3's pending-point handling is pluggable via ``pending_policy=`` (see
@@ -30,7 +31,6 @@ observations enter by rank-k factor updates instead of O(n^3) rebuilds.
 
 from __future__ import annotations
 
-from repro.core.acquisition import EASYBO_LAMBDA
 from repro.core.bo import BODriverBase
 from repro.core.campaign import FAMILIES
 
@@ -49,14 +49,14 @@ class AsynchronousBatchBO(BODriverBase):
         *,
         batch_size: int,
         penalized: bool = True,
-        lam: float = EASYBO_LAMBDA,
         pending_policy=None,
         **kwargs,
     ):
         if pending_policy is None:
-            pending_policy = FAMILIES["easybo" if penalized else "easybo-a"].strategy
+            row = FAMILIES["easybo" if penalized else "easybo-a"]
+            pending_policy = row.knobs["pending_policy"]
         super().__init__(
-            problem, f"{self.family}-{batch_size}", lam=lam,
+            problem, f"{self.family}-{batch_size}",
             pending_policy=pending_policy, **kwargs,
         )
 

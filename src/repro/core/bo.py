@@ -4,11 +4,11 @@ Alg. 1 is one step repeated — wait for any worker, tell its result, refill
 the idle worker — and :func:`submit` / :func:`refill` / :func:`consume` are
 that step, taken by the drivers, by :func:`repro.core.recovery.resume`, and
 by the campaign server for its evaluated campaigns.  :class:`BODriverBase`
-holds what the drivers share: the campaign (built by
-:func:`~repro.core.campaign.make_campaign` from the label each driver
-derives from its constructor arguments), the pool, and result packaging.
-Its :meth:`~BODriverBase._drive` repeats the step with B workers for every
-label but DE, and :class:`SequentialBO` — the classic one-point-at-a-time
+is the driver of every label but DE: it holds the campaign (built by
+:func:`~repro.core.campaign.make_campaign` from the label), the pool, and
+result packaging, and its :meth:`~BODriverBase._drive` repeats the step
+with B workers.  The typed drivers only derive a label from their
+constructor arguments; :class:`SequentialBO` — the classic one-point-at-a-time
 loop with a pluggable acquisition (EI / LCB / UCB / PI / EasyBO's
 randomized-weight rule) — is that loop with one worker.  Drivers never
 propose: every point comes from the campaign's strategy.
@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from repro.core.acquisition import EASYBO_LAMBDA
 from repro.core.campaign import AsyncBatchStrategy, Campaign, make_campaign
 from repro.core.problem import Problem
 from repro.core.results import RunResult
@@ -113,9 +112,11 @@ class BODriverBase:
     problem:
         The black-box maximization problem.
     label:
-        The label (``"LCB"``, ``"EasyBO-5"``) a subclass derives from its
-        constructor arguments; :func:`~repro.core.campaign.make_campaign`
-        builds the campaign from it and the family knobs in ``kwargs``.
+        The algorithm label (``"LCB"``, ``"EasyBO-5"``, ``"pBO-3"``), as
+        :func:`~repro.core.easybo.make_algorithm` passes it or a typed
+        subclass derives it from its constructor arguments;
+        :func:`~repro.core.campaign.make_campaign` builds the campaign from
+        it and the family knobs in ``kwargs``.
     n_init:
         Random initial samples (the paper uses 20).
     max_evals:
@@ -177,9 +178,6 @@ class BODriverBase:
         ``SurrogateStats``, or ``PoolTelemetry`` are folded in *once* at
         packaging time, so resumed runs never double-count replayed events.
     """
-
-    #: Display name of the result rows (the campaign's).
-    algorithm_name = "bo"
 
     def __init__(
         self,
@@ -326,10 +324,8 @@ class BODriverBase:
 
     def _package(self, pool) -> RunResult:
         trace = pool.trace
-        trace.surrogate_stats = self.session.stats
         tele_fn = getattr(pool, "telemetry", None)
         telemetry = tele_fn() if callable(tele_fn) else None
-        trace.pool_telemetry = telemetry
         best_x, best_fom = incumbent(trace, self.problem.dim)
         metrics_snapshot = self._fold_metrics(trace, telemetry)
         result = RunResult(
@@ -389,21 +385,12 @@ class SequentialBO(BODriverBase):
     * ``"ei"`` / ``"pi"`` — improvement-based baselines.
     * ``"lcb"`` / ``"ucb"`` — the optimistic baseline (identical here: the
       paper's LCB is the minimization spelling of UCB).
+
+    The acquisition is the label; ``lam`` / ``ucb_kappa`` / ``ei_xi`` and
+    the other keywords are :class:`BODriverBase`'s, defaults included.
     """
 
-    def __init__(
-        self,
-        problem: Problem,
-        *,
-        acquisition: str = "easybo",
-        lam: float = EASYBO_LAMBDA,
-        ucb_kappa: float = 2.0,
-        ei_xi: float = 0.0,
-        **kwargs,
-    ):
+    def __init__(self, problem: Problem, *, acquisition: str = "easybo", **kwargs):
         if acquisition.lower() not in AsyncBatchStrategy.ACQUISITIONS:
             raise ValueError(f"unknown acquisition {acquisition!r}")
-        super().__init__(
-            problem, acquisition, lam=lam, ucb_kappa=ucb_kappa, ei_xi=ei_xi,
-            **kwargs,
-        )
+        super().__init__(problem, acquisition, **kwargs)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = [
     "Family",
     "parse_label",
     "policy_family",
-    "campaign_config",
     "make_campaign",
     "resume_campaign",
     "read_campaign_journal",
@@ -118,7 +117,7 @@ def _pareto_front_mask(scores: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Per-family proposal strategies.  Each receives the Campaign ("core") and
 # uses only its public surface: session, rng, obs, pending_matrix, maximize,
-# maximize_unit, standardized_best, cold_point, cold_block.
+# maximize_unit, standardized_best, cold_block.
 # --------------------------------------------------------------------------
 class Strategy:
     """The protocol every family strategy follows.
@@ -128,9 +127,12 @@ class Strategy:
     Side state lives in ``side_models`` (``snapshot()``/``restore()``
     objects, journaled with every ask) and is fed by :meth:`absorb`, which
     runs after every observation enters the surrogate, live and on replay.
+    A strategy that never proposes (``proposes = False``) makes its
+    campaign's initial design the whole budget.
     """
 
     kind: str
+    proposes = True
 
     @property
     def side_models(self) -> list:
@@ -189,7 +191,7 @@ class AsyncBatchStrategy(Strategy):
             # or dropped failures starved the GP; it has nothing to say yet,
             # so explore uniformly — but never re-issue a point that is
             # already under evaluation.
-            return core.cold_point()
+            return core.cold_block(1)[0]
         core.session.refit()
         self.fit_side_models(core)
         pending = core.pending_matrix()
@@ -396,6 +398,7 @@ class DesignStrategy(Strategy):
     this strategy to propose."""
 
     kind = "async"
+    proposes = False
 
 
 # --------------------------------------------------------------------------
@@ -443,6 +446,8 @@ class Campaign:
         algorithm: str = "campaign",
         embedded: bool = False,
     ):
+        if not strategy.proposes:
+            n_init = max_evals
         if n_init < 1 or (n_init < 2 and max_evals > n_init):
             # A design-only campaign (random search) never fits the GP.
             raise ValueError("n_init must be >= 2 (the GP needs data)")
@@ -803,29 +808,16 @@ class Campaign:
             self.session.output.transform(np.array([self.session.best_y]))[0]
         )
 
-    def cold_point(self) -> np.ndarray:
-        """A uniform exploration point that is not already in flight.
-
-        The initial design (or a batch of cold draws) can still be pending
-        when the GP has too little data to propose; drawing blindly here
-        could hand the same point to two workers.  Collisions are
-        measure-zero for a fresh uniform draw, so the dedupe consumes no
-        extra RNG on the overwhelmingly common path.
-        """
-        x = random_design(self.problem.bounds, 1, self.rng)[0]
-        for _ in range(_COLD_REDRAW_ATTEMPTS):
-            if self._find_pending(x) is None:
-                break
-            self.obs.inc("campaign.cold_redraws")
-            x = random_design(self.problem.bounds, 1, self.rng)[0]
-        return x
-
     def cold_block(self, n: int) -> list[np.ndarray]:
         """A block of uniform exploration points, deduped against pending.
 
-        The block is drawn in one RNG call (matching the historical
-        synchronous cold path byte-for-byte when there are no collisions);
-        only colliding rows pay a redraw.
+        The initial design (or a batch of cold draws) can still be pending
+        when the GP has too little data to propose; drawing blindly here
+        could hand the same point to two workers.  The block is drawn in one
+        RNG call, and only a row that collides with an in-flight point (or
+        an earlier row) pays a redraw: collisions are measure-zero for a
+        fresh uniform draw, so the dedupe consumes no extra RNG on the
+        overwhelmingly common path.
         """
         block = random_design(self.problem.bounds, n, self.rng)
         seen = [p.tobytes() for p in self.pending]
@@ -935,53 +927,110 @@ class Campaign:
 #: The one algorithm-label grammar: a family, then an optional ``-<batch>``.
 _LABEL_RE = re.compile(r"^(?P<family>[a-zA-Z][a-zA-Z-]*?)(?:-(?P<batch>\d+))?$")
 
-#: The family drivers whose pending-point policy is selectable (and journaled).
-_POLICY_DRIVERS = ("async", "constrained", "cost-aware")
-
 
 class Family(NamedTuple):
-    """One label family: the driver that runs it, its strategy, its name."""
+    """One label family: everything its label means."""
 
-    #: ``"sequential"`` (the one-point EI / PI / LCB / UCB baselines),
-    #: ``"async"``, ``"sync"``, ``"constrained"`` / ``"cost-aware"`` (async
-    #: with side models), ``"portfolio"`` (GP-Hedge), ``"random"`` (random
-    #: search) — the ask/tell families — or ``"de"``.
-    driver: str
-    #: Acquisition (sequential), pending policy (async), or batch rule (sync).
-    strategy: str | None
     #: Display base of the result rows (``"pBO"`` -> ``"pBO-5"``).
     display: str
+    #: Whether the label's ``-<B>`` sets the batch size; the one-point
+    #: baselines (EI, PI, LCB, UCB) and GP-Hedge always run at 1.
+    batched: bool
+    #: The knobs of this family alone, with their defaults, journaled with
+    #: its config next to the shared ``lam`` / ``ucb_kappa`` / ``ei_xi`` /
+    #: ``hc_d``.
+    knobs: dict
+    #: ``build(problem, batch, rng, knobs)`` returns the family's
+    #: :class:`Strategy`; ``None`` for DE, which has no campaign form.
+    build: Callable | None
+    #: Whether every row name carries the batch, ``-1`` included (the
+    #: synchronous rows: ``pBO-1``).
+    numbered: bool = False
 
     def label(self, batch: int) -> str:
-        """Result-row name at batch size ``batch`` (sync rows always carry it)."""
-        if self.driver == "sync" or batch > 1:
+        """Result-row name at batch size ``batch``."""
+        if self.numbered or batch > 1:
             return f"{self.display}-{batch}"
         return self.display
 
 
+def _one_point(acquisition: str) -> Callable:
+    """Builder of a one-point baseline (EI, PI, LCB, UCB)."""
+    return lambda problem, batch, rng, k: AsyncBatchStrategy(
+        acquisition, lam=k["lam"], ucb_kappa=k["ucb_kappa"], ei_xi=k["ei_xi"]
+    )
+
+
+def _easybo(problem, batch, rng, k) -> Strategy:
+    return AsyncBatchStrategy(lam=k["lam"], pending_policy=k["pending_policy"])
+
+
+def _sync(rule: str) -> Callable:
+    """Builder of a synchronous batch rule."""
+    return lambda problem, batch, rng, k: SyncBatchStrategy(
+        rule, batch_size=batch, lam=k["lam"], ucb_kappa=k["ucb_kappa"],
+        hc_d=k["hc_d"], dim=problem.dim,
+    )
+
+
+# The side-model strategies live in modules that import this one, so their
+# builders import them on first use; a cold import of this module stays lean.
+def _constrained(problem, batch, rng, k) -> Strategy:
+    from repro.core.constrained import ConstrainedStrategy
+
+    return ConstrainedStrategy(
+        problem, rng, lam=k["lam"], pending_policy=k["pending_policy"]
+    )
+
+
+def _cost_aware(problem, batch, rng, k) -> Strategy:
+    from repro.core.cost_aware import CostAwareStrategy
+
+    return CostAwareStrategy(
+        problem.dim, rng, cost_exponent=k["cost_exponent"], lam=k["lam"],
+        pending_policy=k["pending_policy"],
+    )
+
+
+def _hedge(problem, batch, rng, k) -> Strategy:
+    from repro.core.portfolio import HedgeStrategy
+
+    return HedgeStrategy(eta=k["eta"], ucb_kappa=k["ucb_kappa"], ei_xi=k["ei_xi"])
+
+
+def _design(problem, batch, rng, k) -> Strategy:
+    return DesignStrategy()
+
+
+_HALLUCINATE = {"pending_policy": "hallucinate"}
+
 #: Every algorithm label family, shared by ``make_algorithm`` and
 #: :func:`make_campaign`; the display names round-trip through both.
 FAMILIES = {
-    "ei": Family("sequential", "ei", "EI"),
-    "pi": Family("sequential", "pi", "PI"),
-    "lcb": Family("sequential", "lcb", "LCB"),
-    "ucb": Family("sequential", "ucb", "UCB"),
-    "easybo": Family("async", "hallucinate", "EasyBO"),
-    "easybo-a": Family("async", "none", "EasyBO-A"),
-    "easybo-lp": Family("async", "lp", "EasyBO-LP"),
-    "easybo-pess": Family("async", "pessimistic", "EasyBO-PESS"),
-    "pbo": Family("sync", "pbo", "pBO"),
-    "phcbo": Family("sync", "phcbo", "pHCBO"),
-    "easybo-s": Family("sync", "easybo-s", "EasyBO-S"),
-    "easybo-sp": Family("sync", "easybo-sp", "EasyBO-SP"),
-    "bucb": Family("sync", "bucb", "BUCB"),
-    "lp": Family("sync", "lp", "LP"),
-    "mace": Family("sync", "mace", "MACE"),
-    "ceasybo": Family("constrained", "hallucinate", "cEasyBO"),
-    "caeasybo": Family("cost-aware", "hallucinate", "caEasyBO"),
-    "gp-hedge": Family("portfolio", None, "GP-Hedge"),
-    "de": Family("de", None, "DE"),
-    "random": Family("random", None, "Random"),
+    "ei": Family("EI", False, {}, _one_point("ei")),
+    "pi": Family("PI", False, {}, _one_point("pi")),
+    "lcb": Family("LCB", False, {}, _one_point("lcb")),
+    "ucb": Family("UCB", False, {}, _one_point("ucb")),
+    "easybo": Family("EasyBO", True, _HALLUCINATE, _easybo),
+    "easybo-a": Family("EasyBO-A", True, {"pending_policy": "none"}, _easybo),
+    "easybo-lp": Family("EasyBO-LP", True, {"pending_policy": "lp"}, _easybo),
+    "easybo-pess": Family(
+        "EasyBO-PESS", True, {"pending_policy": "pessimistic"}, _easybo
+    ),
+    "pbo": Family("pBO", True, {}, _sync("pbo"), numbered=True),
+    "phcbo": Family("pHCBO", True, {}, _sync("phcbo"), numbered=True),
+    "easybo-s": Family("EasyBO-S", True, {}, _sync("easybo-s"), numbered=True),
+    "easybo-sp": Family("EasyBO-SP", True, {}, _sync("easybo-sp"), numbered=True),
+    "bucb": Family("BUCB", True, {}, _sync("bucb"), numbered=True),
+    "lp": Family("LP", True, {}, _sync("lp"), numbered=True),
+    "mace": Family("MACE", True, {}, _sync("mace"), numbered=True),
+    "ceasybo": Family("cEasyBO", True, _HALLUCINATE, _constrained),
+    "caeasybo": Family(
+        "caEasyBO", True, {"cost_exponent": 1.0, **_HALLUCINATE}, _cost_aware
+    ),
+    "gp-hedge": Family("GP-Hedge", False, {"eta": 1.0}, _hedge),
+    "de": Family("DE", True, {}, None),
+    "random": Family("Random", True, {}, _design),
 }
 
 
@@ -989,10 +1038,10 @@ def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
     """Resolve a paper-style label into its :class:`Family` and batch size.
 
     Case-insensitive; a trailing ``-<int>`` is the batch size, at least 1
-    (always 1 for the sequential families and GP-Hedge).  Only the EasyBO
-    families (:data:`_POLICY_DRIVERS`) take a ``pending_policy``; the
-    other one-point families hallucinate their in-flight points, a policy
-    that is fixed, not selected.
+    (always 1 for the families it does not set).  Only the families with
+    a ``pending_policy`` knob (the EasyBO rows, cEasyBO, caEasyBO) take
+    one; the other one-point families hallucinate their in-flight points,
+    a policy that is fixed, not selected.
     """
     match = _LABEL_RE.match(label.strip())
     if not match:
@@ -1007,34 +1056,96 @@ def parse_label(label: str, pending_policy=None) -> tuple[Family, int]:
     batch = int(match.group("batch") or 1)
     if batch < 1:
         raise ValueError(f"batch size must be >= 1 in label {label!r}")
-    if pending_policy is not None and family.driver not in _POLICY_DRIVERS:
+    if pending_policy is not None and "pending_policy" not in family.knobs:
         raise ValueError(
             "pending_policy applies to the asynchronous EasyBO family "
             f"only, not to {label!r}"
         )
-    return family, 1 if family.driver in ("sequential", "portfolio") else batch
+    return family, batch if family.batched else 1
 
 
-def policy_family(policy: str) -> Family:
-    """The async label family whose implied pending policy is ``policy``."""
-    for family in FAMILIES.values():
-        if family.driver == "async" and family.strategy == policy:
-            return family
-    return Family("async", policy, f"EasyBO+{policy}")
+def policy_family(policy: str, family: Family | None = None) -> Family:
+    """The row that names a ``family`` campaign (EasyBO by default) whose
+    pending policy is ``policy``.
 
-
-def campaign_config(campaign: Campaign, **knobs) -> dict:
-    """The journaled config that rebuilds ``campaign`` from its label.
-
-    The ``campaign_start`` record carries it; ``knobs`` are the family
-    parameters (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, plus
-    ``cost_exponent`` for caEasyBO, ``eta`` for GP-Hedge and the
-    ``pending_policy`` of the EasyBO families).  The whole failure policy
-    rides along, so a resumed driver or server campaign rebuilds its pool
-    with the same retries, timeout and lease.
+    The four EasyBO rows share one builder and differ only in the policy
+    their label spells, so the policy picks the row (``EasyBO-3`` with
+    ``"lp"`` is ``EasyBO-LP-3``), and one that no label spells reads
+    ``EasyBO+<name>``.  A row that shares its builder with no other
+    (cEasyBO, caEasyBO) keeps its name.
     """
+    family = family or FAMILIES["easybo"]
+    spellings = [row for row in FAMILIES.values() if row.build is family.build]
+    if len(spellings) == 1:
+        return family
+    for row in spellings:
+        if row.knobs["pending_policy"] == policy:
+            return row
+    return spellings[0]._replace(display=f"{spellings[0].display}+{policy}")
+
+
+def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
+    """Build a :class:`Campaign` from a paper-style label.
+
+    The one place a label becomes a campaign: its :data:`FAMILIES` row
+    gives the strategy (side models included), display name, batch size
+    and journaled knobs.  Accepts every label of
+    :func:`repro.core.easybo.make_algorithm` but DE, whose generation
+    barrier has no campaign form (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``,
+    ``"cEasyBO-3"``, ``"GP-Hedge"``, ``"Random-4"``, ...), and every
+    driver but DE builds its campaign here too (``embedded=True``).
+    Random search is a campaign whose initial design is its whole budget.
+    Keyword arguments are Campaign constructor kwargs (a dict
+    ``failure_policy``, as journaled, is accepted) plus the shared knobs
+    ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` and the row's own:
+    ``cost_exponent`` (caEasyBO), ``eta`` (GP-Hedge) and ``pending_policy``
+    (the EasyBO rows, cEasyBO, caEasyBO; a name from
+    :data:`repro.core.pending.PENDING_POLICIES` or a policy instance) —
+    which the EasyBO rows also spell as a label: ``"EasyBO-LP-5"`` /
+    ``"EasyBO-PESS-5"`` / ``"EasyBO-A-5"``.
+    """
+    pending_policy = kwargs.pop("pending_policy", None)
+    family, batch = parse_label(label, pending_policy)
+    if family.build is None:
+        raise ValueError(
+            f"algorithm family {family.display!r} has no ask/tell campaign form"
+        )
+    knobs = {
+        "lam": float(kwargs.pop("lam", EASYBO_LAMBDA)),
+        "ucb_kappa": float(kwargs.pop("ucb_kappa", 2.0)),
+        "ei_xi": float(kwargs.pop("ei_xi", 0.0)),
+        "hc_d": kwargs.pop("hc_d", None),
+    }
+    # Knobs of one family are read for that family alone.
+    for name, default in family.knobs.items():
+        knobs[name] = kwargs.pop(name, default)
+    if pending_policy is not None:
+        knobs["pending_policy"] = pending_policy
+    # Side models draw from the campaign's own generator.
+    rng = kwargs["rng"] = as_generator(kwargs.get("rng"))
+    strategy = family.build(problem, batch, rng, knobs)
+    # Journaled as the strategy holds them, so resume rebuilds the same
+    # strategy even when the label alone would imply another.
+    knobs.update((name, getattr(strategy, name)) for name in family.knobs)
+    if "pending_policy" in knobs:
+        knobs["pending_policy"] = strategy.pending_policy.name
+        family = policy_family(knobs["pending_policy"], family)
+    policy = kwargs.pop("failure_policy", None)
+    if isinstance(policy, dict):
+        policy = FailurePolicy(**policy)
+    campaign = Campaign(
+        problem,
+        strategy,
+        batch_size=batch,
+        failure_policy=policy,
+        algorithm=family.label(batch),
+        **kwargs,
+    )
+    # The journaled config that rebuilds the campaign from its label; the
+    # whole failure policy rides along, so a resumed driver or server
+    # campaign rebuilds its pool with the same retries, timeout and lease.
     session = campaign.session
-    return {
+    campaign._config = {
         "n_init": campaign.n_init,
         "max_evals": campaign.max_evals,
         "acq_candidates": campaign.acq_candidates,
@@ -1047,95 +1158,6 @@ def campaign_config(campaign: Campaign, **knobs) -> dict:
         "failure_policy": dataclasses.asdict(campaign.failure_policy),
         **knobs,
     }
-
-
-def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
-    """Build a :class:`Campaign` from a paper-style label.
-
-    The one place a label becomes a campaign: its strategy (side models
-    included), display name, batch size and journaled config.  Accepts
-    every label of :func:`repro.core.easybo.make_algorithm` but DE, whose
-    generation barrier has no campaign form (``"EasyBO-5"``, ``"pBO-3"``,
-    ``"LCB"``, ``"cEasyBO-3"``, ``"GP-Hedge"``, ``"Random-4"``, ...), and
-    every driver but DE builds its campaign here too (``embedded=True``).
-    Random search is a campaign whose initial design is its whole budget.
-    Keyword arguments are Campaign constructor kwargs (a dict
-    ``failure_policy``, as journaled, is accepted) plus the family knobs
-    ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d``, ``cost_exponent``
-    (caEasyBO), ``eta`` (GP-Hedge) and, for the EasyBO families,
-    ``pending_policy`` (a name from
-    :data:`repro.core.pending.PENDING_POLICIES` or a policy instance) —
-    equivalently spelled as a label: ``"EasyBO-LP-5"`` / ``"EasyBO-PESS-5"``
-    / ``"EasyBO-A-5"`` (cEasyBO and caEasyBO keep their name).
-    """
-    pending_policy = kwargs.pop("pending_policy", None)
-    family, batch = parse_label(label, pending_policy)
-    if family.driver == "de":
-        raise ValueError(
-            f"algorithm family {family.display!r} has no ask/tell campaign form"
-        )
-    knobs = {
-        "lam": float(kwargs.pop("lam", EASYBO_LAMBDA)),
-        "ucb_kappa": float(kwargs.pop("ucb_kappa", 2.0)),
-        "ei_xi": float(kwargs.pop("ei_xi", 0.0)),
-        "hc_d": kwargs.pop("hc_d", None),
-    }
-    # Knobs of one family are journaled for that family alone.
-    if family.driver == "cost-aware":
-        knobs["cost_exponent"] = float(kwargs.pop("cost_exponent", 1.0))
-    elif family.driver == "portfolio":
-        knobs["eta"] = float(kwargs.pop("eta", 1.0))
-    # Side models draw from the campaign's own generator.
-    rng = kwargs["rng"] = as_generator(kwargs.get("rng"))
-    async_kwargs = dict(lam=knobs["lam"], pending_policy=pending_policy or family.strategy)
-    if family.driver == "sequential":
-        strategy = AsyncBatchStrategy(
-            family.strategy, lam=knobs["lam"], ucb_kappa=knobs["ucb_kappa"],
-            ei_xi=knobs["ei_xi"],
-        )
-    elif family.driver == "sync":
-        strategy = SyncBatchStrategy(
-            family.strategy, batch_size=batch, lam=knobs["lam"],
-            ucb_kappa=knobs["ucb_kappa"], hc_d=knobs["hc_d"], dim=problem.dim,
-        )
-    elif family.driver == "portfolio":
-        from repro.core.portfolio import HedgeStrategy
-
-        strategy = HedgeStrategy(
-            eta=knobs["eta"], ucb_kappa=knobs["ucb_kappa"], ei_xi=knobs["ei_xi"]
-        )
-    elif family.driver == "random":
-        strategy = DesignStrategy()
-        kwargs["n_init"] = kwargs.setdefault("max_evals", 150)
-    elif family.driver == "constrained":
-        from repro.core.constrained import ConstrainedStrategy
-
-        strategy = ConstrainedStrategy(problem, rng, **async_kwargs)
-    elif family.driver == "cost-aware":
-        from repro.core.cost_aware import CostAwareStrategy
-
-        strategy = CostAwareStrategy(
-            problem.dim, rng, cost_exponent=knobs["cost_exponent"], **async_kwargs
-        )
-    else:
-        strategy = AsyncBatchStrategy(**async_kwargs)
-        family = policy_family(strategy.pending_policy.name)
-    if family.driver in _POLICY_DRIVERS:
-        # Journaled so resume rebuilds the same policy even when the label
-        # alone would imply a different one.
-        knobs["pending_policy"] = strategy.pending_policy.name
-    policy = kwargs.pop("failure_policy", None)
-    if isinstance(policy, dict):
-        policy = FailurePolicy(**policy)
-    campaign = Campaign(
-        problem,
-        strategy,
-        batch_size=batch,
-        failure_policy=policy,
-        algorithm=family.label(batch),
-        **kwargs,
-    )
-    campaign._config = campaign_config(campaign, **knobs)
     return campaign
 
 

@@ -10,24 +10,20 @@
 
 :func:`make_algorithm` turns the paper's row labels ("pBO-5", "EasyBO-SP-10",
 "DE", "LCB", ...) into configured drivers, which is how the Table I/II benches
-enumerate their grids; the facade's modes are labels too.  Every driver but
-DE builds its campaign with :func:`~repro.core.campaign.make_campaign`, whose
-strategy (side models included) is the only source of proposals.
+enumerate their grids; the facade's modes are labels too.  Every label but DE
+runs on :class:`~repro.core.bo.BODriverBase`, whose campaign
+:func:`~repro.core.campaign.make_campaign` builds from the label's
+:data:`~repro.core.campaign.FAMILIES` row; its strategy (side models
+included) is the only source of proposals.
 """
 
 from __future__ import annotations
 
 from repro.baselines.de import DifferentialEvolution
-from repro.baselines.random_search import RandomSearch
-from repro.core.async_batch import AsynchronousBatchBO
-from repro.core.bo import SequentialBO
+from repro.core.bo import BODriverBase
 from repro.core.campaign import FAMILIES, parse_label
-from repro.core.constrained import ConstrainedEasyBO
-from repro.core.cost_aware import CostAwareEasyBO
-from repro.core.portfolio import PortfolioBO
 from repro.core.problem import Problem
 from repro.core.results import RunResult
-from repro.core.sync_batch import SynchronousBatchBO
 
 __all__ = ["EasyBO", "make_algorithm", "ALGORITHM_FAMILIES"]
 
@@ -114,41 +110,20 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
     ``"EasyBO"``, ``"pBO-5"``, ``"pHCBO-10"``, ``"EasyBO-S-5"``,
     ``"EasyBO-A-15"``, ``"EasyBO-SP-10"``, ``"EasyBO-15"``, ``"BUCB-4"``,
     ``"LP-5"``, ``"cEasyBO-3"``, ``"caEasyBO-3"``, ``"GP-Hedge"``,
-    ``"Random"``.  A trailing ``-<int>`` is the batch size.  The
-    asynchronous pending-point policies also have label forms:
-    ``"EasyBO-LP-5"`` (local penalisation), ``"EasyBO-PESS-5"``
-    (pessimistic), ``"EasyBO-A-5"`` (standard acquisition) — equivalently,
-    pass ``pending_policy=`` to the ``EasyBO`` family.  Keyword arguments
-    are forwarded to the driver, whose campaign
-    :func:`~repro.core.campaign.make_campaign` builds from the same label
-    and knobs (``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` /
-    ``pending_policy`` / ``cost_exponent`` / ``eta``), so a journaled config
-    round-trips.  ``"Random-4"`` is random search on 4 workers (or pass
-    ``n_workers=``).  DE cannot resume and refuses ``journal=``.
+    ``"Random"``.  A trailing ``-<int>`` is the batch size, or the worker
+    count of DE and random search (``"Random-4"``).  The asynchronous
+    pending-point policies also have label forms: ``"EasyBO-LP-5"`` (local
+    penalisation), ``"EasyBO-PESS-5"`` (pessimistic), ``"EasyBO-A-5"``
+    (standard acquisition) — equivalently, pass ``pending_policy=`` to the
+    ``EasyBO`` family.  Every label but DE builds a
+    :class:`~repro.core.bo.BODriverBase` on it: keyword arguments go to
+    the driver, whose campaign :func:`~repro.core.campaign.make_campaign`
+    builds from the same label and knobs (``lam`` / ``ucb_kappa`` /
+    ``ei_xi`` / ``hc_d`` / ``pending_policy`` / ``cost_exponent`` /
+    ``eta``), so a journaled config round-trips.  DE runs its own loop and
+    refuses every keyword it cannot honour, ``journal=`` included.
     """
     family, batch = parse_label(label, kwargs.get("pending_policy"))
-    if family.driver == "de":
-        if kwargs.get("journal") is not None:
-            raise ValueError("DE cannot resume, so it does not take journal=")
-        allowed = ("max_evals", "rng", "pool_factory", "n_workers", "pop_size",
-                   "f", "cr")
-        return DifferentialEvolution(
-            problem, **{k: v for k, v in kwargs.items() if k in allowed}
-        )
-    if family.driver == "random":
-        kwargs.setdefault("n_workers", batch)
-        return RandomSearch(problem, **kwargs)
-    if family.driver == "portfolio":
-        return PortfolioBO(problem, **kwargs)
-    if family.driver == "sequential":
-        return SequentialBO(problem, acquisition=family.strategy, **kwargs)
-    if family.driver == "sync":
-        return SynchronousBatchBO(
-            problem, batch_size=batch, strategy=family.strategy, **kwargs
-        )
-    if kwargs.get("pending_policy") is None:
-        kwargs["pending_policy"] = family.strategy
-    cls = {"constrained": ConstrainedEasyBO, "cost-aware": CostAwareEasyBO}.get(
-        family.driver, AsynchronousBatchBO
-    )
-    return cls(problem, batch_size=batch, **kwargs)
+    if family.build is None:
+        return DifferentialEvolution(problem, n_workers=batch, **kwargs)
+    return BODriverBase(problem, label, **kwargs)

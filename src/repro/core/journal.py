@@ -37,7 +37,7 @@ __all__ = [
     "recover_journal",
     "frame_record",
     "parse_line",
-    "frame_error",
+    "decode_frame",
 ]
 
 #: Run-journal format this installation resumes.  v1 was the drivers' own
@@ -47,6 +47,7 @@ __all__ = [
 JOURNAL_VERSION = 2
 
 _MAGIC = "J1"
+_MAGIC_BYTES = _MAGIC.encode("ascii")
 # "J1 " + 8 hex length + " " + 8 hex crc + " " -> 21 bytes of header.
 _HEADER_LEN = len(_MAGIC) + 1 + 8 + 1 + 8 + 1
 
@@ -63,68 +64,48 @@ def frame_record(record: dict) -> bytes:
     return f"{_MAGIC} {len(data):08x} {crc:08x} ".encode("ascii") + data + b"\n"
 
 
-def parse_line(line: bytes) -> dict | None:
-    """Decode one framed line, returning ``None`` if it is invalid or torn."""
-    if len(line) < _HEADER_LEN + 1 or not line.startswith(_MAGIC.encode("ascii")):
-        return None
+def decode_frame(line: bytes) -> tuple[dict | None, str | None]:
+    """Decode one framed line: ``(record, None)``, or ``(None, reason)``.
+
+    The one frame check.  The journal reader only needs the record (any
+    invalid line ends the readable prefix); the socket transport also
+    *reports* the reason — which byte-stream invariant broke — so a
+    dropped connection is diagnosable instead of generic.
+    """
+    if not line.startswith(_MAGIC_BYTES):
+        return None, f"bad magic: expected {_MAGIC!r}, got {bytes(line[:2])!r}"
+    if len(line) < _HEADER_LEN + 1:
+        return None, f"short frame: {len(line)} bytes < {_HEADER_LEN + 1} minimum"
     header = line[:_HEADER_LEN]
     try:
         magic, length_hex, crc_hex = header.decode("ascii").split(" ")[:3]
         length = int(length_hex, 16)
         crc = int(crc_hex, 16)
     except (UnicodeDecodeError, ValueError):
-        return None
+        magic = None
     if magic != _MAGIC:
-        return None
+        return None, f"unparseable header {bytes(header)!r}"
     body = line[_HEADER_LEN:]
     if not body.endswith(b"\n"):
-        return None
-    data = body[:-1]
-    if len(data) != length or (zlib.crc32(data) & 0xFFFFFFFF) != crc:
-        return None
-    try:
-        record = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
-
-
-def frame_error(line: bytes) -> str | None:
-    """Why :func:`parse_line` rejects ``line``, or ``None`` when it is valid.
-
-    The journal reader only needs the boolean (any invalid line ends the
-    readable prefix), but the socket transport wants to *report* a corrupt
-    frame — which byte stream invariant broke — so connection drops are
-    diagnosable instead of generic.  Kept beside :func:`parse_line` so the
-    two can never disagree about what counts as valid.
-    """
-    if not line.startswith(_MAGIC.encode("ascii")):
-        return f"bad magic: expected {_MAGIC!r}, got {bytes(line[:2])!r}"
-    if len(line) < _HEADER_LEN + 1:
-        return f"short frame: {len(line)} bytes < {_HEADER_LEN + 1} minimum"
-    header = line[:_HEADER_LEN]
-    try:
-        _, length_hex, crc_hex = header.decode("ascii").split(" ")[:3]
-        length = int(length_hex, 16)
-        crc = int(crc_hex, 16)
-    except (UnicodeDecodeError, ValueError):
-        return f"unparseable header {bytes(header)!r}"
-    body = line[_HEADER_LEN:]
-    if not body.endswith(b"\n"):
-        return "torn frame: no trailing newline"
+        return None, "torn frame: no trailing newline"
     data = body[:-1]
     if len(data) != length:
-        return f"length mismatch: header says {length}, payload is {len(data)}"
+        return None, f"length mismatch: header says {length}, payload is {len(data)}"
     actual = zlib.crc32(data) & 0xFFFFFFFF
     if actual != crc:
-        return f"crc mismatch: header {crc:08x}, computed {actual:08x}"
+        return None, f"crc mismatch: header {crc:08x}, computed {actual:08x}"
     try:
         record = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        return "payload is not valid JSON"
+        return None, "payload is not valid JSON"
     if not isinstance(record, dict):
-        return f"payload is a {type(record).__name__}, not an object"
-    return None
+        return None, f"payload is a {type(record).__name__}, not an object"
+    return record, None
+
+
+def parse_line(line: bytes) -> dict | None:
+    """Decode one framed line, returning ``None`` if it is invalid or torn."""
+    return decode_frame(line)[0]
 
 
 class JournalWriter:
@@ -179,7 +160,7 @@ def _scan(raw: bytes) -> tuple[list[dict], int]:
         newline = raw.find(b"\n", offset)
         if newline < 0:
             break  # torn tail: partial record with no terminator
-        record = parse_line(raw[offset : newline + 1])
+        record, _ = decode_frame(raw[offset : newline + 1])
         if record is None:
             break
         records.append(record)

@@ -92,10 +92,8 @@ def run_from_dict(data: dict) -> RunResult:
         trace.add(EvalRecord.from_dict(r))
     stats_data = data.get("surrogate_stats")
     stats = None if stats_data is None else SurrogateStats.from_dict(stats_data)
-    trace.surrogate_stats = stats
     tele_data = data.get("pool_telemetry")
     telemetry = None if tele_data is None else PoolTelemetry.from_dict(tele_data)
-    trace.pool_telemetry = telemetry
     return RunResult(
         algorithm=str(data["algorithm"]),
         problem=str(data["problem"]),

@@ -80,20 +80,12 @@ class HedgeStrategy(AsyncBatchStrategy):
 class PortfolioBO(BODriverBase):
     """Sequential GP-Hedge over {EI, PI, UCB}.
 
-    Parameters
-    ----------
-    eta:
-        Hedge learning rate; higher trusts past gains more aggressively.
-    ucb_kappa / ei_xi:
-        Member-acquisition parameters.
-
-    The gains and play counts live on ``campaign.strategy``
+    Keywords are :class:`~repro.core.bo.BODriverBase`'s, among them
+    ``eta`` (the Hedge learning rate, default 1; higher trusts past gains
+    more aggressively) and the member-acquisition ``ucb_kappa`` /
+    ``ei_xi``.  The gains and play counts live on ``campaign.strategy``
     (:class:`HedgeStrategy`).
     """
 
-    def __init__(self, problem, *, eta: float = 1.0, ucb_kappa: float = 2.0,
-                 ei_xi: float = 0.0, **kwargs):
-        super().__init__(
-            problem, "GP-Hedge", eta=eta, ucb_kappa=ucb_kappa, ei_xi=ei_xi,
-            **kwargs,
-        )
+    def __init__(self, problem, **kwargs):
+        super().__init__(problem, "GP-Hedge", **kwargs)

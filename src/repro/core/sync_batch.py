@@ -35,7 +35,6 @@ factor rather than a per-point posterior rebuild.
 
 from __future__ import annotations
 
-from repro.core.acquisition import EASYBO_LAMBDA
 from repro.core.bo import BODriverBase
 from repro.core.campaign import SyncBatchStrategy, _pareto_front_mask  # noqa: F401 — re-export
 
@@ -48,24 +47,13 @@ class SynchronousBatchBO(BODriverBase):
     """Batch BO with a barrier between batches."""
 
     def __init__(
-        self,
-        problem,
-        *,
-        batch_size: int,
-        strategy: str = "easybo-sp",
-        lam: float = EASYBO_LAMBDA,
-        ucb_kappa: float = 2.0,
-        hc_d: float | None = None,
-        **kwargs,
+        self, problem, *, batch_size: int, strategy: str = "easybo-sp", **kwargs
     ):
         if strategy.lower() not in SYNC_STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; choose from {SYNC_STRATEGIES}"
             )
-        super().__init__(
-            problem, f"{strategy}-{batch_size}", lam=lam, ucb_kappa=ucb_kappa,
-            hc_d=hc_d, **kwargs,
-        )
+        super().__init__(problem, f"{strategy}-{batch_size}", **kwargs)
 
     @property
     def strategy(self) -> str:

@@ -2,7 +2,7 @@
 
 :class:`FramedConnection` turns a stream socket into a message pipe using
 the run journal's self-validating framing (:func:`repro.core.journal.
-frame_record` / :func:`~repro.core.journal.parse_line`).  Both sides of the
+frame_record` / :func:`~repro.core.journal.decode_frame`).  Both sides of the
 RPC use the same object: the worker in blocking mode (``recv``), the
 supervisor in selector-driven non-blocking mode (``receive_available``).
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import socket
 
-from repro.core.journal import frame_error, frame_record, parse_line
+from repro.core.journal import decode_frame, frame_record
 
 from repro.distributed.protocol import ProtocolError
 
@@ -99,9 +99,8 @@ class FramedConnection:
             return None
         line = bytes(self._buffer[: newline + 1])
         del self._buffer[: newline + 1]
-        record = parse_line(line)
+        record, detail = decode_frame(line)
         if record is None:
-            detail = frame_error(line) or "unknown framing violation"
             raise FrameCorruptionError(
                 f"corrupt frame at stream offset {self._consumed} "
                 f"({detail}): {line[:64]!r}",

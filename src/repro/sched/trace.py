@@ -252,12 +252,6 @@ class ExecutionTrace:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
         self.records: list[EvalRecord] = []
-        #: Filled in by BO drivers at packaging time; None for model-free
-        #: algorithms (random search, DE) and hand-built traces.
-        self.surrogate_stats: SurrogateStats | None = None
-        #: Pool operational counters, filled in at packaging time from the
-        #: pool that produced this trace; None for hand-built traces.
-        self.pool_telemetry: PoolTelemetry | None = None
 
     def add(self, record: EvalRecord) -> None:
         self.records.append(record)

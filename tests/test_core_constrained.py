@@ -6,6 +6,7 @@ import pytest
 from repro.core.constrained import (
     ConstrainedEasyBO,
     ConstrainedProblem,
+    ConstrainedStrategy,
     ConstraintSpec,
 )
 from repro.core.problem import EvaluationResult
@@ -106,7 +107,8 @@ class TestConstrainedOptimization:
         from repro.core.easybo import make_algorithm
 
         algo = make_algorithm("cEasyBO-3", DiskProblem(), **QUICK)
-        assert isinstance(algo, ConstrainedEasyBO)
+        assert isinstance(algo.campaign.strategy, ConstrainedStrategy)
+        assert algo.algorithm_name == "cEasyBO-3"
         assert algo.batch_size == 3
 
 

@@ -16,6 +16,7 @@ import pytest
 from repro.core.journal import (
     JournalError,
     JournalWriter,
+    decode_frame,
     frame_record,
     parse_line,
     read_journal,
@@ -62,6 +63,41 @@ class TestFraming:
         line = frame_record(RECORDS[2])
         for cut in range(len(line)):
             assert parse_line(line[:cut]) is None
+
+
+def _frame(data: bytes, *, length=None, crc=None) -> bytes:
+    """A frame around ``data``, optionally with a lying header."""
+    length = len(data) if length is None else length
+    crc = zlib.crc32(data) & 0xFFFFFFFF if crc is None else crc
+    return f"J1 {length:08x} {crc:08x} ".encode() + data + b"\n"
+
+
+class TestDecodeFrame:
+    """One decoder: a valid line gives its record, an invalid one its reason."""
+
+    def test_valid_line_has_no_reason(self):
+        for record in RECORDS:
+            assert decode_frame(frame_record(record)) == (record, None)
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            (b"XX" + frame_record(RECORDS[0])[2:], "bad magic"),
+            (b"J1 0000\n", "short frame"),
+            (b"J1 zzzzzzzz 00000000 {}\n", "unparseable header"),
+            (frame_record(RECORDS[0])[:-1], "torn frame"),
+            (_frame(b'{"a":1}', length=99), "length mismatch"),
+            (_frame(b'{"a":1}', crc=0), "crc mismatch"),
+            (_frame(b'{"a":'), "not valid JSON"),
+            (_frame(b"[1,2]"), "not an object"),
+        ],
+        ids=["magic", "short", "header", "torn", "length", "crc", "json", "object"],
+    )
+    def test_each_rejection_names_its_reason(self, line, reason):
+        record, why = decode_frame(line)
+        assert record is None
+        assert reason in why
+        assert parse_line(line) is None
 
 
 class TestReadJournal:
