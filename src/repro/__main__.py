@@ -42,6 +42,7 @@ strictly opt-in and costs nothing when disabled).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -96,25 +97,34 @@ def _obs_kwargs(args, default_trace: str):
     *and* (when ``--trace`` is absent) derives a default trace path, so a
     bare ``--metrics`` run is immediately inspectable with the ``trace``
     verb.  The finish callback closes the tracer (also on the exception
-    path) and prints the metrics table of the finished run.
+    path) and prints the metrics table of the finished run; with
+    ``refused=True`` (the run never started) it leaves the trace path as it
+    found it instead: absent, or holding its earlier bytes.
     """
     metrics_on = bool(getattr(args, "metrics", False))
     trace_path = getattr(args, "trace", None)
     if not metrics_on and trace_path is None:
-        return {}, lambda result: None
+        return {}, lambda result, refused=False: None
     from repro.obs import MetricsRegistry, Tracer
 
     if trace_path is None:
         trace_path = default_trace
+    kept = os.path.getsize(trace_path) if os.path.exists(trace_path) else None
     tracer = Tracer(trace_path)
     kwargs: dict = {"tracer": tracer}
     if metrics_on:
         kwargs["metrics"] = MetricsRegistry()
 
-    def finish(result) -> None:
+    def finish(result, refused: bool = False) -> None:
         from repro.utils.tables import format_table
 
         tracer.close()
+        if refused:
+            if kept is None:
+                os.unlink(trace_path)
+            else:
+                os.truncate(trace_path, kept)  # the tracer only appended
+            return
         print(f"trace: {tracer.n_spans} spans written to {trace_path} "
               f"(inspect with 'python -m repro trace {trace_path}')")
         if result is not None and result.metrics:
@@ -234,6 +244,7 @@ def cmd_run(args) -> int:
             **obs_kwargs,
         )
     except ValueError as exc:
+        finish(None, refused=True)
         print(f"run: {exc}", file=sys.stderr)
         return 2
     result = None
@@ -277,14 +288,18 @@ def cmd_tournament(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.distributed.server import CampaignServer
+    from repro.distributed.server import CampaignServer, ServerError
     from repro.obs import MetricsRegistry, Observability
 
-    server = CampaignServer(
-        host=args.host, port=args.port, journal_dir=args.journal_dir,
-        max_workers=args.max_workers,
-        obs=Observability(metrics=MetricsRegistry()),
-    )
+    try:
+        server = CampaignServer(
+            host=args.host, port=args.port, journal_dir=args.journal_dir,
+            max_workers=args.max_workers,
+            obs=Observability(metrics=MetricsRegistry()),
+        )
+    except ServerError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     # Flush so wrappers piping our stdout see the banner (and the port)
     # before they try to dial in.
     print(f"campaign server listening on {server.host}:{server.port} "

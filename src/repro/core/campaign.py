@@ -578,8 +578,14 @@ class Campaign:
         )
         self.close()
 
-    def close(self) -> None:
-        """Release the journal sink without marking the campaign finished."""
+    def close(self, event: dict | None = None) -> None:
+        """Release the journal sink without marking the campaign finished.
+
+        ``event`` is journaled first: the campaign server records why a
+        campaign stopped (``campaign_suspend`` / ``campaign_fail``) this way.
+        """
+        if event is not None:
+            self._journal_event(event)
         if self._owns_journal and self._journal is not None:
             self._journal.close()
             self._journal = None

@@ -12,10 +12,9 @@ The subsystem's pieces:
   supervisor that presents the fleet through the same ``submit`` /
   ``wait_next`` contract as the virtual and thread pools;
 * :mod:`~repro.distributed.server` — :class:`CampaignServer`, the
-  multi-tenant ask/tell campaign host (``python -m repro serve``) that
-  recovers every non-terminal campaign from its journals after a crash;
-* :mod:`~repro.distributed.manifest` — the server-level lifecycle ledger
-  that restart recovery replays;
+  multi-tenant ask/tell campaign host (``python -m repro serve``) whose
+  only ledger is one journal per campaign: after a crash it reads them
+  back and recovers every live campaign;
 * :mod:`~repro.distributed.client` — :class:`CampaignClient`, the
   retrying idempotent RPC client for the server;
 * :mod:`~repro.distributed.chaos` — :class:`ChaosProxy`, the seeded
@@ -29,7 +28,6 @@ from repro.distributed.client import (
     CampaignRetriesExhausted,
     CampaignServerError,
 )
-from repro.distributed.manifest import ServerManifest, manifest_state, read_manifest
 from repro.distributed.pool import ProcessWorkerPool
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -54,9 +52,6 @@ __all__ = [
     "ServerError",
     "WorkerLeaseRegistry",
     "serve",
-    "ServerManifest",
-    "read_manifest",
-    "manifest_state",
     "ChaosConfig",
     "ChaosProxy",
     "PROTOCOL_VERSION",

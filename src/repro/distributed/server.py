@@ -16,16 +16,21 @@ CRC-framed loopback socket RPC the process-worker fleet uses
 Durability and supervision
 --------------------------
 Every campaign appends to its own write-ahead journal
-(``journal_dir/<id>.journal``) and every lifecycle transition to the
-server-level manifest (``journal_dir/server.manifest``, see
-:mod:`repro.distributed.manifest`).  A killed client, a server crash
-(kill -9 included), or an explicit ``suspend`` all leave durable journals:
-on start with a ``journal_dir`` the server scans the manifest and replays
-every non-terminal campaign to bit-exact state (GP data, hyperparameters,
-RNG stream, pending set), re-leasing and reconciling the pools of
-server-evaluated campaigns as :func:`~repro.core.recovery.resume` does — a
-restarted server answers ``status``/``ask`` as if nothing happened.  A
-campaign whose journal is missing or corrupt degrades to ``failed``.
+(``journal_dir/c<N>.journal``), and that journal is the server's only
+record of it: ``campaign_start`` carries the client's label, the create
+``request_id`` and, for a server-evaluated campaign, its pool backend and
+size; a suspend or a failure appends ``campaign_suspend`` (reason,
+``auto``) or ``campaign_fail`` (error) before the journal closes.  A killed
+client, a server crash (kill -9 included), or an explicit ``suspend`` all
+leave durable journals: on start with a ``journal_dir`` the server reads
+every ``c<N>.journal``, the last of its ``campaign_end`` /
+``campaign_suspend`` / ``campaign_fail`` / ``campaign_resume`` records
+decides the campaign's state, and every live campaign is replayed to
+bit-exact state (GP data, hyperparameters, RNG stream, pending set), with
+the pools of server-evaluated campaigns re-leased and reconciled as
+:func:`~repro.core.recovery.resume` does — a restarted server answers
+``status``/``ask`` as if nothing happened.  A campaign whose journal is
+corrupt degrades to ``failed``.
 
 A client disconnect mid-campaign suspends the campaigns it owns: their
 pools are shut down (no leaked worker processes), their leases return to
@@ -34,7 +39,9 @@ was not the client's choice, a *retried* ``ask``/``tell`` from a
 reconnected client revives the campaign transparently.  A request that
 raises inside ``ask``/``tell`` takes the failure path — the campaign is
 failed with its pool reaped and the error is returned to the client
-instead of wedging the server.  A corrupt frame
+instead of wedging the server — unless the campaign refused it before any
+state changed (an ``ask`` past the budget, a ``tell`` of a point that is
+not pending): then only the request is refused.  A corrupt frame
 (:class:`~repro.distributed.transport.FrameCorruptionError`) drops only
 the connection it arrived on.
 
@@ -59,8 +66,8 @@ Verbs: ``ping``, ``create``, ``ask``, ``tell``, ``status``, ``list``,
 from __future__ import annotations
 
 import collections
-import os
 import pathlib
+import re
 import selectors
 import threading
 import time
@@ -76,12 +83,6 @@ from repro.core.campaign import (
     resume_campaign,
 )
 from repro.core.recovery import reconcile, resolve_problem, workers_needed
-from repro.distributed.manifest import (
-    TERMINAL_EVENTS,
-    ServerManifest,
-    manifest_state,
-    read_manifest,
-)
 from repro.distributed.protocol import PROTOCOL_VERSION, ProtocolError, result_from_dict
 from repro.distributed.transport import ConnectionClosed, FramedConnection, listen
 from repro.obs import NULL_OBS
@@ -97,6 +98,26 @@ REPLY_CACHE_LIMIT = 256
 
 #: Verbs with side effects whose replies are cached under ``request_id``.
 _IDEMPOTENT_VERBS = frozenset(("create", "ask", "tell"))
+
+#: A campaign id.  A client-sent id must match before a journal path is
+#: built from it, and the restart scan reads only ``<id>.journal`` files.
+_CAMPAIGN_ID = re.compile(r"c[0-9]+")
+
+#: The journal records that set a campaign's state; the last one wins.
+_STATE_OF = {
+    "campaign_resume": "active",
+    "campaign_suspend": "suspended",
+    "campaign_fail": "failed",
+    "campaign_end": "finished",
+}
+
+
+def _last_state(events: list[dict]) -> dict:
+    """A journal's last state record; one with none is live."""
+    for event in reversed(events):
+        if event.get("type") in _STATE_OF:
+            return event
+    return {"type": "campaign_resume"}
 
 
 class ServerError(RuntimeError):
@@ -180,8 +201,8 @@ class _Hosted:
     """One campaign under management: state, owner, and (optionally) a pool.
 
     ``campaign`` may be ``None`` for a *stub* — a campaign the restarted
-    server knows about from the manifest but has not (re)loaded: suspended
-    campaigns await their revival, failed/finished ones only answer
+    server knows about from its journal but has not (re)loaded: suspended
+    and failed campaigns await their revival, finished ones only answer
     ``status``.
     """
 
@@ -201,10 +222,6 @@ class _Hosted:
         #: server shutdown): a retried ask/tell revives it transparently.
         self.auto_resumable = False
         self.replies = _ReplyCache()
-        #: Creation context (the ``created`` manifest record), so a later
-        #: revival can rebuild worker leases/pools without the client
-        #: re-sending them.
-        self.manifest_info: dict | None = None
 
     @property
     def evaluating(self) -> bool:
@@ -220,11 +237,12 @@ class CampaignServer:
         Listening address; port 0 binds an ephemeral port, read it back
         from :attr:`port`.
     journal_dir:
-        Directory for per-campaign write-ahead journals and the server
-        manifest.  On start the manifest is scanned and every non-terminal
-        campaign is recovered to bit-exact state (see
-        :mod:`repro.distributed.manifest`).  ``None`` disables journaling
-        (campaigns are then not crash-resumable).
+        Directory for the per-campaign write-ahead journals.  On start
+        every ``c<N>.journal`` in it is read and every live campaign is
+        recovered to bit-exact state.  A directory holding a
+        ``server.manifest`` (written by an older server) is refused.
+        ``None`` disables journaling (campaigns are then not
+        crash-resumable).
     max_workers:
         Capacity of the shared :class:`WorkerLeaseRegistry` for
         server-evaluated campaigns.
@@ -247,8 +265,6 @@ class CampaignServer:
         obs=None,
     ):
         self.journal_dir = None if journal_dir is None else pathlib.Path(journal_dir)
-        if self.journal_dir is not None:
-            self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.leases = WorkerLeaseRegistry(max_workers)
         self.obs = obs if obs is not None else NULL_OBS
         self._campaigns: dict[str, _Hosted] = {}
@@ -261,12 +277,8 @@ class CampaignServer:
         self.rpc_replayed_replies = 0
         self.frame_corruptions = 0
         self._create_replies = _ReplyCache(limit=4 * REPLY_CACHE_LIMIT)
-        self.manifest = (
-            None
-            if self.journal_dir is None
-            else ServerManifest(self.journal_dir / "server.manifest")
-        )
-        if self.manifest is not None:
+        if self.journal_dir is not None:
+            self.journal_dir.mkdir(parents=True, exist_ok=True)
             self._recover()
         self._selector = selectors.DefaultSelector()
         self._listener, self.port = listen(host, port)
@@ -301,8 +313,8 @@ class CampaignServer:
     def abort(self) -> None:
         """Simulate kill -9: exit *without* any suspend/journal bookkeeping.
 
-        On-disk journals and the manifest stay exactly as the crash left
-        them — no suspend events, no campaign_end records — which is what a
+        On-disk journals stay exactly as the crash left them — no
+        ``campaign_suspend``, no ``campaign_end`` records — which is what a
         SIGKILL'd process leaves behind; a new server on the same
         ``journal_dir`` must recover from that state alone.  (Unlike a real
         kill -9 the worker pools *are* reaped, purely so tests and the
@@ -334,162 +346,128 @@ class CampaignServer:
             pass
         self._listener.close()
         self._selector.close()
-        if self.manifest is not None and not self._aborted:
-            self.manifest.close()
 
     close = stop
 
     # --------------------------------------------------------------- recovery
     def _recover(self) -> None:
-        """Replay the manifest: reload every non-terminal campaign.
+        """Rebuild the campaign table from the journals in ``journal_dir``.
 
-        Campaigns whose last event is terminal become status-only stubs;
-        suspended ones become resumable stubs (revived on demand); everything
-        else — including campaigns the crash caught mid-``ask`` — is replayed
-        from its journal to bit-exact state, with leases re-registered for
-        server-evaluated campaigns and their pools reconciled.  A campaign
-        whose journal is missing or corrupt degrades to ``failed`` without
-        taking the rest down; one that cannot lease the workers it needs
-        waits as a suspended stub for ``resume`` (or the next restart).
+        Each ``c<N>.journal`` is one campaign, and the last of its
+        ``campaign_end`` / ``campaign_suspend`` / ``campaign_fail`` /
+        ``campaign_resume`` records decides its state.  Finished, failed
+        and suspended campaigns become stubs (revived on demand); every
+        other one — including campaigns the crash caught mid-``ask`` — is
+        replayed from its journal to bit-exact state, with leases
+        re-registered for server-evaluated campaigns and their pools
+        reconciled.  A journal that cannot be read degrades its campaign to
+        ``failed`` without taking the rest down; one that cannot lease the
+        workers it needs waits as a suspended stub for ``resume`` (or the
+        next restart).  An empty file holds no campaign: a create killed
+        between opening its journal and writing ``campaign_start`` leaves
+        one.
         """
-        state = manifest_state(read_manifest(self.manifest.path))
-        for campaign_id in sorted(state):
-            info = state[campaign_id]
+        manifest = self.journal_dir / "server.manifest"
+        if manifest.exists():
+            raise ServerError(
+                f"{manifest} was written by an older server, which kept "
+                "campaign suspends and failures there; finish its campaigns "
+                "with the release that wrote it"
+            )
+        paths = [
+            path for path in self.journal_dir.glob("c*.journal")
+            if _CAMPAIGN_ID.fullmatch(path.stem) and path.stat().st_size
+        ]
+        for path in sorted(paths, key=lambda path: int(path.stem[1:])):
+            campaign_id = path.stem
+            self._next_id = max(self._next_id, int(campaign_id[1:]) + 1)
             try:
-                self._next_id = max(
-                    self._next_id, int(campaign_id.lstrip("c")) + 1
-                )
-            except ValueError:
-                pass
-            last = info.get("state")
-            if info.get("request_id"):
-                self._create_replies.put(
-                    info["request_id"],
-                    {"ok": True, "campaign": campaign_id,
-                     "n_workers": int(info.get("n_workers") or 0)},
-                )
-            if last in TERMINAL_EVENTS:
-                stub = self._stub(campaign_id, info, "finished")
-                stub.campaign = None
-                continue
-            if last == "failed":
-                self._stub(campaign_id, info, "failed",
-                           error=info.get("error"))
-                continue
-            if last == "suspended":
-                stub = self._stub(campaign_id, info, "suspended",
-                                  error=info.get("error"))
-                stub.auto_resumable = bool(info.get("auto", False))
-                continue
-            # created / started / resumed / recovered: the crash caught it
-            # live.
-            try:
-                self._load_campaign(campaign_id, info, owner=None)
-                self.recoveries += 1
-            except LeaseShortfall as exc:  # the manifest keeps it live: retried
-                self._stub(campaign_id, info, "suspended", error=str(exc))
+                events = read_campaign_journal(path)
             except Exception as exc:  # noqa: BLE001 — degrade this one only
-                stub = self._stub(
-                    campaign_id, info, "failed",
-                    error=f"unrecoverable journal: {type(exc).__name__}: {exc}",
+                self._unrecoverable(campaign_id, {}, exc)
+                continue
+            start, last = events[0], _last_state(events)
+            if start.get("request_id") is not None:
+                self._create_replies.put(
+                    start["request_id"],
+                    {"ok": True, "campaign": campaign_id,
+                     "n_workers": int(start.get("n_workers", 0))},
                 )
-                self._record("failed", campaign_id, error=stub.error)
-                self.obs.inc("campaign.errors")
+            state = _STATE_OF[last["type"]]
+            if state != "active":
+                stub = self._stub(campaign_id, start, state,
+                                  error=last.get("reason", last.get("error")))
+                stub.auto_resumable = bool(last.get("auto", False))
+                continue
+            try:
+                self._load_campaign(campaign_id, owner=None, events=events)
+                self.recoveries += 1
+            except LeaseShortfall as exc:  # the journal keeps it live: retried
+                self._stub(campaign_id, start, "suspended", error=str(exc))
+            except Exception as exc:  # noqa: BLE001 — degrade this one only
+                self._unrecoverable(campaign_id, start, exc)
 
-    def _stub(self, campaign_id: str, info: dict, state: str, *,
+    def _unrecoverable(self, campaign_id: str, start: dict, exc: Exception) -> None:
+        self._stub(campaign_id, start, "failed",
+                   error=f"unrecoverable journal: {type(exc).__name__}: {exc}")
+        self.obs.inc("campaign.errors")
+
+    def _stub(self, campaign_id: str, start: dict, state: str, *,
               error: str | None = None) -> _Hosted:
+        """A campaign known from its ``campaign_start`` record, not loaded."""
         hosted = _Hosted(
             campaign_id, None,
-            label=str(info.get("label", "?")),
-            problem_name=str(info.get("problem", "?")),
+            label=str(start.get("label", start.get("algorithm", "?"))),
+            problem_name=str(start.get("problem", "?")),
             owner=None,
         )
         hosted.state = state
         hosted.error = error
-        hosted.manifest_info = dict(info)
         self._campaigns[campaign_id] = hosted
         return hosted
 
-    def _load_campaign(self, campaign_id: str, info: dict | None, *,
-                       owner: FramedConnection | None) -> _Hosted:
+    def _load_campaign(self, campaign_id: str, *,
+                       owner: FramedConnection | None,
+                       events: list[dict] | None = None) -> _Hosted:
         """Resume a campaign from its journal into the active table.
 
         The shared path behind startup recovery, the ``resume`` verb, and
         the transparent revival of auto-resumable suspensions: replays the
         journal to bit-exact state, rebuilds the idempotent reply cache from
-        the journaled request ids, re-leases workers for server-evaluated
-        campaigns, and records the transition in the manifest.  Their points
-        were in flight on a pool that no longer exists:
+        the journaled request ids, and re-leases workers for the campaigns
+        whose ``campaign_start`` names a pool (the server-evaluated ones).
+        Their points were in flight on a pool that no longer exists:
         :func:`~repro.core.recovery.reconcile` puts them through the orphan
-        rule exactly as at a driver resume.
+        rule exactly as at a driver resume.  A revival refused its workers
+        journals its last state again, so a restart finds the campaign as
+        the refusal left it.
         """
-        prior = self._campaigns.get(campaign_id)
-        if info is None:
-            info = prior.manifest_info if prior is not None else None
-        if info is None:
-            info = {}
         path = self._journal_path(campaign_id)
-        if (
-            path is not None
-            and not os.path.exists(path)
-            and info.get("state") == "created"
-            and isinstance(info.get("config"), dict)
-        ):
-            # Killed inside create before the journal materialized (it exists
-            # once ``started`` is recorded): rebuild fresh from the config.
-            return self._rebuild_created(campaign_id, info, owner)
-        if path is None or not os.path.exists(path):
+        if path is None or not path.exists():
             raise ServerError(
                 f"campaign {campaign_id!r} has no journal to resume from"
             )
+        if events is None:
+            events = read_campaign_journal(path)
         campaign = resume_campaign(path)
         campaign.obs = self.obs
-        # One read serves the reply cache and the pool reconciliation.
-        events = read_campaign_journal(path)
-        label = str(
-            info.get("label")
-            or (prior.label if prior is not None else campaign.algorithm)
-        )
-        hosted = self._host(campaign_id, campaign, label, info, owner=owner,
-                            events=events)
-        self._rebuild_replies(hosted, events)
-        return hosted
-
-    def _rebuild_created(self, campaign_id: str, info: dict,
-                         owner: FramedConnection | None) -> _Hosted:
-        """Rebuild a campaign the crash caught between create and first write."""
-        label = str(info.get("label", "EasyBO"))
-        campaign = make_campaign(
-            label,
-            resolve_problem(str(info.get("problem", ""))),
-            journal=self._journal_path(campaign_id),
-            obs=self.obs,
-            **dict(info.get("config") or {}),
-        )
-        return self._host(campaign_id, campaign, label, info, owner=owner)
-
-    def _host(self, campaign_id: str, campaign: Campaign, label: str, info: dict, *,
-              owner: FramedConnection | None, events=()) -> _Hosted:
-        """Put a recovered campaign back under management and record it."""
+        start = events[0]
         hosted = _Hosted(
-            campaign_id, campaign, label=label,
+            campaign_id, campaign,
+            label=str(start.get("label", campaign.algorithm)),
             problem_name=campaign.problem.name, owner=owner,
         )
-        backend = info.get("pool", "virtual")
-        if info.get("evaluate"):
-            self._attach_pool(
-                hosted, int(info.get("n_workers") or campaign.batch_size), backend,
-                events,
-            )
-        if campaign.design is None:  # rebuilt fresh: journal it, pool size known
-            self._start(hosted)
+        if "pool" in start:
+            try:
+                self._attach_pool(hosted, int(start["n_workers"]), start["pool"],
+                                  events)
+            except Exception:
+                last = _last_state(events)
+                campaign.close(None if _STATE_OF[last["type"]] == "active" else last)
+                raise
         self._campaigns[campaign_id] = hosted
+        self._rebuild_replies(hosted, events)
         self.obs.inc("campaign.resumes")
-        self._record(
-            "recovered", campaign_id,
-            label=label, problem=hosted.problem_name,
-            evaluate=hosted.evaluating, pool=backend, n_workers=hosted.n_workers,
-        )
         return hosted
 
     def _attach_pool(self, hosted: _Hosted, requested: int, backend: str,
@@ -517,15 +495,8 @@ class CampaignServer:
                 reconcile(campaign, hosted.pool, events, self.obs)
         except Exception:
             self._release_pool(hosted)
-            campaign.close()
             raise
         hosted.n_workers = granted
-
-    @staticmethod
-    def _start(hosted: _Hosted) -> None:
-        """Start the journal; for an evaluated campaign, record its pool size."""
-        fields = {"n_workers": hosted.n_workers} if hosted.evaluating else {}
-        hosted.campaign.start(**fields)
 
     def _rebuild_replies(self, hosted: _Hosted, events: list[dict]) -> None:
         """Rebuild the reply cache from the journaled request ids.
@@ -550,10 +521,6 @@ class CampaignServer:
                     {"ok": True, "action": event.get("action"),
                      "done": bool(event.get("done", False))},
                 )
-
-    def _record(self, event: str, campaign_id: str, **fields) -> None:
-        if self.manifest is not None:
-            self.manifest.record(event, campaign_id, **fields)
 
     # ----------------------------------------------------------- connections
     def _accept(self) -> None:
@@ -685,14 +652,17 @@ class CampaignServer:
             and hosted.state == "suspended"
             and hosted.auto_resumable
         ):
-            hosted = self._load_campaign(campaign_id, None, owner=conn)
+            hosted = self._load_campaign(campaign_id, owner=conn)
         if hosted is not None and hosted.evaluating:
             raise ServerError(
                 f"campaign {hosted.id!r} is server-evaluated; poll status "
                 "instead of asking"
             )
 
-    def _journal_path(self, campaign_id: str):
+    def _journal_path(self, campaign_id):
+        """``campaign_id``'s journal; an id that is not ``c<digits>`` is refused."""
+        if not _CAMPAIGN_ID.fullmatch(str(campaign_id)):
+            raise ServerError(f"invalid campaign id {campaign_id!r}")
         if self.journal_dir is None:
             return None
         return self.journal_dir / f"{campaign_id}.journal"
@@ -719,11 +689,10 @@ class CampaignServer:
         # so a resumed campaign keeps it without the client re-sending it.
         if "pending_policy" in request:
             config.setdefault("pending_policy", request["pending_policy"])
-        journal_path = self._journal_path(campaign_id)
         campaign = make_campaign(
             label,
             problem,
-            journal=journal_path,
+            journal=self._journal_path(campaign_id),
             obs=self.obs,
             **config,
         )
@@ -731,39 +700,22 @@ class CampaignServer:
             campaign_id, campaign, label=label,
             problem_name=problem.name, owner=conn,
         )
-        if request.get("evaluate"):
-            self._attach_pool(
-                hosted, int(request.get("n_workers", campaign.batch_size)),
-                request.get("pool", "virtual"),
-            )
-        self._campaigns[campaign_id] = hosted
-        created = {
-            "label": str(label),
-            "problem": hosted.problem_name,
-            "journal": None if journal_path is None else str(journal_path),
-            "config": config,
-            "evaluate": bool(request.get("evaluate", False)),
-            "pool": request.get("pool", "virtual"),
-            "n_workers": hosted.n_workers,
-        }
+        # What a restarted server needs rides on ``campaign_start``.
+        fields = {"label": str(label)}
         if request.get("request_id") is not None:
-            created["request_id"] = request["request_id"]
-        hosted.manifest_info = created  # a later resume re-leases from it
-        # Manifest first, then journal: a kill between the two appends leaves
-        # a ``created`` record whose config rebuilds the campaign fresh
-        # (:meth:`_rebuild_created`); the reverse order would orphan a
-        # journal the manifest never heard of.
-        self._record("created", campaign_id, **created)
-        if journal_path is not None:
-            # Materialize the campaign journal (campaign_start + doe) before
-            # the client hears the id.  start() is idempotent, so the first
-            # ask sees the same design and RNG stream either way.  The
-            # ``started`` event marks the journal as existing: from here on
-            # a *missing* journal is data loss, not a creation crash, and
-            # recovery degrades the campaign instead of silently rebuilding
-            # a fresh one whose replies would diverge.
-            self._start(hosted)
-            self._record("started", campaign_id)
+            fields["request_id"] = request["request_id"]
+        if request.get("evaluate"):
+            backend = request.get("pool", "virtual")
+            self._attach_pool(
+                hosted, int(request.get("n_workers", campaign.batch_size)), backend,
+            )
+            fields.update(pool=backend, n_workers=hosted.n_workers)
+        self._campaigns[campaign_id] = hosted
+        # Journal campaign_start + doe before the client hears the id: a
+        # create killed earlier leaves no campaign, and its retry makes it.
+        # start() is idempotent, so the first ask sees the same design and
+        # RNG stream either way.
+        campaign.start(**fields)
         self.obs.inc("campaign.creates")
         return {"campaign": campaign_id, "n_workers": hosted.n_workers}
 
@@ -791,6 +743,8 @@ class CampaignServer:
             action = hosted.campaign.tell(
                 x, result, request_id=request.get("request_id")
             )
+        except CampaignError as exc:  # refused before any state changed
+            raise ServerError(str(exc)) from None
         except Exception as exc:
             self._fail(hosted, exc)
             raise
@@ -847,16 +801,13 @@ class CampaignServer:
         campaign_id = request.get("campaign")
         hosted = self._campaigns.get(campaign_id)
         if hosted is None or hosted.state != "active":
-            hosted = self._load_campaign(campaign_id, None, owner=conn)
+            hosted = self._load_campaign(campaign_id, owner=conn)
         else:
             # Idempotent: a retried resume whose reply was lost finds the
             # campaign already active and just reads it back.
             hosted.owner = conn
         # Keep ids monotonic across resumes of journals from a prior server.
-        try:
-            self._next_id = max(self._next_id, int(campaign_id.lstrip("c")) + 1)
-        except ValueError:
-            pass
+        self._next_id = max(self._next_id, int(campaign_id[1:]) + 1)
         return {
             "campaign": campaign_id,
             "pending": [[float(v) for v in p] for p in hosted.campaign.pending],
@@ -877,7 +828,7 @@ class CampaignServer:
     def _status(self, hosted: _Hosted) -> dict:
         campaign = hosted.campaign
         if campaign is None:
-            # A stub: known from the manifest, not (re)loaded.  Budget
+            # A stub: known from its journal, not (re)loaded.  Budget
             # numbers live in the journal; state and identity suffice here.
             return {
                 "campaign": hosted.id,
@@ -926,15 +877,16 @@ class CampaignServer:
         hosted.state = "suspended"
         hosted.error = reason
         hosted.auto_resumable = auto
-        hosted.campaign.close()  # journal stays on disk, resumable
-        self._record("suspended", hosted.id, error=reason, auto=auto)
+        # The journal stays on disk, resumable, and says why it stopped.
+        hosted.campaign.close(
+            {"type": "campaign_suspend", "reason": reason, "auto": auto}
+        )
         self.obs.inc("campaign.suspends")
 
     def _finish(self, hosted: _Hosted) -> None:
         self._release_pool(hosted)
         hosted.state = "finished"
         hosted.campaign.finish()
-        self._record("finished", hosted.id)
         self.obs.inc("campaign.finishes")
 
     def _fail(self, hosted: _Hosted, exc: Exception) -> None:
@@ -942,8 +894,7 @@ class CampaignServer:
         hosted.error = f"{type(exc).__name__}: {exc}"
         self._release_pool(hosted)
         hosted.state = "failed"
-        hosted.campaign.close()
-        self._record("failed", hosted.id, error=hosted.error)
+        hosted.campaign.close({"type": "campaign_fail", "error": hosted.error})
 
     # -------------------------------------------------- server-side driving
     def _drive_evaluating(self) -> None:

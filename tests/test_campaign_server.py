@@ -308,6 +308,25 @@ class TestSuspendResume:
         np.testing.assert_array_equal(np.asarray(reply["pending"])[0], x)
         assert client.status(cid)["state"] == "active"
 
+    def test_resume_refuses_an_id_outside_the_journal_dir(self, tmp_path):
+        """``resume`` builds a journal path from the client's id, so an id
+        that is not ``c<digits>`` is refused before any path exists: a
+        journal beside the journal dir is neither loaded nor appended to."""
+        outside = tmp_path / "evil.journal"
+        campaign = make_campaign("LCB", sphere(2), journal=outside, rng=1, **CONFIG)
+        campaign.ask()
+        campaign.close()
+        before = outside.read_bytes()
+        srv = serve(journal_dir=tmp_path / "j", background=True)
+        try:
+            with CampaignClient(port=srv.port) as client:
+                with pytest.raises(CampaignServerError, match=r"\.\./evil"):
+                    client.resume("../evil")
+                assert client.list() == []
+        finally:
+            srv.stop()
+        assert outside.read_bytes() == before
+
     def test_resume_without_journal_is_an_error(self, tmp_path):
         srv = serve(journal_dir=None, background=True)
         try:
@@ -331,21 +350,42 @@ class TestFailureContainment:
                         result={"garbage": True})
         assert client.status(cid)["state"] == "active"
 
-    def test_tell_blowing_up_fails_campaign_and_releases_lease(self, client):
+    def test_tell_blowing_up_fails_campaign_and_releases_lease(
+        self, client, server, monkeypatch
+    ):
         from repro.core.problem import EvaluationResult
 
         cid = client.create("LCB", "sphere2", config=dict(rng=2, **CONFIG))
-        client.ask(cid)
-        # A wrong-dimension point detonates inside campaign.tell(); the
+        x = client.ask(cid)[0]
+
+        def detonate(x, result):
+            raise RuntimeError("surrogate blew up")
+
+        # A failure inside campaign.tell(), past its pending check; the
         # server must contain it: campaign failed, lease returned.
-        with pytest.raises(CampaignServerError):
-            client.tell(cid, [0.5], EvaluationResult(
+        monkeypatch.setattr(server._campaigns[cid].campaign, "absorb", detonate)
+        with pytest.raises(CampaignServerError, match="surrogate blew up"):
+            client.tell(cid, x, EvaluationResult(
                 fom=1.0, metrics={}, cost=1.0, feasible=True))
         assert client.status(cid)["state"] == "failed"
         assert client.metrics()["workers_leased"] == 0
         # The server keeps serving other tenants.
         other = client.create("LCB", "sphere2", config=dict(rng=3, **CONFIG))
         assert client.status(other)["state"] == "active"
+
+    def test_tell_of_a_point_not_pending_is_refused_not_fatal(self, client):
+        """A second, distinct tell of an already-told point is the client's
+        mistake: the campaign refuses it before any state changes, so the
+        request is refused and the campaign runs on."""
+        problem = sphere(2)
+        cid = client.create("LCB", "sphere2", config=dict(rng=8, **CONFIG))
+        x = client.ask(cid)[0]
+        client.tell(cid, x, problem.evaluate(x))
+        with pytest.raises(CampaignServerError, match="not pending"):
+            client.tell(cid, x, problem.evaluate(x))
+        status = client.status(cid)
+        assert (status["state"], status["n_observations"]) == ("active", 1)
+        assert len(client.ask(cid)) == 1
 
     def test_bad_asks_are_refused_and_the_campaign_stays_active(self, client):
         """A piecemeal ask of a synchronous campaign past its design, and an

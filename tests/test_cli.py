@@ -148,6 +148,44 @@ class TestCli:
         assert result.returncode == 2
         assert "teapot" in result.stderr
 
+    @pytest.mark.parametrize("existing", [None, b"kept bytes\n"],
+                             ids=["absent", "existing"])
+    def test_a_refused_run_leaves_its_trace_path_as_found(
+        self, tmp_path, monkeypatch, capsys, existing
+    ):
+        """DE refuses ``--metrics``/``--trace`` after the tracer is armed:
+        the refusal writes no trace file, and an existing one keeps its
+        bytes."""
+        monkeypatch.chdir(tmp_path)
+        trace = tmp_path / "t.jsonl"
+        if existing is not None:
+            trace.write_bytes(existing)
+        assert cli.main(["run", "--problem", "sphere2", "--algorithm", "DE",
+                         "--metrics", "--trace", str(trace)]) == 2
+        assert "DE does not take" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [] if existing is None else [trace.name]
+        )
+        if existing is not None:
+            assert trace.read_bytes() == existing
+
+    def test_an_unknown_problem_leaves_no_default_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--problem", "teapot", "--algorithm", "LCB",
+                         "--metrics"]) == 2
+        assert "teapot" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_refuses_a_journal_dir_holding_a_server_manifest(self, tmp_path):
+        manifest = tmp_path / "server.manifest"
+        manifest.write_bytes(b"")
+        result = run_cli("serve", "--port", "0", "--journal-dir", str(tmp_path),
+                         timeout=60)
+        assert result.returncode == 2
+        assert str(manifest) in result.stderr
+
     def test_requires_command(self):
         result = run_cli()
         assert result.returncode != 0

@@ -4,7 +4,7 @@ These tests exercise the robustness tentpole end to end, in-process:
 ``CampaignServer.abort()`` is the kill -9 stand-in (it drops every socket
 with *zero* suspend/journal bookkeeping — exactly the on-disk state a
 SIGKILL leaves), and a second server started on the same ``journal_dir``
-must recover from the manifest alone.  Determinism is checked the same way
+must recover from the campaign journals alone.  Determinism is checked the same way
 as in ``test_campaign_server.py``: a local "twin" campaign with the same
 seed must see byte-identical points through kills, restarts, and retried
 requests.
@@ -12,6 +12,7 @@ requests.
 
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
@@ -22,17 +23,14 @@ from repro.core import make_campaign
 from repro.core.campaign import read_campaign_journal
 from repro.core.easybo import make_algorithm
 from repro.core.faults import FailurePolicy
-from repro.core.journal import JournalError
+from repro.core.journal import read_journal
 from repro.core.recovery import resume
 from repro.distributed import (
     CampaignClient,
+    CampaignServer,
     CampaignServerError,
+    ServerError,
     serve,
-)
-from repro.distributed.manifest import (
-    ServerManifest,
-    manifest_state,
-    read_manifest,
 )
 from repro.distributed.protocol import result_to_dict
 from repro.distributed.transport import connect
@@ -229,15 +227,10 @@ class TestRestartRecovery:
                       acq_restarts=1, failure_policy={"on_orphan": "impute"})
         journal = tmp_path / "c0000.journal"
         campaign = make_campaign("EasyBO-2", sphere(2), journal=journal, **config)
+        campaign.start(label="EasyBO-2", pool="virtual", n_workers=2)
         first, *in_flight = campaign.ask(3)
         campaign.tell(first, campaign.problem.evaluate(first))
         campaign.close()
-        with ServerManifest(tmp_path / "server.manifest") as manifest:
-            manifest.record("created", "c0000", label="EasyBO-2",
-                            problem="sphere2", journal=str(journal),
-                            config=config, evaluate=True, pool="virtual",
-                            n_workers=2)
-            manifest.record("started", "c0000")
 
         server = _serve(tmp_path)
         try:
@@ -402,6 +395,36 @@ class TestRestartRecovery:
             tmp_path, "EasyBO-3", 53, max_evals=30
         )
 
+    def test_a_refused_resume_keeps_the_campaign_suspended_across_restart(
+            self, tmp_path):
+        """A ``resume`` refused its workers journals the suspension again
+        after its replay's ``campaign_resume``: a restart finds the campaign
+        suspended by its client, not live."""
+        config = dict(self.KILL_CONFIG, rng=57, max_evals=30)
+        old = _serve(tmp_path)
+        client = CampaignClient(port=old.port)
+        cid = client.create("EasyBO-3", "sphere2", config=config, evaluate=True)
+        campaign = old._campaigns[cid].campaign
+        deadline = time.monotonic() + 20.0
+        while campaign.issued <= config["n_init"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+        client.suspend(cid)
+        client.create("EasyBO-2", "sphere2", evaluate=True,
+                      config=dict(rng=58, n_init=3, max_evals=500,
+                                  acq_candidates=32, acq_restarts=1))
+        with pytest.raises(CampaignServerError, match="needs 3 workers"):
+            client.resume(cid)
+        _kill(old)
+        client.close()
+
+        new = _serve(tmp_path)
+        try:
+            hosted = new._campaigns[cid]
+            assert (hosted.state, hosted.error) == ("suspended", "suspended by client")
+        finally:
+            new.stop()
+
     #: Every pool-side field off its default, so a dropped one shows.
     POOL_POLICY = {"max_retries": 2, "retry_backoff": 0.5, "timeout": 50.0,
                    "lease_slack": 4.0}
@@ -463,6 +486,87 @@ class TestRestartRecovery:
                 assert "server.recoveries" in metrics["registry"]["counters"]
         finally:
             new.stop()
+
+
+class TestJournalIsTheLedger:
+    """Each campaign's journal is the server's only record of it."""
+
+    def test_every_state_comes_back_from_the_journals_alone(self, tmp_path,
+                                                            monkeypatch):
+        """Kill -9 a server hosting a finished, an explicitly suspended, a
+        failed and an auto-suspended campaign: the journal dir holds one
+        journal per campaign and nothing else, and a restart brings each
+        back in its state, with the client's label spelling and the
+        failure's error.  ``resume`` revives the failed one, bit-exact."""
+        problem = sphere(2)
+        old = _serve(tmp_path)
+        client = CampaignClient(port=old.port)
+        finished, suspended, failed = (
+            client.create("easybo-2", "sphere2", config=dict(rng=s, **CONFIG))
+            for s in (80, 81, 82)
+        )
+        _finish(client, finished, _twin(80), problem)
+        client.ask(suspended)
+        assert client.suspend(suspended) == "suspended"
+        twin = _twin(82)
+        x = client.ask(failed)[0]
+        np.testing.assert_array_equal(x, twin.ask())
+
+        def detonate(x, result):
+            raise RuntimeError("surrogate blew up")
+
+        monkeypatch.setattr(old._campaigns[failed].campaign, "absorb", detonate)
+        with pytest.raises(CampaignServerError, match="surrogate blew up"):
+            client.tell(failed, x, problem.evaluate(x))
+        error = client.status(failed)["error"]
+        with CampaignClient(port=old.port) as doomed:
+            dropped = doomed.create("easybo-2", "sphere2",
+                                    config=dict(rng=83, **CONFIG))
+            doomed.ask(dropped)
+        deadline = time.monotonic() + 10.0
+        while client.status(dropped)["state"] != "suspended":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        _kill(old)
+        client.close()
+        journals = sorted(f"{cid}.journal"
+                          for cid in (finished, suspended, failed, dropped))
+        assert sorted(p.name for p in tmp_path.iterdir()) == journals
+
+        new = _serve(tmp_path)
+        try:
+            assert new.recoveries == 0
+            with CampaignClient(port=new.port) as client:
+                states = {c["campaign"]: (c["state"], c["label"], c["error"])
+                          for c in client.list()}
+                assert states == {
+                    finished: ("finished", "easybo-2", None),
+                    suspended: ("suspended", "easybo-2", "suspended by client"),
+                    failed: ("failed", "easybo-2", error),
+                    dropped: ("suspended", "easybo-2", "client disconnected"),
+                }
+                with pytest.raises(CampaignServerError, match="active"):
+                    client.ask(suspended)
+                assert len(client.ask(dropped)) == 1  # auto: revived
+                reply = client.resume(failed)
+                np.testing.assert_array_equal(np.asarray(reply["pending"]),
+                                              twin.pending_matrix())
+                result = problem.evaluate(x)
+                client.tell(failed, x, result)
+                twin.tell(x, result)
+                _finish(client, failed, twin, problem)
+                assert client.status(failed)["state"] == "finished"
+        finally:
+            new.stop()
+        assert sorted(p.name for p in tmp_path.iterdir()) == journals
+
+    def test_a_journal_dir_holding_a_server_manifest_is_refused(self, tmp_path):
+        """An older server kept suspends and failures in ``server.manifest``
+        alone; a journal dir that holds one is refused, naming the file."""
+        manifest = tmp_path / "server.manifest"
+        manifest.write_bytes(b"")
+        with pytest.raises(ServerError, match=re.escape(str(manifest))):
+            CampaignServer(journal_dir=tmp_path)
 
 
 class TestIdempotentRPC:
@@ -572,6 +676,39 @@ class TestIdempotentRPC:
         finally:
             new.stop()
 
+    def test_create_killed_before_its_design_recovers_live(self, tmp_path):
+        """A journal cut after ``campaign_start`` (a create killed before its
+        ``doe``) is a live campaign: the retried create replays its id from
+        that record, and its asks equal an uninterrupted twin's."""
+        problem, twin = sphere(2), make_campaign("LCB", sphere(2), rng=56, **CONFIG)
+        old = _serve(tmp_path)
+        conn = connect("127.0.0.1", old.port)
+        create = dict(label="LCB", problem="sphere2", config=dict(rng=56, **CONFIG))
+        cid = self._rpc(conn, 0, "create", request_id="rid-c", **create)["campaign"]
+        _kill(old)
+        conn.close()
+        journal = tmp_path / f"{cid}.journal"
+        journal.write_bytes(journal.read_bytes().split(b"\n")[0] + b"\n")
+        (start,) = read_journal(journal, strict=True)
+        assert (start["type"], start["request_id"]) == ("campaign_start", "rid-c")
+        assert [p.name for p in tmp_path.iterdir()] == [journal.name]
+
+        new = _serve(tmp_path)
+        try:
+            assert new.recoveries == 1
+            conn = connect("127.0.0.1", new.port)
+            retry = self._rpc(conn, 0, "create", request_id="rid-c", attempt=1,
+                              **create)
+            assert (retry["replayed"], retry["campaign"]) == (True, cid)
+            conn.close()
+            with CampaignClient(port=new.port) as client:
+                assert client.status(cid)["issued"] == 0
+                _finish(client, cid, twin, problem)
+                assert client.status(cid)["state"] == "finished"
+                assert len(client.list()) == 1
+        finally:
+            new.stop()
+
 
 class TestDegradedRecovery:
     def _two_campaigns(self, tmp_path):
@@ -587,11 +724,11 @@ class TestDegradedRecovery:
         client.close()
         return cids
 
-    def test_manifest_torn_tail_is_truncated_and_recovery_proceeds(
+    def test_journal_torn_tail_is_truncated_and_recovery_proceeds(
             self, tmp_path):
         cids = self._two_campaigns(tmp_path)
-        manifest = tmp_path / "server.manifest"
-        with open(manifest, "ab") as f:
+        journal = tmp_path / f"{cids[0]}.journal"
+        with open(journal, "ab") as f:
             f.write(b"J1 000000ff deadbeef {\"type\": \"torn")  # no newline
         server = _serve(tmp_path)
         try:
@@ -600,8 +737,8 @@ class TestDegradedRecovery:
                 states = {c["campaign"]: c["state"] for c in client.list()}
                 assert all(states[cid] == "active" for cid in cids)
             # The torn tail was truncated in place, so the *next* append
-            # produces a manifest every reader parses cleanly.
-            assert read_manifest(manifest)[-1].get("event") != "torn"
+            # produces a journal every reader parses cleanly.
+            assert read_journal(journal, strict=True)[-1].get("type") != "torn"
         finally:
             server.stop()
 
@@ -626,44 +763,16 @@ class TestDegradedRecovery:
             server.stop()
 
     def test_missing_journal_degrades_that_campaign_only(self, tmp_path):
+        """The journal is the server's only record of a campaign: one whose
+        journal is gone is unknown, and the other tenant is untouched."""
         cids = self._two_campaigns(tmp_path)
         (tmp_path / f"{cids[0]}.journal").unlink()
         server = _serve(tmp_path)
         try:
             assert server.recoveries == 1
             with CampaignClient(port=server.port) as client:
-                assert client.status(cids[0])["state"] == "failed"
+                with pytest.raises(CampaignServerError, match="unknown campaign"):
+                    client.status(cids[0])
                 assert client.status(cids[1])["state"] == "active"
         finally:
             server.stop()
-
-
-class TestManifest:
-    def test_state_folding_carries_creation_fields_forward(self, tmp_path):
-        path = tmp_path / "m.manifest"
-        with ServerManifest(path) as manifest:
-            manifest.record("created", "c0000", label="LCB", problem="sphere2",
-                            config={"rng": 1}, n_workers=2)
-            manifest.record("started", "c0000")
-            manifest.record("suspended", "c0000", error="client disconnected",
-                            auto=True)
-            manifest.record("created", "c0001", label="EasyBO-2",
-                            problem="sphere2", config={"rng": 2})
-        state = manifest_state(read_manifest(path))
-        assert state["c0000"]["state"] == "suspended"
-        assert state["c0000"]["label"] == "LCB"  # sticky through suspend
-        assert state["c0000"]["config"] == {"rng": 1}
-        assert state["c0000"]["auto"] is True
-        assert state["c0001"]["state"] == "created"
-
-    def test_missing_manifest_reads_as_first_boot(self, tmp_path):
-        assert read_manifest(tmp_path / "absent.manifest") == []
-
-    def test_newer_manifest_version_refuses_to_misparse(self, tmp_path):
-        path = tmp_path / "m.manifest"
-        from repro.core.journal import JournalWriter
-
-        with JournalWriter(path) as writer:
-            writer.append({"type": "manifest_start", "manifest_version": 99})
-        with pytest.raises(JournalError, match="newer"):
-            read_manifest(path)
