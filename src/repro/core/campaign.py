@@ -659,7 +659,14 @@ class Campaign:
             # points, pending order and RNG stream as n one-point asks.
             points = []
             for _ in range(n):
-                points.append(np.asarray(self.strategy.propose(self), dtype=float))
+                x = np.asarray(self.strategy.propose(self), dtype=float)
+                if self._find_pending(x) is not None:
+                    # Eq. 9 collapses sigma at a pending point but keeps mu,
+                    # so an optimistic acquisition can land on a point in
+                    # flight; never hand it to a second worker.
+                    self.obs.inc("campaign.pending_collisions")
+                    x = self.cold_block(1)[0]
+                points.append(x)
                 self._note_asked(points[-1:])
             return points
         self._note_asked(points)

@@ -85,7 +85,7 @@ class ConstrainedStrategy(AsyncBatchStrategy):
     """EasyBO with probability-of-feasibility constraint handling.
 
     The strategy tracks a GP per constraint; the Eq. 9 acquisition value is
-    shifted to be positive and multiplied by the joint feasibility
+    made positive by a soft-plus and multiplied by the joint feasibility
     probability, so infeasible regions are suppressed smoothly while the
     asynchronous machinery (busy-point hallucination included) is unchanged.
     """
@@ -130,10 +130,10 @@ class ConstrainedStrategy(AsyncBatchStrategy):
     # ------------------------------------------------------------- proposal
     def reshape(self, acquisition):
         def weighted(model, U):
-            # Shift to positive before weighting by feasibility, so the
-            # product cannot reward infeasibility via negative values.
-            values = acquisition(model, U)
-            values = values - values.min() + 1e-9
+            # Soft-plus to positive before weighting by feasibility, so the
+            # product cannot reward infeasibility via negative values.  It
+            # acts row by row, so a row scores the same in any call.
+            values = np.logaddexp(0.0, acquisition(model, U))
             for constraint in self._constraint_models:
                 values = values * constraint.feasibility_probability(U)
             return values

@@ -7,11 +7,12 @@ designs promise similar FOM but one simulates twice as fast, the fast one
 buys more information per wall-clock second.
 
 :class:`CostAwareStrategy` fits a second GP to ``log(duration)`` and divides
-the EasyBO acquisition (Eq. 9, hallucination included) by the predicted cost
-raised to a ``cost_exponent`` (Snoek et al. 2012's "expected improvement per
-second" generalized to the weighted acquisition):
+the EasyBO acquisition (Eq. 9, hallucination included), made positive by a
+soft-plus, by the predicted cost raised to a ``cost_exponent`` (Snoek et al.
+2012's "expected improvement per second" generalized to the weighted
+acquisition):
 
-    alpha_cost(x, w) = alpha(x, w) / E[duration(x)]^cost_exponent
+    alpha_cost(x, w) = log(1 + exp(alpha(x, w))) / E[duration(x)]^cost_exponent
 
 ``cost_exponent = 0`` recovers plain EasyBO; 1 is full per-second
 normalization.  :class:`CostAwareEasyBO` only names the label.
@@ -69,9 +70,9 @@ class CostAwareStrategy(AsyncBatchStrategy):
             return acquisition
 
         def per_cost(model, U):
-            # Shift positive so dividing by cost cannot flip preferences.
-            values = acquisition(model, U)
-            values = values - values.min() + 1e-9
+            # Soft-plus to positive so dividing by cost cannot flip
+            # preferences; it acts row by row, like the cost.
+            values = np.logaddexp(0.0, acquisition(model, U))
             return values / self.predicted_cost(U) ** self.cost_exponent
 
         return per_cost

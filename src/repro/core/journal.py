@@ -190,6 +190,19 @@ def read_journal(path: str | os.PathLike, *, strict: bool = False) -> list[dict]
     return records
 
 
+def _frame_follows(raw: bytes, offset: int) -> bool:
+    """Whether an intact frame follows the invalid line at ``offset``."""
+    start = raw.find(b"\n", offset) + 1
+    while start:
+        end = raw.find(b"\n", start)
+        if end < 0:
+            return False
+        if decode_frame(raw[start : end + 1])[0] is not None:
+            return True
+        start = end + 1
+    return False
+
+
 def recover_journal(path: str | os.PathLike) -> list[dict]:
     """Read a journal and truncate any torn tail in place.
 
@@ -197,12 +210,23 @@ def recover_journal(path: str | os.PathLike) -> list[dict]:
     record left by the crash must be physically removed first — otherwise the
     appended records would sit behind an unreadable line and be lost to the
     next recovery.  Returns the recovered records.
+
+    A crash only ever tears the last record.  An invalid record with an
+    intact one after it is damage, not a torn tail: truncating there would
+    destroy every intact record that follows, so that raises
+    :class:`JournalError` naming the byte offset and leaves the file as it
+    is, for triage.
     """
     path = pathlib.Path(path)
     with open(path, "rb") as fh:
         raw = fh.read()
     records, valid = _scan(raw)
     if valid != len(raw):
+        if _frame_follows(raw, valid):
+            raise JournalError(
+                f"invalid journal record at byte {valid} of {path}, with "
+                "intact records after it: not a torn tail, left untruncated"
+            )
         with open(path, "r+b") as fh:
             fh.truncate(valid)
             fh.flush()

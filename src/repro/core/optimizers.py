@@ -4,6 +4,12 @@ The inner optimization of BO: a dense random-candidate sweep (cheap, batched
 GP prediction) followed by L-BFGS-B polish from the best candidates.  For the
 10-12 dimensional sizing spaces in the paper this hybrid is the standard
 workhorse; a pure random mode is kept for tests and very cheap loops.
+
+The polish takes forward-difference gradients, and it scores each point
+together with its ``d`` neighbours in one ``(d + 1)``-row call, so a
+gradient costs one batched GP prediction instead of ``d + 1`` single-row
+ones.  The scorer must therefore be row-wise: one row's score may not
+depend on the other rows of the call.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from repro.utils.rng import as_generator
 from repro.utils.validation import check_bounds
 
 __all__ = ["maximize_acquisition"]
+
+#: Forward-difference step of the polish gradient (scipy's L-BFGS-B ``eps``).
+_FD_STEP = 1e-8
 
 
 def maximize_acquisition(
@@ -34,7 +43,8 @@ def maximize_acquisition(
     ----------
     acq_values:
         Callable mapping a ``(n, d)`` array of candidates to ``(n,)``
-        acquisition values.
+        acquisition values, row by row: a row's value may not depend on the
+        other rows of the call.
     bounds:
         Box bounds, shape ``(d, 2)``.
     n_candidates:
@@ -45,7 +55,8 @@ def maximize_acquisition(
         Disable to use the sweep result directly.
     obs:
         Optional :class:`~repro.obs.Observability`: counts maximizations,
-        polish restarts, and restarts that improved on the sweep.
+        polish restarts, polish evaluations (one ``(d + 1)``-row scorer call
+        each), and restarts that improved on the sweep.
     """
     bounds = check_bounds(bounds)
     if n_candidates < 1:
@@ -72,19 +83,27 @@ def maximize_acquisition(
     if not polish:
         return best_x.copy()
 
-    def negative(x: np.ndarray) -> float:
-        val = float(acq_values(x.reshape(1, -1))[0])
-        return -val if np.isfinite(val) else 1e30
+    upper = bounds[:, 1]
+
+    def negative_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # scipy's 2-point rule for eps=1e-8: step up, or down where the step
+        # would leave the box, and divide by the step x really took.
+        step = np.where(x + _FD_STEP > upper, -_FD_STEP, _FD_STEP)
+        scores = np.asarray(acq_values(np.vstack([x, x + np.diag(step)])), dtype=float)
+        negated = np.where(np.isfinite(scores), -scores, 1e30)
+        return float(negated[0]), (negated[1:] - negated[0]) / ((x + step) - x)
 
     for start_idx in order[: max(1, n_restarts)]:
         obs.inc("acquisition.polish_restarts")
         result = optimize.minimize(
-            negative,
+            negative_and_gradient,
             candidates[start_idx],
+            jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": maxiter, "eps": 1e-8},
+            options={"maxiter": maxiter},
         )
+        obs.inc("acquisition.polish_evals", result.nfev)
         if np.all(np.isfinite(result.x)) and -result.fun > best_val:
             best_val = -result.fun
             best_x = result.x

@@ -148,14 +148,15 @@ class HallucinatedView:
         the standard deviation is collapsed around the pending points.
         """
         X = check_matrix(X, "X", cols=self.dim)
-        mu = self.base.predict(X, return_std=False)
+        base = self.base
+        k1 = base.kernel(base.X, X)  # (n, m), shared by the mean and v1
+        mu = base.mean(X) + k1.T @ base.alpha
         if not return_std:
             return mu
-        k1 = self.base.kernel(self.base.X, X)  # (n, m)
-        v1 = linalg.solve_lower(self.base.cholesky_factor, k1)
-        k2 = self.base.kernel(self._X_pending, X)  # (k, m)
+        v1 = linalg.solve_lower(base.cholesky_factor, k1)
+        k2 = base.kernel(self._X_pending, X)  # (k, m)
         v2 = linalg.solve_lower(self._lower_p, k2 - self._B.T @ v1)
-        var = self.base.kernel.diag(X) - np.sum(v1**2, axis=0) - np.sum(v2**2, axis=0)
+        var = base.kernel.diag(X) - np.sum(v1**2, axis=0) - np.sum(v2**2, axis=0)
         sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
         return mu, sigma
 

@@ -361,13 +361,7 @@ class SparseGaussianProcess:
         Allocation-lean: the kernel block and both triangular solves run in
         workspace buffers (F-ordered so LAPACK solves in place).
         """
-        self._require_fitted()
-        state = self._state
-        if state.stale_w:
-            raise RuntimeError(
-                "posterior weights are stale (update(refresh_alpha=False) "
-                "without a following set_targets)"
-            )
+        state = self._fresh_state()
         X = check_matrix(X, "X", cols=self.dim)
         m = state.n_inducing
         q = X.shape[0]
@@ -442,6 +436,16 @@ class SparseGaussianProcess:
         if not self.is_fitted:
             raise RuntimeError("SparseGaussianProcess must be fitted first")
 
+    def _fresh_state(self) -> SparseInducingState:
+        """The fitted posterior state, refused while its weights are stale."""
+        self._require_fitted()
+        if self._state.stale_w:
+            raise RuntimeError(
+                "posterior weights are stale (update(refresh_alpha=False) "
+                "without a following set_targets)"
+            )
+        return self._state
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         m = self._state.n_inducing if self.is_fitted else 0
         return (
@@ -501,15 +505,16 @@ class SparseHallucinatedView:
         the standard deviation is collapsed around the pending points.
         """
         X = check_matrix(X, "X", cols=self.dim)
-        mu = self.base.predict(X, return_std=False)
+        base = self.base
+        state = base._fresh_state()
+        ku = base.kernel.cross(state.Z, X)  # (m, q), shared by the mean and sigma
+        mu = base.mean(X) + ku.T @ state.w
         if not return_std:
             return mu
-        state = self.base.posterior_state
-        ku = self.base.kernel.cross(state.Z, X)
         v1 = linalg.solve_lower(state.luu, ku)
         v2 = linalg.solve_lower(self._lb_p, ku)
         var = (
-            self.base.kernel.diag(X)
+            base.kernel.diag(X)
             - np.sum(v1**2, axis=0)
             + np.sum(v2**2, axis=0)
         )

@@ -256,6 +256,22 @@ class TestColdStartDedupe:
         xs = [r.x.tobytes() for r in result.trace.records]
         assert len(set(xs)) == len(xs)
 
+    def test_model_proposal_on_a_pending_point_is_replaced(self, monkeypatch):
+        """A maximizer that lands on a point in flight (Eq. 9 keeps mu there)
+        never hands it to a second worker: a cold draw replaces it."""
+        obs = Observability(metrics=MetricsRegistry())
+        campaign = _campaign("EasyBO-2", n_init=3, max_evals=8, rng=0, obs=obs)
+        design = campaign.ask(3)
+        for x in design[:2]:
+            campaign.tell(x, campaign.problem.evaluate(x))
+        monkeypatch.setattr(
+            campaign.strategy, "choose", lambda core, model, pending: pending[0]
+        )
+        x = campaign.ask()
+        assert not np.array_equal(x, design[2])
+        assert obs.metrics.counter("campaign.pending_collisions") == 1
+        assert len({p.tobytes() for p in campaign.pending}) == 2
+
 
 class TestMakeCampaign:
     @pytest.mark.parametrize(

@@ -205,3 +205,22 @@ class TestSparseHallucinatedView:
         _, sd_base = model.predict(Xs)
         _, sd_view = view.predict(Xs)
         assert np.all(sd_view <= sd_base + 1e-8)
+
+    def test_view_mean_is_the_base_mean_bit_for_bit(self):
+        """The view builds k(Z, X) once for its mean and its sigma; the mean
+        is still exactly the base model's."""
+        model, _, _ = make_sparse()
+        view = SparseHallucinatedView(model, np.array([[0.2, 0.4, 0.6], [0.9, 0.1, 0.5]]))
+        Xs = np.random.default_rng(3).uniform(size=(11, 3))
+        np.testing.assert_array_equal(view.predict(Xs)[0], model.predict(Xs)[0])
+        np.testing.assert_array_equal(
+            view.predict(Xs, return_std=False), model.predict(Xs, return_std=False)
+        )
+
+    def test_view_refuses_stale_weights(self):
+        model, _, _ = make_sparse()
+        view = SparseHallucinatedView(model, np.array([[0.5, 0.5, 0.5]]))
+        model.update(np.array([[0.3, 0.3, 0.3]]), np.array([0.1]), refresh_alpha=False)
+        for return_std in (True, False):
+            with pytest.raises(RuntimeError, match="stale"):
+                view.predict(np.array([[0.1, 0.2, 0.3]]), return_std=return_std)

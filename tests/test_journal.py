@@ -163,6 +163,34 @@ class TestTornTailSweep:
         assert read_journal(path, strict=True) == RECORDS[:-1] + [extra]
 
 
+class TestMidFileDamage:
+    """A crash tears only the last record; damage before an intact record
+    is refused, with every byte kept."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: b"\x00" * 16 + raw[16:],  # first frame's header zeroed
+        lambda raw: raw[:30] + bytes([raw[30] ^ 0x01]) + raw[31:],  # CRC breaks
+    ])
+    def test_damage_with_intact_records_after_it_is_refused(self, tmp_path, damage):
+        path = tmp_path / "j.jsonl"
+        write_journal(path, RECORDS)
+        damaged = damage(path.read_bytes())
+        path.write_bytes(damaged)
+        with pytest.raises(JournalError, match="at byte 0 "):
+            recover_journal(path)
+        assert path.read_bytes() == damaged
+
+    def test_damaged_last_record_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        write_journal(path, RECORDS)
+        raw = bytearray(path.read_bytes())
+        last_start = len(raw) - len(frame_record(RECORDS[-1]))
+        raw[last_start + 30] ^= 0x01
+        path.write_bytes(bytes(raw))
+        assert recover_journal(path) == RECORDS[:-1]
+        assert path.read_bytes() == bytes(raw[:last_start])
+
+
 class TestWriter:
     def test_append_is_immediately_durable(self, tmp_path):
         path = tmp_path / "j.jsonl"

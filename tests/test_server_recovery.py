@@ -762,6 +762,31 @@ class TestDegradedRecovery:
         finally:
             server.stop()
 
+    def test_corrupt_journal_keeps_its_bytes(self, tmp_path):
+        """Damage before intact records is not a torn tail: the restart
+        keeps every byte for triage, and the stub names the offset."""
+        server = _serve(tmp_path)
+        client = CampaignClient(port=server.port)
+        cid = client.create("LCB", "sphere2", config=dict(rng=61, **CONFIG))
+        problem = sphere(2)
+        for _ in range(3):
+            x = client.ask(cid)[0]
+            client.tell(cid, x, problem.evaluate(x))
+        _kill(server)
+        client.close()
+        journal = tmp_path / f"{cid}.journal"
+        damaged = b"\x00" * 16 + journal.read_bytes()[16:]
+        journal.write_bytes(damaged)
+        server = _serve(tmp_path)
+        try:
+            with CampaignClient(port=server.port) as client:
+                broken = client.status(cid)
+            assert broken["state"] == "failed"
+            assert "at byte 0 " in broken["error"]
+        finally:
+            server.stop()
+        assert journal.read_bytes() == damaged
+
     def test_missing_journal_degrades_that_campaign_only(self, tmp_path):
         """The journal is the server's only record of a campaign: one whose
         journal is gone is unknown, and the other tenant is untouched."""
