@@ -1,23 +1,22 @@
-"""Surrogate update-path bench — incremental rank-k vs full refactorization.
+"""Surrogate update-path bench — the session's cached factor vs a rebuild.
 
-Measures the tentpole claim of the incremental surrogate path: at frozen
+Measures the claim of the surrogate session's update path: at frozen
 hyperparameters (``refit_every`` large), folding one new observation into
 the GP and hallucinating a batch of pending points costs O(n^2) with the
 rank-k Cholesky append + factor-sharing view, versus O(n^3) for the
-from-scratch rebuild.  Datasets are real op-amp FOMs (and class-E at larger
-scales) sampled by the same random design the drivers use, at the paper's
-dataset sizes (n = 150 is one full op-amp run).
+reference that rebuilds from scratch — ``GaussianProcess.fit`` and
+``condition_on_pending`` at the same hyperparameters, the posterior
+``tests/test_incremental_equivalence.py`` checks the session against.
+Datasets are real op-amp FOMs (and class-E at larger scales) sampled by the
+same random design the drivers use, at the paper's dataset sizes (n = 150
+is one full op-amp run).
 
-Three checks gate the result:
+Two checks gate the result:
 
-* **speedup** — the incremental path must be >= 2x faster per event than the
-  full path at n = 150 (the CI perf-smoke job fails otherwise);
-* **trajectory equality** — a seeded sequential EasyBO run on the op-amp
-  queries *exactly* the same points in both modes (no pending points, so
-  the two modes execute bit-identical arithmetic; batch drivers are instead
-  covered per-event by ``tests/test_incremental_equivalence.py``);
+* **speedup** — the session must be >= 2x faster per event than the
+  rebuild at n = 150 (the CI perf-smoke job fails otherwise);
 * **disabled-observability overhead** — the ``NULL_OBS`` profiling hooks
-  the surrogate session now carries (one ``fit`` span + one ``hallucinate``
+  the surrogate session carries (one ``fit`` span + one ``hallucinate``
   span per event) must cost <= 5% of the cheapest measured per-event time,
   so observability is free when nobody asked for it.
 
@@ -65,6 +64,7 @@ from repro.gp import (
     SparseHallucinatedView,
     SquaredExponential,
 )
+from repro.sched.trace import SurrogateStats
 from repro.utils.tables import format_table
 
 
@@ -73,21 +73,21 @@ class Scale:
     name: str
     sizes: tuple  # dataset sizes n at which per-event cost is measured
     events: int  # timed events (add + refit + hallucinate) per measurement
-    repetitions: int  # best-of repetitions per (problem, n, mode) cell
+    repetitions: int  # best-of repetitions per (problem, n, arm) cell
     problems: tuple  # dataset sources
-    trajectory_evals: int  # budget of the seeded equality run
 
 
 SCALES = {
-    "smoke": Scale("smoke", (150,), 30, 3, ("opamp",), 14),
-    "reduced": Scale("reduced", (150, 300), 40, 3, ("opamp", "classe"), 20),
-    "paper": Scale("paper", (150, 300, 600), 50, 5, ("opamp", "classe"), 30),
+    "smoke": Scale("smoke", (150,), 30, 3, ("opamp",)),
+    "reduced": Scale("reduced", (150, 300), 40, 3, ("opamp", "classe")),
+    "paper": Scale("paper", (150, 300, 600), 50, 5, ("opamp", "classe")),
 }
 
 #: Pending points hallucinated per event (the paper's B-1 at B=5).
 N_PENDING = 4
 
-#: CI gate: minimum per-event speedup of incremental over full at n=150.
+#: CI gate: minimum per-event speedup of the session over the rebuild at
+#: n=150.
 MIN_SPEEDUP_AT_150 = 2.0
 
 #: CI gate: maximum fraction of the cheapest per-event time the disabled
@@ -121,15 +121,11 @@ def build_dataset(problem, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def time_mode(problem, X, y, mode: str, n: int, events: int) -> float:
-    """Mean per-event seconds (refit + hallucination) at frozen theta."""
-    session = SurrogateSession(
-        problem.bounds, rng=0, surrogate_update=mode, refit_every=10**9
-    )
+def time_session(problem, X, y, n: int, events: int) -> float:
+    """Mean per-event seconds of the session (append + view) at frozen theta."""
+    session = SurrogateSession(problem.bounds, rng=0, refit_every=10**9)
     session.add_batch(X[:n], y[:n])
     session.refit()  # the one ML-II fit; the timed window starts after it
-    from repro.sched.trace import SurrogateStats
-
     session.stats = SurrogateStats()  # count and time only the event loop
     for i in range(events):
         session.add(X[n + i], y[n + i])
@@ -137,38 +133,36 @@ def time_mode(problem, X, y, mode: str, n: int, events: int) -> float:
         session.model_with_pending(X[n + i + 1 : n + i + 1 + N_PENDING])
     stats = session.stats
     assert stats.n_refits == events and stats.n_fallbacks == 0
-    if mode == "incremental":
-        assert stats.n_incremental_updates == events
-        assert stats.n_hallucinated_views == events
-    else:
-        assert stats.n_refactorizations == events
-        assert stats.n_hallucinated_rebuilds == events
+    assert stats.n_incremental_updates == events
+    assert stats.n_hallucinated_views == events
     return stats.mean_event_seconds
 
 
-def check_trajectory_equality(scale: Scale, seed: int) -> int:
-    """Seeded sequential EasyBO on the op-amp: both modes, same queries.
+def time_rebuild(problem, X, y, n: int, events: int) -> float:
+    """Mean per-event seconds of the rebuild reference at frozen theta.
 
-    Returns the number of compared evaluations.  Sequential EasyBO has no
-    pending points, so the incremental mode must reproduce the full mode's
-    queried points *exactly* — any difference means the fast path changed
-    the algorithm, not just its cost.
+    The same event as :func:`time_session` — standardize, refit, hallucinate
+    — with ``GaussianProcess.fit`` and ``condition_on_pending`` at the
+    hyperparameters of the session's one ML-II fit.
     """
-    queried = {}
-    for mode in ("full", "incremental"):
-        driver = make_algorithm(
-            "EasyBO", OpAmpProblem(), rng=seed, n_init=6,
-            max_evals=scale.trajectory_evals, acq_candidates=256,
-            acq_restarts=1, surrogate_update=mode,
+    session = SurrogateSession(problem.bounds, rng=0)
+    session.add_batch(X[:n], y[:n])
+    model = session.refit()
+    transform, output = session.transform, session.output
+    elapsed = 0.0
+    for i in range(events):
+        started = time.perf_counter()
+        U = transform.to_unit(X[: n + i + 1])
+        model.fit(U, output.fit_transform(y[: n + i + 1]))
+        model.condition_on_pending(
+            transform.to_unit(X[n + i + 1 : n + i + 1 + N_PENDING])
         )
-        result = driver.run()
-        queried[mode] = np.vstack([r.x for r in result.trace.records])
-    if not np.array_equal(queried["full"], queried["incremental"]):
-        delta = np.abs(queried["full"] - queried["incremental"]).max()
-        raise AssertionError(
-            f"incremental mode changed the queried points (max |dx|={delta:.3e})"
-        )
-    return scale.trajectory_evals
+        elapsed += time.perf_counter() - started
+    return elapsed / events
+
+
+#: The two timed arms of every cell.
+ARMS = {"rebuild": time_rebuild, "session": time_session}
 
 
 def measure_obs_overhead(timings: dict) -> dict:
@@ -194,11 +188,7 @@ def measure_obs_overhead(timings: dict) -> dict:
             with NULL_OBS.profile("hallucinate", k=0):
                 pass
         best = min(best, (time.perf_counter() - start) / loops)
-    cheapest = min(
-        cell[mode]
-        for cell in timings["cells"]
-        for mode in ("full", "incremental")
-    )
+    cheapest = min(cell[arm] for cell in timings["cells"] for arm in ARMS)
     return {
         "hooks_per_event": OBS_HOOKS_PER_EVENT,
         "hook_pair_seconds": best,
@@ -221,33 +211,26 @@ def run_bench(scale_name: str = "smoke", seed: int = 0, verbose: bool = True):
             print(f"{problem_name}: dataset of {len(y)} evaluations ready")
         for n in scale.sizes:
             cell = {"problem": problem_name, "n": n}
-            for mode in ("full", "incremental"):
-                per_event = min(
-                    time_mode(problem, X, y, mode, n, scale.events)
+            for arm, timer in ARMS.items():
+                cell[arm] = min(
+                    timer(problem, X, y, n, scale.events)
                     for _ in range(scale.repetitions)
                 )
-                cell[mode] = per_event
-            cell["speedup"] = cell["full"] / cell["incremental"]
+            cell["speedup"] = cell["rebuild"] / cell["session"]
             timings["cells"].append(cell)
             rows.append([
                 problem_name,
                 str(n),
-                f"{1e6 * cell['full']:.0f}",
-                f"{1e6 * cell['incremental']:.0f}",
+                f"{1e6 * cell['rebuild']:.0f}",
+                f"{1e6 * cell['session']:.0f}",
                 f"{cell['speedup']:.2f}x",
             ])
             if verbose:
                 print(
-                    f"  n={n:>4}  full {1e6 * cell['full']:7.0f} us/event  "
-                    f"incremental {1e6 * cell['incremental']:7.0f} us/event  "
+                    f"  n={n:>4}  rebuild {1e6 * cell['rebuild']:7.0f} us/event  "
+                    f"session {1e6 * cell['session']:7.0f} us/event  "
                     f"({cell['speedup']:.2f}x)"
                 )
-    timings["trajectory_evals_compared"] = check_trajectory_equality(scale, seed)
-    if verbose:
-        print(
-            f"trajectory equality: {timings['trajectory_evals_compared']} "
-            "sequential op-amp queries identical in both modes"
-        )
     timings["obs_overhead"] = measure_obs_overhead(timings)
     if verbose:
         overhead = timings["obs_overhead"]
@@ -258,7 +241,7 @@ def run_bench(scale_name: str = "smoke", seed: int = 0, verbose: bool = True):
             "measured event)"
         )
     table = format_table(
-        ["Problem", "n", "Full (us/event)", "Incremental (us/event)", "Speedup"],
+        ["Problem", "n", "Rebuild (us/event)", "Session (us/event)", "Speedup"],
         rows,
         title="Surrogate per-event cost at frozen hyperparameters "
         f"({N_PENDING} pending points hallucinated per event)",
@@ -272,14 +255,13 @@ def check_shape(timings: dict) -> None:
     assert at_150, "bench must measure n=150 (the paper's full-run size)"
     for cell in at_150:
         assert cell["speedup"] >= MIN_SPEEDUP_AT_150, (
-            f"incremental path only {cell['speedup']:.2f}x faster than full "
+            f"session only {cell['speedup']:.2f}x faster than the rebuild "
             f"at n=150 on {cell['problem']} (required: {MIN_SPEEDUP_AT_150}x)"
         )
     # Larger systems must not erode the advantage (O(n^3) vs O(n^2)).
     for cell in timings["cells"]:
         if cell["n"] > 150:
             assert cell["speedup"] >= MIN_SPEEDUP_AT_150
-    assert timings["trajectory_evals_compared"] > 0
     overhead = timings["obs_overhead"]
     assert overhead["fraction_of_event"] <= MAX_OBS_OVERHEAD_FRACTION, (
         f"disabled observability hooks cost "
@@ -588,7 +570,7 @@ if __name__ == "__main__":
     parser.add_argument("--check", action="store_true",
                         help="run the sparse-posterior scaling gates "
                         "(n-sweep speedup, regret parity, ask latency) "
-                        "instead of the incremental-vs-full grid")
+                        "instead of the session-vs-rebuild grid")
     parser.add_argument("--evals", type=int, default=LATENCY_EVALS,
                         help="ask-latency campaign budget for --check "
                         f"(default: {LATENCY_EVALS})")

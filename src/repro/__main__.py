@@ -282,8 +282,7 @@ def cmd_tournament(args) -> int:
     print("\n" + render_report(scale, results))
     if args.check:
         check_tournament(scale, results)
-        print("checks passed (full grid, paired seeds, reproducible cell, "
-              "hallucinate matches golden)")
+        print("checks passed (full grid, paired seeds, reproducible cell)")
     return 0
 
 
@@ -483,17 +482,15 @@ def main(argv=None) -> int:
         description="Run every pending-point policy over circuits x batch "
                     "sizes x fault rates with paired seeds and print a "
                     "ranked regret table (docs/pending_policies.md).  "
-                    "--check asserts the harness ran the full grid, is "
-                    "seed-reproducible, and that the hallucinate policy "
-                    "still matches its committed golden trajectory.",
+                    "--check asserts the harness ran the full grid and is "
+                    "seed-reproducible.",
     )
     p.add_argument("--scale", choices=("smoke", "reduced", "paper"),
                    default="reduced")
     p.add_argument("--smoke", action="store_true",
                    help="shorthand for --scale smoke")
     p.add_argument("--check", action="store_true",
-                   help="assert grid completeness, reproducibility, and the "
-                        "hallucinate-matches-golden invariant")
+                   help="assert grid completeness and reproducibility")
     p.add_argument("--verbose", action="store_true",
                    help="print one line per completed cell")
     p = sub.add_parser(

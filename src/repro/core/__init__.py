@@ -75,7 +75,6 @@ from repro.core.portfolio import PortfolioBO
 from repro.core.problem import EvaluationResult, FunctionProblem, Problem
 from repro.core.results import RunResult, RunSummary, summarize_runs
 from repro.core.surrogate import (
-    SURROGATE_UPDATE_MODES,
     HallucinatedView,
     SurrogateSession,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "summarize_runs",
     "SurrogateSession",
     "HallucinatedView",
-    "SURROGATE_UPDATE_MODES",
     "maximize_acquisition",
     "PortfolioBO",
     "save_runs",

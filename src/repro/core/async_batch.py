@@ -21,8 +21,7 @@ Step 3's pending-point handling is pluggable via ``pending_policy=`` (see
 sampling), or ``"none"`` (standard acquisition, same as
 ``penalized=False``).
 
-Step 3 is the hot path: in the default ``surrogate_update="incremental"``
-mode the hallucinated model is a factor-sharing
+Step 3 is the hot path: the hallucinated model is a factor-sharing
 :class:`~repro.core.surrogate.HallucinatedView` (one rank-(B-1) append to
 the cached Cholesky factor, discarded for free), and with ``refit_every=K``
 the step-2 refit pays ML-II only every K-th dispatch — between those, new

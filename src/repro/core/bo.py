@@ -93,13 +93,20 @@ def refill(campaign: Campaign, pool, obs) -> None:
 def consume(campaign: Campaign, pool, obs, completion: Completion) -> str:
     """Tell one completion, journaled with its trace record and the clock; a
     reissued orphan (``failure_policy.on_orphan``) goes straight back."""
+
+    def pool_facts(_action) -> dict:
+        facts = {"record": completion.record.as_dict(), "clock": float(pool.now)}
+        # The lease statistic's sample, when it is not the row's own span
+        # (a process pool counts from dispatch): a restored pool arms the
+        # leases the live one did.
+        if completion.run_seconds != completion.record.duration:
+            facts["run_seconds"] = float(completion.run_seconds)
+        return facts
+
     return campaign.tell(
         completion.x,
         completion.result,
-        _extra=lambda _action: {
-            "record": completion.record.as_dict(),
-            "clock": float(pool.now),
-        },
+        _extra=pool_facts,
         _issue=lambda x: submit(pool, obs, x, batch=completion.batch),
     )
 
@@ -131,18 +138,12 @@ class BODriverBase:
         :class:`~repro.core.faults.FailurePolicy` shared by the pool (retry
         / timeout behaviour) and the campaign (impute-or-drop of failed
         evaluations).  Defaults to no retries with pessimistic imputation.
-    surrogate_update:
-        ``"incremental"`` (default) reuses the surrogate's cached Cholesky
-        factor between hyperparameter fits and serves the pending-point
-        hallucination through a factor-sharing view; ``"full"`` rebuilds
-        the factored system from scratch at every event.  Both produce the
-        same posterior up to round-off (see
-        ``tests/test_incremental_equivalence.py``).
     refit_every:
         Run ML-II hyperparameter fitting only every K-th surrogate refit
-        (default 1 = every event, the paper's schedule).  Raising K is
-        where the incremental path's O(n^3) -> O(n^2) per-event win comes
-        from.
+        (default 1 = every event, the paper's schedule).  Between fits the
+        surrogate appends new observations to its cached Cholesky factor,
+        which is where the O(n^3) -> O(n^2) per-event win of raising K
+        comes from.
     surrogate / max_exact_n / n_inducing:
         Posterior representation: ``"exact"``, ``"sparse"``, or ``"auto"``
         (default — exact until ``max_exact_n`` observations, then the

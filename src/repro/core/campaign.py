@@ -436,7 +436,6 @@ class Campaign:
         failure_policy: FailurePolicy | None = None,
         acq_candidates: int = 2048,
         acq_restarts: int = 4,
-        surrogate_update: str = "incremental",
         surrogate: str = "auto",
         max_exact_n: int | None = None,
         n_inducing: int | None = None,
@@ -472,7 +471,6 @@ class Campaign:
         self.session = SurrogateSession(
             problem.bounds,
             rng=self.rng,
-            surrogate_update=surrogate_update,
             surrogate=surrogate,
             refit_every=refit_every,
             obs=self.obs,
@@ -1163,7 +1161,6 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
         "max_evals": campaign.max_evals,
         "acq_candidates": campaign.acq_candidates,
         "acq_restarts": campaign.acq_restarts,
-        "surrogate_update": session.surrogate_update,
         "surrogate": session.surrogate,
         "max_exact_n": session.max_exact_n,
         "n_inducing": session.n_inducing,
@@ -1180,6 +1177,9 @@ def read_campaign_journal(path) -> list[dict]:
     Raises :class:`JournalError` when the file was written by a newer
     campaign format than this code can read, instead of misparsing it, and
     for the retired driver-only run journals (first record ``run_start``).
+    Older journals carry a ``surrogate_update`` config entry, for a
+    surrogate mode that no longer exists; it is dropped here, so every
+    reader rebuilds them on the one surrogate path.
     """
     events = recover_journal(path)
     if events and events[0].get("type") == "run_start":
@@ -1203,6 +1203,7 @@ def read_campaign_journal(path) -> list[dict]:
             f"campaign journal format v{version} is newer than supported "
             f"v{CAMPAIGN_JOURNAL_VERSION}; upgrade this installation to read it"
         )
+    events[0].get("config", {}).pop("surrogate_update", None)
     return events
 
 

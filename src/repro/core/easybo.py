@@ -55,11 +55,10 @@ class EasyBO:
         Optional :class:`~repro.core.faults.FailurePolicy` (forwarded like
         any driver kwarg): retries/timeouts for the pool, impute-or-drop
         for the driver.  Defaults to no retries, pessimistic imputation.
-    surrogate_update / refit_every:
-        Surrogate fast-path knobs (forwarded like any driver kwarg):
-        ``surrogate_update="incremental"`` (default) reuses the cached
-        Cholesky factor between ML-II fits, and ``refit_every=K`` pays the
-        hyperparameter fit only every K dispatches.  See
+    refit_every:
+        Surrogate schedule (forwarded like any driver kwarg): pay the ML-II
+        hyperparameter fit only every K dispatches and append new
+        observations to the cached Cholesky factor in between.  See
         :class:`~repro.core.surrogate.SurrogateSession`.
     journal / checkpoint_every:
         Crash safety (forwarded like any driver kwarg): ``journal=path``

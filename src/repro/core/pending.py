@@ -30,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
+from repro.gp.sparse import SparseGaussianProcess
+
 __all__ = [
     "PENDING_POLICIES",
     "PendingPolicy",
@@ -81,10 +83,10 @@ class PendingPolicy:
 class HallucinatePolicy(PendingPolicy):
     """The paper's Eq. 9: hallucinate pending points at predictive means.
 
-    Delegates to :meth:`SurrogateSession.model_with_pending`, which picks the
-    factor-sharing :class:`HallucinatedView` in ``"incremental"`` mode or the
-    kriging-believer rebuild in ``"full"`` mode — exactly the historical
-    pipeline, byte-for-byte.
+    Delegates to :meth:`SurrogateSession.model_with_pending`, which builds
+    the factor-sharing :class:`HallucinatedView` (the kriging-believer
+    rebuild only when the view loses positive definiteness) — exactly the
+    historical pipeline, byte-for-byte.
     """
 
     name = "hallucinate"
@@ -213,12 +215,19 @@ class PessimisticPolicy(PendingPolicy):
         """Copy of ``model`` extended with pessimistic pseudo-observations.
 
         Mirrors :meth:`GaussianProcess.condition_on_pending` (greedy, one
-        border update per point) with ``mu - beta * sigma`` targets.
+        border update per point) with ``mu - beta * sigma`` targets.  The
+        sparse posterior has no border update; it takes each point as a
+        one-row :meth:`~repro.gp.sparse.SparseGaussianProcess.update`.
         """
         extended = model.copy()
+        sparse = isinstance(extended, SparseGaussianProcess)
         for u in np.atleast_2d(U_pending):
             mu, sigma = extended.predict(u.reshape(1, -1))
-            extended.add_observation(u, float(mu[0] - self.beta * sigma[0]))
+            target = float(mu[0] - self.beta * sigma[0])
+            if sparse:
+                extended.update(u.reshape(1, -1), [target])
+            else:
+                extended.add_observation(u, target)
         return extended
 
     def model(self, session, X_pending):

@@ -24,14 +24,15 @@ a server-evaluated campaign's.  :func:`resume` is
 Resume-equivalence guarantee
 ----------------------------
 On a deterministic problem, with the default ``on_orphan="reissue"`` policy
-and ``surrogate_update="full"``, a run killed at *any* event and resumed from
-its journal produces bit-for-bit the trajectory the uninterrupted run would
-have produced: orphaned points are re-evaluated at their original index,
-worker, and issue time, and every RNG draw after the crash boundary comes
-from the restored generator state.  In ``"incremental"`` mode the rebuilt
-Cholesky factor can differ from the crashed run's incrementally-updated one
-by round-off, so equivalence holds to the same tolerance the incremental
-mode's own equivalence harness grants.  With ``on_orphan="impute"``/"drop"``
+and the default ``refit_every=1``, a run killed at *any* event and resumed
+from its journal produces bit-for-bit the trajectory the uninterrupted run
+would have produced: orphaned points are re-evaluated at their original
+index, worker, and issue time, and every RNG draw after the crash boundary
+comes from the restored generator state.  With ``refit_every > 1`` the
+Cholesky factor rebuilt at resume can differ from the crashed run's
+incrementally appended one by round-off, so equivalence holds to the ≤1e-8
+per-event tolerance the append's own equivalence harness grants.  With
+``on_orphan="impute"``/"drop"``
 (the right choice when evaluations are non-deterministic or expensive) the
 resumed run deliberately diverges at the orphaned points but remains a valid
 continuation: no budget is lost and ``wait_next`` can never wedge on a dead
@@ -102,8 +103,9 @@ def resolve_problem(name: str):
 
 
 def _pool_state(events: list[dict]):
-    """Told trace records, clock, next index, and latest issue facts per point."""
-    records, issued, clock, next_index = [], {}, 0.0, 0
+    """Told trace records and their run seconds, latest issue facts per
+    point, clock, and next index."""
+    records, run_seconds, issued, clock, next_index = [], [], {}, 0.0, 0
     for event in events:
         kind = event.get("type")
         if kind == "ask":
@@ -111,7 +113,9 @@ def _pool_state(events: list[dict]):
         elif kind == "tell":
             points = [event["x"]]
             if "record" in event:
-                records.append(EvalRecord.from_dict(event["record"]))
+                record = EvalRecord.from_dict(event["record"])
+                records.append(record)
+                run_seconds.append(float(event.get("run_seconds", record.duration)))
                 clock = max(clock, float(event["clock"]))
         else:
             continue
@@ -119,13 +123,13 @@ def _pool_state(events: list[dict]):
             issued[np.asarray(x, dtype=float).tobytes()] = facts
             next_index = max(next_index, int(facts["index"]) + 1)
             clock = max(clock, float(facts["issue_time"]))
-    return records, issued, clock, next_index
+    return records, run_seconds, issued, clock, next_index
 
 
 def workers_needed(campaign, events=()) -> int:
     """Fewest workers ``campaign`` can go on with: B behind a barrier, and
     after ``events`` one per pending point, past every journaled slot."""
-    issued = _pool_state(events)[1]
+    issued = _pool_state(events)[2]
     slots = [issued.get(x.tobytes()) for x in campaign.pending]
     barrier = campaign.batch_size if campaign.strategy.kind == "sync" else 1
     return max([barrier, len(slots)] + [f["worker"] + 1 for f in slots if f is not None])
@@ -138,8 +142,9 @@ def reconcile(campaign, pool, events: list[dict], obs) -> None:
     order), which the campaign server runs for evaluated campaigns too, on
     a pool of at least :func:`workers_needed` workers.
     """
-    records, issued, clock, next_index = _pool_state(events)
-    pool.restore(now=clock, next_index=next_index, records=records)
+    records, run_seconds, issued, clock, next_index = _pool_state(events)
+    pool.restore(now=clock, next_index=next_index, records=records,
+                 run_seconds=run_seconds)
     error = "in flight at crash; reconciled at resume"
     orphaned = EvaluationResult.failed(error, status=STATUS_ORPHANED)
     unslotted = {"index": float("inf")}

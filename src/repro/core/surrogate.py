@@ -7,27 +7,27 @@ point hallucination used by the paper's penalization scheme — all in one
 place so the sequential, synchronous, and asynchronous drivers share exactly
 the same modelling behaviour.
 
-Three orthogonal knobs control what each dispatch costs:
+Two knobs control what each dispatch costs:
 
 * ``refit_every=K`` — ML-II hyperparameter fitting runs on the first refit
-  and then every K-th refit; in between the hyperparameters are frozen.
-* ``surrogate_update`` — how frozen-hyperparameter refits update the
-  factored system: ``"full"`` rebuilds the kernel matrix and its Cholesky
-  factor from scratch (O(n^3) per event), ``"incremental"`` performs a
-  rank-k append to the cached factor (O(n^2 k) per event) and falls back to
-  a full refactorization automatically if the append loses positive
-  definiteness.  Both modes compute the *same* posterior up to floating-
-  point round-off — `tests/test_incremental_equivalence.py` enforces ≤1e-8.
+  and then every K-th refit.  In between the hyperparameters are frozen and
+  a refit appends the new observations to the cached Cholesky factor as one
+  rank-k block (O(n^2 k) per event), rebuilding the factor from scratch only
+  if the append loses positive definiteness.
 * ``surrogate`` — which posterior representation backs the session:
   ``"exact"`` (the paper's GP), ``"sparse"`` (the budgeted inducing-point
   posterior of :mod:`repro.gp.sparse`, O(m^2) per event independent of n),
   or ``"auto"`` (default: exact until ``max_exact_n`` observations, sparse
   after — see docs/surrogate_scaling.md).
 
-In incremental mode the pending-point hallucination (Alg. 1 lines 5-6) is a
+The pending-point hallucination (Alg. 1 lines 5-6) is a
 :class:`HallucinatedView`: the kriging-believer pseudo-observations are
 appended to the factored system as one rank-k block and discarded by simply
-dropping the view, never refactorizing the base model.
+dropping the view, never refactorizing the base model.  Both fast paths
+compute the posterior of a from-scratch rebuild (``GaussianProcess.fit`` and
+``condition_on_pending``) up to round-off, and fall back to that rebuild on
+loss of positive definiteness; ``tests/test_incremental_equivalence.py``
+enforces ≤1e-8.
 """
 
 from __future__ import annotations
@@ -57,14 +57,10 @@ __all__ = [
     "SurrogateSession",
     "HallucinatedView",
     "SideGP",
-    "SURROGATE_UPDATE_MODES",
     "SURROGATE_KINDS",
     "DEFAULT_MAX_EXACT_N",
     "DEFAULT_N_INDUCING",
 ]
-
-#: Valid values for ``SurrogateSession(surrogate_update=...)``.
-SURROGATE_UPDATE_MODES = ("incremental", "full")
 
 #: Valid values for ``SurrogateSession(surrogate=...)``.
 SURROGATE_KINDS = ("exact", "sparse", "auto")
@@ -76,6 +72,10 @@ DEFAULT_MAX_EXACT_N = 1000
 
 #: Default inducing-set budget for the sparse posterior.
 DEFAULT_N_INDUCING = 256
+
+#: ML-II restarts for the very first fit and for warm-started refits.
+N_RESTARTS_FIRST = 3
+N_RESTARTS_REFIT = 1
 
 
 class HallucinatedView:
@@ -181,14 +181,6 @@ class SurrogateSession:
         Physical (optimizer-space) box bounds of the problem.
     rng:
         Stream used for hyperparameter restarts.
-    n_restarts_first / n_restarts_refit:
-        ML-II restarts for the very first fit and for warm-started refits.
-    surrogate_update:
-        ``"incremental"`` (default) reuses the cached Cholesky factor via
-        rank-k appends between hyperparameter fits and serves pending-point
-        hallucination through :class:`HallucinatedView`; ``"full"`` rebuilds
-        everything from scratch each refit (the reference path the
-        equivalence harness checks against).
     surrogate:
         Which posterior representation backs the session: ``"exact"`` (the
         paper's O(n^3) GP), ``"sparse"`` (the budgeted inducing-point
@@ -205,24 +197,18 @@ class SurrogateSession:
     refit_every:
         Run ML-II hyperparameter fitting only every this-many refits
         (default 1 = every refit, the paper's behaviour).  In between, the
-        kernel is frozen and refits only fold new observations in.
+        kernel is frozen and refits only append new observations to the
+        cached Cholesky factor.
     obs:
         :class:`~repro.obs.Observability` facade used for ``fit`` /
         ``hallucinate`` profiling spans; defaults to the no-op
         :data:`~repro.obs.NULL_OBS`.
     """
 
-    def __init__(self, bounds, *, rng=None, n_restarts_first: int = 3,
-                 n_restarts_refit: int = 1, surrogate_update: str = "incremental",
-                 surrogate: str = "auto", max_exact_n: int = DEFAULT_MAX_EXACT_N,
+    def __init__(self, bounds, *, rng=None, surrogate: str = "auto",
+                 max_exact_n: int = DEFAULT_MAX_EXACT_N,
                  n_inducing: int = DEFAULT_N_INDUCING,
                  refit_every: int = 1, obs=None):
-        surrogate_update = str(surrogate_update).lower()
-        if surrogate_update not in SURROGATE_UPDATE_MODES:
-            raise ValueError(
-                f"unknown surrogate_update {surrogate_update!r}; "
-                f"choose from {SURROGATE_UPDATE_MODES}"
-            )
         surrogate = str(surrogate).lower()
         if surrogate not in SURROGATE_KINDS:
             raise ValueError(
@@ -236,9 +222,6 @@ class SurrogateSession:
             raise ValueError(f"n_inducing must be >= 1, got {n_inducing}")
         self.transform = BoxTransform(bounds)
         self.rng = as_generator(rng)
-        self.n_restarts_first = int(n_restarts_first)
-        self.n_restarts_refit = int(n_restarts_refit)
-        self.surrogate_update = surrogate_update
         self.surrogate = surrogate
         self.max_exact_n = int(max_exact_n)
         self.n_inducing = int(n_inducing)
@@ -331,10 +314,9 @@ class SurrogateSession:
 
         Hyperparameters are tuned by warm-started ML-II on the first refit
         and then every ``refit_every``-th refit; other refits keep the
-        kernel frozen and only fold new observations in — by a rank-k
-        Cholesky append in ``"incremental"`` mode (with automatic fallback
-        to a full refactorization on loss of positive definiteness), by a
-        from-scratch rebuild in ``"full"`` mode.
+        kernel frozen and only fold new observations in, by a rank-k
+        Cholesky append (with automatic fallback to a full refactorization
+        on loss of positive definiteness).
         """
         if not self.can_fit:
             return None
@@ -353,11 +335,8 @@ class SurrogateSession:
                 self.obs.inc("surrogate.mode_switches")
             if self.model is None or self._refit_countdown <= 0 or switched:
                 self._fit_ml2(U, z)
-            elif self.surrogate_update == "incremental":
-                self._fit_incremental(U, z)
             else:
-                self.model.fit(U, z)
-                self.stats.n_refactorizations += 1
+                self._fit_incremental(U, z)
             self._refit_countdown -= 1
             self.stats.n_refits += 1
             self.stats.refit_seconds.append(time.perf_counter() - started)
@@ -384,7 +363,7 @@ class SurrogateSession:
         if self.model is None:
             kernel = SquaredExponential(self.dim, lengthscales=0.3)
             self.model = GaussianProcess(kernel=kernel, noise_variance=1e-4)
-            restarts = self.n_restarts_first
+            restarts = N_RESTARTS_FIRST
         else:
             if not isinstance(self.model, GaussianProcess):
                 # Switching back from the sparse posterior: warm-start the
@@ -393,7 +372,7 @@ class SurrogateSession:
                     kernel=self.model.kernel.copy(),
                     noise_variance=self.model.noise_variance,
                 )
-            restarts = self.n_restarts_refit
+            restarts = N_RESTARTS_REFIT
         self.model.fit(U, z)
         fit_hyperparameters(
             self.model,
@@ -421,11 +400,11 @@ class SurrogateSession:
         if self.model is None:
             kernel = SquaredExponential(self.dim, lengthscales=0.3)
             noise = 1e-4
-            restarts = self.n_restarts_first
+            restarts = N_RESTARTS_FIRST
         else:
             kernel = self.model.kernel.copy()
             noise = self.model.noise_variance
-            restarts = self.n_restarts_refit
+            restarts = N_RESTARTS_REFIT
         m = min(self.n_inducing, len(z))
         n_recent = max(m // 4, 1)
         include = [int(np.argmax(z))] + list(range(len(z) - 1, max(len(z) - 1 - n_recent, -1), -1))
@@ -467,8 +446,7 @@ class SurrogateSession:
             # The silent-corruption guard tripped: the appended block lost
             # positive definiteness and the model is rebuilt from scratch.
             # Surface it as a metric so operators can see how often the
-            # incremental path degrades (satellite fix: this used to be
-            # observable only through run-end stats).
+            # incremental path degrades.
             self.stats.n_fallbacks += 1
             self.obs.inc("surrogate.fallback_rebuilds")
             self.model.fit(U, z)
@@ -520,12 +498,11 @@ class SurrogateSession:
 
         Must be called *after* the observations have been replayed into the
         session: the model is re-fitted on the current dataset at the
-        restored hyperparameters, which reproduces exactly what the next
-        ``"full"``-mode refit (or ML-II warm start) of the uninterrupted run
-        would compute.  In ``"incremental"`` mode the rebuilt factor can
-        differ from the crashed run's incrementally-updated one by round-off
-        — within the tolerance the equivalence harness already grants that
-        mode.
+        restored hyperparameters, which is what the next ML-II warm start of
+        the uninterrupted run starts from.  Between ML-II fits
+        (``refit_every > 1``) the rebuilt factor can differ from the crashed
+        run's incrementally appended one by round-off — within the tolerance
+        the equivalence harness grants the append.
         """
         if snap is None:
             return
@@ -577,10 +554,10 @@ class SurrogateSession:
         This is lines 5-6 of Algorithm 1: the returned model's sigma-hat is
         collapsed around the busy locations, providing the diversity
         penalization of Eq. 9.  With no pending points the fitted model is
-        returned unchanged.  In ``"incremental"`` mode the result is a
+        returned unchanged.  Otherwise the result is a
         :class:`HallucinatedView` over the cached factor (no copy, no
-        refactorization); in ``"full"`` mode — or when the view loses
-        positive definiteness — the legacy rebuild-per-point path is used.
+        refactorization); only when the view loses positive definiteness is
+        the rebuild-per-point path (``condition_on_pending``) used.
         """
         model = self.require_model()
         X_pending = np.asarray(X_pending, dtype=float)
@@ -593,21 +570,19 @@ class SurrogateSession:
             )
             try:
                 if isinstance(model, SparseGaussianProcess):
-                    # The sparse hallucination is already factor-shared and
-                    # O(m^2 k) in both update modes; a rank-1 update of a PD
-                    # factor cannot lose positive definiteness, so there is
-                    # no fallback path.
+                    # The sparse hallucination is factor-shared and O(m^2 k);
+                    # a rank-1 update of a PD factor cannot lose positive
+                    # definiteness, so there is no fallback path.
                     view = SparseHallucinatedView(model, U_pending)
                     self.stats.n_hallucinated_views += 1
                     return view
-                if self.surrogate_update == "incremental":
-                    try:
-                        view = HallucinatedView(model, U_pending)
-                        self.stats.n_hallucinated_views += 1
-                        return view
-                    except np.linalg.LinAlgError:
-                        self.stats.n_fallbacks += 1
-                        self.obs.inc("surrogate.fallback_rebuilds")
+                try:
+                    view = HallucinatedView(model, U_pending)
+                    self.stats.n_hallucinated_views += 1
+                    return view
+                except np.linalg.LinAlgError:
+                    self.stats.n_fallbacks += 1
+                    self.obs.inc("surrogate.fallback_rebuilds")
                 self.stats.n_hallucinated_rebuilds += 1
                 return model.condition_on_pending(U_pending)
             finally:

@@ -27,10 +27,9 @@ rules live in :class:`~repro.core.campaign.SyncBatchStrategy`, whose
 the server alike (ablations subclass it and override ``model_batch``).
 
 The hallucinating strategies (``easybo-sp``, ``bucb``) build each batch
-member's model through :meth:`SurrogateSession.model_with_pending`, so in
-the default ``surrogate_update="incremental"`` mode every greedy step is a
-rank-k :class:`~repro.core.surrogate.HallucinatedView` over the cached
-factor rather than a per-point posterior rebuild.
+member's model through :meth:`SurrogateSession.model_with_pending`, so every
+greedy step is a rank-k :class:`~repro.core.surrogate.HallucinatedView` over
+the cached factor rather than a per-point posterior rebuild.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ __all__ = [
     "paired_comparisons",
     "render_report",
     "check_tournament",
-    "check_hallucinate_matches_golden",
 ]
 
 
@@ -53,8 +52,8 @@ class TournamentScale:
 
 
 SCALES = {
-    # CI floor: 2 policies x 1 circuit, seeded; asserts the harness runs and
-    # the hallucinate policy still matches its committed golden.
+    # CI floor: 2 policies x 1 circuit, seeded; asserts the harness runs the
+    # full grid and reruns a cell bit for bit.
     "smoke": TournamentScale(
         "smoke",
         policies=("hallucinate", "none"),
@@ -288,80 +287,6 @@ def render_report(scale: TournamentScale, results) -> str:
 
 
 # ------------------------------------------------------------------- checks
-def check_hallucinate_matches_golden() -> None:
-    """Assert ``pending_policy="hallucinate"`` is the legacy pipeline.
-
-    Reruns the committed ``easybo-async-branin`` golden scenario (EasyBO-3
-    on branin, seed 7, full surrogate mode) twice — once through the legacy
-    ``penalized=True`` spelling, once with an explicit
-    ``pending_policy="hallucinate"`` — and asserts the trajectories are
-    identical record-for-record, bit-for-bit.  When the committed fixture
-    ``tests/golden/easybo-async-branin.json`` is reachable from the working
-    directory it is compared byte-for-byte as well.
-    """
-    import json
-    import pathlib
-
-    from repro.circuits import branin
-    from repro.core.easybo import make_algorithm
-
-    def run(**extra):
-        algorithm = make_algorithm(
-            "EasyBO-3",
-            branin(),
-            rng=7,
-            n_init=5,
-            max_evals=12,
-            acq_candidates=128,
-            acq_restarts=1,
-            surrogate_update="full",
-            refit_every=1,
-            **extra,
-        )
-        return algorithm.run()
-
-    def payload(result) -> dict:
-        # Mirrors tests/golden/regenerate.py:trajectory_payload for the
-        # easybo-async-branin scenario, so the rendering below is
-        # byte-comparable with the committed fixture.
-        return {
-            "scenario": "easybo-async-branin",
-            "algorithm": result.algorithm,
-            "problem": result.problem,
-            "seed": 7,
-            "n_evaluations": result.n_evaluations,
-            "best_fom": result.best_fom,
-            "records": [
-                {
-                    "index": r.index,
-                    "worker": r.worker,
-                    "batch": r.batch,
-                    "x": [float(v) for v in r.x],
-                    "fom": r.fom,
-                    "issue_time": r.issue_time,
-                    "finish_time": r.finish_time,
-                    "status": r.status,
-                }
-                for r in result.trace.records
-            ],
-        }
-
-    legacy = payload(run())
-    explicit = payload(run(pending_policy="hallucinate"))
-    assert explicit == legacy, (
-        "pending_policy='hallucinate' diverged from the legacy penalized "
-        "pipeline on the easybo-async-branin scenario"
-    )
-    fixture = pathlib.Path("tests/golden/easybo-async-branin.json")
-    if fixture.is_file():
-        committed = fixture.read_text(encoding="utf-8")
-        rendered = json.dumps(explicit, indent=2, sort_keys=True) + "\n"
-        assert rendered == committed, (
-            "hallucinate policy no longer matches the committed golden "
-            f"{fixture} byte-for-byte"
-        )
-
-
 def check_tournament(scale: TournamentScale, results) -> None:
     """Assert the harness ran the full grid and is seed-reproducible."""
     expected = (
@@ -391,4 +316,3 @@ def check_tournament(scale: TournamentScale, results) -> None:
         first.seed, scale,
     )
     assert rerun == first, f"cell rerun diverged: {rerun} != {first}"
-    check_hallucinate_matches_golden()

@@ -233,29 +233,6 @@ class GaussianProcess:
             )
         return self
 
-    def downdate(self, k: int = 1) -> "GaussianProcess":
-        """Discard the last ``k`` observations without refactorizing.
-
-        Truncating a Cholesky factor is exact (the leading block of the
-        factor *is* the factor of the leading block), so this never loses
-        positive definiteness — it is how hallucinated pending points are
-        discarded.
-        """
-        self._require_fitted()
-        k = int(k)
-        if not 0 <= k < self.n_train:
-            raise ValueError(
-                f"cannot discard {k} of {self.n_train} observations "
-                "(at least one must remain)"
-            )
-        if k == 0:
-            return self
-        self._lower = linalg.cholesky_shrink(self._lower, k)
-        self._X = self._X[:-k]
-        self._y = self._y[:-k]
-        self._alpha = linalg.cholesky_solve(self._lower, self._y - self.mean(self._X))
-        return self
-
     def set_targets(self, y) -> "GaussianProcess":
         """Replace the observation values (same inputs), reusing the factor.
 

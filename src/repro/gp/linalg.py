@@ -18,10 +18,7 @@ __all__ = [
     "cholesky_solve",
     "cholesky_update",
     "cholesky_append",
-    "cholesky_shrink",
     "cholesky_rank1_update",
-    "cholesky_rank1_downdate",
-    "cholesky_delete_row",
     "solve_lower",
     "log_det_from_cholesky",
     "Workspace",
@@ -227,25 +224,10 @@ def cholesky_append(
     return out
 
 
-def cholesky_shrink(lower: np.ndarray, k: int) -> np.ndarray:
-    """Factor with the *last* ``k`` rows/columns removed.
+def _rank1_sweep(L: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Blocked Givens sweep for the rank-1 update (+x x^T), any layout.
 
-    Because the leading principal block of a lower-triangular factor is the
-    factor of the leading principal block of the matrix, discarding trailing
-    points is exact truncation — this is how hallucinated pending points are
-    dropped without refactorizing.
-    """
-    lower = np.asarray(lower, dtype=float)
-    n = lower.shape[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"cannot remove {k} rows from a {n}x{n} factor")
-    return lower[: n - k, : n - k].copy()
-
-
-def _rank1_sweep(L: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
-    """Shared blocked kernel for the rank-1 update (+v v^T) and downdate.
-
-    The classic column-at-a-time Givens sweep touches the *entire* trailing
+    The classic column-at-a-time sweep touches the *entire* trailing
     submatrix once per column — O(n) short numpy calls whose operands fall
     out of cache between iterations.  Here columns are processed in panels of
     :data:`CHOLESKY_BLOCK`: rotations are computed against panel-local rows
@@ -257,8 +239,7 @@ def _rank1_sweep(L: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
     ``i`` depends only on values produced by columns ``< i`` for that same
     row — so the result is bit-for-bit the same; only the schedule changes.
 
-    Mutates and returns ``L``; ``x`` is consumed as scratch.  On a PD-loss
-    raise the factor is partially mutated — callers own the copy.
+    Mutates and returns ``L``; ``x`` is consumed as scratch.
     """
     n = L.shape[0]
     c_buf = np.empty(CHOLESKY_BLOCK)
@@ -267,22 +248,14 @@ def _rank1_sweep(L: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
     for p0 in range(0, n, CHOLESKY_BLOCK):
         p1 = min(p0 + CHOLESKY_BLOCK, n)
         for i in range(p0, p1):
-            if sign > 0.0:
-                r = np.hypot(L[i, i], x[i])
-            else:
-                d = (L[i, i] - x[i]) * (L[i, i] + x[i])
-                if d <= 0.0:
-                    raise np.linalg.LinAlgError(
-                        f"rank-1 downdate lost positive definiteness at row {i}"
-                    )
-                r = np.sqrt(d)
+            r = np.hypot(L[i, i], x[i])
             c = r / L[i, i]
             s = x[i] / L[i, i]
             L[i, i] = r
             c_buf[i - p0] = c
             s_buf[i - p0] = s
             if i + 1 < p1:
-                L[i + 1 : p1, i] = (L[i + 1 : p1, i] + sign * s * x[i + 1 : p1]) / c
+                L[i + 1 : p1, i] = (L[i + 1 : p1, i] + s * x[i + 1 : p1]) / c
                 x[i + 1 : p1] = c * x[i + 1 : p1] - s * L[i + 1 : p1, i]
         if p1 < n:
             x_tail = x[p1:]
@@ -291,7 +264,7 @@ def _rank1_sweep(L: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
                 col = L[p1:, i]
                 c = c_buf[i - p0]
                 s = s_buf[i - p0]
-                np.multiply(x_tail, sign * s, out=tmp)
+                np.multiply(x_tail, s, out=tmp)
                 col += tmp
                 col /= c
                 x_tail *= c
@@ -352,48 +325,4 @@ def cholesky_rank1_update(
         raise ValueError(f"v must have length {n}, got {x.shape[0]}")
     if L.flags.c_contiguous and L.dtype == np.float64 and x.flags.c_contiguous:
         return _rank1_update_drot(L, x)
-    return _rank1_sweep(L, x, 1.0)
-
-
-def cholesky_rank1_downdate(
-    lower: np.ndarray, v: np.ndarray, *, overwrite: bool = False
-) -> np.ndarray:
-    """Factor of ``L L^T - v v^T``; raises on loss of positive definiteness.
-
-    The downdate is the numerically delicate direction: when ``v v^T``
-    carries (numerically) as much mass as the factor itself the hyperbolic
-    rotation has no real solution.  That condition is surfaced as
-    :class:`numpy.linalg.LinAlgError` so callers can refactorize instead of
-    silently producing a corrupted factor.  With ``overwrite=True`` the
-    factor is updated in place and is left partially mutated on a raise —
-    in-place callers must treat their factor as invalid after a PD-loss.
-    """
-    L = np.asarray(lower, dtype=float) if overwrite else np.array(lower, dtype=float)
-    x = np.asarray(v, dtype=float).ravel().copy()
-    n = L.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"v must have length {n}, got {x.shape[0]}")
-    return _rank1_sweep(L, x, -1.0)
-
-
-def cholesky_delete_row(lower: np.ndarray, index: int) -> np.ndarray:
-    """Factor with row/column ``index`` of the underlying matrix removed.
-
-    The leading block is untouched, the trailing block absorbs the deleted
-    column by a (always PD-safe) rank-1 update: with ``L33`` the trailing
-    factor block and ``l32`` the deleted column below the diagonal,
-    ``L33' L33'^T = L33 L33^T + l32 l32^T``.
-    """
-    lower = np.asarray(lower, dtype=float)
-    n = lower.shape[0]
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} out of range for a {n}x{n} factor")
-    out = np.zeros((n - 1, n - 1))
-    out[:index, :index] = lower[:index, :index]
-    out[index:, :index] = lower[index + 1 :, :index]
-    trailing = lower[index + 1 :, index + 1 :]
-    if trailing.shape[0]:
-        out[index:, index:] = cholesky_rank1_update(
-            trailing, lower[index + 1 :, index]
-        )
-    return out
+    return _rank1_sweep(L, x)

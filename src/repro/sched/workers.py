@@ -59,11 +59,15 @@ class Completion:
     """A finished evaluation handed back to the driver.
 
     ``record`` is the row the pool appended to its trace; the remaining
-    issue facts read through to it.
+    issue facts read through to it.  ``run_seconds`` is the run time the
+    pool counted toward its lease statistic: it runs from dispatch, which a
+    process pool reaches only once the worker is up, so it can be far
+    shorter than the row's issue-to-finish span.
     """
 
     result: EvaluationResult
     record: EvalRecord
+    run_seconds: float
 
     @property
     def index(self) -> int:
@@ -289,7 +293,7 @@ class PoolBase:
         self.trace.add(record)
         self._obs.inc("pool.completions")
         self._obs.observe("pool.task_seconds", duration)
-        return Completion(result, record)
+        return Completion(result, record, duration)
 
     def _release(self, task: dict, finish_time: float) -> None:
         """Backend bookkeeping for a resolved task (nothing by default)."""
@@ -323,22 +327,27 @@ class PoolBase:
         return None
 
     # -------------------------------------------------------------- recovery
-    def restore(self, *, now: float, next_index: int, records=()) -> None:
+    def restore(self, *, now: float, next_index: int, records=(),
+                run_seconds=None) -> None:
         """Rewind a fresh pool to a journaled state (crash recovery).
 
         Continues the clock from ``now``, sets the next evaluation index, and
-        replays completed :class:`EvalRecord` rows into the trace (also
-        rebuilding the duration statistics that drive lease deadlines).  Only
-        valid on a pool that has not run anything yet.
+        replays completed :class:`EvalRecord` rows into the trace, rebuilding
+        the duration statistics that drive lease deadlines from
+        ``run_seconds`` (one per record: the :attr:`Completion.run_seconds`
+        the live pool counted; without it, each row's issue-to-finish span).
+        Only valid on a pool that has not run anything yet.
         """
+        if run_seconds is None:
+            run_seconds = [record.duration for record in records]
         with self._lock:
             if self._tasks or self.trace.records:
                 raise RuntimeError("restore() requires a fresh pool")
             self._set_clock(float(now))
             self._next_index = int(next_index)
-            for record in records:
+            for record, seconds in zip(records, run_seconds, strict=True):
                 self.trace.add(record)
-                self._cost_total += max(record.duration, 0.0)
+                self._cost_total += max(seconds, 0.0)
                 self._cost_count += 1
 
     def restore_task(

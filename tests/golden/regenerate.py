@@ -3,9 +3,8 @@
 Each fixture is one fully seeded optimizer run — algorithm label, problem,
 budget, seed — serialized record-by-record (point, FOM, worker, issue/finish
 times) as canonical JSON.  ``tests/test_golden_trajectories.py`` replays the
-scenarios and compares byte-for-byte in ``surrogate_update="full"`` mode;
-see that module and ``tests/golden/README.md`` for what is (and is not)
-guaranteed in incremental mode.
+scenarios on the one surrogate path every run takes and compares
+byte-for-byte; see ``tests/golden/README.md`` for what is guaranteed.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -31,8 +30,7 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 #: Budgets are tiny on purpose: goldens assert exact trajectories, not
 #: optimizer quality, and must stay cheap enough for every tier-1 run.
 SCENARIOS = {
-    # Sequential LCB: no pending points, so the incremental mode must
-    # reproduce this golden byte-for-byte as well.
+    # Sequential LCB: no pending points, so no hallucinated view is built.
     "lcb-branin": ("LCB", "branin", dict(rng=1, n_init=5, max_evals=10)),
     # The paper's algorithm proper: asynchronous, penalized, B=3.
     "easybo-async-branin": ("EasyBO-3", "branin", dict(rng=7, n_init=5, max_evals=12)),
@@ -72,9 +70,7 @@ def make_problem(name: str):
     raise ValueError(f"unknown golden problem {name!r}")
 
 
-def run_scenario(
-    name: str, *, surrogate_update: str = "full", refit_every: int = 1, **extra
-):
+def run_scenario(name: str, *, refit_every: int = 1, **extra):
     """Replay one scenario; deterministic given the scenario's seed.
 
     ``extra`` driver kwargs (e.g. ``journal=``, ``checkpoint_every=``) let the
@@ -87,7 +83,6 @@ def run_scenario(
     algorithm = make_algorithm(
         label,
         make_problem(problem_name),
-        surrogate_update=surrogate_update,
         refit_every=refit_every,
         **COMMON_KWARGS,
         **kwargs,
@@ -149,7 +144,7 @@ def main(argv=None) -> int:
     names = SCENARIOS if args.only is None else (args.only,)
     drifted = []
     for name in names:
-        result = run_scenario(name, surrogate_update="full", refit_every=1)
+        result = run_scenario(name)
         path = golden_path(name)
         expected = canonical_json(trajectory_payload(name, result))
         if args.check:

@@ -13,10 +13,10 @@ Two hand-rolled harnesses mirror the two loop rules:
   earlier ones as pending, Eq. 9);
 * synchronous — DoE slices then full batches with a ``wait_all`` barrier.
 
-Both ``surrogate_update`` modes are covered with the same guarantees as
-``test_golden_trajectories.py``: full mode is byte-for-byte against the
-fixtures; incremental mode is byte-for-byte against a fresh *driver* run in
-incremental mode (sequential incremental also matches the fixture exactly).
+At ``refit_every=1`` the campaign is byte-for-byte against the fixtures.
+At ``refit_every=3``, where frozen-kernel refits append to the cached
+Cholesky factor and no fixture exists, it is byte-for-byte against a fresh
+*driver* run with the same settings.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from tests.golden.regenerate import (
 BATCH_SCENARIOS = [n for n in SCENARIOS if n != "lcb-branin"]
 
 
-def _build(name: str, surrogate_update: str):
+def _build(name: str, refit_every: int = 1):
     label, problem_name, kwargs = SCENARIOS[name]
     problem = make_problem(problem_name)
     campaign = make_campaign(
         label,
         problem,
-        surrogate_update=surrogate_update,
-        refit_every=1,
+        refit_every=refit_every,
         **COMMON_KWARGS,
         **kwargs,
     )
@@ -115,8 +114,8 @@ def drive_sync(campaign, pool, batch_size: int) -> None:
         batch_index += 1
 
 
-def run_ask_tell_scenario(name: str, *, surrogate_update: str) -> RunResult:
-    campaign, problem = _build(name, surrogate_update)
+def run_ask_tell_scenario(name: str, *, refit_every: int = 1) -> RunResult:
+    campaign, problem = _build(name, refit_every)
     n_workers = campaign.batch_size
     pool = VirtualWorkerPool(problem, n_workers)
     try:
@@ -132,30 +131,30 @@ def run_ask_tell_scenario(name: str, *, surrogate_update: str) -> RunResult:
 
 
 class TestFullModeByteForByte:
+    """Whole trajectories against the fixtures, byte for byte."""
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_ask_tell_reproduces_golden(self, name):
-        result = run_ask_tell_scenario(name, surrogate_update="full")
+        result = run_ask_tell_scenario(name)
         replayed = canonical_json(trajectory_payload(name, result))
         assert replayed == golden_path(name).read_text()
 
 
 class TestIncrementalMode:
-    def test_sequential_incremental_matches_golden(self):
-        result = run_ask_tell_scenario("lcb-branin", surrogate_update="incremental")
-        replayed = canonical_json(trajectory_payload("lcb-branin", result))
-        assert replayed == golden_path("lcb-branin").read_text()
+    """Between ML-II fits (``refit_every=3``) refits append to the cached
+    factor; campaign and driver must still run identical arithmetic."""
 
     @pytest.mark.parametrize("name", BATCH_SCENARIOS)
     def test_batch_incremental_matches_driver(self, name):
-        """Ask/tell in incremental mode == the driver loop in incremental mode.
+        """Ask/tell == the driver loop, exactly, with frozen-kernel appends.
 
-        The fixtures only bound incremental batch runs up to round-off (see
-        ``tests/golden/README.md``), but campaign-vs-driver must agree
+        No fixture pins ``refit_every=3``, but campaign-vs-driver must agree
         *exactly*: both sides run the identical arithmetic in the identical
-        order, whatever mode the surrogate is in.
+        order.
         """
-        via_campaign = run_ask_tell_scenario(name, surrogate_update="incremental")
-        via_driver = run_scenario(name, surrogate_update="incremental")
+        via_campaign = run_ask_tell_scenario(name, refit_every=3)
+        via_driver = run_scenario(name, refit_every=3)
+        assert via_driver.surrogate_stats.n_incremental_updates > 0
         assert canonical_json(trajectory_payload(name, via_campaign)) == canonical_json(
             trajectory_payload(name, via_driver)
         )
@@ -165,7 +164,7 @@ class TestPendingMirrorsPool:
     def test_async_pending_matches_pool_pending_points(self):
         """``campaign.pending_matrix()`` == ``pool.pending_points()`` at every
         wait boundary (the cold-start dedupe satellite's invariant)."""
-        campaign, problem = _build("easybo-async-branin", "full")
+        campaign, problem = _build("easybo-async-branin")
         pool = VirtualWorkerPool(problem, campaign.batch_size)
         try:
             while not campaign.exhausted and pool.idle_count > 0:

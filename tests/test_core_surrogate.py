@@ -78,14 +78,15 @@ class TestFitting:
 
 class TestIncrementalSchedule:
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SurrogateSession(BOUNDS, surrogate_update="sometimes")
+        # There is one update path; the keyword that chose between two is
+        # refused by name.
+        with pytest.raises(TypeError, match="surrogate_update"):
+            SurrogateSession(BOUNDS, surrogate_update="full")
         with pytest.raises(ValueError):
             SurrogateSession(BOUNDS, refit_every=0)
 
     def test_refit_every_schedules_ml2(self):
         session = make_session()
-        session.surrogate_update = "incremental"
         session.refit_every = 3
         for i in range(7):
             session.refit()
@@ -96,24 +97,8 @@ class TestIncrementalSchedule:
         assert session.stats.n_refits == 7
         assert len(session.stats.refit_seconds) == 7
 
-    def test_full_mode_counts_refactorizations(self):
-        session = SurrogateSession(
-            BOUNDS, rng=0, surrogate_update="full", refit_every=4
-        )
-        rng = np.random.default_rng(3)
-        X = rng.uniform(BOUNDS[:, 0], BOUNDS[:, 1], size=(10, 2))
-        session.add_batch(X, X[:, 0])
-        for i in range(4):
-            session.refit()
-            session.add([1.0 + i, 0.2], float(i))
-        assert session.stats.n_full_fits == 1
-        assert session.stats.n_refactorizations == 3
-        assert session.stats.n_incremental_updates == 0
-
     def test_incremental_tracks_growing_dataset(self):
-        session = SurrogateSession(
-            BOUNDS, rng=0, surrogate_update="incremental", refit_every=100
-        )
+        session = SurrogateSession(BOUNDS, rng=0, refit_every=100)
         rng = np.random.default_rng(4)
         X = rng.uniform(BOUNDS[:, 0], BOUNDS[:, 1], size=(8, 2))
         session.add_batch(X, np.sin(X[:, 0]))
@@ -128,9 +113,7 @@ class TestIncrementalSchedule:
         assert session.stats.n_incremental_updates == 5
 
     def test_pd_loss_falls_back_to_refactorization(self, monkeypatch):
-        session = SurrogateSession(
-            BOUNDS, rng=0, surrogate_update="incremental", refit_every=100
-        )
+        session = SurrogateSession(BOUNDS, rng=0, refit_every=100)
         rng = np.random.default_rng(5)
         X = rng.uniform(BOUNDS[:, 0], BOUNDS[:, 1], size=(10, 2))
         session.add_batch(X, X[:, 1])
@@ -255,7 +238,6 @@ class TestSurrogateKinds:
         metrics = MetricsRegistry()
         session = self._session(
             surrogate="exact",
-            surrogate_update="incremental",
             refit_every=100,
             obs=Observability(metrics=metrics),
         )
@@ -290,29 +272,17 @@ class TestPending:
         from repro.core.surrogate import HallucinatedView
 
         session = make_session()
-        session.surrogate_update = "incremental"
         session.refit()
         model = session.model_with_pending(np.array([[7.7, 0.3]]))
         assert isinstance(model, HallucinatedView)
         assert model.discard() is session.model
         assert session.stats.n_hallucinated_views == 1
 
-    def test_full_mode_returns_rebuilt_model(self):
-        from repro.gp import GaussianProcess
-
-        session = make_session()
-        session.surrogate_update = "full"
-        session.refit()
-        model = session.model_with_pending(np.array([[7.7, 0.3]]))
-        assert isinstance(model, GaussianProcess)
-        assert session.stats.n_hallucinated_rebuilds == 1
-
     def test_view_pd_loss_falls_back_to_rebuild(self, monkeypatch):
         from repro.core import surrogate as surrogate_mod
         from repro.gp import GaussianProcess
 
         session = make_session()
-        session.surrogate_update = "incremental"
         session.refit()
 
         class Doomed(surrogate_mod.HallucinatedView):

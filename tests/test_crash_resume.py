@@ -1,10 +1,10 @@
 """Crash/resume harness: kill seeded runs and prove the resume is exact.
 
-The contract under test (see ``docs/crash_recovery.md``): in full surrogate
-mode, a run killed at *any* journal append and resumed with
+The contract under test (see ``docs/crash_recovery.md``): at the default
+``refit_every=1``, a run killed at *any* journal append and resumed with
 :func:`repro.core.recovery.resume` finishes with the byte-for-byte trajectory
 of the uninterrupted run — the same fixtures ``test_golden_trajectories.py``
-enforces.  The chaos test draws its kill points from ``REPRO_CHAOS_SEED`` so
+enforces, on the one surrogate path every run takes.  The chaos test draws its kill points from ``REPRO_CHAOS_SEED`` so
 the CI chaos job sweeps a different slice of crash boundaries on every seed.
 
 Also covered here: worker-lease reconciliation (a hung worker is orphaned and
@@ -118,7 +118,7 @@ def test_resume_after_mid_evaluation_kill_matches_golden(kill_at, tmp_path):
     path = tmp_path / "run.jsonl"
     killer = KillSwitchProblem(make_problem(problem_name), kill_at=kill_at)
     algorithm = make_algorithm(
-        label, killer, surrogate_update="full", refit_every=1,
+        label, killer, refit_every=1,
         acq_candidates=128, acq_restarts=1, journal=path, **kwargs,
     )
     with pytest.raises(ProcessKilled):
@@ -194,7 +194,7 @@ class TestOrphanDispositions:
         path = tmp_path / "run.jsonl"
         killer = KillSwitchProblem(make_problem(problem_name), kill_at=8)
         algorithm = make_algorithm(
-            label, killer, surrogate_update="full", acq_candidates=128,
+            label, killer, acq_candidates=128,
             acq_restarts=1, journal=path, failure_policy=policy, **kwargs,
         )
         with pytest.raises(ProcessKilled):

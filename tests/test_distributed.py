@@ -37,6 +37,7 @@ from repro.distributed import (
     problem_spec,
 )
 from repro.distributed.protocol import result_from_dict, result_to_dict
+from repro.sched.workers import VirtualWorkerPool
 
 FAST = dict(heartbeat_interval=0.1, poll_interval=0.05, respawn_backoff=0.1)
 
@@ -270,6 +271,37 @@ class TestDriverIntegration:
         assert np.isfinite(result.best_fom)
         assert result.pool_telemetry is not None
         assert result.pool_telemetry.backend == "process"
+
+    def test_resumed_pool_arms_the_live_pools_leases(self, tmp_path):
+        # The design goes out while the workers spawn, so the live pool's
+        # run times (counted from dispatch) are far shorter than the trace
+        # rows' issue-to-finish spans.  A pool restored from the journal
+        # must arm the leases the live pool did.
+        problem = sphere(dim=2)
+        policy = FailurePolicy(lease_slack=3)
+        pools = []
+
+        def recording(backend, **options):
+            def factory(p, n, policy=None):
+                pools.append(backend(p, n, policy=policy, **options))
+                return pools[-1]
+            return factory
+
+        path = tmp_path / "run.journal"
+        EasyBO(
+            problem, batch_size=2, n_init=4, max_evals=6, rng=0,
+            pool_factory=recording(ProcessWorkerPool, **FAST),
+            failure_policy=policy, acq_candidates=32, acq_restarts=1,
+            journal=path,
+        ).optimize()
+        # Cut campaign_end: the run is "killed" after its last tell.
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]))
+        resume(path, problem=problem, pool_factory=recording(VirtualWorkerPool))
+        live, restored = pools
+        spans = [r.duration for r in live.trace.records]
+        assert live._lease_deadline(0.0) < 3 * sum(spans) / len(spans)
+        assert restored._lease_deadline(0.0) == live._lease_deadline(0.0)
 
 
 class TestCampaignServerNoZombies:

@@ -46,7 +46,7 @@ from tests.test_core_cost_aware import plateau_problem
 
 pytestmark = pytest.mark.chaos
 
-FAST = dict(acq_candidates=64, acq_restarts=1, surrogate_update="full")
+FAST = dict(acq_candidates=64, acq_restarts=1)
 
 
 def trajectory(result) -> list[tuple]:
@@ -264,8 +264,7 @@ class TestJournalBytes:
     @pytest.mark.parametrize("kill_at", [12, 31])
     def test_resume_keeps_counter_totals_and_its_own_timings(self, tmp_path, kill_at):
         reference, resumed, _ = kill_and_resume(
-            "EasyBO-2", sphere(2), tmp_path, kill_at,
-            **{**self.KWARGS, "surrogate_update": "full"},
+            "EasyBO-2", sphere(2), tmp_path, kill_at, **self.KWARGS,
         )
         ref, res = reference.surrogate_stats, resumed.surrogate_stats
         assert len(ref.refit_seconds) == ref.n_refits
@@ -303,6 +302,61 @@ class TestRefusals:
             rf"run journal format v1 is older than supported v{JOURNAL_VERSION}"
         )):
             resume(path)
+
+
+def with_retired_surrogate_update(path) -> None:
+    """Rewrite ``path`` the way a release with two surrogate update modes
+    journaled it: ``surrogate_update`` in the ``campaign_start`` config."""
+    events = read_journal(path)
+    events[0]["config"]["surrogate_update"] = "full"
+    path.unlink()
+    with JournalWriter(path) as writer:
+        for event in events:
+            writer.append(event)
+
+
+class TestRetiredSurrogateUpdate:
+    """The surrogate has one update path.  Journals from before carry the
+    keyword that chose between two; reading drops it, and a caller that
+    still passes it is refused by name."""
+
+    KWARGS = dict(n_init=4, max_evals=10, rng=0, **FAST)
+
+    def test_old_journals_resume_onto_the_uninterrupted_run(self, tmp_path):
+        reference = make_algorithm("EasyBO-2", sphere(2), **self.KWARGS).run()
+        path = tmp_path / "run.jsonl"
+        writer = KillSwitchJournal(JournalWriter(path), kill_at=12)
+        with pytest.raises(ProcessKilled):
+            make_algorithm("EasyBO-2", sphere(2), journal=writer, **self.KWARGS).run()
+        writer.close()
+        with_retired_surrogate_update(path)
+        assert "surrogate_update" not in read_campaign_journal(path)[0]["config"]
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(path.read_bytes())
+        campaign = resume_campaign(copy)
+        assert campaign.issued > campaign.n_init and campaign.n_pending
+        campaign.close()
+        assert trajectory(resume(path)) == trajectory(reference)
+
+    def test_new_journals_do_not_carry_it(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        make_algorithm("EasyBO-2", sphere(2), journal=path, **self.KWARGS).run()
+        assert "surrogate_update" not in read_journal(path)[0]["config"]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: make_campaign("EasyBO-2", sphere(2), **kw),
+            lambda **kw: make_algorithm("EasyBO-2", sphere(2), **kw),
+            lambda **kw: make_algorithm("LCB", sphere(2), **kw),
+        ],
+        ids=["make_campaign", "EasyBO-2 driver", "LCB driver"],
+    )
+    def test_the_keyword_is_refused_by_name(self, tmp_path, build):
+        with pytest.raises(TypeError, match="surrogate_update"):
+            build(surrogate_update="incremental", journal=tmp_path / "j.jsonl",
+                  **self.KWARGS)
+        assert not (tmp_path / "j.jsonl").exists()
 
 
 class TestSideModelPolicies:

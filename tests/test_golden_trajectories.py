@@ -3,11 +3,15 @@
 Replays the seeded scenarios defined in ``tests/golden/regenerate.py`` and
 compares against the committed fixtures:
 
-* ``surrogate_update="full"`` must reproduce each fixture **byte-for-byte**
-  (every queried point, FOM, worker assignment, and simulated timestamp);
-* ``surrogate_update="incremental"`` must reproduce the *sequential* fixture
-  byte-for-byte too (no pending points -> identical arithmetic), and for the
-  batch fixtures must match the initial design exactly and the first BO
+* every scenario must reproduce its fixture **byte-for-byte** (every queried
+  point, FOM, worker assignment, and simulated timestamp) on the one
+  surrogate path every run takes — frozen-kernel refits append to the cached
+  Cholesky factor, and Eq. 9 is a factor-sharing ``HallucinatedView``;
+* the from-scratch rebuild the view is checked against per event
+  (``condition_on_pending``, reached here by making every view lose positive
+  definiteness, which is the session's own fallback) must reproduce the
+  *sequential* fixture byte-for-byte too (no pending points, so no view),
+  and for the batch fixtures the initial design exactly and the first BO
   proposal within a documented tolerance — full batch trajectories are a
   closed loop and may legally diverge after one ulp (see
   ``tests/golden/README.md``; per-event exactness is enforced separately by
@@ -22,6 +26,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import surrogate as surrogate_mod
 from tests.golden.regenerate import (
     SCENARIOS,
     canonical_json,
@@ -31,8 +36,8 @@ from tests.golden.regenerate import (
 )
 
 #: |x_golden - x_replayed| bound for the first post-init proposal of batch
-#: scenarios replayed in incremental mode (L-BFGS stops within ~1e-9 of the
-#: full-mode optimum when the acquisition surface differs by round-off).
+#: scenarios replayed on the rebuild path (L-BFGS stops within ~1e-9 of the
+#: view path's optimum when the acquisition surface differs by round-off).
 FIRST_PROPOSAL_TOL = 1e-6
 
 BATCH_SCENARIOS = [n for n in SCENARIOS if n != "lcb-branin"]
@@ -40,6 +45,18 @@ BATCH_SCENARIOS = [n for n in SCENARIOS if n != "lcb-branin"]
 
 def load_golden(name: str) -> dict:
     return json.loads(golden_path(name).read_text())
+
+
+def run_on_rebuild(monkeypatch, name: str):
+    """Replay ``name`` with every hallucination on the rebuild path."""
+
+    class LosesPositiveDefiniteness(surrogate_mod.HallucinatedView):
+        def __init__(self, base, X_pending):
+            raise np.linalg.LinAlgError("forced onto the rebuild path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(surrogate_mod, "HallucinatedView", LosesPositiveDefiniteness)
+        return run_scenario(name)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -69,10 +86,11 @@ class TestFixtures:
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_full_mode_is_byte_for_byte(name):
-    result = run_scenario(name, surrogate_update="full", refit_every=1)
+    # The whole trajectory, on the path every run takes.
+    result = run_scenario(name)
     replayed = canonical_json(trajectory_payload(name, result))
     assert replayed == golden_path(name).read_text(), (
-        f"golden {name} drifted in full mode; if this change is intentional, "
+        f"golden {name} drifted; if this change is intentional, "
         "regenerate via tests/golden/regenerate.py and commit the diff"
     )
 
@@ -80,27 +98,25 @@ def test_full_mode_is_byte_for_byte(name):
 def test_explicit_hallucinate_policy_matches_legacy_golden():
     # pending_policy="hallucinate" is the refactored spelling of the original
     # Eq. 9 pending-point handling; selecting it explicitly must reproduce
-    # the pre-refactor fixture byte-for-byte.
-    result = run_scenario(
-        "easybo-async-branin", surrogate_update="full", refit_every=1,
-        pending_policy="hallucinate",
-    )
+    # the fixture byte-for-byte.
+    result = run_scenario("easybo-async-branin", pending_policy="hallucinate")
     replayed = canonical_json(trajectory_payload("easybo-async-branin", result))
     assert replayed == golden_path("easybo-async-branin").read_text()
 
 
-def test_incremental_sequential_is_byte_for_byte():
-    # No pending points and refit_every=1: the incremental mode executes
-    # bit-identical arithmetic, so even the fast path must hit the fixture.
-    result = run_scenario("lcb-branin", surrogate_update="incremental")
+def test_incremental_sequential_is_byte_for_byte(monkeypatch):
+    # No pending points and refit_every=1: the rebuild path executes
+    # bit-identical arithmetic, so it must hit the fixture too.
+    result = run_on_rebuild(monkeypatch, "lcb-branin")
     replayed = canonical_json(trajectory_payload("lcb-branin", result))
     assert replayed == golden_path("lcb-branin").read_text()
+    assert result.surrogate_stats.n_fallbacks == 0
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_SCENARIOS))
-def test_incremental_batch_matches_prefix(name):
+def test_incremental_batch_matches_prefix(name, monkeypatch):
     golden = load_golden(name)
-    result = run_scenario(name, surrogate_update="incremental")
+    result = run_on_rebuild(monkeypatch, name)
     _, _, kwargs = SCENARIOS[name]
     n_init = kwargs["n_init"]
     # Records land in completion order, and durations hash the exact point,
@@ -124,21 +140,26 @@ def test_incremental_batch_matches_prefix(name):
         assert np.isfinite(record.fom)
 
 
-def test_modes_disagree_only_after_feedback():
-    # Documents *why* batch trajectories are compared by prefix: replaying
-    # the async scenario in both modes, the runs agree through the first
-    # proposal and may only split later, once differing observations have
-    # fed back into the surrogate.
-    full = run_scenario("easybo-async-branin", surrogate_update="full")
-    fast = run_scenario("easybo-async-branin", surrogate_update="incremental")
+def test_modes_disagree_only_after_feedback(monkeypatch):
+    # Documents *why* the rebuild path is compared by prefix: replaying the
+    # async scenario on both, the runs agree through the first proposal and
+    # split later, once differing observations have fed back into the
+    # surrogate.
+    view = run_scenario("easybo-async-branin")
+    rebuild = run_on_rebuild(monkeypatch, "easybo-async-branin")
     n_init = SCENARIOS["easybo-async-branin"][2]["n_init"]
     # By submission index: a round-off difference in a point reorders
     # completions (durations hash the exact point).
-    X_full = np.vstack([r.x for r in sorted(full.trace.records, key=lambda r: r.index)])
-    X_fast = np.vstack([r.x for r in sorted(fast.trace.records, key=lambda r: r.index)])
-    np.testing.assert_array_equal(X_full[:n_init], X_fast[:n_init])
-    np.testing.assert_allclose(
-        X_full[n_init], X_fast[n_init], atol=FIRST_PROPOSAL_TOL, rtol=0
+    X_view = np.vstack([r.x for r in sorted(view.trace.records, key=lambda r: r.index)])
+    X_rebuild = np.vstack(
+        [r.x for r in sorted(rebuild.trace.records, key=lambda r: r.index)]
     )
-    assert fast.surrogate_stats.n_hallucinated_views > 0
-    assert full.surrogate_stats.n_hallucinated_views == 0
+    np.testing.assert_array_equal(X_view[:n_init], X_rebuild[:n_init])
+    np.testing.assert_allclose(
+        X_view[n_init], X_rebuild[n_init], atol=FIRST_PROPOSAL_TOL, rtol=0
+    )
+    assert not np.array_equal(X_view, X_rebuild)
+    assert view.surrogate_stats.n_hallucinated_views > 0
+    assert view.surrogate_stats.n_hallucinated_rebuilds == 0
+    assert rebuild.surrogate_stats.n_hallucinated_views == 0
+    assert rebuild.surrogate_stats.n_hallucinated_rebuilds > 0

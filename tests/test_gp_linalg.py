@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from repro.gp.linalg import (
     cholesky_append,
-    cholesky_delete_row,
-    cholesky_rank1_downdate,
     cholesky_rank1_update,
-    cholesky_shrink,
     cholesky_solve,
     cholesky_update,
     jittered_cholesky,
@@ -133,29 +130,6 @@ class TestCholeskyAppend:
             cholesky_append(np.eye(3), np.zeros((3, 2)), np.eye(1))
 
 
-class TestCholeskyShrink:
-    def test_inverse_of_append(self):
-        rng = np.random.default_rng(7)
-        K = random_spd(8, rng)
-        L = np.linalg.cholesky(K)
-        np.testing.assert_array_equal(
-            cholesky_shrink(L, 3), np.linalg.cholesky(K[:5, :5])
-        )
-
-    def test_zero_is_noop_copy(self):
-        L = np.linalg.cholesky(random_spd(4, np.random.default_rng(8)))
-        out = cholesky_shrink(L, 0)
-        np.testing.assert_array_equal(out, L)
-        assert out is not L
-
-    def test_shrink_to_empty_allowed(self):
-        assert cholesky_shrink(np.eye(3), 3).shape == (0, 0)
-
-    def test_rejects_overshrink(self):
-        with pytest.raises(ValueError):
-            cholesky_shrink(np.eye(3), 4)
-
-
 class TestRank1Rotations:
     def test_update_matches_refactorization(self):
         rng = np.random.default_rng(9)
@@ -164,37 +138,6 @@ class TestRank1Rotations:
         L_up = cholesky_rank1_update(np.linalg.cholesky(K), v)
         np.testing.assert_allclose(
             L_up, np.linalg.cholesky(K + np.outer(v, v)), atol=1e-9
-        )
-
-    def test_downdate_inverts_update(self):
-        rng = np.random.default_rng(10)
-        K = random_spd(6, rng)
-        L = np.linalg.cholesky(K)
-        v = 0.3 * rng.standard_normal(6)
-        L_round = cholesky_rank1_downdate(cholesky_rank1_update(L, v), v)
-        np.testing.assert_allclose(L_round, L, atol=1e-8)
-
-    def test_downdate_pd_loss_raises(self):
-        # Removing more "mass" than the matrix holds destroys PD.
-        L = np.linalg.cholesky(np.eye(3))
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky_rank1_downdate(L, np.array([2.0, 0.0, 0.0]))
-
-    def test_delete_interior_row(self):
-        rng = np.random.default_rng(11)
-        K = random_spd(7, rng)
-        keep = [0, 1, 3, 4, 5, 6]  # drop index 2
-        L_del = cholesky_delete_row(np.linalg.cholesky(K), 2)
-        np.testing.assert_allclose(
-            L_del, np.linalg.cholesky(K[np.ix_(keep, keep)]), atol=1e-9
-        )
-
-    def test_delete_last_row_is_shrink(self):
-        rng = np.random.default_rng(12)
-        K = random_spd(5, rng)
-        L = np.linalg.cholesky(K)
-        np.testing.assert_allclose(
-            cholesky_delete_row(L, 4), cholesky_shrink(L, 1), atol=1e-12
         )
 
     def test_update_drot_and_sweep_paths_agree(self):
@@ -230,14 +173,6 @@ class TestRank1Rotations:
         cholesky_rank1_update(L2, v)
         np.testing.assert_array_equal(L2, ref)
 
-    def test_drot_update_roundtrips_through_downdate(self):
-        rng = np.random.default_rng(15)
-        K = random_spd(30, rng)
-        L = np.linalg.cholesky(K)
-        v = 0.5 * rng.standard_normal(30)
-        L_round = cholesky_rank1_downdate(cholesky_rank1_update(L, v), v)
-        np.testing.assert_allclose(L_round, L, atol=1e-8)
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -249,8 +184,9 @@ def test_property_rank_k_append_matches_full(n, k, seed):
     L = np.linalg.cholesky(K[:n, :n])
     L_big = cholesky_append(L, K[:n, n:], K[n:, n:])
     np.testing.assert_allclose(L_big, np.linalg.cholesky(K), atol=1e-6)
-    # Truncation exactly undoes the append.
-    np.testing.assert_array_equal(cholesky_shrink(L_big, k), L)
+    # Appending never touches the leading block: it is the original factor,
+    # bit for bit.
+    np.testing.assert_array_equal(L_big[:n, :n], L)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,9 +5,11 @@ on the hallucinated-posterior machinery staying *numerically exact*; a fast
 path that drifts silently degrades the async behaviour.  This harness
 therefore proves, over hundreds of randomized append/discard sequences
 mimicking the async loop, that every incremental operation — rank-k factor
-appends, truncation discards, target refreshes, the factor-sharing
-hallucinated view of Eq. 9, and the PD-loss fallback — reproduces the
-from-scratch rebuild to <= 1e-8 in posterior mean and standard deviation.
+appends, hallucinated views built and dropped, target refreshes, the
+factor-sharing hallucinated view of Eq. 9, and the PD-loss fallback —
+reproduces the from-scratch rebuild (``GaussianProcess.fit`` and
+``condition_on_pending`` at the same hyperparameters) to <= 1e-8 in
+posterior mean and standard deviation.
 """
 
 import numpy as np
@@ -72,10 +74,13 @@ class TestRandomizedSequences:
                     model.update(X_new, y_new)
                     X = np.vstack([X, X_new])
                     y = np.concatenate([y, y_new])
-                elif op == "discard" and model.n_train > 3:
-                    k = int(rng.integers(1, min(3, model.n_train - 1)))
-                    model.downdate(k)
-                    X, y = X[:-k], y[:-k]
+                elif op == "discard":
+                    # Hallucinate pending points, then drop them: the view
+                    # must leave the shared base factor untouched.
+                    pending = rng.uniform(size=(int(rng.integers(1, 4)), dim))
+                    view = HallucinatedView(model, pending)
+                    assert view.n_train == model.n_train + len(pending)
+                    model = view.discard()
                 else:
                     y = y + rng.standard_normal(len(y)) * 0.1
                     model.set_targets(y)
@@ -159,9 +164,7 @@ class TestPdLossFallback:
         from repro.gp.gp import GaussianProcess
 
         bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        session = SurrogateSession(
-            bounds, rng=0, surrogate_update="incremental", refit_every=50
-        )
+        session = SurrogateSession(bounds, rng=0, refit_every=50)
         rng = np.random.default_rng(2)
         X = rng.uniform(size=(8, 2))
         session.add_batch(X, np.cos(4 * X[:, 0]) + X[:, 1])
@@ -199,42 +202,34 @@ class TestPdLossFallback:
 
 
 class TestSessionModeEquivalence:
-    """incremental vs full sessions agree event-by-event to <= 1e-8."""
+    """The session agrees with the rebuild reference event by event."""
 
     @pytest.mark.parametrize("refit_every", [1, 4])
     def test_streaming_agreement(self, refit_every):
         bounds = np.array([[-2.0, 3.0], [0.0, 1.0], [5.0, 9.0]])
-        sessions = {
-            mode: SurrogateSession(
-                bounds, rng=0, surrogate_update=mode, refit_every=refit_every
-            )
-            for mode in ("incremental", "full")
-        }
+        session = SurrogateSession(bounds, rng=0, refit_every=refit_every)
         rng = np.random.default_rng(11)
         probes = rng.uniform(bounds[:, 0], bounds[:, 1], size=(10, 3))
         X0 = rng.uniform(bounds[:, 0], bounds[:, 1], size=(6, 3))
-        y0 = np.sin(X0[:, 0]) + 0.1 * X0[:, 2]
-        for session in sessions.values():
-            session.add_batch(X0, y0)
+        session.add_batch(X0, np.sin(X0[:, 0]) + 0.1 * X0[:, 2])
+        U_probes = session.transform.to_unit(probes)
         for event in range(10):
             x = rng.uniform(bounds[:, 0], bounds[:, 1])
-            y_val = float(np.sin(x[0]) + 0.1 * x[2])
+            session.add(x, float(np.sin(x[0]) + 0.1 * x[2]))
             pending = rng.uniform(bounds[:, 0], bounds[:, 1], size=(3, 3))
-            posteriors = {}
-            for mode, session in sessions.items():
-                session.add(x, y_val)
-                session.refit()
-                model = session.model_with_pending(pending)
-                posteriors[mode] = session.predict_physical(probes, model=model)
-            np.testing.assert_allclose(
-                posteriors["incremental"][0], posteriors["full"][0],
-                atol=TOL, rtol=0, err_msg=f"mean at event {event}",
+            model = session.refit()
+            # Rebuild from scratch at the session's hyperparameters, then
+            # hallucinate the pending points one by one.
+            reference = scratch_gp(
+                model,
+                session.transform.to_unit(session.X),
+                session.output.transform(session.y),
+            ).condition_on_pending(session.transform.to_unit(pending))
+            assert_posteriors_match(
+                session.model_with_pending(pending), reference, U_probes,
+                f"at event {event}",
             )
-            np.testing.assert_allclose(
-                posteriors["incremental"][1], posteriors["full"][1],
-                atol=TOL, rtol=0, err_msg=f"sigma at event {event}",
-            )
-        incremental = sessions["incremental"].stats
-        assert incremental.n_incremental_updates > 0 or refit_every == 1
-        assert incremental.n_hallucinated_views == 10
-        assert sessions["full"].stats.n_hallucinated_rebuilds == 10
+        stats = session.stats
+        assert stats.n_incremental_updates == (0 if refit_every == 1 else 7)
+        assert stats.n_hallucinated_views == 10
+        assert stats.n_fallbacks == 0

@@ -338,27 +338,15 @@ class TestIncrementalCholesky:
                 base_lower, big[:n, n:], big[n:, n:]
             )
             _assert_factors(appended, big)
+            # The append never touches the leading block.
+            np.testing.assert_array_equal(appended[:n, :n], base_lower)
 
-            # Shrinking back is exact truncation.
-            np.testing.assert_allclose(
-                linalg.cholesky_shrink(appended, k), base_lower, atol=0.0
-            )
-
-            # Rank-1 update, then downdate by the same vector, round-trips.
+            # Rank-1 update vs the updated matrix refactorized.
             v = rng.standard_normal(n)
             up1 = linalg.cholesky_rank1_update(lower, v)
             _assert_factors(up1, K + np.outer(v, v))
-            down1 = linalg.cholesky_rank1_downdate(up1, v)
-            _assert_factors(down1, K)
 
-            # Row deletion vs refactorizing the reduced matrix.
-            idx = int(rng.integers(0, n))
-            keep = [i for i in range(n) if i != idx]
-            reduced = K[np.ix_(keep, keep)]
-            deleted = linalg.cholesky_delete_row(lower, idx)
-            _assert_factors(deleted, reduced)
-
-    def test_near_singular_jitter_and_downdate_failure(self):
+    def test_near_singular_jitter_and_append_failure(self):
         engaged = 0
         for case in range(N_CASES):
             rng = np.random.default_rng(70_000 + case)
@@ -376,12 +364,14 @@ class TestIncrementalCholesky:
             engaged += jitter > 0.0
             _assert_factors(lower, K + jitter * np.eye(n), atol=1e-7)
 
-            # Downdating by a vector carrying (numerically) the factor's
-            # full mass must refuse rather than corrupt the factor.
-            full = lower[:, 0].copy()
-            full[0] = np.hypot(full[0], 10.0 * np.sqrt(max(jitter, 1e-12)))
+            # Appending a border whose Schur complement is not positive
+            # definite (a corner smaller than the part the existing points
+            # already explain) must refuse rather than corrupt the factor.
+            cross = K[:, :1]
+            explained = linalg.solve_lower(lower, cross)
+            corner = explained.T @ explained - 10.0 * max(jitter, 1e-12)
             with pytest.raises(np.linalg.LinAlgError):
-                linalg.cholesky_rank1_downdate(lower, full)
+                linalg.cholesky_append(lower, cross, corner)
         # The sweep must actually exercise the jitter path, not skirt it.
         assert engaged >= N_CASES // 10
 

@@ -35,6 +35,7 @@ from repro.distributed import (
 from repro.distributed.protocol import result_to_dict
 from repro.distributed.transport import connect
 from repro.obs import MetricsRegistry, Observability
+from tests.test_driver_journal import with_retired_surrogate_update
 
 pytestmark = pytest.mark.server
 
@@ -184,6 +185,42 @@ class TestRestartRecovery:
         finally:
             new.stop()
 
+    def test_a_journal_naming_the_retired_surrogate_update_recovers(self, tmp_path):
+        """Journals from before the one surrogate path carry
+        ``surrogate_update`` in their config; a restart still recovers them
+        onto the twin's points."""
+        problem, twin = sphere(2), _twin(47)
+        old = _serve(tmp_path)
+        client = CampaignClient(port=old.port)
+        cid = client.create("EasyBO-2", "sphere2", config=dict(rng=47, **CONFIG))
+        _drive(client, cid, twin, problem, rounds=2)
+        _kill(old)
+        client.close()
+        with_retired_surrogate_update(tmp_path / f"{cid}.journal")
+
+        new = _serve(tmp_path)
+        try:
+            assert new.recoveries == 1
+            with CampaignClient(port=new.port) as client:
+                assert client.status(cid)["state"] == "active"
+                _finish(client, cid, twin, problem)
+                assert client.status(cid)["state"] == "finished"
+        finally:
+            new.stop()
+
+    def test_create_naming_the_retired_surrogate_update_is_refused(self, tmp_path):
+        server = _serve(tmp_path)
+        try:
+            with CampaignClient(port=server.port) as client:
+                with pytest.raises(CampaignServerError, match="surrogate_update"):
+                    client.create("EasyBO-2", "sphere2",
+                                  config=dict(surrogate_update="full", **CONFIG))
+                # A refused request, not a failed campaign.
+                assert client.list() == []
+        finally:
+            server.stop()
+        assert list(tmp_path.iterdir()) == []
+
     def test_server_evaluated_campaign_recovers_and_finishes(self, tmp_path):
         """Kill -9 under a server-evaluated campaign: the restarted server
         re-leases workers, resubmits the in-flight points, and drives the
@@ -250,7 +287,7 @@ class TestRestartRecovery:
 
     #: A budget the kill lands well inside (the server paces its passes).
     KILL_CONFIG = dict(n_init=4, max_evals=20, acq_candidates=32,
-                       acq_restarts=1, surrogate_update="full")
+                       acq_restarts=1)
 
     def _kill_mid_campaign(self, tmp_path, label, n_workers, rng):
         """kill -9 a server once its evaluated campaign has issued past the
