@@ -16,7 +16,7 @@ import argparse
 import numpy as np
 
 from repro.circuits import OpAmpProblem
-from repro.core.async_batch import AsynchronousBatchBO
+from repro.core.easybo import make_algorithm
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import format_table
 
@@ -30,9 +30,9 @@ def run_sweep(repetitions: int = 2, max_evals: int = 60, seed: int = 0,
     for lam in LAMBDAS:
         foms = []
         for rng in spawn_generators(seed, repetitions):
-            driver = AsynchronousBatchBO(
+            driver = make_algorithm(
+                "EasyBO-5",
                 OpAmpProblem(),
-                batch_size=5,
                 lam=lam,
                 n_init=10,
                 max_evals=max_evals,

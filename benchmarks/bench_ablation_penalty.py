@@ -22,8 +22,7 @@ import numpy as np
 from repro.circuits import OpAmpProblem
 from repro.core.acquisition import HighCoveragePenalty, WeightedAcquisition, sample_easybo_weight
 from repro.core.campaign import SyncBatchStrategy
-from repro.core.optimizers import maximize_acquisition
-from repro.core.sync_batch import SynchronousBatchBO
+from repro.core.easybo import make_algorithm
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import format_table
 
@@ -45,21 +44,15 @@ class _DistancePenalized(SyncBatchStrategy):
             def scorer(U, _base=base, _slot=slot):
                 return _base(model, U) - self._distance_penalty(_slot, U)
 
-            u_best = maximize_acquisition(
-                scorer,
-                core.session.unit_bounds(),
-                rng=core.rng,
-                n_candidates=core.acq_candidates,
-                n_restarts=core.acq_restarts,
-            )
+            u_best = core.maximize_unit(scorer)
             self._distance_penalty.record(slot, u_best)
             points.append(core.session.to_physical(u_best.reshape(1, -1))[0])
         return points
 
 
-def _distance_penalized(problem, **kwargs) -> SynchronousBatchBO:
+def _distance_penalized(problem, **kwargs):
     """An EasyBO-S driver whose campaign selects with :class:`_DistancePenalized`."""
-    driver = SynchronousBatchBO(problem, strategy="easybo-s", **kwargs)
+    driver = make_algorithm("EasyBO-S-10", problem, **kwargs)
     driver.campaign.strategy = _DistancePenalized(
         problem.dim, batch_size=driver.batch_size
     )
@@ -86,17 +79,17 @@ def batch_diversity(result) -> float:
 
 def run_ablation(repetitions: int = 2, max_evals: int = 60, seed: int = 0,
                  verbose: bool = True):
-    common = dict(batch_size=10, n_init=10, max_evals=max_evals,
-                  acq_candidates=256, acq_restarts=1)
+    common = dict(n_init=10, max_evals=max_evals, acq_candidates=256,
+                  acq_restarts=1)
     makers = {
-        "none (EasyBO-S)": lambda rng: SynchronousBatchBO(
-            OpAmpProblem(), strategy="easybo-s", rng=rng, **common
+        "none (EasyBO-S)": lambda rng: make_algorithm(
+            "EasyBO-S-10", OpAmpProblem(), rng=rng, **common
         ),
         "distance (Eq.6)": lambda rng: _distance_penalized(
             OpAmpProblem(), rng=rng, **common
         ),
-        "hallucination (EasyBO-SP)": lambda rng: SynchronousBatchBO(
-            OpAmpProblem(), strategy="easybo-sp", rng=rng, **common
+        "hallucination (EasyBO-SP)": lambda rng: make_algorithm(
+            "EasyBO-SP-10", OpAmpProblem(), rng=rng, **common
         ),
     }
     rows = []

@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from repro.circuits import OpAmpProblem
-from repro.core.sync_batch import SynchronousBatchBO
+from repro.core.easybo import make_algorithm
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import format_table
 
@@ -40,14 +40,14 @@ def near_duplicate_rate(result, tol: float = 1e-3) -> float:
 
 def run_ablation(repetitions: int = 2, max_evals: int = 60, seed: int = 0,
                  verbose: bool = True):
-    common = dict(batch_size=10, n_init=10, max_evals=max_evals,
-                  acq_candidates=256, acq_restarts=1)
+    common = dict(n_init=10, max_evals=max_evals, acq_candidates=256,
+                  acq_restarts=1)
     makers = {
-        "uniform grid (pBO)": lambda rng: SynchronousBatchBO(
-            OpAmpProblem(), strategy="pbo", rng=rng, **common
+        "uniform grid (pBO)": lambda rng: make_algorithm(
+            "pBO-10", OpAmpProblem(), rng=rng, **common
         ),
-        "random w (EasyBO-S)": lambda rng: SynchronousBatchBO(
-            OpAmpProblem(), strategy="easybo-s", rng=rng, **common
+        "random w (EasyBO-S)": lambda rng: make_algorithm(
+            "EasyBO-S-10", OpAmpProblem(), rng=rng, **common
         ),
     }
     rows = []

@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from repro.circuits import OpAmpProblem
-from repro.core.async_batch import AsynchronousBatchBO
+from repro.core.easybo import make_algorithm
 from repro.core.faults import FailurePolicy, FaultInjectionProblem
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import format_duration, format_table
@@ -71,9 +71,9 @@ def run_cell(rate: float, policy: FailurePolicy, scale: Scale, seed) -> list:
             nan_rate=rate / 3,
             rng=fault_rng,
         )
-        driver = AsynchronousBatchBO(
+        driver = make_algorithm(
+            f"EasyBO-{BATCH_SIZE}",
             problem,
-            batch_size=BATCH_SIZE,
             n_init=scale.n_init,
             max_evals=scale.max_evals,
             rng=run_rng,

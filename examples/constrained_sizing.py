@@ -7,7 +7,7 @@ the two-stage op-amp is sized as an industrial spec sheet would ask:
     maximize  UGF
     s.t.      GAIN >= 60 dB,  PM >= 60 deg
 
-using :class:`ConstrainedEasyBO` — EasyBO's asynchronous loop with one GP per
+using the ``cEasyBO-<B>`` label — EasyBO's asynchronous loop with one GP per
 constraint and a probability-of-feasibility weighted acquisition.
 
 Run::
@@ -18,7 +18,7 @@ Run::
 import argparse
 
 from repro.circuits import ConstrainedOpAmpProblem
-from repro.core.constrained import ConstrainedEasyBO
+from repro.core.easybo import make_algorithm
 from repro.spice import format_eng
 
 
@@ -34,15 +34,15 @@ def main() -> None:
           f"gain >= {problem.GAIN_SPEC_DB:.0f} dB, "
           f"PM >= {problem.PM_SPEC_DEG:.0f} deg\n")
 
-    driver = ConstrainedEasyBO(
+    driver = make_algorithm(
+        f"cEasyBO-{args.batch}",
         problem,
-        batch_size=args.batch,
         n_init=20,
         max_evals=args.budget,
         rng=args.seed,
     )
     result = driver.run()
-    best = driver.best_feasible()
+    best = driver.campaign.strategy.best_feasible(driver.campaign)
 
     if best is None:
         print("no feasible design found within the budget — raise --budget")

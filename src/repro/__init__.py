@@ -12,7 +12,8 @@ Quick start::
 Subpackages
 -----------
 ``repro.core``
-    The BO algorithms: EasyBO (async, Alg. 1), synchronous batch variants
+    The BO algorithms, each named by its paper label and built by
+    ``make_algorithm``: EasyBO (async, Alg. 1), synchronous batch variants
     (pBO, pHCBO, EasyBO-S/SP, BUCB, LP), sequential baselines (EI/LCB/PI).
 ``repro.gp``
     Gaussian-process regression built from scratch (SE-ARD kernel, ML-II).
@@ -27,7 +28,7 @@ Subpackages
     Process-based evaluation pool: one OS process per worker, socket RPC,
     heartbeats, crash supervision (``--pool process`` on the CLI).
 ``repro.baselines``
-    Differential evolution and random search.
+    Differential evolution (random search is the ``Random`` label).
 ``repro.obs``
     Structured observability: hierarchical run tracing, the process-wide
     metrics registry, and profiling hooks (``tracer=`` / ``metrics=`` on
@@ -35,7 +36,6 @@ Subpackages
 """
 
 from repro.core import (
-    AsynchronousBatchBO,
     Campaign,
     EasyBO,
     EvaluationResult,
@@ -43,9 +43,7 @@ from repro.core import (
     FaultInjectionProblem,
     Problem,
     RunResult,
-    SequentialBO,
     SimulationError,
-    SynchronousBatchBO,
     make_algorithm,
     make_campaign,
     resume,
@@ -63,9 +61,6 @@ __all__ = [
     "Campaign",
     "make_campaign",
     "resume_campaign",
-    "SequentialBO",
-    "SynchronousBatchBO",
-    "AsynchronousBatchBO",
     "Problem",
     "EvaluationResult",
     "FailurePolicy",

@@ -50,11 +50,11 @@ import numpy as np
 
 def cmd_info(_args) -> int:
     import repro
-    from repro.core.easybo import ALGORITHM_FAMILIES
+    from repro.core.campaign import FAMILIES
 
     print(f"repro {repro.__version__} — EasyBO (DAC 2020) reproduction")
     print("\nalgorithm families (use with repro.make_algorithm):")
-    for name in sorted(ALGORITHM_FAMILIES):
+    for name in sorted(FAMILIES):
         print(f"  {name}")
     print("\nbenchmark problems:")
     print("  repro.circuits.OpAmpProblem        (10 vars, Eq. 10 FOM)")

@@ -1,6 +1,9 @@
-"""Non-BO baselines and batch-BO extensions used in the paper's tables."""
+"""The non-BO baseline of the paper's tables: differential evolution.
+
+Random search is a campaign (the ``Random-<workers>`` label of
+:func:`repro.core.easybo.make_algorithm`), not a baseline loop of its own.
+"""
 
 from repro.baselines.de import DifferentialEvolution
-from repro.baselines.random_search import RandomSearch
 
-__all__ = ["DifferentialEvolution", "RandomSearch"]
+__all__ = ["DifferentialEvolution"]

@@ -8,7 +8,8 @@ formulates:
     s.t.      GAIN >= 60 dB
               PM   >= 60 deg
 
-for use with :class:`repro.core.constrained.ConstrainedEasyBO`.  Constraint
+for the ``cEasyBO-B`` label (:class:`repro.core.constrained.ConstrainedStrategy`;
+``make_algorithm("cEasyBO-4", ConstrainedOpAmpProblem())``).  Constraint
 slacks are reported as ``metrics['slack_gain']`` / ``metrics['slack_pm']``
 (positive = satisfied); failed simulations count as maximally infeasible.
 """

@@ -1,18 +1,18 @@
-"""EasyBO core: the paper's asynchronous batch BO plus every compared driver.
+"""EasyBO core: the paper's asynchronous batch BO plus every compared algorithm.
 
 Public surface:
 
+* :func:`make_algorithm` — the paper-label factory: a label ("EasyBO-5",
+  "pBO-3", "LCB", "cEasyBO-3", "DE", ...) is the only way to name what runs.
 * :class:`EasyBO` — high-level facade (async / sync / ablations).
-* :class:`Campaign` — the ask/tell optimizer core every driver loops over
-  (:func:`make_campaign` / :func:`resume_campaign` for standalone use).
-* Drivers: :class:`SequentialBO`, :class:`SynchronousBatchBO`,
-  :class:`AsynchronousBatchBO`.
+* :class:`Campaign` — the ask/tell optimizer core :class:`BODriverBase`
+  loops over (:func:`make_campaign` / :func:`resume_campaign` for
+  standalone use).
 * Pending-point policies (:mod:`repro.core.pending`): how asynchronous
   proposals account for in-flight points — ``"hallucinate"`` (Eq. 9,
   default), ``"lp"``, ``"pessimistic"``, ``"none"``.
 * Acquisitions (§II-B/III-B): UCB, EI, PI, the weighted rule (Eq. 7-9), the
   EasyBO weight sampler, the pHCBO coverage penalty.
-* :func:`make_algorithm` — paper-label registry used by the benches.
 * Plumbing: :class:`Problem`, :class:`EvaluationResult`, :class:`RunResult`,
   :func:`summarize_runs`, initial designs, the acquisition maximizer, and
   :class:`SurrogateSession`.
@@ -31,8 +31,7 @@ from repro.core.acquisition import (
     pbo_weights,
     sample_easybo_weight,
 )
-from repro.core.async_batch import AsynchronousBatchBO
-from repro.core.bo import BODriverBase, SequentialBO
+from repro.core.bo import BODriverBase
 from repro.core.campaign import (
     Campaign,
     CampaignError,
@@ -40,10 +39,9 @@ from repro.core.campaign import (
     make_campaign,
     resume_campaign,
 )
-from repro.core.constrained import ConstrainedEasyBO, ConstrainedProblem, ConstraintSpec
-from repro.core.cost_aware import CostAwareEasyBO
+from repro.core.constrained import ConstrainedProblem, ConstraintSpec
 from repro.core.doe import latin_hypercube, random_design
-from repro.core.easybo import ALGORITHM_FAMILIES, EasyBO, make_algorithm
+from repro.core.easybo import EasyBO, make_algorithm
 from repro.core.faults import (
     FailurePolicy,
     FaultInjectionProblem,
@@ -71,19 +69,16 @@ from repro.core.pending import (
 )
 from repro.core.persistence import load_runs, run_from_dict, run_to_dict, save_runs
 from repro.core.recovery import resolve_problem, resume
-from repro.core.portfolio import PortfolioBO
 from repro.core.problem import EvaluationResult, FunctionProblem, Problem
 from repro.core.results import RunResult, RunSummary, summarize_runs
 from repro.core.surrogate import (
     HallucinatedView,
     SurrogateSession,
 )
-from repro.core.sync_batch import SYNC_STRATEGIES, SynchronousBatchBO
 
 __all__ = [
     "EasyBO",
     "make_algorithm",
-    "ALGORITHM_FAMILIES",
     "Campaign",
     "CampaignError",
     "CampaignExhausted",
@@ -96,11 +91,7 @@ __all__ = [
     "PessimisticPolicy",
     "StandardPolicy",
     "make_pending_policy",
-    "SequentialBO",
-    "SynchronousBatchBO",
-    "AsynchronousBatchBO",
     "BODriverBase",
-    "SYNC_STRATEGIES",
     "Acquisition",
     "UpperConfidenceBound",
     "ExpectedImprovement",
@@ -110,10 +101,8 @@ __all__ = [
     "sample_easybo_weight",
     "pbo_weights",
     "EASYBO_LAMBDA",
-    "ConstrainedEasyBO",
     "ConstrainedProblem",
     "ConstraintSpec",
-    "CostAwareEasyBO",
     "Problem",
     "FunctionProblem",
     "EvaluationResult",
@@ -127,7 +116,6 @@ __all__ = [
     "SurrogateSession",
     "HallucinatedView",
     "maximize_acquisition",
-    "PortfolioBO",
     "save_runs",
     "load_runs",
     "run_to_dict",

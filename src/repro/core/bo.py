@@ -1,17 +1,16 @@
-"""The BO loop step, the drivers' shared loop, and sequential BO (§II-B).
+"""The BO loop step and the driver of every BO label (§II-B, Alg. 1).
 
 Alg. 1 is one step repeated — wait for any worker, tell its result, refill
 the idle worker — and :func:`submit` / :func:`refill` / :func:`consume` are
-that step, taken by the drivers, by :func:`repro.core.recovery.resume`, and
+that step, taken by the driver, by :func:`repro.core.recovery.resume`, and
 by the campaign server for its evaluated campaigns.  :class:`BODriverBase`
 is the driver of every label but DE: it holds the campaign (built by
 :func:`~repro.core.campaign.make_campaign` from the label), the pool, and
 result packaging, and its :meth:`~BODriverBase._drive` repeats the step
-with B workers.  The typed drivers only derive a label from their
-constructor arguments; :class:`SequentialBO` — the classic one-point-at-a-time
-loop with a pluggable acquisition (EI / LCB / UCB / PI / EasyBO's
-randomized-weight rule) — is that loop with one worker.  Drivers never
-propose: every point comes from the campaign's strategy.
+with B workers — one for the sequential labels (EI, PI, LCB, UCB, EasyBO,
+GP-Hedge).  :func:`~repro.core.easybo.make_algorithm` builds it from a
+label.  The driver never proposes: every point comes from the campaign's
+strategy.
 """
 
 from __future__ import annotations
@@ -20,15 +19,15 @@ import math
 
 import numpy as np
 
-from repro.core.campaign import AsyncBatchStrategy, Campaign, make_campaign
+from repro.core.campaign import Campaign, make_campaign
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 from repro.obs import Observability
 from repro.sched.workers import Completion, VirtualWorkerPool
 from repro.utils.rng import rng_state_to_dict
 
-__all__ = ["BODriverBase", "SequentialBO", "consume", "incumbent", "refill",
-           "shutdown_pool", "submit"]
+__all__ = ["BODriverBase", "consume", "incumbent", "refill", "shutdown_pool",
+           "submit"]
 
 
 def shutdown_pool(pool) -> None:
@@ -112,7 +111,7 @@ def consume(campaign: Campaign, pool, obs, completion: Completion) -> str:
 
 
 class BODriverBase:
-    """Shared machinery for all BO drivers.
+    """The driver of every BO label: a campaign, a pool, and the loop.
 
     Parameters
     ----------
@@ -120,8 +119,7 @@ class BODriverBase:
         The black-box maximization problem.
     label:
         The algorithm label (``"LCB"``, ``"EasyBO-5"``, ``"pBO-3"``), as
-        :func:`~repro.core.easybo.make_algorithm` passes it or a typed
-        subclass derives it from its constructor arguments;
+        :func:`~repro.core.easybo.make_algorithm` passes it;
         :func:`~repro.core.campaign.make_campaign` builds the campaign from
         it and the family knobs in ``kwargs``.
     n_init:
@@ -374,24 +372,3 @@ class BODriverBase:
             "driver.reissues", sum(self.campaign.reissue_counts.values())
         )
         return registry.as_dict()
-
-
-class SequentialBO(BODriverBase):
-    """One-at-a-time BO with a pluggable acquisition rule.
-
-    ``acquisition`` is one of:
-
-    * ``"easybo"`` — the paper's randomized-weight rule (Eq. 8); this is
-      EasyBO in sequential mode (Table I/II top blocks).
-    * ``"ei"`` / ``"pi"`` — improvement-based baselines.
-    * ``"lcb"`` / ``"ucb"`` — the optimistic baseline (identical here: the
-      paper's LCB is the minimization spelling of UCB).
-
-    The acquisition is the label; ``lam`` / ``ucb_kappa`` / ``ei_xi`` and
-    the other keywords are :class:`BODriverBase`'s, defaults included.
-    """
-
-    def __init__(self, problem: Problem, *, acquisition: str = "easybo", **kwargs):
-        if acquisition.lower() not in AsyncBatchStrategy.ACQUISITIONS:
-            raise ValueError(f"unknown acquisition {acquisition!r}")
-        super().__init__(problem, acquisition, **kwargs)

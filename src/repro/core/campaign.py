@@ -14,8 +14,9 @@ an explicit ask/tell object whose state is a value:
 * :meth:`Campaign.tell` folds one observation back in, applying the failure
   policy (impute / drop / budget-neutral orphan reissue).
 
-Every driver but DE is a thin loop over the Campaign :func:`make_campaign`
-builds for its label (byte-for-byte equal to the golden trajectories — see
+The driver of every label but DE (:class:`~repro.core.bo.BODriverBase`) is a
+thin loop over the Campaign :func:`make_campaign` builds for its label
+(byte-for-byte equal to the golden trajectories — see
 ``tests/test_campaign_equivalence.py``) and writes its crash-safe journal
 through it, and :mod:`repro.distributed.server` serves
 many concurrent Campaigns over the framed socket RPC.  Every journal is the
@@ -171,8 +172,6 @@ class AsyncBatchStrategy(Strategy):
         acquisition: str = "easybo",
         *,
         lam: float = EASYBO_LAMBDA,
-        ucb_kappa: float = 2.0,
-        ei_xi: float = 0.0,
         pending_policy=None,
     ):
         acquisition = acquisition.lower()
@@ -181,8 +180,6 @@ class AsyncBatchStrategy(Strategy):
         self.acquisition = acquisition
         self.pending_policy = make_pending_policy(pending_policy)
         self.lam = float(lam)
-        self.ucb_kappa = float(ucb_kappa)
-        self.ei_xi = float(ei_xi)
 
     def propose(self, core: "Campaign") -> np.ndarray:
         """One Alg. 1 proposal."""
@@ -209,10 +206,11 @@ class AsyncBatchStrategy(Strategy):
         if self.acquisition == "easybo":
             return WeightedAcquisition(sample_easybo_weight(core.rng, self.lam))
         if self.acquisition == "ei":
-            return ExpectedImprovement(core.standardized_best(), xi=self.ei_xi)
+            return ExpectedImprovement(core.standardized_best())
         if self.acquisition == "pi":
-            return ProbabilityOfImprovement(core.standardized_best(), xi=self.ei_xi)
-        return UpperConfidenceBound(self.ucb_kappa)
+            # xi = 0, not the class's 0.01 (MACE's PI keeps that one).
+            return ProbabilityOfImprovement(core.standardized_best(), xi=0.0)
+        return UpperConfidenceBound()
 
     def fit_side_models(self, core: "Campaign") -> None:
         """Refit the side models; runs right after the GP refit, so their
@@ -236,7 +234,6 @@ class SyncBatchStrategy(Strategy):
         *,
         batch_size: int = 1,
         lam: float = EASYBO_LAMBDA,
-        ucb_kappa: float = 2.0,
         hc_d: float | None = None,
         dim: int,
     ):
@@ -248,7 +245,6 @@ class SyncBatchStrategy(Strategy):
         self.strategy = strategy
         self.batch_size = int(batch_size)
         self.lam = float(lam)
-        self.ucb_kappa = float(ucb_kappa)
         self.hc_d = hc_d
         self._hc = HighCoveragePenalty(dim, d=hc_d) if strategy == "phcbo" else None
 
@@ -291,9 +287,7 @@ class SyncBatchStrategy(Strategy):
                 lambda: WeightedAcquisition(sample_easybo_weight(core.rng, self.lam)),
             )
         if self.strategy == "bucb":
-            return self._select_hallucinated(
-                core, n_points, lambda: UpperConfidenceBound(self.ucb_kappa)
-            )
+            return self._select_hallucinated(core, n_points, UpperConfidenceBound)
         if self.strategy == "mace":
             return self._select_mace(core, model, n_points)
         return self._select_lp(core, model, n_points)
@@ -310,7 +304,7 @@ class SyncBatchStrategy(Strategy):
         acqs = (
             ExpectedImprovement(best_std),
             ProbabilityOfImprovement(best_std),
-            UpperConfidenceBound(self.ucb_kappa),
+            UpperConfidenceBound(),
         )
         U = core.rng.uniform(
             size=(max(core.acq_candidates, 4 * n_points), core.session.dim)
@@ -445,6 +439,8 @@ class Campaign:
         algorithm: str = "campaign",
         embedded: bool = False,
     ):
+        if max_evals < 1:
+            raise ValueError("max_evals must be >= 1")
         if not strategy.proposes:
             n_init = max_evals
         if n_init < 1 or (n_init < 2 and max_evals > n_init):
@@ -948,8 +944,7 @@ class Family(NamedTuple):
     #: baselines (EI, PI, LCB, UCB) and GP-Hedge always run at 1.
     batched: bool
     #: The knobs of this family alone, with their defaults, journaled with
-    #: its config next to the shared ``lam`` / ``ucb_kappa`` / ``ei_xi`` /
-    #: ``hc_d``.
+    #: its config next to the shared ``lam`` / ``hc_d``.
     knobs: dict
     #: ``build(problem, batch, rng, knobs)`` returns the family's
     #: :class:`Strategy`; ``None`` for DE, which has no campaign form.
@@ -967,9 +962,7 @@ class Family(NamedTuple):
 
 def _one_point(acquisition: str) -> Callable:
     """Builder of a one-point baseline (EI, PI, LCB, UCB)."""
-    return lambda problem, batch, rng, k: AsyncBatchStrategy(
-        acquisition, lam=k["lam"], ucb_kappa=k["ucb_kappa"], ei_xi=k["ei_xi"]
-    )
+    return lambda problem, batch, rng, k: AsyncBatchStrategy(acquisition, lam=k["lam"])
 
 
 def _easybo(problem, batch, rng, k) -> Strategy:
@@ -979,8 +972,7 @@ def _easybo(problem, batch, rng, k) -> Strategy:
 def _sync(rule: str) -> Callable:
     """Builder of a synchronous batch rule."""
     return lambda problem, batch, rng, k: SyncBatchStrategy(
-        rule, batch_size=batch, lam=k["lam"], ucb_kappa=k["ucb_kappa"],
-        hc_d=k["hc_d"], dim=problem.dim,
+        rule, batch_size=batch, lam=k["lam"], hc_d=k["hc_d"], dim=problem.dim,
     )
 
 
@@ -1006,7 +998,7 @@ def _cost_aware(problem, batch, rng, k) -> Strategy:
 def _hedge(problem, batch, rng, k) -> Strategy:
     from repro.core.portfolio import HedgeStrategy
 
-    return HedgeStrategy(eta=k["eta"], ucb_kappa=k["ucb_kappa"], ei_xi=k["ei_xi"])
+    return HedgeStrategy(eta=k["eta"])
 
 
 def _design(problem, batch, rng, k) -> Strategy:
@@ -1103,12 +1095,13 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     and journaled knobs.  Accepts every label of
     :func:`repro.core.easybo.make_algorithm` but DE, whose generation
     barrier has no campaign form (``"EasyBO-5"``, ``"pBO-3"``, ``"LCB"``,
-    ``"cEasyBO-3"``, ``"GP-Hedge"``, ``"Random-4"``, ...), and every
-    driver but DE builds its campaign here too (``embedded=True``).
+    ``"cEasyBO-3"``, ``"GP-Hedge"``, ``"Random-4"``, ...), and the
+    driver of every such label builds its campaign here too
+    (``embedded=True``).
     Random search is a campaign whose initial design is its whole budget.
     Keyword arguments are Campaign constructor kwargs (a dict
     ``failure_policy``, as journaled, is accepted) plus the shared knobs
-    ``lam`` / ``ucb_kappa`` / ``ei_xi`` / ``hc_d`` and the row's own:
+    ``lam`` / ``hc_d`` and the row's own:
     ``cost_exponent`` (caEasyBO), ``eta`` (GP-Hedge) and ``pending_policy``
     (the EasyBO rows, cEasyBO, caEasyBO; a name from
     :data:`repro.core.pending.PENDING_POLICIES` or a policy instance) —
@@ -1123,8 +1116,6 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
         )
     knobs = {
         "lam": float(kwargs.pop("lam", EASYBO_LAMBDA)),
-        "ucb_kappa": float(kwargs.pop("ucb_kappa", 2.0)),
-        "ei_xi": float(kwargs.pop("ei_xi", 0.0)),
         "hc_d": kwargs.pop("hc_d", None),
     }
     # Knobs of one family are read for that family alone.
@@ -1177,9 +1168,10 @@ def read_campaign_journal(path) -> list[dict]:
     Raises :class:`JournalError` when the file was written by a newer
     campaign format than this code can read, instead of misparsing it, and
     for the retired driver-only run journals (first record ``run_start``).
-    Older journals carry a ``surrogate_update`` config entry, for a
-    surrogate mode that no longer exists; it is dropped here, so every
-    reader rebuilds them on the one surrogate path.
+    Older journals carry config entries for options that no longer exist:
+    ``surrogate_update`` (a second surrogate mode) and ``ucb_kappa`` /
+    ``ei_xi`` (now the constants κ = 2 and ξ = 0).  They are dropped here,
+    so every reader rebuilds those journals as they ran.
     """
     events = recover_journal(path)
     if events and events[0].get("type") == "run_start":
@@ -1203,7 +1195,9 @@ def read_campaign_journal(path) -> list[dict]:
             f"campaign journal format v{version} is newer than supported "
             f"v{CAMPAIGN_JOURNAL_VERSION}; upgrade this installation to read it"
         )
-    events[0].get("config", {}).pop("surrogate_update", None)
+    config = events[0].get("config", {})
+    for retired in ("surrogate_update", "ucb_kappa", "ei_xi"):
+        config.pop(retired, None)
     return events
 
 

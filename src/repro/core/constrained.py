@@ -14,7 +14,9 @@ Gelbart et al. 2014]:
 
 A :class:`ConstrainedProblem` reports constraint slacks alongside the FOM;
 positive slack means satisfied.  :class:`ConstrainedStrategy` holds the
-constraint GPs and slacks; :class:`ConstrainedEasyBO` only names its label.
+constraint GPs and slacks; the ``cEasyBO-B`` label runs it
+(``make_algorithm("cEasyBO-3", problem)``), and the best feasible design is
+``driver.campaign.strategy.best_feasible(driver.campaign)``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ import dataclasses
 import numpy as np
 from scipy.special import ndtr
 
-from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.campaign import AsyncBatchStrategy
 from repro.core.problem import EvaluationResult, Problem
 from repro.core.surrogate import SideGP
 
-__all__ = ["ConstraintSpec", "ConstrainedProblem", "ConstrainedStrategy",
-           "ConstrainedEasyBO"]
+__all__ = ["ConstraintSpec", "ConstrainedProblem", "ConstrainedStrategy"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +92,7 @@ class ConstrainedStrategy(AsyncBatchStrategy):
 
     def __init__(self, problem: ConstrainedProblem, rng, **kwargs):
         if not isinstance(problem, ConstrainedProblem):
-            raise TypeError("ConstrainedEasyBO needs a ConstrainedProblem")
+            raise TypeError("cEasyBO needs a ConstrainedProblem")
         super().__init__(**kwargs)
         self._constraint_models = [
             _ConstraintModel(problem.dim, rng) for _ in problem.constraint_specs
@@ -153,14 +153,3 @@ class ConstrainedStrategy(AsyncBatchStrategy):
         X = core.session.X
         idx = int(np.argmax(np.where(feasible, y, -np.inf)))
         return X[idx].copy(), float(y[idx])
-
-
-class ConstrainedEasyBO(AsynchronousBatchBO):
-    """The asynchronous driver of :class:`ConstrainedStrategy` (``cEasyBO-B``);
-    the problem must be a :class:`ConstrainedProblem`."""
-
-    family = "cEasyBO"
-
-    def best_feasible(self) -> tuple[np.ndarray, float] | None:
-        """Best observation with every constraint satisfied, if any."""
-        return self.campaign.strategy.best_feasible(self.campaign)

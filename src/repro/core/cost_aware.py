@@ -15,18 +15,18 @@ acquisition):
     alpha_cost(x, w) = log(1 + exp(alpha(x, w))) / E[duration(x)]^cost_exponent
 
 ``cost_exponent = 0`` recovers plain EasyBO; 1 is full per-second
-normalization.  :class:`CostAwareEasyBO` only names the label.
+normalization.  The ``caEasyBO-B`` label runs it
+(``make_algorithm("caEasyBO-3", problem, cost_exponent=1.0)``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.async_batch import AsynchronousBatchBO
 from repro.core.campaign import AsyncBatchStrategy
 from repro.core.surrogate import SideGP
 
-__all__ = ["CostAwareStrategy", "CostAwareEasyBO"]
+__all__ = ["CostAwareStrategy"]
 
 
 class CostAwareStrategy(AsyncBatchStrategy):
@@ -76,10 +76,3 @@ class CostAwareStrategy(AsyncBatchStrategy):
             return values / self.predicted_cost(U) ** self.cost_exponent
 
         return per_cost
-
-
-class CostAwareEasyBO(AsynchronousBatchBO):
-    """The asynchronous driver of :class:`CostAwareStrategy` (``caEasyBO-B``);
-    takes ``cost_exponent`` (default 1) besides the EasyBO keywords."""
-
-    family = "caEasyBO"

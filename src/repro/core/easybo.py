@@ -1,4 +1,4 @@
-"""High-level EasyBO facade and the algorithm registry used by the benches.
+"""High-level EasyBO facade and the label factory that builds every run.
 
 :class:`EasyBO` is the one-stop user API::
 
@@ -10,7 +10,8 @@
 
 :func:`make_algorithm` turns the paper's row labels ("pBO-5", "EasyBO-SP-10",
 "DE", "LCB", ...) into configured drivers, which is how the Table I/II benches
-enumerate their grids; the facade's modes are labels too.  Every label but DE
+enumerate their grids; the facade's modes are labels too, and the two are
+the only ways to build a run.  Every label but DE
 runs on :class:`~repro.core.bo.BODriverBase`, whose campaign
 :func:`~repro.core.campaign.make_campaign` builds from the label's
 :data:`~repro.core.campaign.FAMILIES` row; its strategy (side models
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 from repro.baselines.de import DifferentialEvolution
 from repro.core.bo import BODriverBase
-from repro.core.campaign import FAMILIES, parse_label
+from repro.core.campaign import parse_label
 from repro.core.problem import Problem
 from repro.core.results import RunResult
 
-__all__ = ["EasyBO", "make_algorithm", "ALGORITHM_FAMILIES"]
+__all__ = ["EasyBO", "make_algorithm"]
 
 
 #: ``EasyBO(mode=...)``: the label family each mode runs.
@@ -97,11 +98,6 @@ class EasyBO:
         return self.driver.run()
 
 
-#: The label families ``make_algorithm`` accepts (the registry shared with
-#: :func:`repro.core.campaign.make_campaign`).
-ALGORITHM_FAMILIES = FAMILIES
-
-
 def make_algorithm(label: str, problem: Problem, **kwargs):
     """Instantiate a driver from a paper-style label.
 
@@ -114,13 +110,17 @@ def make_algorithm(label: str, problem: Problem, **kwargs):
     pending-point policies also have label forms: ``"EasyBO-LP-5"`` (local
     penalisation), ``"EasyBO-PESS-5"`` (pessimistic), ``"EasyBO-A-5"``
     (standard acquisition) — equivalently, pass ``pending_policy=`` to the
-    ``EasyBO`` family.  Every label but DE builds a
+    ``EasyBO`` family.  The labels are the rows of
+    :data:`~repro.core.campaign.FAMILIES`, and a label is the only way to
+    name what runs.  Every label but DE builds a
     :class:`~repro.core.bo.BODriverBase` on it: keyword arguments go to
     the driver, whose campaign :func:`~repro.core.campaign.make_campaign`
-    builds from the same label and knobs (``lam`` / ``ucb_kappa`` /
-    ``ei_xi`` / ``hc_d`` / ``pending_policy`` / ``cost_exponent`` /
-    ``eta``), so a journaled config round-trips.  DE runs its own loop and
-    refuses every keyword it cannot honour, ``journal=`` included.
+    builds from the same label and knobs (``lam`` / ``hc_d`` /
+    ``pending_policy`` / ``cost_exponent`` / ``eta``), so a journaled
+    config round-trips.  A side-model strategy's own report lives on
+    ``driver.campaign.strategy`` (cEasyBO's ``best_feasible``, GP-Hedge's
+    ``plays``).  DE runs its own loop and refuses every keyword it cannot
+    honour, ``journal=`` included.
     """
     family, batch = parse_label(label, kwargs.get("pending_policy"))
     if family.build is None:

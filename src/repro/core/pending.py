@@ -20,7 +20,7 @@ policy reproduces the historical pipeline byte-for-byte (see
 Policies are addressed by name::
 
     make_campaign("EasyBO-5", problem, pending_policy="lp")
-    AsynchronousBatchBO(problem, batch_size=5, pending_policy="pessimistic")
+    make_algorithm("EasyBO-5", problem, pending_policy="pessimistic")
 
 or by label family (``EasyBO-LP-5`` / ``EasyBO-PESS-5`` / ``EasyBO-A-5``).
 """
@@ -100,8 +100,8 @@ class StandardPolicy(PendingPolicy):
 
     The asynchronous-sufficiency position (see PAPERS.md): thanks to the
     random Eq. 8 weight, consecutive proposals differ anyway, so no explicit
-    diversity machinery is applied.  Equivalent to the historical
-    ``EasyBO-A`` (``penalized=False``) configuration.
+    diversity machinery is applied.  The ``EasyBO-A`` label's policy: the
+    paper's ablation of asynchrony without the Eq. 9 penalty.
     """
 
     name = "none"
@@ -131,9 +131,6 @@ class LocalPenalisationPolicy(PendingPolicy):
 
     name = "lp"
 
-    def __init__(self, *, n_probes: int = 256):
-        self.n_probes = int(n_probes)
-
     @staticmethod
     def penalisation_factor(U, u_j, mu_j, sigma_j, lipschitz, best):
         """Per-candidate penalty factor ``phi_j`` for one pending point.
@@ -150,9 +147,10 @@ class LocalPenalisationPolicy(PendingPolicy):
         return np.clip(ndtr(z), 1e-300, 1.0)
 
     @staticmethod
-    def estimate_lipschitz(model, dim, rng, n_probes: int = 256) -> float:
-        """Max-norm finite-difference gradient of the posterior mean."""
-        U = rng.uniform(size=(int(n_probes), int(dim)))
+    def estimate_lipschitz(model, dim, rng) -> float:
+        """Max-norm finite-difference gradient of the posterior mean over
+        256 uniform probes."""
+        U = rng.uniform(size=(256, int(dim)))
         eps = 1e-4
         mu0 = model.predict(U, return_std=False)
         grad_sq = np.zeros(len(U))
@@ -169,9 +167,7 @@ class LocalPenalisationPolicy(PendingPolicy):
             return acquisition
         rng = rng if rng is not None else np.random.default_rng(0)
         U_pending = session.transform.to_unit(X_pending)
-        lipschitz = self.estimate_lipschitz(
-            model, session.dim, rng, n_probes=self.n_probes
-        )
+        lipschitz = self.estimate_lipschitz(model, session.dim, rng)
         best = float(session.output.transform(np.array([session.best_y]))[0])
         mu_p, sigma_p = model.predict(U_pending)
         factor = self.penalisation_factor

@@ -9,8 +9,9 @@ model, one nomination is played with probability proportional to
 ``exp(eta * gain)``, and every member's gain is updated by the posterior
 mean at *its own* nominee.  The gains are the strategy's side state,
 journaled with every ask, so GP-Hedge resumes and runs on the campaign
-server like any other label; :class:`PortfolioBO` is the driver that names
-it.
+server like any other label.  ``make_algorithm("GP-Hedge", problem,
+eta=...)`` runs it; ``eta`` is the Hedge learning rate (default 1; higher
+trusts past gains more aggressively).
 """
 
 from __future__ import annotations
@@ -22,20 +23,18 @@ from repro.core.acquisition import (
     ProbabilityOfImprovement,
     UpperConfidenceBound,
 )
-from repro.core.bo import BODriverBase
 from repro.core.campaign import AsyncBatchStrategy
 
-__all__ = ["HedgeStrategy", "PortfolioBO"]
+__all__ = ["HedgeStrategy"]
 
 
 class HedgeStrategy(AsyncBatchStrategy):
-    """GP-Hedge over {EI, PI, UCB}; its own side model."""
+    """GP-Hedge over {EI, PI, UCB} (xi = 0, kappa = 2); its own side model."""
 
-    def __init__(self, *, eta: float = 1.0, ucb_kappa: float = 2.0,
-                 ei_xi: float = 0.0):
+    def __init__(self, *, eta: float = 1.0):
         if eta <= 0:
             raise ValueError("eta must be positive")
-        super().__init__(ucb_kappa=ucb_kappa, ei_xi=ei_xi)
+        super().__init__()
         self.eta = float(eta)
         self.member_names = ("EI", "PI", "UCB")
         self.gains = np.zeros(len(self.member_names))
@@ -63,9 +62,9 @@ class HedgeStrategy(AsyncBatchStrategy):
         """Every member nominates on ``model``; one nominee is played."""
         best = core.standardized_best()
         members = (
-            ExpectedImprovement(best, xi=self.ei_xi),
-            ProbabilityOfImprovement(best, xi=self.ei_xi),
-            UpperConfidenceBound(self.ucb_kappa),
+            ExpectedImprovement(best),
+            ProbabilityOfImprovement(best, xi=0.0),
+            UpperConfidenceBound(),
         )
         nominees = [core.maximize(acq, model=model) for acq in members]
         choice = int(core.rng.choice(len(nominees), p=self._probabilities()))
@@ -75,17 +74,3 @@ class HedgeStrategy(AsyncBatchStrategy):
         U = core.session.transform.to_unit(np.vstack(nominees))
         self.gains += model.predict(U, return_std=False)
         return nominees[choice]
-
-
-class PortfolioBO(BODriverBase):
-    """Sequential GP-Hedge over {EI, PI, UCB}.
-
-    Keywords are :class:`~repro.core.bo.BODriverBase`'s, among them
-    ``eta`` (the Hedge learning rate, default 1; higher trusts past gains
-    more aggressively) and the member-acquisition ``ucb_kappa`` /
-    ``ei_xi``.  The gains and play counts live on ``campaign.strategy``
-    (:class:`HedgeStrategy`).
-    """
-
-    def __init__(self, problem, **kwargs):
-        super().__init__(problem, "GP-Hedge", **kwargs)

@@ -104,7 +104,8 @@ def resolve_problem(name: str):
 
 def _pool_state(events: list[dict]):
     """Told trace records and their run seconds, latest issue facts per
-    point, clock, and next index."""
+    point, clock, and next index.  An orphan resolved at a resume has
+    ``None`` run seconds: it is no lease sample."""
     records, run_seconds, issued, clock, next_index = [], [], {}, 0.0, 0
     for event in events:
         kind = event.get("type")
@@ -115,7 +116,8 @@ def _pool_state(events: list[dict]):
             if "record" in event:
                 record = EvalRecord.from_dict(event["record"])
                 records.append(record)
-                run_seconds.append(float(event.get("run_seconds", record.duration)))
+                seconds = event.get("run_seconds", record.duration)
+                run_seconds.append(None if seconds is None else float(seconds))
                 clock = max(clock, float(event["clock"]))
         else:
             continue
@@ -169,10 +171,11 @@ def reconcile(campaign, pool, events: list[dict], obs) -> None:
             x,
             orphaned,
             # A reissue re-runs in place, so only a resolved orphan leaves a
-            # trace row behind.
+            # trace row behind; it never ran to a known end, so it is no
+            # lease sample (``run_seconds`` null), here or at a later resume.
             _extra=lambda action, orphan=orphan: (
                 {} if action == "reissued"
-                else {"record": orphan.as_dict(), "clock": clock}
+                else {"record": orphan.as_dict(), "clock": clock, "run_seconds": None}
             ),
         )
         if action == "reissued":

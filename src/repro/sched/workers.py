@@ -336,6 +336,7 @@ class PoolBase:
         the duration statistics that drive lease deadlines from
         ``run_seconds`` (one per record: the :attr:`Completion.run_seconds`
         the live pool counted; without it, each row's issue-to-finish span).
+        A ``None`` entry restores its row without a lease sample.
         Only valid on a pool that has not run anything yet.
         """
         if run_seconds is None:
@@ -347,8 +348,9 @@ class PoolBase:
             self._next_index = int(next_index)
             for record, seconds in zip(records, run_seconds, strict=True):
                 self.trace.add(record)
-                self._cost_total += max(seconds, 0.0)
-                self._cost_count += 1
+                if seconds is not None:
+                    self._cost_total += max(seconds, 0.0)
+                    self._cost_count += 1
 
     def restore_task(
         self,

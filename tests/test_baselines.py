@@ -1,11 +1,11 @@
-"""Tests for DE and random search."""
+"""Tests for DE and random search (the ``Random`` label)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.de import DifferentialEvolution
-from repro.baselines.random_search import RandomSearch
 from repro.circuits.benchmarks import rastrigin, sphere
+from repro.core.easybo import make_algorithm
 from repro.core.faults import FaultInjectionProblem
 from repro.sched.durations import ConstantCostModel
 
@@ -26,7 +26,7 @@ class TestDE:
     def test_beats_random_on_rastrigin(self):
         problem = rastrigin(3, cost_model=ConstantCostModel(1.0))
         de = DifferentialEvolution(problem, max_evals=800, rng=1).run()
-        rs = RandomSearch(problem, max_evals=800, rng=1).run()
+        rs = make_algorithm("Random", problem, max_evals=800, rng=1).run()
         assert de.best_fom > rs.best_fom
 
     def test_budget_respected(self):
@@ -79,41 +79,42 @@ class TestDE:
 class TestRandomSearch:
     def test_budget_and_bounds(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
-        result = RandomSearch(problem, max_evals=25, rng=0).run()
+        result = make_algorithm("Random", problem, max_evals=25, rng=0).run()
         assert result.n_evaluations == 25
 
     def test_parallel_workers(self):
         problem = sphere(2, cost_model=ConstantCostModel(3.0))
-        result = RandomSearch(problem, max_evals=30, rng=0, n_workers=5).run()
+        result = make_algorithm("Random-5", problem, max_evals=30, rng=0).run()
         assert result.wall_clock == pytest.approx(18.0)  # 30/5 * 3 s
 
     def test_deterministic(self):
         problem = sphere(2)
-        a = RandomSearch(problem, max_evals=20, rng=9).run()
-        b = RandomSearch(problem, max_evals=20, rng=9).run()
+        a = make_algorithm("Random", problem, max_evals=20, rng=9).run()
+        b = make_algorithm("Random", problem, max_evals=20, rng=9).run()
         assert a.best_fom == b.best_fom
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomSearch(sphere(2), max_evals=0)
+        with pytest.raises(ValueError, match="max_evals must be >= 1"):
+            make_algorithm("Random", sphere(2), max_evals=0)
 
     def test_is_a_design_only_campaign(self):
-        rs = RandomSearch(sphere(2), max_evals=7, rng=0, n_workers=3)
+        rs = make_algorithm("Random-3", sphere(2), max_evals=7, rng=0)
         assert rs.campaign.n_init == rs.campaign.max_evals == 7
         assert rs.campaign.batch_size == 3
         result = rs.run()
         assert result.algorithm == "Random-3"
         assert result.n_evaluations == 7
-        assert RandomSearch(sphere(2), max_evals=1, rng=0).run().n_evaluations == 1
+        single = make_algorithm("Random", sphere(2), max_evals=1, rng=0)
+        assert single.run().n_evaluations == 1
 
     def test_failures_are_counted(self):
         problem = FaultInjectionProblem(sphere(2), crash_rate=0.25, rng=3)
-        result = RandomSearch(problem, max_evals=20, rng=0).run()
+        result = make_algorithm("Random", problem, max_evals=20, rng=0).run()
         failed = sum(not r.ok for r in result.trace.records)
         assert failed > 0
         assert result.n_failures == failed
 
     def test_all_failed_run_reports_an_empty_incumbent(self):
         problem = FaultInjectionProblem(sphere(2), crash_rate=1.0, rng=0)
-        result = RandomSearch(problem, max_evals=20, rng=0, n_workers=3).run()
+        result = make_algorithm("Random-3", problem, max_evals=20, rng=0).run()
         assert_empty_incumbent(result, 20)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.constrained import (
-    ConstrainedEasyBO,
     ConstrainedProblem,
     ConstrainedStrategy,
     ConstraintSpec,
 )
+from repro.core.easybo import make_algorithm
 from repro.core.problem import EvaluationResult
 
 
@@ -59,6 +59,11 @@ class BadProblem(ConstrainedProblem):
 QUICK = dict(n_init=8, max_evals=30, rng=0, acq_candidates=256, acq_restarts=1)
 
 
+def best_feasible(driver):
+    """The constrained strategy's feasible incumbent of a cEasyBO driver."""
+    return driver.campaign.strategy.best_feasible(driver.campaign)
+
+
 class TestConstraintPlumbing:
     def test_constraint_vector_extraction(self):
         p = DiskProblem()
@@ -73,15 +78,15 @@ class TestConstraintPlumbing:
     def test_requires_constrained_problem(self):
         from repro.circuits.benchmarks import sphere
 
-        with pytest.raises(TypeError):
-            ConstrainedEasyBO(sphere(2))
+        with pytest.raises(TypeError, match="cEasyBO needs a ConstrainedProblem"):
+            make_algorithm("cEasyBO", sphere(2))
 
 
 class TestConstrainedOptimization:
     def test_finds_feasible_optimum(self):
-        driver = ConstrainedEasyBO(DiskProblem(), batch_size=3, **QUICK)
+        driver = make_algorithm("cEasyBO-3", DiskProblem(), **QUICK)
         driver.run()
-        best = driver.best_feasible()
+        best = best_feasible(driver)
         assert best is not None
         x_best, y_best = best
         assert np.sum(x_best**2) <= 1.0 + 1e-9
@@ -90,22 +95,16 @@ class TestConstrainedOptimization:
     def test_unconstrained_optimum_rejected(self):
         """The raw argmax of x+y is the (2,2) corner — infeasible; the
         constrained driver's feasible incumbent must not be near it."""
-        driver = ConstrainedEasyBO(DiskProblem(), batch_size=3, **QUICK)
+        driver = make_algorithm("cEasyBO-3", DiskProblem(), **QUICK)
         driver.run()
-        x_best, _ = driver.best_feasible()
+        x_best, _ = best_feasible(driver)
         assert np.linalg.norm(x_best - np.array([2.0, 2.0])) > 1.0
 
-    def test_algorithm_name(self):
-        driver = ConstrainedEasyBO(DiskProblem(), batch_size=4, **QUICK)
-        assert driver.algorithm_name == "cEasyBO-4"
-
     def test_no_feasible_returns_none(self):
-        driver = ConstrainedEasyBO(DiskProblem(), batch_size=2, **QUICK)
-        assert driver.best_feasible() is None  # before running
+        driver = make_algorithm("cEasyBO-2", DiskProblem(), **QUICK)
+        assert best_feasible(driver) is None  # before running
 
     def test_registry_label(self):
-        from repro.core.easybo import make_algorithm
-
         algo = make_algorithm("cEasyBO-3", DiskProblem(), **QUICK)
         assert isinstance(algo.campaign.strategy, ConstrainedStrategy)
         assert algo.algorithm_name == "cEasyBO-3"
@@ -139,12 +138,12 @@ class TestConstrainedOpAmp:
             assert r.feasible == bool(np.all(slacks >= 0))
 
     def test_short_constrained_run(self, problem):
-        driver = ConstrainedEasyBO(
-            problem, batch_size=4, n_init=10, max_evals=30, rng=0,
+        driver = make_algorithm(
+            "cEasyBO-4", problem, n_init=10, max_evals=30, rng=0,
             acq_candidates=256, acq_restarts=1,
         )
         driver.run()
-        best = driver.best_feasible()
+        best = best_feasible(driver)
         if best is not None:
             x_best, ugf = best
             check = problem.evaluate(x_best)

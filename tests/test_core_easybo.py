@@ -5,8 +5,7 @@ import pytest
 
 from repro.baselines.de import DifferentialEvolution
 from repro.circuits.benchmarks import sphere
-from repro.core.async_batch import AsynchronousBatchBO
-from repro.core.bo import BODriverBase, SequentialBO
+from repro.core.bo import BODriverBase
 from repro.core.campaign import (
     FAMILIES,
     DesignStrategy,
@@ -15,7 +14,6 @@ from repro.core.campaign import (
 )
 from repro.core.easybo import EasyBO, make_algorithm
 from repro.core.faults import FailurePolicy, FaultInjectionProblem
-from repro.core.sync_batch import SynchronousBatchBO
 from repro.obs import MetricsRegistry
 from repro.sched.durations import ConstantCostModel
 from tests.test_core_constrained import DiskProblem
@@ -43,18 +41,6 @@ ASK_TELL_LABELS = [
         ("EasyBO-3", "lp"), ("EasyBO", "pessimistic"), ("EasyBO-A-2", "hallucinate"),
     ]
 ]
-
-#: How each typed driver spells a label: its constructor arguments.
-TYPED_SPELLING = {
-    SequentialBO: lambda label, batch: dict(acquisition=label.lower()),
-    AsynchronousBatchBO: lambda label, batch: dict(
-        batch_size=batch, penalized=not label.startswith("EasyBO-A")
-    ),
-    SynchronousBatchBO: lambda label, batch: dict(
-        batch_size=batch, strategy=label.rsplit("-", 1)[0].lower()
-    ),
-}
-
 
 def settings(obj) -> dict:
     """An object's fields, nested policy/penalty/side-model objects by type
@@ -98,33 +84,6 @@ class TestFacade:
 
 
 class TestRegistry:
-    @pytest.mark.parametrize(
-        "label,cls,batch",
-        [
-            ("EI", SequentialBO, None),
-            ("LCB", SequentialBO, None),
-            ("EasyBO", AsynchronousBatchBO, 1),
-            ("pBO-5", SynchronousBatchBO, 5),
-            ("pHCBO-10", SynchronousBatchBO, 10),
-            ("EasyBO-S-5", SynchronousBatchBO, 5),
-            ("EasyBO-SP-15", SynchronousBatchBO, 15),
-            ("BUCB-4", SynchronousBatchBO, 4),
-            ("LP-4", SynchronousBatchBO, 4),
-            ("EasyBO-A-10", AsynchronousBatchBO, 10),
-            ("EasyBO-15", AsynchronousBatchBO, 15),
-        ],
-    )
-    def test_labels_build_right_driver(self, label, cls, batch):
-        """A label goes straight to the base driver, on the campaign that the
-        typed driver spelling it (``cls``) builds."""
-        algo = make_algorithm(label, problem(), **QUICK)
-        typed = cls(problem(), **TYPED_SPELLING[cls](label, batch), **QUICK)
-        assert type(algo) is BODriverBase
-        assert algo.algorithm_name == typed.algorithm_name
-        assert algo.batch_size == typed.batch_size == (batch or 1)
-        assert settings(algo.campaign.strategy) == settings(typed.campaign.strategy)
-        assert algo.campaign._config == typed.campaign._config
-
     def test_easybo_label_properties(self):
         algo = make_algorithm("EasyBO-A-10", problem(), **QUICK)
         assert algo.pending_policy == "none"
@@ -157,9 +116,12 @@ class TestRegistry:
 
     @pytest.mark.parametrize("label,extra", ASK_TELL_LABELS)
     def test_driver_campaign_is_the_one_make_campaign_builds(self, label, extra):
-        """One factory: the label decides strategy, name, batch and config once."""
+        """One factory: the label decides strategy, name, batch and config
+        once, and every BO label runs on the one driver."""
         target = DiskProblem if label.startswith("cEasyBO") else problem
-        driven = make_algorithm(label, target(), **QUICK, **extra).campaign
+        driver = make_algorithm(label, target(), **QUICK, **extra)
+        assert type(driver) is BODriverBase
+        driven = driver.campaign
         standalone = make_campaign(label, target(), **QUICK, **extra)
         assert driven.algorithm == standalone.algorithm
         assert driven.batch_size == standalone.batch_size

@@ -1,11 +1,11 @@
-"""Tests for the GP-Hedge portfolio driver and result persistence."""
+"""Tests for the GP-Hedge portfolio label and result persistence."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import branin, sphere
+from repro.core.easybo import make_algorithm
 from repro.core.persistence import load_runs, run_from_dict, run_to_dict, save_runs
-from repro.core.portfolio import PortfolioBO
 from repro.sched.durations import ConstantCostModel
 
 QUICK = dict(n_init=6, max_evals=20, rng=0, acq_candidates=256, acq_restarts=1)
@@ -14,13 +14,13 @@ QUICK = dict(n_init=6, max_evals=20, rng=0, acq_candidates=256, acq_restarts=1)
 class TestPortfolio:
     def test_runs_and_improves(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
-        result = PortfolioBO(problem, **QUICK).run()
+        result = make_algorithm("GP-Hedge", problem, **QUICK).run()
         assert result.n_evaluations == 20
         assert result.best_fom > -5.0
 
     def test_every_member_can_be_played(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
-        driver = PortfolioBO(problem, **QUICK)
+        driver = make_algorithm("GP-Hedge", problem, **QUICK)
         driver.run()
         plays = driver.campaign.strategy.plays
         assert sum(plays.values()) == 20 - 6
@@ -28,13 +28,13 @@ class TestPortfolio:
 
     def test_gains_updated(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
-        driver = PortfolioBO(problem, **QUICK)
+        driver = make_algorithm("GP-Hedge", problem, **QUICK)
         driver.run()
         assert np.any(driver.campaign.strategy.gains != 0.0)
 
     def test_probabilities_normalized(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
-        driver = PortfolioBO(problem, **QUICK)
+        driver = make_algorithm("GP-Hedge", problem, **QUICK)
         driver.campaign.strategy.gains = np.array([0.0, 5.0, -3.0])
         probs = driver.campaign.strategy._probabilities()
         assert probs.sum() == pytest.approx(1.0)
@@ -42,20 +42,18 @@ class TestPortfolio:
 
     def test_eta_validated(self):
         with pytest.raises(ValueError):
-            PortfolioBO(sphere(2), eta=0.0, **QUICK)
+            make_algorithm("GP-Hedge", sphere(2), eta=0.0, **QUICK)
 
     def test_deterministic(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
-        a = PortfolioBO(problem, **QUICK).run()
-        b = PortfolioBO(problem, **QUICK).run()
+        a = make_algorithm("GP-Hedge", problem, **QUICK).run()
+        b = make_algorithm("GP-Hedge", problem, **QUICK).run()
         assert a.best_fom == b.best_fom
 
 
 class TestPersistence:
     @pytest.fixture
     def sample_run(self):
-        from repro.core.easybo import make_algorithm
-
         return make_algorithm("EasyBO-3", branin(), **QUICK).run()
 
     def test_dict_roundtrip(self, sample_run):

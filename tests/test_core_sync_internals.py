@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import sphere
-from repro.core.campaign import SyncBatchStrategy
+from repro.core.campaign import SyncBatchStrategy, _pareto_front_mask
+from repro.core.easybo import make_algorithm
 from repro.core.faults import SimulationError
 from repro.core.pending import LocalPenalisationPolicy
 from repro.core.problem import EvaluationResult, Problem
-from repro.core.sync_batch import SynchronousBatchBO, _pareto_front_mask
 from repro.sched.durations import ConstantCostModel
 
 QUICK = dict(n_init=6, max_evals=18, rng=0, acq_candidates=256, acq_restarts=1)
@@ -53,9 +53,7 @@ class TestBatchSelection:
     @pytest.fixture
     def driver(self):
         problem = sphere(2, cost_model=ConstantCostModel(1.0))
-        return lambda strategy: SynchronousBatchBO(
-            problem, batch_size=4, strategy=strategy, **QUICK
-        )
+        return lambda strategy: make_algorithm(f"{strategy}-4", problem, **QUICK)
 
     def _primed(self, driver_factory, strategy):
         driver = driver_factory(strategy)
@@ -129,9 +127,9 @@ def test_select_batch_waits_for_two_observations():
             seen.append(core.session.n_observations)
             return super().model_batch(core, n_points)
 
-    driver = SynchronousBatchBO(_FailsFirst(n_fail=5), batch_size=2, strategy="pbo",
-                                n_init=4, max_evals=12, rng=0, acq_candidates=32,
-                                acq_restarts=1, failure_policy={"on_failure": "drop"})
+    driver = make_algorithm("pBO-2", _FailsFirst(n_fail=5), n_init=4, max_evals=12,
+                            rng=0, acq_candidates=32, acq_restarts=1,
+                            failure_policy={"on_failure": "drop"})
     driver.campaign.strategy = Spy("pbo", batch_size=2, dim=2)
     result = driver.run()
     assert result.n_evaluations == 12
@@ -143,7 +141,6 @@ def test_every_model_driven_maximization_is_observed(tmp_path, label):
     """pHCBO's and LP's unit-cube scorers go through the campaign's one
     maximization entry, so each of the 9 model-driven points leaves an
     ``acquisition-maximize`` span and an ``acquisition.maximizations`` tick."""
-    from repro.core.easybo import make_algorithm
     from repro.obs import MetricsRegistry, Tracer, load_trace
 
     tracer, metrics = Tracer(tmp_path / "trace.jsonl"), MetricsRegistry()

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.circuits import sphere
 from repro.core.easybo import make_algorithm
 from repro.core.faults import (
     FailurePolicy,
@@ -32,6 +33,7 @@ from repro.core.persistence import load_runs, run_from_dict, run_to_dict, save_r
 from repro.core.problem import FunctionProblem
 from repro.core.recovery import resolve_problem, resume
 from repro.sched.executor import ThreadWorkerPool
+from repro.sched.workers import VirtualWorkerPool
 from repro.utils.rng import generator_from_state, rng_state_to_dict, set_rng_state
 from tests.golden.regenerate import (
     SCENARIOS,
@@ -315,6 +317,40 @@ class TestWorkerLeases:
         statuses = [r.status for r in result.trace.records]
         assert statuses.count("orphaned") >= 1
         assert statuses.count("ok") >= 8  # every orphan was re-evaluated
+
+    def test_a_second_resume_arms_the_first_resumed_pools_leases(self, tmp_path):
+        # An orphan imputed at a resume never ran to a known end, so the
+        # live resumed pool leaves it out of its lease mean; after a second
+        # crash, the pool restored from the journal must leave it out too.
+        leases = []
+
+        class DiesAtFirstWait(VirtualWorkerPool):
+            """Notes the lease a restored pool arms, then is killed before
+            any evaluation completes."""
+
+            def wait_next(self):
+                leases.append(self._lease_deadline(0.0))
+                raise ProcessKilled("killed before the first completion")
+
+        problem = sphere(2)
+        path = tmp_path / "run.jsonl"
+        writer = KillSwitchJournal(JournalWriter(path), kill_at=14)
+        with pytest.raises(ProcessKilled):
+            make_algorithm(
+                "EasyBO-2", problem, n_init=4, max_evals=20, rng=0,
+                acq_candidates=64, acq_restarts=1, journal=writer,
+                failure_policy=FailurePolicy(lease_slack=3, on_orphan="impute"),
+            ).run()
+        writer.close()
+        for _ in range(2):
+            with pytest.raises(ProcessKilled):
+                resume(path, problem=problem, pool_factory=DiesAtFirstWait)
+        imputed = [e for e in read_journal(path)
+                   if e["type"] == "tell" and e["result"]["status"] == "orphaned"]
+        assert imputed and all(e["run_seconds"] is None for e in imputed)
+        live, restored = leases
+        assert live is not None
+        assert restored == live
 
 
 class TestRngState:

@@ -304,11 +304,17 @@ class TestRefusals:
             resume(path)
 
 
-def with_retired_surrogate_update(path) -> None:
-    """Rewrite ``path`` the way a release with two surrogate update modes
-    journaled it: ``surrogate_update`` in the ``campaign_start`` config."""
+#: Config keys of options that no longer exist, with values older releases
+#: journaled: the second surrogate update mode, and UCB's kappa and EI/PI's
+#: xi, now constants.
+RETIRED_KEYS = {"surrogate_update": "full", "ucb_kappa": 2.0, "ei_xi": 0.0}
+
+
+def with_retired_keys(path) -> None:
+    """Rewrite ``path`` the way older releases journaled it: every retired
+    key in the ``campaign_start`` config."""
     events = read_journal(path)
-    events[0]["config"]["surrogate_update"] = "full"
+    events[0]["config"].update(RETIRED_KEYS)
     path.unlink()
     with JournalWriter(path) as writer:
         for event in events:
@@ -316,9 +322,10 @@ def with_retired_surrogate_update(path) -> None:
 
 
 class TestRetiredSurrogateUpdate:
-    """The surrogate has one update path.  Journals from before carry the
-    keyword that chose between two; reading drops it, and a caller that
-    still passes it is refused by name."""
+    """The surrogate has one update path, and UCB's kappa and EI/PI's xi are
+    constants.  Journals from before carry the keywords that set them;
+    reading drops them, and a caller that still passes one is refused by
+    name."""
 
     KWARGS = dict(n_init=4, max_evals=10, rng=0, **FAST)
 
@@ -329,8 +336,8 @@ class TestRetiredSurrogateUpdate:
         with pytest.raises(ProcessKilled):
             make_algorithm("EasyBO-2", sphere(2), journal=writer, **self.KWARGS).run()
         writer.close()
-        with_retired_surrogate_update(path)
-        assert "surrogate_update" not in read_campaign_journal(path)[0]["config"]
+        with_retired_keys(path)
+        assert not RETIRED_KEYS.keys() & read_campaign_journal(path)[0]["config"].keys()
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(path.read_bytes())
         campaign = resume_campaign(copy)
@@ -341,7 +348,7 @@ class TestRetiredSurrogateUpdate:
     def test_new_journals_do_not_carry_it(self, tmp_path):
         path = tmp_path / "run.jsonl"
         make_algorithm("EasyBO-2", sphere(2), journal=path, **self.KWARGS).run()
-        assert "surrogate_update" not in read_journal(path)[0]["config"]
+        assert not RETIRED_KEYS.keys() & read_journal(path)[0]["config"].keys()
 
     @pytest.mark.parametrize(
         "build",
@@ -353,9 +360,9 @@ class TestRetiredSurrogateUpdate:
         ids=["make_campaign", "EasyBO-2 driver", "LCB driver"],
     )
     def test_the_keyword_is_refused_by_name(self, tmp_path, build):
-        with pytest.raises(TypeError, match="surrogate_update"):
-            build(surrogate_update="incremental", journal=tmp_path / "j.jsonl",
-                  **self.KWARGS)
+        for key, value in RETIRED_KEYS.items():
+            with pytest.raises(TypeError, match=key):
+                build(**{key: value}, journal=tmp_path / "j.jsonl", **self.KWARGS)
         assert not (tmp_path / "j.jsonl").exists()
 
 

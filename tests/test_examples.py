@@ -58,3 +58,14 @@ def test_classe_sizing_small_budget():
     )
     assert "Best design found" in out
     assert "PAE" in out
+
+
+@pytest.mark.slow
+def test_constrained_sizing_small_budget():
+    # Seed 1 finds feasible designs within 40 evaluations (seed 0 finds
+    # none), so the best-feasible report runs.
+    out = run_example(
+        "constrained_sizing.py", "--budget", "40", "--batch", "2", "--seed", "1"
+    )
+    assert "best feasible UGF" in out
+    assert "Best sizing:" in out

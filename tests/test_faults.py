@@ -18,8 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.bo import SequentialBO
-from repro.core.async_batch import AsynchronousBatchBO
+from repro.core.easybo import make_algorithm
 from repro.core.faults import (
     FailurePolicy,
     FaultInjectionProblem,
@@ -29,7 +28,6 @@ from repro.core.faults import (
 from repro.core.persistence import run_from_dict, run_to_dict
 from repro.core.problem import EvaluationResult, FunctionProblem, Problem
 from repro.core.surrogate import SurrogateSession
-from repro.core.sync_batch import SynchronousBatchBO
 from repro.baselines.de import DifferentialEvolution
 from repro.circuits.opamp import OpAmpProblem
 from repro.sched.executor import ThreadWorkerPool
@@ -456,16 +454,16 @@ def faulty_factory(**rates):
 
 
 DRIVER_FACTORIES = {
-    "sequential": lambda p, policy: SequentialBO(
-        p, n_init=4, max_evals=12, rng=1, acq_candidates=64, acq_restarts=1,
-        failure_policy=policy,
-    ),
-    "sync": lambda p, policy: SynchronousBatchBO(
-        p, batch_size=3, n_init=6, max_evals=15, rng=1, acq_candidates=64,
+    "sequential": lambda p, policy: make_algorithm(
+        "EasyBO", p, n_init=4, max_evals=12, rng=1, acq_candidates=64,
         acq_restarts=1, failure_policy=policy,
     ),
-    "async": lambda p, policy: AsynchronousBatchBO(
-        p, batch_size=3, n_init=6, max_evals=15, rng=1, acq_candidates=64,
+    "sync": lambda p, policy: make_algorithm(
+        "EasyBO-SP-3", p, n_init=6, max_evals=15, rng=1, acq_candidates=64,
+        acq_restarts=1, failure_policy=policy,
+    ),
+    "async": lambda p, policy: make_algorithm(
+        "EasyBO-3", p, n_init=6, max_evals=15, rng=1, acq_candidates=64,
         acq_restarts=1, failure_policy=policy,
     ),
 }
@@ -597,9 +595,9 @@ def test_opamp_easybo5_survives_faults(pool_factory):
         nan_rate=0.05,
         rng=FAULT_SEED,
     )
-    driver = AsynchronousBatchBO(
+    driver = make_algorithm(
+        "EasyBO-5",
         problem,
-        batch_size=5,
         n_init=8,
         max_evals=24,
         rng=FAULT_SEED,

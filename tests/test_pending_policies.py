@@ -118,8 +118,8 @@ class TestDriverRoundTrips:
         assert clone.pending_policy == policy
 
     def test_easybo_a_label_equals_none_policy_kwarg(self):
-        # The historical penalized=False spelling, the EasyBO-A label, and
-        # the explicit pending_policy="none" kwarg are one algorithm.
+        # The EasyBO-A label and the explicit pending_policy="none" kwarg
+        # are one algorithm.
         by_label = self._run("EasyBO-A-3")
         by_kwarg = self._run("EasyBO-3", pending_policy="none")
         assert by_kwarg.algorithm == "EasyBO-A-3"

@@ -20,7 +20,6 @@ PACKAGES = [
 
 MODULES = [
     "repro.core.acquisition",
-    "repro.core.async_batch",
     "repro.core.bo",
     "repro.core.constrained",
     "repro.core.cost_aware",
@@ -32,7 +31,6 @@ MODULES = [
     "repro.core.problem",
     "repro.core.results",
     "repro.core.surrogate",
-    "repro.core.sync_batch",
     "repro.gp.diagnostics",
     "repro.gp.gp",
     "repro.gp.hyperopt",
@@ -68,7 +66,6 @@ MODULES = [
     "repro.sched.trace",
     "repro.sched.workers",
     "repro.baselines.de",
-    "repro.baselines.random_search",
     "repro.utils.rng",
     "repro.utils.tables",
     "repro.utils.validation",

@@ -35,7 +35,7 @@ from repro.distributed import (
 from repro.distributed.protocol import result_to_dict
 from repro.distributed.transport import connect
 from repro.obs import MetricsRegistry, Observability
-from tests.test_driver_journal import with_retired_surrogate_update
+from tests.test_driver_journal import RETIRED_KEYS, with_retired_keys
 
 pytestmark = pytest.mark.server
 
@@ -186,9 +186,9 @@ class TestRestartRecovery:
             new.stop()
 
     def test_a_journal_naming_the_retired_surrogate_update_recovers(self, tmp_path):
-        """Journals from before the one surrogate path carry
-        ``surrogate_update`` in their config; a restart still recovers them
-        onto the twin's points."""
+        """Older journals carry ``surrogate_update``, ``ucb_kappa`` and
+        ``ei_xi`` in their config; a restart still recovers them onto the
+        twin's points."""
         problem, twin = sphere(2), _twin(47)
         old = _serve(tmp_path)
         client = CampaignClient(port=old.port)
@@ -196,7 +196,7 @@ class TestRestartRecovery:
         _drive(client, cid, twin, problem, rounds=2)
         _kill(old)
         client.close()
-        with_retired_surrogate_update(tmp_path / f"{cid}.journal")
+        with_retired_keys(tmp_path / f"{cid}.journal")
 
         new = _serve(tmp_path)
         try:
@@ -212,10 +212,11 @@ class TestRestartRecovery:
         server = _serve(tmp_path)
         try:
             with CampaignClient(port=server.port) as client:
-                with pytest.raises(CampaignServerError, match="surrogate_update"):
-                    client.create("EasyBO-2", "sphere2",
-                                  config=dict(surrogate_update="full", **CONFIG))
-                # A refused request, not a failed campaign.
+                for key, value in RETIRED_KEYS.items():
+                    with pytest.raises(CampaignServerError, match=key):
+                        client.create("EasyBO-2", "sphere2",
+                                      config={key: value, **CONFIG})
+                # Refused requests, not failed campaigns.
                 assert client.list() == []
         finally:
             server.stop()
