@@ -19,7 +19,6 @@ from repro.circuits.benchmarks import (
 from repro.circuits.classe import ClassEProblem, build_classe, classe_design_space
 from repro.circuits.constrained_opamp import ConstrainedOpAmpProblem
 from repro.circuits.opamp import OpAmpProblem, build_opamp, opamp_design_space
-from repro.circuits.ota import OtaProblem, build_ota, ota_design_space
 from repro.circuits.spec import DesignSpace, Parameter
 from repro.circuits.variation import (
     CORNERS,
@@ -39,9 +38,6 @@ __all__ = [
     "ClassEProblem",
     "build_classe",
     "classe_design_space",
-    "OtaProblem",
-    "build_ota",
-    "ota_design_space",
     "SyntheticProblem",
     "branin",
     "hartmann6",

@@ -40,7 +40,7 @@ from repro.core.campaign import (
     resume_campaign,
 )
 from repro.core.constrained import ConstrainedProblem, ConstraintSpec
-from repro.core.doe import latin_hypercube, random_design
+from repro.core.doe import random_design
 from repro.core.easybo import EasyBO, make_algorithm
 from repro.core.faults import (
     FailurePolicy,
@@ -121,7 +121,6 @@ __all__ = [
     "run_to_dict",
     "run_from_dict",
     "random_design",
-    "latin_hypercube",
     "JournalWriter",
     "JournalError",
     "read_journal",

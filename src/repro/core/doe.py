@@ -1,8 +1,6 @@
 """Initial experimental designs.
 
-The paper seeds every BO run with 20 random samples; Latin hypercube sampling
-is also provided since it is the de-facto standard for GP initialization and
-is used by our examples.
+The paper seeds every BO run with 20 random samples.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ import numpy as np
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_bounds
 
-__all__ = ["random_design", "latin_hypercube"]
+__all__ = ["random_design"]
 
 
 def random_design(bounds, n: int, rng=None) -> np.ndarray:
@@ -23,21 +21,3 @@ def random_design(bounds, n: int, rng=None) -> np.ndarray:
     rng = as_generator(rng)
     return rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))
 
-
-def latin_hypercube(bounds, n: int, rng=None) -> np.ndarray:
-    """Latin hypercube design: one point per axis-aligned stratum.
-
-    Each dimension is divided into ``n`` equal slices; the design places one
-    point uniformly inside each slice and shuffles the slice order
-    independently per dimension.
-    """
-    bounds = check_bounds(bounds)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = as_generator(rng)
-    d = bounds.shape[0]
-    u = np.empty((n, d))
-    for j in range(d):
-        perm = rng.permutation(n)
-        u[:, j] = (perm + rng.uniform(size=n)) / n
-    return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])

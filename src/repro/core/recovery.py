@@ -61,7 +61,8 @@ def resolve_problem(name: str):
 
     Synthetic benchmarks resolve through the factory registry (with a
     ``name<dim>`` suffix convention, e.g. ``sphere2``); the circuit
-    testbenches resolve by their class defaults.  The CLI, the campaign
+    testbenches resolve by their ``name`` class attribute, and only the
+    match is built, with its class defaults.  The CLI, the campaign
     server and the tournament name problems the same way, so every run
     they start resumes on the problem it ran.  Anything else — custom
     problems, wrapped problems — must be passed to :func:`resume`
@@ -79,23 +80,11 @@ def resolve_problem(name: str):
             return benchmarks.by_name(match.group(1), dim=int(match.group(2)))
         except (KeyError, TypeError):
             pass
-    import repro.circuits as circuits
+    from repro.circuits import ClassEProblem, ConstrainedOpAmpProblem, OpAmpProblem
 
-    for attr in (
-        "OpAmpProblem",
-        "ClassEProblem",
-        "OtaProblem",
-        "ConstrainedOpAmpProblem",
-    ):
-        cls = getattr(circuits, attr, None)
-        if cls is None:
-            continue
-        try:
-            instance = cls()
-        except Exception:  # noqa: BLE001 — registry probing only
-            continue
-        if instance.name == name:
-            return instance
+    for cls in (OpAmpProblem, ClassEProblem, ConstrainedOpAmpProblem):
+        if cls.name == name:
+            return cls()
     raise ValueError(
         f"unknown problem {name!r}: not a benchmark or circuit name; "
         "pass custom problems as problem=... (e.g. to resume())"

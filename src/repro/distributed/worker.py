@@ -139,6 +139,8 @@ def run_worker(host: str, port: int, worker_id: int) -> int:
 
 
 def main(argv=None) -> int:
+    """Parse ``--connect``/``--worker-id`` and serve one evaluation slot until
+    the supervisor goes away; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="repro.distributed.worker", description=__doc__
     )

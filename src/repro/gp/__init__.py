@@ -2,18 +2,17 @@
 
 Public surface:
 
-* :class:`GaussianProcess` — exact GP with Eq. 2 posterior and the
-  pending-point hallucination used by EasyBO's penalization scheme.
-* Kernels: :class:`SquaredExponential` (the paper's choice), :class:`Matern52`.
+* :class:`GaussianProcess` — exact GP with a zero prior mean on standardized
+  targets, the Eq. 2 posterior, and the pending-point hallucination used by
+  EasyBO's penalization scheme.
+* :class:`SquaredExponential` — the paper's SE-ARD kernel.
 * :func:`fit_hyperparameters` — ML-II fitting with analytic gradients.
 * :class:`BoxTransform` / :class:`OutputStandardizer` — scaling helpers.
 """
 
-from repro.gp.diagnostics import LooResult, leave_one_out
 from repro.gp.gp import ExactCholeskyState, GaussianProcess, PosteriorState
 from repro.gp.hyperopt import HyperparameterBounds, fit_hyperparameters
-from repro.gp.kernels import Kernel, Matern52, SquaredExponential
-from repro.gp.mean import ConstantMean, MeanFunction, ZeroMean
+from repro.gp.kernels import SquaredExponential
 from repro.gp.sparse import (
     SparseGaussianProcess,
     SparseHallucinatedView,
@@ -32,14 +31,7 @@ __all__ = [
     "select_inducing",
     "HyperparameterBounds",
     "fit_hyperparameters",
-    "LooResult",
-    "leave_one_out",
-    "Kernel",
     "SquaredExponential",
-    "Matern52",
-    "MeanFunction",
-    "ZeroMean",
-    "ConstantMean",
     "BoxTransform",
     "OutputStandardizer",
 ]

@@ -1,7 +1,8 @@
 """Gaussian-process regression (Eq. 2 of the paper).
 
-Implements exact GP regression with a stationary ARD kernel, Gaussian
-observation noise, and the posterior
+Implements exact GP regression with the SE-ARD kernel, a zero prior mean
+(observations are standardized first), Gaussian observation noise, and the
+posterior
 
     mu(x*)     = k(x*, X) K^{-1} y
     sigma^2(x*) = k(x*, x*) - k(x*, X) K^{-1} k(X, x*)
@@ -24,8 +25,7 @@ import dataclasses
 import numpy as np
 
 from repro.gp import linalg
-from repro.gp.kernels import Kernel, SquaredExponential
-from repro.gp.mean import MeanFunction, ZeroMean
+from repro.gp.kernels import SquaredExponential
 from repro.utils.validation import check_finite, check_matrix, check_vector
 
 __all__ = ["GaussianProcess", "PosteriorState", "ExactCholeskyState"]
@@ -75,17 +75,16 @@ class GaussianProcess:
         ``dim`` dimensions (the paper's choice).
     noise_variance:
         Gaussian observation-noise variance ``sigma_n^2``.
-    mean:
-        Prior mean function; defaults to zero (use with standardized y).
+
+    The prior mean is zero: fit standardized targets.
     """
 
     def __init__(
         self,
         dim: int | None = None,
         *,
-        kernel: Kernel | None = None,
+        kernel: SquaredExponential | None = None,
         noise_variance: float = 1e-6,
-        mean: MeanFunction | None = None,
     ):
         if kernel is None:
             if dim is None:
@@ -97,7 +96,6 @@ class GaussianProcess:
             raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
         self.kernel = kernel
         self.noise_variance = max(float(noise_variance), NOISE_FLOOR)
-        self.mean = mean if mean is not None else ZeroMean()
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
         self._state = ExactCholeskyState()
@@ -162,17 +160,16 @@ class GaussianProcess:
 
     @property
     def alpha(self) -> np.ndarray:
-        """Cached ``K^{-1} (y - m(X))`` weights (read-only by convention)."""
+        """Cached ``K^{-1} y`` weights (read-only by convention)."""
         self._require_fitted()
         return self._alpha
 
     # ------------------------------------------------------------------ fit
     def fit(self, X, y) -> "GaussianProcess":
-        """Factorize the training covariance and cache ``alpha = K^{-1} r``.
+        """Factorize the training covariance and cache ``alpha = K^{-1} y``.
 
-        ``r`` is the residual ``y - m(X)``.  Raises on non-finite input — a
-        failed circuit simulation must be mapped to a finite penalty *before*
-        it reaches the surrogate.
+        Raises on non-finite input — a failed circuit simulation must be
+        mapped to a finite penalty *before* it reaches the surrogate.
         """
         X = check_matrix(X, "X", cols=self.dim)
         y = check_vector(y, "y", size=X.shape[0])
@@ -188,8 +185,7 @@ class GaussianProcess:
     def _refactorize(self) -> None:
         K = self.kernel(self._X) + self.noise_variance * np.eye(self.n_train)
         self._lower, _ = linalg.jittered_cholesky(K)
-        residual = self._y - self.mean(self._X)
-        self._alpha = linalg.cholesky_solve(self._lower, residual)
+        self._alpha = linalg.cholesky_solve(self._lower, self._y)
 
     def update(self, X_new, y_new, *, refresh_alpha: bool = True) -> "GaussianProcess":
         """Append a block of observations reusing the cached factor.
@@ -228,9 +224,7 @@ class GaussianProcess:
         self._X = np.vstack([self._X, X_new])
         self._y = np.concatenate([self._y, y_new])
         if refresh_alpha:
-            self._alpha = linalg.cholesky_solve(
-                self._lower, self._y - self.mean(self._X)
-            )
+            self._alpha = linalg.cholesky_solve(self._lower, self._y)
         return self
 
     def set_targets(self, y) -> "GaussianProcess":
@@ -243,7 +237,7 @@ class GaussianProcess:
         y = check_vector(y, "y", size=self.n_train)
         check_finite(y, "y")
         self._y = y.copy()
-        self._alpha = linalg.cholesky_solve(self._lower, self._y - self.mean(self._X))
+        self._alpha = linalg.cholesky_solve(self._lower, self._y)
         return self
 
     def add_observation(self, x, y_value: float) -> "GaussianProcess":
@@ -255,8 +249,7 @@ class GaussianProcess:
         self._lower = linalg.cholesky_update(self._lower, cross, corner)
         self._X = np.vstack([self._X, x])
         self._y = np.append(self._y, float(y_value))
-        residual = self._y - self.mean(self._X)
-        self._alpha = linalg.cholesky_solve(self._lower, residual)
+        self._alpha = linalg.cholesky_solve(self._lower, self._y)
         return self
 
     # -------------------------------------------------------------- predict
@@ -268,35 +261,13 @@ class GaussianProcess:
         self._require_fitted()
         X = check_matrix(X, "X", cols=self.dim)
         k_star = self.kernel(self._X, X)  # (n_train, n)
-        mu = self.mean(X) + k_star.T @ self._alpha
+        mu = k_star.T @ self._alpha
         if not return_std:
             return mu
         v = linalg.solve_lower(self._lower, k_star)  # (n_train, n)
         var = self.kernel.diag(X) - np.sum(v**2, axis=0)
         sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
         return mu, sigma
-
-    def posterior_covariance(self, X) -> np.ndarray:
-        """Full posterior covariance matrix at the rows of ``X``."""
-        self._require_fitted()
-        X = check_matrix(X, "X", cols=self.dim)
-        k_star = self.kernel(self._X, X)
-        v = linalg.solve_lower(self._lower, k_star)
-        cov = self.kernel(X) - v.T @ v
-        # Symmetrize against round-off.
-        return 0.5 * (cov + cov.T)
-
-    def sample_posterior(self, X, n_samples: int = 1, rng=None) -> np.ndarray:
-        """Draw joint posterior samples; returns shape ``(n_samples, n)``."""
-        from repro.utils.rng import as_generator
-
-        rng = as_generator(rng)
-        X = check_matrix(X, "X", cols=self.dim)
-        mu = self.predict(X, return_std=False)
-        cov = self.posterior_covariance(X)
-        lower, _ = linalg.jittered_cholesky(cov + VARIANCE_FLOOR * np.eye(len(mu)))
-        z = rng.standard_normal((n_samples, len(mu)))
-        return mu[None, :] + z @ lower.T
 
     # ------------------------------------------------- pending-point scheme
     def condition_on_pending(self, X_pending) -> "GaussianProcess":
@@ -343,7 +314,7 @@ class GaussianProcess:
 
         n = self.n_train
         lml = (
-            -0.5 * float((self._y - self.mean(self._X)) @ self._alpha)
+            -0.5 * float(self._y @ self._alpha)
             - 0.5 * linalg.log_det_from_cholesky(self._lower)
             - 0.5 * n * np.log(2.0 * np.pi)
         )
@@ -377,7 +348,6 @@ class GaussianProcess:
         model = GaussianProcess(
             kernel=self.kernel.copy(),
             noise_variance=self.noise_variance,
-            mean=self.mean,
         )
         if self.is_fitted:
             model._X = self._X.copy()

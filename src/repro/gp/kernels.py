@@ -1,13 +1,11 @@
-"""Covariance kernels with analytic hyperparameter gradients.
+"""The squared-exponential ARD kernel, with analytic hyperparameter gradients.
 
 The paper's surrogate uses the squared-exponential (SE) kernel with automatic
 relevance determination (ARD):
 
     k(x, x') = sigma_f^2 * exp(-0.5 * (x - x')^T Lambda^{-1} (x - x'))
 
-with ``Lambda = diag(l_1^2, ..., l_d^2)``.  A Matérn-5/2 ARD kernel is also
-provided because it is the common robustness fallback for circuit response
-surfaces with mild non-smoothness.
+with ``Lambda = diag(l_1^2, ..., l_d^2)``.
 
 Hyperparameters are stored and optimized in log space (``theta``), which keeps
 them positive and makes the marginal-likelihood landscape better conditioned.
@@ -16,17 +14,15 @@ Layout: ``theta = [log l_1, ..., log l_d, log sigma_f]``.
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
 from repro.utils.validation import check_matrix
 
-__all__ = ["Kernel", "SquaredExponential", "Matern52"]
+__all__ = ["SquaredExponential"]
 
 
-class Kernel(abc.ABC):
-    """Base class for stationary ARD kernels parameterized in log space."""
+class SquaredExponential:
+    """SE-ARD kernel — the surrogate kernel used in the paper (§II-B)."""
 
     def __init__(self, dim: int, lengthscales=None, variance: float = 1.0):
         if dim < 1:
@@ -71,7 +67,7 @@ class Kernel(abc.ABC):
         """Covariance matrix ``k(X, Z)``; ``Z=None`` means ``k(X, X)``."""
         X = check_matrix(X, "X", cols=self.dim)
         Z = X if Z is None else check_matrix(Z, "Z", cols=self.dim)
-        return self._from_sqdist(self._scaled_sqdist(X, Z))
+        return self.variance * np.exp(-0.5 * self._scaled_sqdist(X, Z))
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         """Diagonal of ``k(X, X)`` — the prior variance at each point."""
@@ -81,63 +77,16 @@ class Kernel(abc.ABC):
     def cross(
         self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Covariance block ``k(X, Z)``, optionally into a caller buffer.
+        """Covariance block ``k(X, Z)``, computed in place into ``out``.
 
-        The allocation-lean variant of :meth:`__call__` for hot loops: with
-        ``out`` (shape ``(len(X), len(Z))``) subclasses may compute the block
-        fully in place.  Results agree with ``self(X, Z)`` to floating-point
-        round-off but are *not* guaranteed bit-identical (the in-place
-        evaluation may associate sums differently), so the exact-GP predict
-        path — whose trajectories are pinned byte-for-byte by the golden
-        tests — must keep using :meth:`__call__`.
+        The allocation-lean variant of :meth:`__call__` for hot loops: one
+        GEMM into ``out`` (shape ``(len(X), len(Z))``) plus elementwise
+        passes.  Results agree with ``self(X, Z)`` to floating-point
+        round-off but are *not* bit-identical (the in-place evaluation
+        associates sums differently), so the exact-GP predict path — whose
+        trajectories are pinned byte-for-byte by the golden tests — keeps
+        using :meth:`__call__`.
         """
-        K = self(X, Z)
-        if out is None:
-            return K
-        np.copyto(out, K)
-        return out
-
-    def _scaled_sqdist(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Pairwise squared distances after dividing by the lengthscales."""
-        Xs = X / self.lengthscales
-        Zs = Z / self.lengthscales
-        sq = (
-            np.sum(Xs**2, axis=1)[:, None]
-            + np.sum(Zs**2, axis=1)[None, :]
-            - 2.0 * Xs @ Zs.T
-        )
-        return np.maximum(sq, 0.0)
-
-    @abc.abstractmethod
-    def _from_sqdist(self, sqdist: np.ndarray) -> np.ndarray:
-        """Map scaled squared distances to covariances."""
-
-    @abc.abstractmethod
-    def gradients(self, X: np.ndarray) -> list[np.ndarray]:
-        """Per-hyperparameter gradient matrices ``dK/dtheta_i`` at ``k(X, X)``."""
-
-    def copy(self) -> "Kernel":
-        """Independent copy with the same hyperparameters."""
-        return type(self)(self.dim, self.lengthscales.copy(), self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(dim={self.dim}, "
-            f"lengthscales={np.array2string(self.lengthscales, precision=3)}, "
-            f"variance={self.variance:.4g})"
-        )
-
-
-class SquaredExponential(Kernel):
-    """SE-ARD kernel — the surrogate kernel used in the paper (§II-B)."""
-
-    def _from_sqdist(self, sqdist: np.ndarray) -> np.ndarray:
-        return self.variance * np.exp(-0.5 * sqdist)
-
-    def cross(
-        self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """In-place SE block: one GEMM into ``out`` plus elementwise passes."""
         X = check_matrix(X, "X", cols=self.dim)
         Z = check_matrix(Z, "Z", cols=self.dim)
         if out is None:
@@ -158,7 +107,19 @@ class SquaredExponential(Kernel):
         out *= self.variance
         return out
 
+    def _scaled_sqdist(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Pairwise squared distances after dividing by the lengthscales."""
+        Xs = X / self.lengthscales
+        Zs = Z / self.lengthscales
+        sq = (
+            np.sum(Xs**2, axis=1)[:, None]
+            + np.sum(Zs**2, axis=1)[None, :]
+            - 2.0 * Xs @ Zs.T
+        )
+        return np.maximum(sq, 0.0)
+
     def gradients(self, X: np.ndarray) -> list[np.ndarray]:
+        """Per-hyperparameter gradient matrices ``dK/dtheta_i`` at ``k(X, X)``."""
         X = check_matrix(X, "X", cols=self.dim)
         sqdist = self._scaled_sqdist(X, X)
         K = self.variance * np.exp(-0.5 * sqdist)
@@ -171,37 +132,13 @@ class SquaredExponential(Kernel):
         grads.append(2.0 * K)
         return grads
 
+    def copy(self) -> "SquaredExponential":
+        """Independent copy with the same hyperparameters."""
+        return SquaredExponential(self.dim, self.lengthscales.copy(), self.variance)
 
-class Matern52(Kernel):
-    """Matérn-5/2 ARD kernel (robustness alternative to the SE kernel)."""
-
-    _SQRT5 = np.sqrt(5.0)
-
-    def _from_sqdist(self, sqdist: np.ndarray) -> np.ndarray:
-        r = np.sqrt(sqdist)
-        s = self._SQRT5 * r
-        return self.variance * (1.0 + s + s**2 / 3.0) * np.exp(-s)
-
-    def gradients(self, X: np.ndarray) -> list[np.ndarray]:
-        X = check_matrix(X, "X", cols=self.dim)
-        sqdist = self._scaled_sqdist(X, X)
-        r = np.sqrt(sqdist)
-        s = self._SQRT5 * r
-        expo = np.exp(-s)
-        K = self.variance * (1.0 + s + s**2 / 3.0) * expo
-        # dK/d(r^2) computed via dK/ds * ds/d(r^2); guard r=0 (gradient is 0).
-        # K(s) = v (1 + s + s^2/3) e^{-s};  dK/ds = -v (s/3)(1+s) e^{-s}
-        # s = sqrt(5) r, r^2 = sqdist => ds/d(sqdist) = sqrt(5)/(2 r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dK_dsq = np.where(
-                r > 0,
-                -self.variance * (s / 3.0) * (1.0 + s) * expo * self._SQRT5 / (2.0 * r),
-                0.0,
-            )
-        grads: list[np.ndarray] = []
-        for i in range(self.dim):
-            diff2 = ((X[:, i][:, None] - X[:, i][None, :]) / self.lengthscales[i]) ** 2
-            # d(sqdist)/d(log l_i) = -2 * diff2
-            grads.append(dK_dsq * (-2.0 * diff2))
-        grads.append(2.0 * K)
-        return grads
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"SquaredExponential(dim={self.dim}, "
+            f"lengthscales={np.array2string(self.lengthscales, precision=3)}, "
+            f"variance={self.variance:.4g})"
+        )

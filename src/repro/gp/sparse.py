@@ -8,15 +8,16 @@ points chosen from the training set by greedy max-min (farthest-point)
 selection:
 
     Q(x, x') = k(x, Z) Kuu^{-1} k(Z, x')
-    mu(x*)   = m(x*) + k(x*, Z) B^{-1} c
+    mu(x*)   = k(x*, Z) B^{-1} c
     var(x*)  = k(x*, x*) - k(x*, Z) Kuu^{-1} k(Z, x*)
                          + k(x*, Z) B^{-1}  k(Z, x*)
 
-with ``B = Kuu + sigma_n^{-2} Kuf Kfu`` and ``c = sigma_n^{-2} Kuf r``
-(``r`` the residual targets).  Two factors are maintained: ``Luu`` of
-``Kuu`` and ``LB`` of ``B``.  Telling one new observation is a rank-1
-update of ``LB`` plus an O(m) update of ``c`` — O(m^2) per event
-independent of n, which is what opens the 10k-evaluation scenario class.
+with ``B = Kuu + sigma_n^{-2} Kuf Kfu`` and ``c = sigma_n^{-2} Kuf y``
+(a zero prior mean on the standardized targets ``y``).  Two factors are
+maintained: ``Luu`` of ``Kuu`` and ``LB`` of ``B``.  Telling one new
+observation is a rank-1 update of ``LB`` plus an O(m) update of ``c`` —
+O(m^2) per event independent of n, which is what opens the 10k-evaluation
+scenario class.
 
 Three exactness properties anchor the test suite (tests/test_properties.py):
 
@@ -44,8 +45,7 @@ import numpy as np
 
 from repro.gp import linalg
 from repro.gp.gp import NOISE_FLOOR, VARIANCE_FLOOR, PosteriorState
-from repro.gp.kernels import Kernel, SquaredExponential
-from repro.gp.mean import MeanFunction, ZeroMean
+from repro.gp.kernels import SquaredExponential
 from repro.utils.validation import check_finite, check_matrix, check_vector
 
 __all__ = [
@@ -146,8 +146,7 @@ class SparseGaussianProcess:
 
     Duck-typed to :class:`~repro.gp.gp.GaussianProcess` for everything the
     surrogate session and acquisitions touch (``fit`` / ``update`` /
-    ``set_targets`` / ``predict`` / ``posterior_covariance`` /
-    ``sample_posterior`` / ``condition_on_pending`` / ``copy``).
+    ``set_targets`` / ``predict`` / ``condition_on_pending`` / ``copy``).
     Hyperparameters are *not* fitted here — the session runs ML-II on an
     exact helper GP over the inducing subset and passes the kernel in.
     """
@@ -156,9 +155,8 @@ class SparseGaussianProcess:
         self,
         dim: int | None = None,
         *,
-        kernel: Kernel | None = None,
+        kernel: SquaredExponential | None = None,
         noise_variance: float = 1e-6,
-        mean: MeanFunction | None = None,
         n_inducing: int = 256,
     ):
         if kernel is None:
@@ -173,7 +171,6 @@ class SparseGaussianProcess:
             raise ValueError(f"n_inducing must be >= 1, got {n_inducing}")
         self.kernel = kernel
         self.noise_variance = max(float(noise_variance), NOISE_FLOOR)
-        self.mean = mean if mean is not None else ZeroMean()
         self.n_inducing = int(n_inducing)
         self._state: SparseInducingState | None = None
         self._workspace = linalg.Workspace()
@@ -264,8 +261,7 @@ class SparseGaussianProcess:
         if jitter:
             B[np.diag_indices_from(B)] += jitter
         lb, _ = linalg.jittered_cholesky(B)
-        residual = y - self.mean(X)
-        c = inv_noise * (kfu.T @ residual)
+        c = inv_noise * (kfu.T @ y)
         w = linalg.cholesky_solve(lb, c)
         self._state = SparseInducingState(
             Z=Z, luu=luu, lb=lb, c=c, w=w, inducing_indices=idx.copy()
@@ -325,8 +321,7 @@ class SparseGaussianProcess:
         for j in range(k):
             np.divide(k_new[j], sigma, out=scaled)
             linalg.cholesky_rank1_update(state.lb, scaled, overwrite=True)
-        residual_new = y_new - self.mean(X_new)
-        state.c += inv_noise * (k_new.T @ residual_new)
+        state.c += inv_noise * (k_new.T @ y_new)
 
         self._ensure_capacity(self._n + k)
         self._X_buf[self._n : self._n + k] = X_new
@@ -348,8 +343,7 @@ class SparseGaussianProcess:
         check_finite(y, "y")
         self._y_buf[: self._n] = y
         state = self._state
-        residual = y - self.mean(self.X)
-        state.c = (1.0 / self.noise_variance) * (self._kfu.T @ residual)
+        state.c = (1.0 / self.noise_variance) * (self._kfu.T @ y)
         state.w = linalg.cholesky_solve(state.lb, state.c)
         state.stale_w = False
         return self
@@ -366,7 +360,7 @@ class SparseGaussianProcess:
         m = state.n_inducing
         q = X.shape[0]
         ku = self.kernel.cross(state.Z, X, out=self._workspace.array("ku", (m, q)))
-        mu = self.mean(X) + ku.T @ state.w
+        mu = ku.T @ state.w
         if not return_std:
             return mu
         v1 = self._workspace.array("v1", (m, q), order="F")
@@ -378,29 +372,6 @@ class SparseGaussianProcess:
         var = self.kernel.diag(X) - np.sum(v1**2, axis=0) + np.sum(v2**2, axis=0)
         sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
         return mu, sigma
-
-    def posterior_covariance(self, X) -> np.ndarray:
-        """Full DTC posterior covariance at the rows of ``X``."""
-        self._require_fitted()
-        state = self._state
-        X = check_matrix(X, "X", cols=self.dim)
-        ku = self.kernel.cross(state.Z, X)
-        v1 = linalg.solve_lower(state.luu, ku)
-        v2 = linalg.solve_lower(state.lb, ku)
-        cov = self.kernel(X) - v1.T @ v1 + v2.T @ v2
-        return 0.5 * (cov + cov.T)
-
-    def sample_posterior(self, X, n_samples: int = 1, rng=None) -> np.ndarray:
-        """Draw joint posterior samples; returns shape ``(n_samples, n)``."""
-        from repro.utils.rng import as_generator
-
-        rng = as_generator(rng)
-        X = check_matrix(X, "X", cols=self.dim)
-        mu = self.predict(X, return_std=False)
-        cov = self.posterior_covariance(X)
-        lower, _ = linalg.jittered_cholesky(cov + VARIANCE_FLOOR * np.eye(len(mu)))
-        z = rng.standard_normal((n_samples, len(mu)))
-        return mu[None, :] + z @ lower.T
 
     # ------------------------------------------------- pending-point scheme
     def condition_on_pending(self, X_pending) -> "SparseHallucinatedView":
@@ -420,7 +391,6 @@ class SparseGaussianProcess:
         model = SparseGaussianProcess(
             kernel=self.kernel.copy(),
             noise_variance=self.noise_variance,
-            mean=self.mean,
             n_inducing=self.n_inducing,
         )
         if self.is_fitted:
@@ -508,7 +478,7 @@ class SparseHallucinatedView:
         base = self.base
         state = base._fresh_state()
         ku = base.kernel.cross(state.Z, X)  # (m, q), shared by the mean and sigma
-        mu = base.mean(X) + ku.T @ state.w
+        mu = ku.T @ state.w
         if not return_std:
             return mu
         v1 = linalg.solve_lower(state.luu, ku)

@@ -21,12 +21,9 @@ from repro.spice.analysis import (
     bode_metrics,
     fundamental_phasor,
     fundamental_power,
-    harmonic_amplitudes,
     power_added_efficiency,
-    total_harmonic_distortion,
 )
 from repro.spice.dc import OperatingPoint, dc_operating_point
-from repro.spice.diode import Diode, DiodeOp, DiodeParams
 from repro.spice.elements import (
     Capacitor,
     CurrentSource,
@@ -50,9 +47,6 @@ from repro.spice.exceptions import (
 )
 from repro.spice.mosfet import Mosfet, MosfetOp, MosfetParams, nmos_180, pmos_180
 from repro.spice.netlist import Circuit
-from repro.spice.noise import NoiseResult, noise_analysis
-from repro.spice.subckt import SubCircuit
-from repro.spice.sweep import DcSweepResult, dc_sweep
 from repro.spice.transient import TransientResult, transient_analysis
 from repro.spice.units import format_eng, parse_value
 
@@ -73,10 +67,6 @@ __all__ = [
     "Mosfet",
     "MosfetOp",
     "MosfetParams",
-    "Diode",
-    "DiodeOp",
-    "DiodeParams",
-    "SubCircuit",
     "nmos_180",
     "pmos_180",
     "OperatingPoint",
@@ -90,14 +80,8 @@ __all__ = [
     "bode_metrics",
     "fundamental_phasor",
     "fundamental_power",
-    "harmonic_amplitudes",
-    "total_harmonic_distortion",
     "average_power",
     "power_added_efficiency",
-    "DcSweepResult",
-    "dc_sweep",
-    "NoiseResult",
-    "noise_analysis",
     "SpiceError",
     "TopologyError",
     "ConvergenceError",

@@ -19,8 +19,6 @@ __all__ = [
     "bode_metrics",
     "fundamental_phasor",
     "fundamental_power",
-    "harmonic_amplitudes",
-    "total_harmonic_distortion",
     "average_power",
     "power_added_efficiency",
 ]
@@ -138,36 +136,6 @@ def average_power(t: np.ndarray, v: np.ndarray, i: np.ndarray) -> float:
     if span <= 0:
         raise ValueError("time window must have positive span")
     return float(np.trapezoid(v * i, t) / span)
-
-
-def harmonic_amplitudes(
-    t: np.ndarray, signal: np.ndarray, f0: float, n_harmonics: int = 5
-) -> np.ndarray:
-    """Amplitudes of the first ``n_harmonics`` multiples of ``f0``.
-
-    Index 0 is the fundamental.  Same integer-period window requirement as
-    :func:`fundamental_phasor`.
-    """
-    if n_harmonics < 1:
-        raise ValueError("n_harmonics must be >= 1")
-    return np.asarray(
-        [abs(fundamental_phasor(t, signal, k * f0)) for k in range(1, n_harmonics + 1)]
-    )
-
-
-def total_harmonic_distortion(
-    t: np.ndarray, signal: np.ndarray, f0: float, n_harmonics: int = 5
-) -> float:
-    """THD = sqrt(sum of harmonic powers) / fundamental amplitude.
-
-    The standard distortion figure for power-amplifier outputs; uses the
-    first ``n_harmonics`` components.
-    """
-    amplitudes = harmonic_amplitudes(t, signal, f0, n_harmonics)
-    floor = 1e-9 * max(float(np.max(amplitudes)), 1e-300)
-    if amplitudes[0] <= floor:
-        raise AnalysisError("no fundamental component present")
-    return float(np.sqrt(np.sum(amplitudes[1:] ** 2)) / amplitudes[0])
 
 
 def power_added_efficiency(p_out: float, p_in: float, p_dc: float) -> float:

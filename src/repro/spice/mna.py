@@ -16,15 +16,13 @@ transient companions per time step.
 :data:`KINDS` is the one stamping table: for each element kind, the function
 that records its DC (and transient) stamps and the one that records its AC
 stamps.  A tape is compiled per analysis call and never cached on the
-circuit, because circuits are mutable (a DC sweep rewrites a source value at
-each point).
+circuit, because circuits are mutable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.spice.diode import Diode
 from repro.spice.elements import (
     Capacitor,
     CurrentSource,
@@ -156,7 +154,7 @@ class DcTape(Tape):
     """The DC system of a circuit: its kinds' DC stamps, then gmin.
 
     The source slots hold ``source_scale * dc_value`` and the gmin slot gmin
-    (see :meth:`bias`); each MOSFET and diode owns consecutive companion slots
+    (see :meth:`bias`); each MOSFET owns four consecutive companion slots
     that :meth:`linearize` rewrites from the state ``x``.  With
     ``transient=True`` inductors are left to the transient's companion stamps.
     """
@@ -260,23 +258,6 @@ def _mosfet_ac(tape, m, d, g, s, b):
         tape.conductance(na, nb, tape.reactive(caps[label]))
 
 
-def _diode_companion(diode, va, vc):
-    op = diode.evaluate(va - vc)
-    return op.gd, op.ieq
-
-
-def _diode_dc(tape, diode, a, c):
-    gd, ieq = tape.device(_diode_companion, diode, (a, c), 2)
-    tape.conductance(a, c, gd)
-    tape.current_source(a, c, ieq)
-
-
-def _diode_ac(tape, diode, a, c):
-    bias = tape.op.v(diode.anode) - tape.op.v(diode.cathode)
-    tape.conductance(a, c, diode.evaluate(bias).gd)
-    tape.conductance(a, c, tape.reactive(diode.params.cj0))
-
-
 #: Columns of :data:`KINDS`.
 DC, AC = 0, 1
 
@@ -300,7 +281,6 @@ KINDS = {
     Vcvs: (lambda tape, e, *u: tape.vcvs(*u, e.gain),) * 2,
     Vccs: (lambda tape, e, *u: tape.vccs(*u, e.gm),) * 2,
     Mosfet: (_mosfet_dc, _mosfet_ac),
-    Diode: (_diode_dc, _diode_ac),
 }
 
 

@@ -56,9 +56,6 @@ class MosfetParams:
         assumed diffusion length, giving Cdb = Csb = cj * W * ldiff).
     ldiff:
         Source/drain diffusion length, m.
-    kf:
-        Flicker-noise coefficient for :mod:`repro.spice.noise` (simplified
-        AF=1 model: ``S_id = kf * Ids / (Cox W L f)``); 0 disables 1/f noise.
     """
 
     polarity: int
@@ -71,7 +68,6 @@ class MosfetParams:
     cov: float
     cj: float
     ldiff: float
-    kf: float = 0.0
 
     def __post_init__(self):
         if self.polarity not in (+1, -1):

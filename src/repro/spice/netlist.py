@@ -193,11 +193,6 @@ class Circuit:
     def M(self, name, d, g, s, b, params, w, l) -> Mosfet:
         return self.add(Mosfet(name, d, g, s, b, params, w, l))
 
-    def D(self, name, anode, cathode, params=None):
-        from repro.spice.diode import Diode
-
-        return self.add(Diode(name, anode, cathode, params))
-
     def E(self, name, n1, n2, c1, c2, gain) -> Vcvs:
         return self.add(Vcvs(name, n1, n2, c1, c2, gain))
 

@@ -17,7 +17,6 @@ import dataclasses
 import numpy as np
 
 from repro.spice.dc import OperatingPoint, dc_operating_point, newton
-from repro.spice.diode import Diode
 from repro.spice.elements import Capacitor, CurrentSource, Inductor, VoltageSource
 from repro.spice.exceptions import ConvergenceError
 from repro.spice.mna import DcTape
@@ -95,9 +94,6 @@ def _collect_capacitances(circuit: Circuit) -> list[_CapBranch]:
             value = caps[label]
             if value > 0.0 and na != nb:
                 branches.append(_CapBranch(f"{m.name}.{label}", na, nb, value))
-    for d in circuit.elements_of(Diode):
-        if d.params.cj0 > 0.0 and d.anode != d.cathode:
-            branches.append(_CapBranch(f"{d.name}.cj", d.anode, d.cathode, d.params.cj0))
     return branches
 
 

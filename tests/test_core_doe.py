@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.doe import latin_hypercube, random_design
+from repro.core.doe import random_design
 
 BOUNDS = np.array([[0.0, 1.0], [-5.0, 5.0], [100.0, 200.0]])
 
@@ -25,35 +23,3 @@ class TestRandomDesign:
         with pytest.raises(ValueError):
             random_design(BOUNDS, 0)
 
-
-class TestLatinHypercube:
-    def test_shape_and_bounds(self):
-        X = latin_hypercube(BOUNDS, 30, rng=0)
-        assert X.shape == (30, 3)
-        assert np.all(X >= BOUNDS[:, 0]) and np.all(X <= BOUNDS[:, 1])
-
-    def test_stratification(self):
-        """Exactly one sample per 1/n slice in every dimension."""
-        n = 20
-        X = latin_hypercube(np.array([[0.0, 1.0]] * 2), n, rng=3)
-        for j in range(2):
-            strata = np.floor(X[:, j] * n).astype(int)
-            assert sorted(strata) == list(range(n))
-
-    def test_deterministic(self):
-        np.testing.assert_array_equal(
-            latin_hypercube(BOUNDS, 8, rng=1), latin_hypercube(BOUNDS, 8, rng=1)
-        )
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            latin_hypercube(BOUNDS, -1)
-
-
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 40), seed=st.integers(0, 1000))
-def test_property_lhs_always_stratified(n, seed):
-    X = latin_hypercube(np.array([[0.0, 1.0]]), n, rng=seed)
-    strata = np.floor(X[:, 0] * n).astype(int)
-    strata = np.minimum(strata, n - 1)  # guard exact upper edge
-    assert sorted(strata) == list(range(n))

@@ -504,7 +504,7 @@ class TestResolveProblem:
     @pytest.mark.parametrize(
         "name, dim",
         [("branin", 2), ("hartmann6", 6), ("sphere2", 2), ("ackley5", 5),
-         ("rastrigin4", 4)],
+         ("rastrigin4", 4), ("opamp", 10), ("classe", 12), ("opamp-constrained", 10)],
     )
     def test_benchmarks_resolve_by_journaled_name(self, name, dim):
         problem = resolve_problem(name)
@@ -512,5 +512,8 @@ class TestResolveProblem:
         assert len(problem.bounds) == dim
 
     def test_unknown_name_raises_with_guidance(self):
-        with pytest.raises(ValueError, match="problem="):
-            resolve_problem("my-custom-testbench")
+        # "ota" named a testbench that is gone; its journals get the same
+        # refusal as any custom problem.
+        for name in ("my-custom-testbench", "ota"):
+            with pytest.raises(ValueError, match="problem="):
+                resolve_problem(name)

@@ -69,3 +69,12 @@ def test_constrained_sizing_small_budget():
     )
     assert "best feasible UGF" in out
     assert "Best sizing:" in out
+
+
+@pytest.mark.slow
+def test_process_variation_small_budget():
+    out = run_example(
+        "process_variation.py", "--mc", "4", "--budget", "16", "--seed", "0"
+    )
+    assert "Monte Carlo (4 runs)" in out
+    assert "best worst-corner FOM" in out

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gp import (
-    ConstantMean,
-    GaussianProcess,
-    Matern52,
-    SquaredExponential,
-)
+from repro.gp import GaussianProcess, SquaredExponential
 
 
 @pytest.fixture
@@ -72,13 +67,6 @@ class TestFitPredict:
         gp = GaussianProcess(2).fit(X, y)
         mu, s = gp.predict(X[0])
         assert mu.shape == (1,)
-
-    def test_constant_mean_reverts_far_away(self):
-        X = np.array([[0.0]])
-        y = np.array([5.0])
-        gp = GaussianProcess(1, mean=ConstantMean(5.0)).fit(X, y)
-        mu = gp.predict(np.array([[100.0]]), return_std=False)
-        assert mu[0] == pytest.approx(5.0, abs=1e-6)
 
     def test_matches_direct_formula(self, simple_data):
         """Posterior must equal the textbook Eq. 2 computed naively."""
@@ -153,19 +141,18 @@ class TestPending:
 class TestMarginalLikelihood:
     def test_gradient_matches_finite_difference(self, simple_data):
         X, y = simple_data
-        for kernel in (SquaredExponential(2), Matern52(2)):
-            gp = GaussianProcess(kernel=kernel.copy(), noise_variance=1e-3).fit(X, y)
-            theta0 = gp.get_theta()
-            _, grad = gp.log_marginal_likelihood(theta0, return_grad=True)
-            eps = 1e-6
-            for i in range(len(theta0)):
-                tp, tm = theta0.copy(), theta0.copy()
-                tp[i] += eps
-                tm[i] -= eps
-                num = (
-                    gp.log_marginal_likelihood(tp) - gp.log_marginal_likelihood(tm)
-                ) / (2 * eps)
-                assert grad[i] == pytest.approx(num, rel=1e-3, abs=1e-5)
+        gp = GaussianProcess(kernel=SquaredExponential(2), noise_variance=1e-3).fit(X, y)
+        theta0 = gp.get_theta()
+        _, grad = gp.log_marginal_likelihood(theta0, return_grad=True)
+        eps = 1e-6
+        for i in range(len(theta0)):
+            tp, tm = theta0.copy(), theta0.copy()
+            tp[i] += eps
+            tm[i] -= eps
+            num = (
+                gp.log_marginal_likelihood(tp) - gp.log_marginal_likelihood(tm)
+            ) / (2 * eps)
+            assert grad[i] == pytest.approx(num, rel=1e-3, abs=1e-5)
 
     def test_higher_at_true_hyperparameters(self):
         rng = np.random.default_rng(5)
@@ -187,23 +174,6 @@ class TestMarginalLikelihood:
         gp = GaussianProcess(2).fit(X, y)
         with pytest.raises(ValueError):
             gp.log_marginal_likelihood(np.zeros(99))
-
-
-class TestSampling:
-    def test_posterior_samples_shape_and_anchoring(self, simple_data):
-        X, y = simple_data
-        gp = GaussianProcess(2, noise_variance=1e-8).fit(X, y)
-        samples = gp.sample_posterior(X[:4], n_samples=8, rng=0)
-        assert samples.shape == (8, 4)
-        # Near-interpolating model: samples at training inputs hug y.
-        np.testing.assert_allclose(samples.mean(axis=0), y[:4], atol=0.05)
-
-    def test_posterior_covariance_psd(self, simple_data):
-        X, y = simple_data
-        gp = GaussianProcess(2).fit(X, y)
-        Xs = np.random.default_rng(3).uniform(size=(6, 2))
-        cov = gp.posterior_covariance(Xs)
-        assert np.linalg.eigvalsh(cov).min() > -1e-8
 
 
 class TestCopy:

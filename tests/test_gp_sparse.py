@@ -157,15 +157,6 @@ class TestSparseModelContract:
         with pytest.raises(RuntimeError):
             model.predict(np.zeros((1, 2)))
 
-    def test_posterior_covariance_psd_diag_matches_predict(self):
-        model, _, _ = make_sparse()
-        Xs = np.random.default_rng(6).uniform(size=(5, 3))
-        cov = model.posterior_covariance(Xs)
-        _, sd = model.predict(Xs)
-        np.testing.assert_allclose(np.diag(cov), sd**2, rtol=1e-8, atol=1e-10)
-        eigvals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
-        assert eigvals.min() > -1e-8
-
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             SparseGaussianProcess(dim=2, n_inducing=0)

@@ -2,83 +2,28 @@
 
 import importlib
 import inspect
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.core",
-    "repro.gp",
-    "repro.spice",
-    "repro.circuits",
-    "repro.sched",
-    "repro.baselines",
-    "repro.utils",
-]
+import repro
 
-MODULES = [
-    "repro.core.acquisition",
-    "repro.core.bo",
-    "repro.core.constrained",
-    "repro.core.cost_aware",
-    "repro.core.doe",
-    "repro.core.easybo",
-    "repro.core.optimizers",
-    "repro.core.persistence",
-    "repro.core.portfolio",
-    "repro.core.problem",
-    "repro.core.results",
-    "repro.core.surrogate",
-    "repro.gp.diagnostics",
-    "repro.gp.gp",
-    "repro.gp.hyperopt",
-    "repro.gp.kernels",
-    "repro.gp.linalg",
-    "repro.gp.mean",
-    "repro.gp.standardize",
-    "repro.spice.ac",
-    "repro.spice.analysis",
-    "repro.spice.dc",
-    "repro.spice.diode",
-    "repro.spice.elements",
-    "repro.spice.exceptions",
-    "repro.spice.mna",
-    "repro.spice.mosfet",
-    "repro.spice.netlist",
-    "repro.spice.noise",
-    "repro.spice.stamps",
-    "repro.spice.subckt",
-    "repro.spice.sweep",
-    "repro.spice.transient",
-    "repro.spice.units",
-    "repro.circuits.benchmarks",
-    "repro.circuits.classe",
-    "repro.circuits.constrained_opamp",
-    "repro.circuits.opamp",
-    "repro.circuits.ota",
-    "repro.circuits.spec",
-    "repro.circuits.variation",
-    "repro.sched.durations",
-    "repro.sched.events",
-    "repro.sched.executor",
-    "repro.sched.trace",
-    "repro.sched.workers",
-    "repro.baselines.de",
-    "repro.utils.rng",
-    "repro.utils.tables",
-    "repro.utils.validation",
-]
+#: Every package and module of ``repro``, found by walking the package tree
+#: (``repro.__main__`` runs nothing on import).
+MODULES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+)
 
 
-@pytest.mark.parametrize("name", PACKAGES + MODULES)
+@pytest.mark.parametrize("name", MODULES)
 def test_imports_cleanly(name):
     module = importlib.import_module(name)
     assert module is not None
 
 
-@pytest.mark.parametrize("name", PACKAGES + MODULES)
+@pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     """Every entry in __all__ must actually exist."""
     module = importlib.import_module(name)
@@ -86,7 +31,7 @@ def test_all_names_resolve(name):
         assert hasattr(module, export), f"{name}.__all__ lists missing {export!r}"
 
 
-@pytest.mark.parametrize("name", PACKAGES + MODULES)
+@pytest.mark.parametrize("name", MODULES)
 def test_module_docstrings_present(name):
     module = importlib.import_module(name)
     assert module.__doc__ and module.__doc__.strip(), f"{name} lacks a docstring"

@@ -1,8 +1,8 @@
 """The compiled MNA tape against element-by-element stamping.
 
-Each check builds a seeded random circuit that uses every element kind (R, C,
-L, DC and waveform V and I sources, VCVS, VCCS, NMOS, PMOS, diode), puts it in
-a random state, and compares the tape's assembled systems with a reference
+Each check builds a seeded random circuit that uses every element kind of the
+stamp table (R, C, L, DC and waveform V and I sources, VCVS, VCCS, NMOS and
+PMOS), puts it in a random state, and compares the tape's assembled systems with a reference
 that stamps the same circuit element by element through ``MnaAssembler`` in
 netlist order, the way the analyses stamped before the tape.  The comparison
 is bitwise: the tape must keep every sum's order, not just its value.
@@ -16,8 +16,6 @@ from repro.spice import (
     Circuit,
     CurrentSource,
     DcWave,
-    Diode,
-    DiodeParams,
     Inductor,
     Mosfet,
     OperatingPoint,
@@ -30,7 +28,7 @@ from repro.spice import (
     nmos_180,
     pmos_180,
 )
-from repro.spice.mna import DcTape, ac_system
+from repro.spice.mna import KINDS, DcTape, ac_system
 from repro.spice.stamps import MnaAssembler
 from repro.spice.transient import _collect_capacitances, _TransientTape
 
@@ -73,9 +71,6 @@ def random_circuit(seed: int) -> Circuit:
                       l=float(rng.uniform(1.8e-7, 2e-6))),
         lambda i: c.M(f"mp{i}", *nodes(4), pmos_180(), w=float(rng.uniform(1e-6, 5e-5)),
                       l=float(rng.uniform(1.8e-7, 2e-6))),
-        lambda i: c.D(f"d{i}", *nodes(2), DiodeParams(
-            i_s=float(10 ** rng.uniform(-16, -12)), n=float(rng.uniform(1, 2)),
-            cj0=float(rng.choice([0.0, 1e-12])))),
     ]
     order = np.repeat(np.arange(len(builders)), rng.integers(2, 4, size=len(builders)))
     for i, kind in enumerate(rng.permutation(order)):
@@ -127,11 +122,6 @@ def reference_dc(circuit, x, gmin, source_scale, *, transient=False):
             asm.conductance(d, s, op.gds)
             asm.vccs(d, s, b, s, op.gmb)
             asm.current_source(d, s, op.ieq)
-        elif isinstance(e, Diode):
-            a, k = idx(e.anode), idx(e.cathode)
-            op = e.evaluate(volt(a) - volt(k))
-            asm.conductance(a, k, op.gd)
-            asm.current_source(a, k, op.ieq)
     asm.gmin_to_ground(len(circuit.nodes), gmin)
     return asm
 
@@ -196,10 +186,6 @@ def reference_ac(circuit, op, freq, gmin):
             for label, (na, nb) in (("cgs", (g, s)), ("cgd", (g, d)), ("cgb", (g, b)),
                                     ("cdb", (d, b)), ("csb", (s, b))):
                 asm.conductance(na, nb, 1j * omega * caps[label])
-        elif isinstance(e, Diode):
-            a, k = idx(e.anode), idx(e.cathode)
-            asm.conductance(a, k, e.evaluate(op.v(e.anode) - op.v(e.cathode)).gd)
-            asm.conductance(a, k, 1j * omega * e.params.cj0)
     asm.gmin_to_ground(len(circuit.nodes), gmin)
     return asm
 
@@ -280,7 +266,6 @@ def test_tape_matches_element_stamping_sweep():
 
 def test_random_circuits_use_every_kind():
     kinds = {type(e) for seed in range(5) for e in random_circuit(seed).elements}
-    assert kinds == {Resistor, Capacitor, Inductor, VoltageSource, CurrentSource, Vcvs,
-                     Vccs, Mosfet, Diode}
+    assert kinds == set(KINDS)
     polarities = {m.params.polarity for m in random_circuit(0).mosfets()}
     assert polarities == {1, -1}
