@@ -89,7 +89,11 @@ def maximize_acquisition(
         # scipy's 2-point rule for eps=1e-8: step up, or down where the step
         # would leave the box, and divide by the step x really took.
         step = np.where(x + _FD_STEP > upper, -_FD_STEP, _FD_STEP)
-        scores = np.asarray(acq_values(np.vstack([x, x + np.diag(step)])), dtype=float)
+        # Row 0 is x; row i + 1 is x with x_i + step_i (flat index d + i(d + 1)).
+        block = np.empty((d + 1, d))
+        block[:] = x
+        block.reshape(-1)[d :: d + 1] += step
+        scores = np.asarray(acq_values(block), dtype=float)
         negated = np.where(np.isfinite(scores), -scores, 1e30)
         return float(negated[0]), (negated[1:] - negated[0]) / ((x + step) - x)
 

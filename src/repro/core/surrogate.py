@@ -97,6 +97,14 @@ class HallucinatedView:
     :meth:`~repro.gp.gp.GaussianProcess.condition_on_pending` up to
     round-off (enforced to ≤1e-8 by the equivalence harness).
 
+    The view is a value: it captures at construction everything
+    :meth:`predict` reads (the base's factor, weights and kernel
+    hyperparameters, and the lengthscale-scaled inputs with their squared
+    norms), so a later refit or update of the base leaves it unchanged.
+    :meth:`predict` validates its input once and then pays only for the
+    kernel block, its GEMMs and two LAPACK triangular solves — the polish
+    calls it once per L-BFGS-B evaluation.
+
     Raises
     ------
     numpy.linalg.LinAlgError
@@ -112,20 +120,24 @@ class HallucinatedView:
         check_finite(X_pending, "X_pending")
         self.base = base
         self._X_pending = X_pending.copy()
-        lower = base.cholesky_factor
-        cross = base.kernel(base.X, X_pending)  # (n, k)
-        corner = base.kernel(X_pending) + base.noise_variance * np.eye(
-            X_pending.shape[0]
-        )
-        self._B = linalg.solve_lower(lower, cross)  # (n, k)
-        schur = corner - self._B.T @ self._B
+        self._kernel = kernel = base.kernel.copy()
+        self._lower = base.cholesky_factor
+        self._alpha = base.alpha
+        self._Xs, self._xs2 = kernel._scaled(base.X)
+        self._Ps, self._ps2 = kernel._scaled(self._X_pending)
+        cross = kernel._from_scaled(self._Xs, self._xs2, self._Ps, self._ps2)  # (n, k)
+        corner = kernel._from_scaled(self._Ps, self._ps2, self._Ps, self._ps2)
+        corner += base.noise_variance * np.eye(X_pending.shape[0])
+        B = linalg.solve_lower(self._lower, cross)  # (n, k)
+        self._Bt = B.T
+        schur = corner - self._Bt @ B
         schur = 0.5 * (schur + schur.T)
         self._lower_p = np.linalg.cholesky(schur)  # raises LinAlgError
 
     # ---------------------------------------------------------- properties
     @property
     def dim(self) -> int:
-        return self.base.dim
+        return self._kernel.dim
 
     @property
     def n_pending(self) -> int:
@@ -134,7 +146,7 @@ class HallucinatedView:
     @property
     def n_train(self) -> int:
         """Size of the hallucinated training set (real + pending)."""
-        return self.base.n_train + self.n_pending
+        return self._Xs.shape[0] + self.n_pending
 
     @property
     def X_pending(self) -> np.ndarray:
@@ -148,15 +160,16 @@ class HallucinatedView:
         the standard deviation is collapsed around the pending points.
         """
         X = check_matrix(X, "X", cols=self.dim)
-        base = self.base
-        k1 = base.kernel(base.X, X)  # (n, m), shared by the mean and v1
-        mu = k1.T @ base.alpha
+        kernel = self._kernel
+        Us, us2 = kernel._scaled(X)
+        k1 = kernel._from_scaled(self._Xs, self._xs2, Us, us2)  # (n, m), mean and v1
+        mu = k1.T @ self._alpha
         if not return_std:
             return mu
-        v1 = linalg.solve_lower(base.cholesky_factor, k1)
-        k2 = base.kernel(self._X_pending, X)  # (k, m)
-        v2 = linalg.solve_lower(self._lower_p, k2 - self._B.T @ v1)
-        var = base.kernel.diag(X) - np.sum(v1**2, axis=0) - np.sum(v2**2, axis=0)
+        v1 = linalg.solve_lower(self._lower, k1)
+        k2 = kernel._from_scaled(self._Ps, self._ps2, Us, us2)  # (k, m)
+        v2 = linalg.solve_lower(self._lower_p, k2 - self._Bt @ v1)
+        var = kernel.variance - (v1**2).sum(axis=0) - (v2**2).sum(axis=0)
         sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
         return mu, sigma
 
@@ -167,7 +180,7 @@ class HallucinatedView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"HallucinatedView(n_train={self.base.n_train}, "
+            f"HallucinatedView(n_train={self._Xs.shape[0]}, "
             f"n_pending={self.n_pending})"
         )
 

@@ -182,10 +182,15 @@ class GaussianProcess:
         self._refactorize()
         return self
 
-    def _refactorize(self) -> None:
-        K = self.kernel(self._X) + self.noise_variance * np.eye(self.n_train)
-        self._lower, _ = linalg.jittered_cholesky(K)
+    def _refactorize(self) -> np.ndarray:
+        """Factor ``k(X, X) + sigma_n^2 I``; return the noise-free ``k(X, X)``."""
+        Xs, xs2 = self.kernel._scaled(self._X)
+        K = self.kernel._from_scaled(Xs, xs2, Xs, xs2)
+        noisy = K.copy()
+        noisy.reshape(-1)[:: self.n_train + 1] += self.noise_variance
+        self._lower, _ = linalg.jittered_cholesky(noisy)
         self._alpha = linalg.cholesky_solve(self._lower, self._y)
+        return K
 
     def update(self, X_new, y_new, *, refresh_alpha: bool = True) -> "GaussianProcess":
         """Append a block of observations reusing the cached factor.
@@ -260,12 +265,13 @@ class GaussianProcess:
         """
         self._require_fitted()
         X = check_matrix(X, "X", cols=self.dim)
-        k_star = self.kernel(self._X, X)  # (n_train, n)
+        kernel = self.kernel
+        k_star = kernel._from_scaled(*kernel._scaled(self._X), *kernel._scaled(X))
         mu = k_star.T @ self._alpha
         if not return_std:
             return mu
         v = linalg.solve_lower(self._lower, k_star)  # (n_train, n)
-        var = self.kernel.diag(X) - np.sum(v**2, axis=0)
+        var = kernel.variance - (v**2).sum(axis=0)
         sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
         return mu, sigma
 
@@ -301,6 +307,7 @@ class GaussianProcess:
         objective evaluated inside the hyperparameter optimizer).
         """
         self._require_fitted()
+        K = None
         if theta is not None:
             theta = np.asarray(theta, dtype=float)
             if theta.shape != (self.n_hyperparameters,):
@@ -310,7 +317,7 @@ class GaussianProcess:
                 )
             self.kernel.set_theta(theta[:-1])
             self.noise_variance = max(float(np.exp(2.0 * theta[-1])), NOISE_FLOOR)
-            self._refactorize()
+            K = self._refactorize()
 
         n = self.n_train
         lml = (
@@ -324,12 +331,16 @@ class GaussianProcess:
         # grad_i = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta_i)
         K_inv = linalg.cholesky_solve(self._lower, np.eye(n))
         outer = np.outer(self._alpha, self._alpha) - K_inv
-        grads = []
-        for dK in self.kernel.gradients(self._X):
-            grads.append(0.5 * float(np.sum(outer * dK)))
+        if K is None:
+            dK = self.kernel.gradients(self._X)
+        else:
+            dK = self.kernel._gradients_from(self._X, K)
+        dK *= outer
+        grads = np.empty(self.n_hyperparameters)
+        grads[:-1] = 0.5 * dK.reshape(len(dK), -1).sum(axis=1)
         # Noise: K = ... + exp(2 * log sigma_n) I, dK/d(log sigma_n) = 2 sn^2 I
-        grads.append(0.5 * float(np.trace(outer)) * 2.0 * self.noise_variance)
-        return lml, np.asarray(grads)
+        grads[-1] = 0.5 * float(np.trace(outer)) * 2.0 * self.noise_variance
+        return lml, grads
 
     @property
     def n_hyperparameters(self) -> int:

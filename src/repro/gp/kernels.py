@@ -66,8 +66,11 @@ class SquaredExponential:
     def __call__(self, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
         """Covariance matrix ``k(X, Z)``; ``Z=None`` means ``k(X, X)``."""
         X = check_matrix(X, "X", cols=self.dim)
-        Z = X if Z is None else check_matrix(Z, "Z", cols=self.dim)
-        return self.variance * np.exp(-0.5 * self._scaled_sqdist(X, Z))
+        Xs, xs2 = self._scaled(X)
+        if Z is None:
+            return self._from_scaled(Xs, xs2, Xs, xs2)
+        Z = check_matrix(Z, "Z", cols=self.dim)
+        return self._from_scaled(Xs, xs2, *self._scaled(Z))
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         """Diagonal of ``k(X, X)`` — the prior variance at each point."""
@@ -79,13 +82,14 @@ class SquaredExponential:
     ) -> np.ndarray:
         """Covariance block ``k(X, Z)``, computed in place into ``out``.
 
-        The allocation-lean variant of :meth:`__call__` for hot loops: one
-        GEMM into ``out`` (shape ``(len(X), len(Z))``) plus elementwise
-        passes.  Results agree with ``self(X, Z)`` to floating-point
-        round-off but are *not* bit-identical (the in-place evaluation
-        associates sums differently), so the exact-GP predict path — whose
-        trajectories are pinned byte-for-byte by the golden tests — keeps
-        using :meth:`__call__`.
+        The allocation-lean variant of :meth:`__call__` for the sparse
+        posterior's hot loops: one GEMM into ``out`` (shape
+        ``(len(X), len(Z))``) plus elementwise passes.  Results agree with
+        ``self(X, Z)`` to floating-point round-off but are *not*
+        bit-identical (the in-place evaluation associates sums
+        differently), so the exact GP — whose trajectories the golden tests
+        pin byte for byte — evaluates through :meth:`_from_scaled`, as
+        :meth:`__call__` does.
         """
         X = check_matrix(X, "X", cols=self.dim)
         Z = check_matrix(Z, "Z", cols=self.dim)
@@ -107,29 +111,49 @@ class SquaredExponential:
         out *= self.variance
         return out
 
-    def _scaled_sqdist(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Pairwise squared distances after dividing by the lengthscales."""
+    # Unchecked core of ``__call__`` for callers that validated at their own
+    # boundary (the exact GP and its Eq. 9 view): ``X`` must be a float64
+    # ``(n, dim)`` array.
+    def _scaled(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``X / lengthscales`` and its squared row norms."""
         Xs = X / self.lengthscales
-        Zs = Z / self.lengthscales
-        sq = (
-            np.sum(Xs**2, axis=1)[:, None]
-            + np.sum(Zs**2, axis=1)[None, :]
-            - 2.0 * Xs @ Zs.T
-        )
-        return np.maximum(sq, 0.0)
+        return Xs, (Xs**2).sum(axis=1)
 
-    def gradients(self, X: np.ndarray) -> list[np.ndarray]:
-        """Per-hyperparameter gradient matrices ``dK/dtheta_i`` at ``k(X, X)``."""
+    def _from_scaled(
+        self, Xs: np.ndarray, xs2: np.ndarray, Zs: np.ndarray, zs2: np.ndarray
+    ) -> np.ndarray:
+        """``k(X, Z)`` from :meth:`_scaled` inputs, clamping distances at 0."""
+        out = xs2[:, None] + zs2[None, :]
+        out -= 2.0 * Xs @ Zs.T
+        np.maximum(out, 0.0, out=out)
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= self.variance
+        return out
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        """Gradient matrices ``dK/dtheta_i`` at ``K = k(X, X)``, stacked.
+
+        Returns one ``(d + 1, n, n)`` array: slice ``i < d`` is the
+        derivative by ``log l_i``, the last slice the derivative by
+        ``log sigma_f``.
+        """
         X = check_matrix(X, "X", cols=self.dim)
-        sqdist = self._scaled_sqdist(X, X)
-        K = self.variance * np.exp(-0.5 * sqdist)
-        grads: list[np.ndarray] = []
-        for i in range(self.dim):
-            diff = (X[:, i][:, None] - X[:, i][None, :]) / self.lengthscales[i]
-            # d/d(log l_i): K * (x_i - z_i)^2 / l_i^2
-            grads.append(K * diff**2)
+        Xs, xs2 = self._scaled(X)
+        return self._gradients_from(X, self._from_scaled(Xs, xs2, Xs, xs2))
+
+    def _gradients_from(self, X: np.ndarray, K: np.ndarray) -> np.ndarray:
+        """:meth:`gradients` reusing ``K = k(X, X)`` the caller already built."""
+        d, n = self.dim, X.shape[0]
+        grads = np.empty((d + 1, n, n))
+        # d/d(log l_i): K * (x_i - z_i)^2 / l_i^2
+        lengthscale = grads[:d]
+        np.subtract(X.T[:, :, None], X.T[:, None, :], out=lengthscale)
+        lengthscale /= self.lengthscales[:, None, None]
+        lengthscale **= 2
+        lengthscale *= K
         # d/d(log sigma_f) with variance = exp(2 * theta): 2 * K
-        grads.append(2.0 * K)
+        np.multiply(K, 2.0, out=grads[d])
         return grads
 
     def copy(self) -> "SquaredExponential":

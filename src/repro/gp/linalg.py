@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "jittered_cholesky",
@@ -107,8 +106,7 @@ def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
         raise np.linalg.LinAlgError("matrix contains non-finite entries")
 
     jitter = 0.0
-    scale = float(np.mean(np.diag(matrix))) if matrix.shape[0] else 1.0
-    scale = max(scale, 1.0)
+    scale = None  # needed only once an attempt has failed
     for attempt in range(MAX_ATTEMPTS + 1):
         try:
             lower = np.linalg.cholesky(
@@ -116,6 +114,8 @@ def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
             )
             return lower, jitter
         except np.linalg.LinAlgError:
+            if scale is None:
+                scale = max(float(np.mean(matrix.diagonal())), 1.0)
             jitter = scale * INITIAL_JITTER * (JITTER_GROWTH**attempt)
     raise np.linalg.LinAlgError(
         f"matrix not positive definite even with jitter {jitter:.3e}"
@@ -125,33 +125,56 @@ def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 def solve_lower(
     lower: np.ndarray, rhs: np.ndarray, *, overwrite_rhs: bool = False
 ) -> np.ndarray:
-    """Solve ``L x = rhs`` for lower-triangular ``L``.
+    """Solve ``L x = rhs`` for lower-triangular ``L`` (a float64 ndarray).
 
-    ``check_finite=False``: every factor passed here was produced by this
-    module (which rejects non-finite input up front), so scipy's O(n^2)
-    finiteness scan per call would only re-check known-good data on the
-    incremental hot path.
+    Calls LAPACK ``dtrtrs`` with the arguments
+    ``scipy.linalg.solve_triangular(L, rhs, lower=True)`` picks — ``L``
+    itself when it is Fortran-ordered, else the upper-triangular ``L^T``
+    solved transposed — so the result is the wrapper's bit for bit without
+    its per-call validation.  Every factor passed here was produced by this
+    module, which rejects non-finite input up front; a finiteness scan per
+    call would only re-check known-good data on the hot path.
 
     ``overwrite_rhs=True`` lets LAPACK solve in place when ``rhs`` is a
-    scratch buffer the caller owns (e.g. from a :class:`Workspace`) —
-    the allocation-free variant used by the sparse posterior hot loop.
+    Fortran-ordered scratch buffer the caller owns (e.g. from a
+    :class:`Workspace`) — the allocation-free variant used by the sparse
+    posterior hot loop.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If ``L`` has a zero on its diagonal.
     """
-    return sla.solve_triangular(
-        lower, rhs, lower=True, check_finite=False, overwrite_b=overwrite_rhs
-    )
+    if lower.flags.f_contiguous:
+        x, info = lapack.dtrtrs(lower, rhs, lower=1, overwrite_b=overwrite_rhs)
+    else:
+        x, info = lapack.dtrtrs(
+            lower.T, rhs, lower=0, trans=1, overwrite_b=overwrite_rhs
+        )
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dtrtrs")
+    return x
 
 
 def cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(L L^T) x = rhs`` given the lower Cholesky factor ``L``.
 
-    ``check_finite=False`` for the same reason as :func:`solve_lower`.
+    LAPACK ``dpotrs`` with ``scipy.linalg.cho_solve((L, True), rhs)``'s
+    arguments, for the same reason as :func:`solve_lower`.
     """
-    return sla.cho_solve((lower, True), rhs, check_finite=False)
+    x, info = lapack.dpotrs(lower, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    return x
 
 
 def log_det_from_cholesky(lower: np.ndarray) -> float:
     """``log det(L L^T)`` computed stably from the factor's diagonal."""
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return 2.0 * float(np.sum(np.log(lower.diagonal())))
 
 
 def cholesky_update(
