@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg import lapack
 
 from repro.spice.exceptions import ConvergenceError, SingularMatrixError
 from repro.spice.mna import DcTape
@@ -149,19 +150,23 @@ def _source_stepping(tape, x0, *, gmin, max_iter):
 def _newton(tape: DcTape, x0, *, gmin, source_scale, max_iter):
     """One DC Newton solve; returns ``(x, iterations)`` or ``None`` on failure."""
     tape.bias(gmin=gmin, source_scale=source_scale)
-    return newton(
-        tape, x0, max_iter=max_iter, vtol=VTOL, check_residual=True,
-        singular=f"singular MNA matrix in {tape.title!r} (floating node or "
-        f"voltage-source loop?)",
-    )
+    try:
+        return newton(tape, x0, max_iter=max_iter, vtol=VTOL, check_residual=True)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            f"singular MNA matrix in {tape.title!r} (floating node or voltage-source loop?)"
+        ) from None
 
 
-def newton(tape: DcTape, x, *, max_iter, vtol, singular, check_residual=False):
+def newton(tape: DcTape, x, *, max_iter, vtol, check_residual=False):
     """Damped Newton on a compiled tape; returns ``(x, iterations)`` or ``None``.
 
     Shared with :mod:`repro.spice.transient`, whose tape adds the companion
-    models of the reactive elements.  ``singular`` is the message of the
-    :class:`SingularMatrixError` raised for a singular system.
+    models of the reactive elements.  An iteration pays for the device
+    companions, the tape's assembly and one LAPACK ``dgesv``, nothing else:
+    the caller validated the circuit, and a singular system raises a bare
+    :class:`SingularMatrixError` that the caller words, so no message is
+    built on the way to a solution.
     """
     n_nodes = tape.n_nodes
     # Step damping exists to keep the exponential/square-law devices inside
@@ -171,14 +176,13 @@ def newton(tape: DcTape, x, *, max_iter, vtol, singular, check_residual=False):
     for iteration in range(1, max_iter + 1):
         tape.linearize(x)
         A, z = tape.assemble()
-        try:
-            x_new = np.linalg.solve(A, z)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(singular) from None
+        _, _, x_new, info = lapack.dgesv(A, z)
+        if info > 0:  # an exactly zero pivot; x_new is then z, not a solution
+            raise SingularMatrixError
         if not np.isfinite(x_new).all():
             return None
         dx = x_new - x
-        max_dv = float(np.abs(dx[:n_nodes]).max()) if n_nodes else 0.0
+        max_dv = max(map(abs, dx[:n_nodes].tolist())) if n_nodes else 0.0
         if nonlinear and max_dv > MAX_STEP:
             x = x + dx * (MAX_STEP / max_dv)
         else:

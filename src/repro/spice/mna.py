@@ -11,7 +11,24 @@ another order (say, a precomputed linear matrix plus the device stamps) would
 move results in their last bits, and optimizer trajectories with them.
 Between assemblies an analysis rewrites only the slots that change: device
 companions at each Newton iteration, source and gmin values per solve,
-transient companions per time step.
+transient history terms per time step, and the transient's ``C/dt`` and
+``L/dt`` companions only when the step size changes.
+
+The Newton loop (:func:`repro.spice.dc.newton`) is the simulator's hot loop:
+every DC solve and every transient step runs it.  It keeps the exact GP's
+three hot-loop rules (docs/surrogate_scaling.md), none of which moves a bit:
+
+- *Validate once.*  An analysis validates its circuit and compiles its tape
+  once; an iteration calls each device's :meth:`Mosfet.companion`, which
+  returns the four slot values without building a :class:`MosfetOp`, and
+  words no error message unless the solve fails.
+- *Call LAPACK directly.*  The solve is ``scipy.linalg.lapack.dgesv``, the
+  LAPACK routine that ``np.linalg.solve`` also calls, without that
+  wrapper's checks; ``info > 0`` (an exactly zero pivot) is the singular
+  system.
+- *Precompute per step.*  A transient step writes its sources and history
+  terms once, before its Newton iterations, and keeps its ``dt``-only
+  companions until a halving changes ``dt``.
 
 :data:`KINDS` is the one stamping table: for each element kind, the function
 that records its DC (and transient) stamps and the one that records its AC
@@ -177,13 +194,13 @@ class DcTape(Tape):
         self._source_dc.append(element.dc_value)
         return slot
 
-    def device(self, companion, element, pins: tuple[int, ...], count: int) -> list[Slot]:
-        """``count`` slots holding ``companion(element, *pin_voltages)``."""
-        slots = self.slots(count)
+    def device(self, element, pins: tuple[int, ...]) -> list[Slot]:
+        """Four slots holding ``element.companion(*pin_voltages)``."""
+        slots = self.slots(4)
         first = len(self._device_pins)
         self._device_pins.extend(pins)
         self.devices.append(
-            (companion, element, first, len(self._device_pins), slots[0].index, slots[-1].index + 1)
+            (element, first, len(self._device_pins), slots[0].index, slots[-1].index + 1)
         )
         return slots
 
@@ -206,8 +223,9 @@ class DcTape(Tape):
             return
         self._x[:-1] = x
         volts = self._x[self._device_pins].tolist()
-        for companion, element, lo, hi, first, last in self.devices:
-            self.values[first:last] = companion(element, *volts[lo:hi])
+        values = self.values
+        for element, lo, hi, first, last in self.devices:
+            values[first:last] = element.companion(*volts[lo:hi])
 
 
 def ac_system(circuit: Circuit, op, freqs: np.ndarray, gmin: float):
@@ -236,13 +254,8 @@ def _mosfet_stamps(tape, d, g, s, b, gm, gds, gmb):
     tape.vccs(d, s, b, s, gmb)
 
 
-def _mosfet_companion(mosfet, vd, vg, vs, vb):
-    op = mosfet.evaluate(vd, vg, vs, vb)
-    return op.gm, op.gds, op.gmb, op.ieq
-
-
 def _mosfet_dc(tape, m, d, g, s, b):
-    gm, gds, gmb, ieq = tape.device(_mosfet_companion, m, (d, g, s, b), 4)
+    gm, gds, gmb, ieq = tape.device(m, (d, g, s, b))
     _mosfet_stamps(tape, d, g, s, b, gm, gds, gmb)
     tape.current_source(d, s, ieq)
 

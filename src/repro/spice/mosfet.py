@@ -187,8 +187,39 @@ class Mosfet(Element):
 
     # Large-signal evaluation -------------------------------------------------
     def evaluate(self, vd: float, vg: float, vs: float, vb: float) -> MosfetOp:
-        """Evaluate current and derivatives at the given terminal voltages."""
-        pol = self.params.polarity
+        """Evaluate current and derivatives at the given terminal voltages.
+
+        The full snapshot, region and threshold included, that the DC
+        operating point reports and the AC stamps read; a Newton iteration
+        needs only :meth:`companion`.
+        """
+        ids, gm, gds, gmb, vth, region = self._large_signal(vd, vg, vs, vb)
+        return MosfetOp(
+            ids=ids,
+            gm=gm,
+            gds=gds,
+            gmb=gmb,
+            vth=vth,
+            region=region,
+            vgs=vg - vs,
+            vds=vd - vs,
+            vbs=vb - vs,
+        )
+
+    def companion(self, vd: float, vg: float, vs: float, vb: float) -> tuple:
+        """The Newton companion ``(gm, gds, gmb, ieq)`` at the given voltages.
+
+        Bit for bit the fields of :meth:`evaluate`'s :class:`MosfetOp`, with
+        ``ieq`` in :attr:`MosfetOp.ieq`'s expression order, without building
+        the snapshot.
+        """
+        ids, gm, gds, gmb, _, _ = self._large_signal(vd, vg, vs, vb)
+        return gm, gds, gmb, ids - gm * (vg - vs) - gds * (vd - vs) - gmb * (vb - vs)
+
+    def _large_signal(self, vd, vg, vs, vb) -> tuple:
+        """``(ids, gm, gds, gmb, vth, region)`` in terminal terms: the model."""
+        p = self.params
+        pol = p.polarity
         # Map to equivalent NMOS voltages.
         nvd, nvg, nvs, nvb = pol * vd, pol * vg, pol * vs, pol * vb
         swapped = nvd < nvs
@@ -198,10 +229,19 @@ class Mosfet(Element):
         vds = nvd - nvs
         vbs = nvb - nvs
 
-        vth, dvth_dvbs = self._threshold(vbs)
+        # Body-effect threshold and its derivative w.r.t. vbs (NMOS frame).
+        arg = p.phi - vbs
+        if p.gamma == 0.0:
+            vth, dvth_dvbs = p.vt0, 0.0
+        elif arg < 1e-3:
+            # Forward-biased bulk clamp: freeze vth to keep Newton stable.
+            vth, dvth_dvbs = p.vt0 + p.gamma * (math.sqrt(1e-3) - math.sqrt(p.phi)), 0.0
+        else:
+            vth = p.vt0 + p.gamma * (math.sqrt(arg) - math.sqrt(p.phi))
+            dvth_dvbs = -0.5 * p.gamma / math.sqrt(arg)
         vov = vgs - vth
-        beta = self.beta
-        lam = self.lam
+        beta = p.kp * self.w / self.l  # the ``beta`` and ``lam`` properties
+        lam = p.clm / self.l
 
         if vov <= 0.0:
             ids = 0.0
@@ -232,35 +272,7 @@ class Mosfet(Element):
 
         # Map back through polarity: currents and voltages both negate, so the
         # conductances are unchanged while the current flips sign for PMOS.
-        ids *= pol
-        vgs_term = vg - vs
-        vds_term = vd - vs
-        vbs_term = vb - vs
-        return MosfetOp(
-            ids=ids,
-            gm=gm,
-            gds=gds,
-            gmb=gmb,
-            vth=pol * vth,
-            region=region,
-            vgs=vgs_term,
-            vds=vds_term,
-            vbs=vbs_term,
-        )
-
-    def _threshold(self, vbs: float) -> tuple[float, float]:
-        """Body-effect threshold and its derivative w.r.t. vbs (NMOS frame)."""
-        p = self.params
-        if p.gamma == 0.0:
-            return p.vt0, 0.0
-        arg = p.phi - vbs
-        if arg < 1e-3:
-            # Forward-biased bulk clamp: freeze vth to keep Newton stable.
-            arg = 1e-3
-            return p.vt0 + p.gamma * (math.sqrt(arg) - math.sqrt(p.phi)), 0.0
-        vth = p.vt0 + p.gamma * (math.sqrt(arg) - math.sqrt(p.phi))
-        dvth = -0.5 * p.gamma / math.sqrt(arg)
-        return vth, dvth
+        return ids * pol, gm, gds, gmb, pol * vth, region
 
     # Capacitances -----------------------------------------------------------
     def capacitances(self, op: MosfetOp) -> dict[str, float]:

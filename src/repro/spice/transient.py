@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.spice.dc import OperatingPoint, dc_operating_point, newton
 from repro.spice.elements import Capacitor, CurrentSource, Inductor, VoltageSource
-from repro.spice.exceptions import ConvergenceError
+from repro.spice.exceptions import ConvergenceError, SingularMatrixError
 from repro.spice.mna import DcTape
 from repro.spice.netlist import Circuit
 
@@ -103,8 +103,9 @@ class _TransientTape(DcTape):
     The tape records, in this order: the DC stamps (inductors left out) and
     gmin, the waveform sources' deltas from their DC values, the capacitor
     companions (see :func:`_collect_capacitances`) and the inductor
-    companions.  :meth:`prepare` computes the deltas and companion values
-    once per time step; :meth:`advance` moves the state past a solved step.
+    companions.  :meth:`prepare` computes the deltas and history terms once
+    per time step, and the ``dt``-only companions when ``dt`` changes;
+    :meth:`advance` moves the state past a solved step.
     """
 
     def __init__(self, circuit: Circuit, x0: np.ndarray, method: str, gmin: float):
@@ -131,7 +132,8 @@ class _TransientTape(DcTape):
             self.current_source(*self.pins(cap), i)
         inductors = circuit.elements_of(Inductor)
         self.inductance = np.array([ind.inductance for ind in inductors])
-        self.ind_pins = self._pin_array(inductors)
+        # Every reactive element's terminals, capacitors first, for one gather.
+        self.reactive_pins = np.hstack([self.cap_pins, self._pin_array(inductors)])
         branches = [self.branch_index[ind.name] for ind in inductors]
         self.ind_branch = np.array(branches, dtype=np.intp)
         zeq, rhs = self.slots(len(inductors)), self.slots(len(inductors))
@@ -145,6 +147,7 @@ class _TransientTape(DcTape):
         # currents, which are zero at the DC operating point.
         self.state = np.append(x0, 0.0)
         self.cap_current = np.zeros(len(caps))
+        self.dt = None  # the step the geq/zeq slots hold
 
     def _pin_array(self, elements) -> np.ndarray:
         """(2, k) unknown indices of two-terminal elements (ground is -1)."""
@@ -154,17 +157,28 @@ class _TransientTape(DcTape):
         return self.state[pins[0]] - self.state[pins[1]]
 
     def prepare(self, t_new: float, dt: float) -> None:
-        """Write the source and companion slots of a step of ``dt`` to ``t_new``."""
+        """Write the source and companion slots of a step of ``dt`` to ``t_new``.
+
+        The conductances ``geq = scale * C / dt`` and impedances
+        ``zeq = scale * L / dt`` depend on ``dt`` alone, so they are computed
+        and written only when ``dt`` differs from the last step's, which on
+        the fixed grid means only around a halving; the sources and the
+        history terms change every step.
+        """
         deltas, geq_slots, ieq_slots, zeq_slots, rhs_slots = self._ranges
         self.values[deltas] = [source.value_at(t_new) - dc for source, dc in self.waves]
-        self.geq = self.scale * self.capacitance / dt
-        v_cap = self._across(self.cap_pins)
+        if dt != self.dt:
+            self.dt = dt
+            self.geq = self.scale * self.capacitance / dt
+            self.zeq = self.scale * self.inductance / dt
+            self.values[geq_slots] = self.geq
+            self.values[zeq_slots] = self.zeq
+        across = self._across(self.reactive_pins)
+        n_caps = len(self.capacitance)
+        v_cap, v_ind = across[:n_caps], across[n_caps:]
         self.ieq = -(self.geq * v_cap + self.cap_current) if self.trap else -self.geq * v_cap
-        self.values[geq_slots] = self.geq
         self.values[ieq_slots] = self.ieq
-        zeq = self.scale * self.inductance / dt
-        i_ind, v_ind = self.state[self.ind_branch], self._across(self.ind_pins)
-        self.values[zeq_slots] = zeq
+        i_ind, zeq = self.state[self.ind_branch], self.zeq
         # The branch row reads v(n+) - v(n-) - zeq * i = rhs.
         self.values[rhs_slots] = -v_ind - zeq * i_ind if self.trap else -zeq * i_ind
 
@@ -248,8 +262,10 @@ def _advance_to(tape: _TransientTape, x, t_old, dt, depth: int = 0):
 def _solve_step(tape: _TransientTape, x_guess, t_new, dt):
     """Newton solve for one time point; returns the solution or ``None``."""
     tape.prepare(t_new, dt)
-    solution = newton(
-        tape, x_guess, max_iter=MAX_NEWTON, vtol=VTOL,
-        singular=f"singular transient MNA matrix at t={t_new:g}s in {tape.title!r}",
-    )
+    try:
+        solution = newton(tape, x_guess, max_iter=MAX_NEWTON, vtol=VTOL)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            f"singular transient MNA matrix at t={t_new:g}s in {tape.title!r}"
+        ) from None
     return None if solution is None else solution[0]

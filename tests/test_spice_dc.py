@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.spice import Circuit, dc_operating_point, nmos_180, pmos_180
-from repro.spice.exceptions import SingularMatrixError
+from repro.circuits import OpAmpProblem
+from repro.circuits.opamp import build_opamp
+from repro.spice import Circuit, dc, dc_operating_point, nmos_180, pmos_180
+from repro.spice.exceptions import ConvergenceError, SingularMatrixError
+from repro.spice.mna import DcTape
 
 
 class TestLinearCircuits:
@@ -148,7 +151,11 @@ class TestRobustness:
         c.V("v1", "a", "0", dc=1.0)
         c.V("v2", "a", "0", dc=2.0)  # conflicting parallel sources
         c.R("r", "a", "0", 100)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(
+            SingularMatrixError,
+            match=r"^singular MNA matrix in 'untitled' "
+            r"\(floating node or voltage-source loop\?\)$",
+        ):
             dc_operating_point(c)
 
     def test_iterations_reported(self):
@@ -157,3 +164,94 @@ class TestRobustness:
         c.R("r1", "a", "0", 100)
         op = dc_operating_point(c)
         assert op.iterations >= 1
+
+
+def _state(circuit, op):
+    """The unknown vector of a solved operating point."""
+    x = np.zeros(circuit.n_unknowns)
+    for name, i in circuit.node_index().items():
+        x[i] = op.node_voltages[name]
+    for name, i in circuit.branch_index().items():
+        x[i] = op.branch_currents[name]
+    return x
+
+
+def _kcl_residual(circuit, x):
+    """Max |KCL residual| of the nonlinear DC equations at ``x``."""
+    tape = DcTape(circuit).compile()
+    tape.bias(gmin=dc.GMIN, source_scale=1.0)
+    tape.linearize(x)  # the companions are exact at the linearization point
+    A, z = tape.assemble()
+    return float(np.abs(A @ x - z).max())
+
+
+def _five_transistor_ota():
+    c = Circuit("ota")
+    c.V("vdd", "vdd", "0", dc=1.8)
+    c.V("vip", "ip", "0", dc=0.9)
+    c.V("vim", "im", "0", dc=0.9)
+    c.I("ib", "vdd", "bn", dc=20e-6)
+    c.M("m8", "bn", "bn", "0", "0", nmos_180(), 4e-6, 0.5e-6)
+    c.M("m5", "tail", "bn", "0", "0", nmos_180(), 8e-6, 0.5e-6)
+    c.M("m1", "x", "ip", "tail", "0", nmos_180(), 8e-6, 0.36e-6)
+    c.M("m2", "out", "im", "tail", "0", nmos_180(), 8e-6, 0.36e-6)
+    c.M("m3", "x", "x", "vdd", "vdd", pmos_180(), 16e-6, 0.36e-6)
+    c.M("m4", "out", "x", "vdd", "vdd", pmos_180(), 16e-6, 0.36e-6)
+    return c
+
+
+class TestFallbacks:
+    """The convergence aids behind a failed plain Newton solve."""
+
+    def test_gmin_stepping_rescues_an_opamp_design(self, monkeypatch):
+        # Design 169 of 200 uniform op-amp sizings at default_rng(0) is one of
+        # the two whose plain Newton solve fails.
+        problem = OpAmpProblem()
+        bounds = problem.bounds
+        X = np.random.default_rng(0).uniform(bounds[:, 0], bounds[:, 1], (200, len(bounds)))
+        circuit = build_opamp(problem.space.to_values(X[169]))
+        calls = []
+
+        def spy(name):
+            real = getattr(dc, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_gmin_stepping", "_source_stepping"):
+            monkeypatch.setattr(dc, name, spy(name))
+        op = dc_operating_point(circuit)
+        assert calls == ["_gmin_stepping"]
+        x = _state(circuit, op)
+        assert _kcl_residual(circuit, x) < dc.ITOL
+
+    def test_source_stepping_after_two_failed_attempts(self, monkeypatch):
+        circuit = _five_transistor_ota()
+        plain = dc_operating_point(circuit)
+        real = dc._newton
+        calls = []
+
+        def first_two_fail(tape, x0, **kwargs):
+            calls.append((kwargs["gmin"], kwargs["source_scale"]))
+            return None if len(calls) <= 2 else real(tape, x0, **kwargs)
+
+        monkeypatch.setattr(dc, "_newton", first_two_fail)
+        op = dc_operating_point(circuit)
+        # Plain Newton, then gmin stepping's first (1e-2) solve, then the ramp.
+        assert calls == [(dc.GMIN, 1.0), (1e-2, 1.0)] + [
+            (dc.GMIN, scale) for scale in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+        ]
+        assert op.iterations > plain.iterations
+        assert _kcl_residual(circuit, _state(circuit, op)) < dc.ITOL
+        for node, v in plain.node_voltages.items():
+            assert op.v(node) == pytest.approx(v, abs=1e-6)
+
+    def test_every_attempt_failing_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(dc, "_newton", lambda *a, **k: None)
+        with pytest.raises(
+            ConvergenceError, match=r"^DC operating point of 'ota' did not converge$"
+        ):
+            dc_operating_point(_five_transistor_ota())

@@ -229,19 +229,29 @@ def check_seed(seed: int) -> None:
         assert_same_bits(A, expected.A)
         assert_same_bits(z, expected.z)
 
-    # Transient, both methods, at a Newton iterate of a step.
+    # Transient, both methods, at a Newton iterate of each step of a halving:
+    # dt, dt/2 twice, then dt again, advancing the tape between steps, so the
+    # dt-only companions are rewritten on the way down and back up.  The
+    # later steps draw from their own generator, so the first step and the AC
+    # check below see the same states as before the halving was added.
+    steps_rng = np.random.default_rng([seed, 2])
     for method in ("trap", "be"):
         x0 = random_state(rng, circuit)
         tape = _TransientTape(circuit, x0, method, gmin)
         tape.cap_current = rng.uniform(-1e-3, 1e-3, len(tape.cap_current))
         t, dt = float(rng.uniform(0, 1e-6)), float(rng.uniform(1e-11, 1e-8))
-        tape.prepare(t, dt)
-        x = random_state(rng, circuit)
-        tape.linearize(x)
-        A, z = tape.assemble()
-        expected = reference_transient(circuit, x, x0, tape.cap_current, t, dt, method, gmin)
-        assert_same_bits(A, expected.A)
-        assert_same_bits(z, expected.z)
+        for k, step in enumerate((dt, dt / 2.0, dt / 2.0, dt)):
+            if k:
+                t += step
+            x_old, cap_current = tape.state[:-1].copy(), tape.cap_current.copy()
+            tape.prepare(t, step)
+            x = random_state(rng if k == 0 else steps_rng, circuit)
+            tape.linearize(x)
+            A, z = tape.assemble()
+            expected = reference_transient(circuit, x, x_old, cap_current, t, step, method, gmin)
+            assert_same_bits(A, expected.A)
+            assert_same_bits(z, expected.z)
+            tape.advance(random_state(steps_rng, circuit))
 
     # AC, the whole stack at once.
     op = operating_point(circuit, random_state(rng, circuit))

@@ -188,3 +188,56 @@ def test_property_nmos_evaluate_finite_and_consistent(vd, vg, vs, vb):
     assert np.isfinite(op.gm) and np.isfinite(op.gds) and np.isfinite(op.gmb)
     recon = op.gm * op.vgs + op.gds * op.vds + op.gmb * op.vbs + op.ieq
     assert recon == pytest.approx(op.ids, abs=1e-12, rel=1e-9)
+
+
+class TestCompanion:
+    """``companion`` is ``evaluate``'s ``(gm, gds, gmb, ieq)``, bit for bit."""
+
+    @staticmethod
+    def _bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    def _check(self, m, volts):
+        op = m.evaluate(*volts)
+        assert self._bits(m.companion(*volts)) == self._bits((op.gm, op.gds, op.gmb, op.ieq))
+        return op
+
+    @pytest.mark.parametrize("params", [nmos_180, pmos_180])
+    def test_seeded_voltages_cover_every_branch(self, params):
+        m = Mosfet("m", "d", "g", "s", "b", params(), w=8e-6, l=0.36e-6)
+        pol = m.params.polarity
+        rng = np.random.default_rng(7)
+        regions, swaps, clamps = set(), set(), 0
+        for volts in rng.uniform(-2.5, 2.5, (4000, 4)).tolist():
+            op = self._check(m, volts)
+            vd, vg, vs, vb = (pol * v for v in volts)
+            regions.add(op.region)
+            swaps.add(vd < vs)
+            clamps += m.params.phi - (vb - min(vd, vs)) < 1e-3
+        assert regions == {"cutoff", "triode", "saturation"}
+        assert swaps == {True, False}
+        assert clamps > 0
+
+    @pytest.mark.parametrize(
+        "volts",
+        [
+            (1.0, 0.2, 0.0, 0.0),  # cutoff
+            (0.05, 1.2, 0.0, 0.0),  # triode
+            (1.8, 1.0, 0.0, 0.0),  # saturation
+            (0.0, 1.2, 0.3, 0.0),  # drain and source swapped
+            (1.8, 1.0, 0.0, 2.0),  # forward-biased bulk clamp
+            (0.0, 0.0, 0.0, 0.0),  # all zero: signed zeros must match too
+        ],
+    )
+    def test_named_biases(self, nmos, pmos, volts):
+        self._check(nmos, volts)
+        self._check(pmos, tuple(-v for v in volts))
+
+    def test_no_body_effect(self):
+        params = MosfetParams(
+            polarity=+1, vt0=0.45, kp=280e-6, clm=0.018e-6, gamma=0.0,
+            phi=0.85, cox=8.6e-3, cov=0.35e-9, cj=1e-3, ldiff=0.5e-6,
+        )
+        m = Mosfet("m", "d", "g", "s", "b", params, 1e-6, 1e-6)
+        for volts in np.random.default_rng(8).uniform(-2.0, 2.0, (200, 4)).tolist():
+            self._check(m, volts)

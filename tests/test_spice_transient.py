@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.circuits.classe import FAILURE_FOM, ClassEProblem
 from repro.spice import (
     Circuit,
+    ConvergenceError,
+    Mosfet,
+    OperatingPoint,
     PulseWave,
+    SingularMatrixError,
     SinWave,
+    dc_operating_point,
     nmos_180,
     pmos_180,
+    transient,
     transient_analysis,
 )
 from repro.spice.analysis import average_power, fundamental_phasor, fundamental_power
@@ -102,6 +109,78 @@ class TestNonlinearTransient:
         v = res.v("d")
         assert v.max() > 1.7  # off state reaches supply
         assert v.min() < 0.3  # on state pulls low
+
+
+def _switch():
+    c = Circuit("switcher")
+    c.V("vdd", "vdd", "0", dc=1.8)
+    c.V("vg", "g", "0", waveform=PulseWave(0, 1.8, rise=1e-9, fall=1e-9,
+                                           width=48e-9, period=100e-9))
+    c.R("rl", "vdd", "d", 100)
+    c.M("m1", "d", "g", "0", "0", nmos_180(), w=50e-6, l=0.18e-6)
+    c.C("cd", "d", "0", 1e-12)
+    return c
+
+
+class TestFailurePaths:
+    def test_singular_step_names_time_and_circuit(self):
+        """A voltage-source loop, with the DC solve skipped by ``op0``."""
+        c = Circuit("loop")
+        c.V("v1", "a", "0", dc=1.0)
+        c.V("v2", "a", "0", dc=1.0)
+        c.R("r", "a", "0", 1e3)
+        op0 = OperatingPoint({"a": 1.0}, {"v1": 0.0, "v2": 0.0}, {}, 1)
+        with pytest.raises(
+            SingularMatrixError, match=r"^singular transient MNA matrix at t=1e-09s in 'loop'$"
+        ):
+            transient_analysis(c, 1e-8, 1e-9, op0=op0)
+
+    def test_step_that_never_converges_halves_six_times(self, monkeypatch):
+        monkeypatch.setattr(transient, "newton", lambda *args, **kwargs: None)
+        # The first step of 1e-9 s, halved six times: t = 1e-9 / 64.
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^transient step at t=1\.5625e-11s did not converge in 'switcher' "
+            r"\(after 6 halvings\)$",
+        ):
+            transient_analysis(_switch(), 1e-8, 1e-9)
+
+    def test_classe_scores_a_non_converging_transient_as_failure(self, monkeypatch):
+        monkeypatch.setattr(transient, "newton", lambda *args, **kwargs: None)
+        problem = ClassEProblem()
+        result = problem.evaluate(problem.bounds.mean(axis=1))
+        assert result.fom == FAILURE_FOM
+        assert result.feasible is False
+        assert result.metrics == {}
+
+    def test_nan_companion_halves_the_step(self, monkeypatch):
+        """A non-finite Newton solution retries the step in halves; it is not
+        a singular system."""
+        c = _switch()
+        op0 = dc_operating_point(c)
+        real_companion = Mosfet.companion
+        calls = []
+
+        def nan_once(self, *volts):
+            calls.append(volts)
+            if len(calls) == 1:
+                return (float("nan"),) * 4
+            return real_companion(self, *volts)
+
+        real_advance = transient._advance_to
+        depths = []
+
+        def advance(tape, x, t_old, dt, depth=0):
+            depths.append(depth)
+            return real_advance(tape, x, t_old, dt, depth)
+
+        monkeypatch.setattr(Mosfet, "companion", nan_once)
+        monkeypatch.setattr(transient, "_advance_to", advance)
+        res = transient_analysis(c, 1e-8, 1e-9, op0=op0)
+        # The first step failed once and was split into two halves.
+        assert depths[:3] == [0, 1, 1]
+        assert max(depths) == 1
+        assert np.isfinite(res.solution).all()
 
 
 class TestValidation:
