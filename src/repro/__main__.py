@@ -225,10 +225,6 @@ def cmd_run(args) -> int:
         {} if args.pending_policy is None
         else {"pending_policy": args.pending_policy}
     )
-    for name in ("surrogate", "max_exact_n", "n_inducing"):
-        value = getattr(args, name, None)
-        if value is not None:
-            policy_kwargs[name] = value
     try:
         # Resume rebuilds the journaled problem by this same name.
         problem = resolve_problem(args.problem)
@@ -459,21 +455,6 @@ def main(argv=None) -> int:
         choices=("hallucinate", "lp", "pessimistic", "none"),
         help="asynchronous pending-point policy for the EasyBO family "
              "(default: the label's policy; plain EasyBO hallucinates)",
-    )
-    p.add_argument(
-        "--surrogate", default=None, choices=("exact", "sparse", "auto"),
-        help="GP posterior: exact (paper), sparse (inducing-point), or "
-             "auto (exact until --max-exact-n observations; default)",
-    )
-    p.add_argument(
-        "--max-exact-n", type=int, default=None, dest="max_exact_n",
-        metavar="N",
-        help="observation count past which surrogate=auto goes sparse",
-    )
-    p.add_argument(
-        "--n-inducing", type=int, default=None, dest="n_inducing",
-        metavar="M",
-        help="inducing-point budget for the sparse surrogate",
     )
     _add_obs_flags(p)
     p = sub.add_parser(

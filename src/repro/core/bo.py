@@ -142,12 +142,6 @@ class BODriverBase:
         surrogate appends new observations to its cached Cholesky factor,
         which is where the O(n^3) -> O(n^2) per-event win of raising K
         comes from.
-    surrogate / max_exact_n / n_inducing:
-        Posterior representation: ``"exact"``, ``"sparse"``, or ``"auto"``
-        (default — exact until ``max_exact_n`` observations, then the
-        budgeted inducing-point posterior with ``n_inducing`` points; see
-        docs/surrogate_scaling.md).  ``None`` for the thresholds keeps the
-        session defaults.
     journal:
         Crash-safety sink: a path (a :class:`~repro.core.journal.JournalWriter`
         is opened on it) or any object with an ``append(record)`` method.
@@ -342,7 +336,6 @@ class BODriverBase:
             pool_telemetry=telemetry,
             metrics=metrics_snapshot,
             pending_policy=self.pending_policy,
-            surrogate=self.session.surrogate,
         )
         self.campaign.finish()
         if self._run_span is not None:

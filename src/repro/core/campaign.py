@@ -430,9 +430,6 @@ class Campaign:
         failure_policy: FailurePolicy | None = None,
         acq_candidates: int = 2048,
         acq_restarts: int = 4,
-        surrogate: str = "auto",
-        max_exact_n: int | None = None,
-        n_inducing: int | None = None,
         refit_every: int = 1,
         obs=None,
         journal=None,
@@ -459,18 +456,8 @@ class Campaign:
         self.acq_restarts = int(acq_restarts)
         self.obs = obs if obs is not None else NULL_OBS
         self.algorithm = algorithm
-        surrogate_kwargs = {}
-        if max_exact_n is not None:
-            surrogate_kwargs["max_exact_n"] = int(max_exact_n)
-        if n_inducing is not None:
-            surrogate_kwargs["n_inducing"] = int(n_inducing)
         self.session = SurrogateSession(
-            problem.bounds,
-            rng=self.rng,
-            surrogate=surrogate,
-            refit_every=refit_every,
-            obs=self.obs,
-            **surrogate_kwargs,
+            problem.bounds, rng=self.rng, refit_every=refit_every, obs=self.obs
         )
         self.design: np.ndarray | None = None
         self.issued = 0
@@ -1146,16 +1133,12 @@ def make_campaign(label: str, problem: Problem, **kwargs) -> Campaign:
     # The journaled config that rebuilds the campaign from its label; the
     # whole failure policy rides along, so a resumed driver or server
     # campaign rebuilds its pool with the same retries, timeout and lease.
-    session = campaign.session
     campaign._config = {
         "n_init": campaign.n_init,
         "max_evals": campaign.max_evals,
         "acq_candidates": campaign.acq_candidates,
         "acq_restarts": campaign.acq_restarts,
-        "surrogate": session.surrogate,
-        "max_exact_n": session.max_exact_n,
-        "n_inducing": session.n_inducing,
-        "refit_every": session.refit_every,
+        "refit_every": campaign.session.refit_every,
         "failure_policy": dataclasses.asdict(campaign.failure_policy),
         **knobs,
     }
@@ -1171,7 +1154,11 @@ def read_campaign_journal(path) -> list[dict]:
     Older journals carry config entries for options that no longer exist:
     ``surrogate_update`` (a second surrogate mode) and ``ucb_kappa`` /
     ``ei_xi`` (now the constants κ = 2 and ξ = 0).  They are dropped here,
-    so every reader rebuilds those journals as they ran.
+    so every reader rebuilds those journals as they ran.  So are the sparse
+    posterior's ``surrogate`` / ``max_exact_n`` / ``n_inducing`` when they
+    kept the run exact throughout (``"exact"``, or ``"auto"`` with
+    ``max_exact_n`` at or above ``max_evals``); otherwise they stay, and
+    :func:`read_resumable_journal` refuses the journal.
     """
     events = recover_journal(path)
     if events and events[0].get("type") == "run_start":
@@ -1198,6 +1185,13 @@ def read_campaign_journal(path) -> list[dict]:
     config = events[0].get("config", {})
     for retired in ("surrogate_update", "ucb_kappa", "ei_xi"):
         config.pop(retired, None)
+    kind = config.get("surrogate")
+    if kind == "exact" or (
+        kind == "auto"
+        and config.get("max_exact_n", 0) >= config.get("max_evals", float("inf"))
+    ):
+        for retired in ("surrogate", "max_exact_n", "n_inducing"):
+            config.pop(retired, None)
     return events
 
 
@@ -1211,6 +1205,15 @@ def read_resumable_journal(path, problem: Problem | None) -> tuple[list[dict], P
     events = read_campaign_journal(path)
     if any(event.get("type") == "campaign_end" for event in events):
         raise RuntimeError(f"the run in {path} already completed; nothing to resume")
+    config = events[0].get("config", {})
+    if "surrogate" in config:
+        raise JournalError(
+            f"{path} ran with surrogate={config['surrogate']!r} and "
+            f"max_exact_n={config.get('max_exact_n')!r} over "
+            f"{config.get('max_evals')!r} evaluations, so it could have "
+            "switched to the sparse posterior, which this release no longer "
+            "has; finish it with the release that wrote it"
+        )
     if problem is None:
         from repro.core.recovery import resolve_problem
 

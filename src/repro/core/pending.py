@@ -30,8 +30,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from repro.gp.sparse import SparseGaussianProcess
-
 __all__ = [
     "PENDING_POLICIES",
     "PendingPolicy",
@@ -211,19 +209,12 @@ class PessimisticPolicy(PendingPolicy):
         """Copy of ``model`` extended with pessimistic pseudo-observations.
 
         Mirrors :meth:`GaussianProcess.condition_on_pending` (greedy, one
-        border update per point) with ``mu - beta * sigma`` targets.  The
-        sparse posterior has no border update; it takes each point as a
-        one-row :meth:`~repro.gp.sparse.SparseGaussianProcess.update`.
+        border update per point) with ``mu - beta * sigma`` targets.
         """
         extended = model.copy()
-        sparse = isinstance(extended, SparseGaussianProcess)
         for u in np.atleast_2d(U_pending):
             mu, sigma = extended.predict(u.reshape(1, -1))
-            target = float(mu[0] - self.beta * sigma[0])
-            if sparse:
-                extended.update(u.reshape(1, -1), [target])
-            else:
-                extended.add_observation(u, target)
+            extended.add_observation(u, float(mu[0] - self.beta * sigma[0]))
         return extended
 
     def model(self, session, X_pending):

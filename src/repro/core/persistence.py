@@ -33,9 +33,10 @@ __all__ = ["run_to_dict", "run_from_dict", "save_runs", "load_runs"]
 #: ``None``.  Version 7 added the optional ``pending_policy`` field (which
 #: asynchronous pending-point policy the run used, see
 #: :mod:`repro.core.pending`); older files load with it ``None``.  Version 8
-#: added the optional ``surrogate`` field (which posterior configuration the
-#: run used: ``"exact"``, ``"sparse"``, or ``"auto"``, see
-#: :mod:`repro.gp.sparse`); older files load with it ``None``.
+#: added the optional ``surrogate`` field (the posterior configuration,
+#: ``"exact"``, ``"sparse"`` or ``"auto"``) and the ``n_mode_switches``
+#: surrogate-stats counter.  The sparse posterior is gone and the writer no
+#: longer emits either; files that carry them still load, without them.
 _FORMAT_VERSION = 8
 _READABLE_VERSIONS = frozenset({1, 2, 3, 4, 5, 6, 7, 8})
 
@@ -78,7 +79,6 @@ def run_to_dict(run: RunResult) -> dict:
         ),
         "metrics": run.metrics,
         "pending_policy": run.pending_policy,
-        "surrogate": run.surrogate,
         "n_workers": run.trace.n_workers,
         "records": [r.as_dict() for r in run.trace.records],
     }
@@ -109,7 +109,6 @@ def run_from_dict(data: dict) -> RunResult:
         pool_telemetry=telemetry,
         metrics=data.get("metrics"),
         pending_policy=data.get("pending_policy"),
-        surrogate=data.get("surrogate"),
     )
 
 

@@ -58,11 +58,6 @@ class RunResult:
     #: :data:`repro.core.pending.PENDING_POLICIES`, e.g. ``"hallucinate"``).
     #: ``None`` for non-async drivers and for runs loaded from pre-v7 files.
     pending_policy: str | None = None
-    #: Surrogate posterior configuration the run used (a value from
-    #: :data:`repro.core.surrogate.SURROGATE_KINDS`: ``"exact"``,
-    #: ``"sparse"``, or ``"auto"``).  ``None`` for model-free algorithms and
-    #: for runs loaded from pre-v8 files.
-    surrogate: str | None = None
 
     @property
     def best_curve(self):

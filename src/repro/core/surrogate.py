@@ -7,18 +7,12 @@ point hallucination used by the paper's penalization scheme — all in one
 place so the sequential, synchronous, and asynchronous drivers share exactly
 the same modelling behaviour.
 
-Two knobs control what each dispatch costs:
-
-* ``refit_every=K`` — ML-II hyperparameter fitting runs on the first refit
-  and then every K-th refit.  In between the hyperparameters are frozen and
-  a refit appends the new observations to the cached Cholesky factor as one
-  rank-k block (O(n^2 k) per event), rebuilding the factor from scratch only
-  if the append loses positive definiteness.
-* ``surrogate`` — which posterior representation backs the session:
-  ``"exact"`` (the paper's GP), ``"sparse"`` (the budgeted inducing-point
-  posterior of :mod:`repro.gp.sparse`, O(m^2) per event independent of n),
-  or ``"auto"`` (default: exact until ``max_exact_n`` observations, sparse
-  after — see docs/surrogate_scaling.md).
+The posterior is the paper's exact GP.  One knob controls what each
+dispatch costs: ``refit_every=K`` runs ML-II hyperparameter fitting on the
+first refit and then every K-th refit.  In between the hyperparameters are
+frozen and a refit appends the new observations to the cached Cholesky
+factor as one rank-k block (O(n^2 k) per event), rebuilding the factor from
+scratch only if the append loses positive definiteness.
 
 The pending-point hallucination (Alg. 1 lines 5-6) is a
 :class:`HallucinatedView`: the kriging-believer pseudo-observations are
@@ -41,11 +35,8 @@ from repro.gp import (
     GaussianProcess,
     HyperparameterBounds,
     OutputStandardizer,
-    SparseGaussianProcess,
-    SparseHallucinatedView,
     SquaredExponential,
     fit_hyperparameters,
-    select_inducing,
 )
 from repro.gp import linalg
 from repro.gp.gp import VARIANCE_FLOOR
@@ -53,25 +44,7 @@ from repro.sched.trace import SurrogateStats
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_finite, check_matrix, check_vector
 
-__all__ = [
-    "SurrogateSession",
-    "HallucinatedView",
-    "SideGP",
-    "SURROGATE_KINDS",
-    "DEFAULT_MAX_EXACT_N",
-    "DEFAULT_N_INDUCING",
-]
-
-#: Valid values for ``SurrogateSession(surrogate=...)``.
-SURROGATE_KINDS = ("exact", "sparse", "auto")
-
-#: ``surrogate="auto"`` switches to the sparse posterior past this many
-#: observations — the point where exact O(n^3) refits start to dominate ask
-#: latency (ROADMAP "scale the GP past n≈1000").
-DEFAULT_MAX_EXACT_N = 1000
-
-#: Default inducing-set budget for the sparse posterior.
-DEFAULT_N_INDUCING = 256
+__all__ = ["SurrogateSession", "HallucinatedView", "SideGP"]
 
 #: ML-II restarts for the very first fit and for warm-started refits.
 N_RESTARTS_FIRST = 3
@@ -194,19 +167,6 @@ class SurrogateSession:
         Physical (optimizer-space) box bounds of the problem.
     rng:
         Stream used for hyperparameter restarts.
-    surrogate:
-        Which posterior representation backs the session: ``"exact"`` (the
-        paper's O(n^3) GP), ``"sparse"`` (the budgeted inducing-point
-        posterior of :mod:`repro.gp.sparse`, an extension beyond the paper),
-        or ``"auto"`` (default) — exact until ``max_exact_n`` observations,
-        sparse after, so small campaigns keep the paper-exact behaviour and
-        10k-evaluation campaigns keep bounded per-ask latency.
-    max_exact_n:
-        Observation count past which ``"auto"`` switches to the sparse
-        posterior (at the next ML-II/switch refit).
-    n_inducing:
-        Inducing-set budget ``m`` for the sparse posterior; per-tell cost is
-        O(m^2) independent of n.
     refit_every:
         Run ML-II hyperparameter fitting only every this-many refits
         (default 1 = every refit, the paper's behaviour).  In between, the
@@ -218,26 +178,11 @@ class SurrogateSession:
         :data:`~repro.obs.NULL_OBS`.
     """
 
-    def __init__(self, bounds, *, rng=None, surrogate: str = "auto",
-                 max_exact_n: int = DEFAULT_MAX_EXACT_N,
-                 n_inducing: int = DEFAULT_N_INDUCING,
-                 refit_every: int = 1, obs=None):
-        surrogate = str(surrogate).lower()
-        if surrogate not in SURROGATE_KINDS:
-            raise ValueError(
-                f"unknown surrogate {surrogate!r}; choose from {SURROGATE_KINDS}"
-            )
+    def __init__(self, bounds, *, rng=None, refit_every: int = 1, obs=None):
         if int(refit_every) < 1:
             raise ValueError(f"refit_every must be >= 1, got {refit_every}")
-        if int(max_exact_n) < 1:
-            raise ValueError(f"max_exact_n must be >= 1, got {max_exact_n}")
-        if int(n_inducing) < 1:
-            raise ValueError(f"n_inducing must be >= 1, got {n_inducing}")
         self.transform = BoxTransform(bounds)
         self.rng = as_generator(rng)
-        self.surrogate = surrogate
-        self.max_exact_n = int(max_exact_n)
-        self.n_inducing = int(n_inducing)
         self.refit_every = int(refit_every)
         from repro.obs import NULL_OBS
 
@@ -337,16 +282,7 @@ class SurrogateSession:
             started = time.perf_counter()
             U = self.transform.to_unit(self._X)
             z = self.output.fit_transform(self._y)
-            switched = (
-                self.model is not None
-                and self.active_surrogate != self._target_kind()
-            )
-            if switched:
-                # Crossing the auto threshold forces a rebuild in the new
-                # representation regardless of the refit schedule.
-                self.stats.n_mode_switches += 1
-                self.obs.inc("surrogate.mode_switches")
-            if self.model is None or self._refit_countdown <= 0 or switched:
+            if self.model is None or self._refit_countdown <= 0:
                 self._fit_ml2(U, z)
             else:
                 self._fit_incremental(U, z)
@@ -355,36 +291,13 @@ class SurrogateSession:
             self.stats.refit_seconds.append(time.perf_counter() - started)
         return self.model
 
-    def _target_kind(self) -> str:
-        """Which posterior the *next* full fit should build."""
-        if self.surrogate != "auto":
-            return self.surrogate
-        return "exact" if self.n_observations <= self.max_exact_n else "sparse"
-
-    @property
-    def active_surrogate(self) -> str | None:
-        """Posterior kind currently backing the session (None before fit)."""
-        if self.model is None:
-            return None
-        return "sparse" if isinstance(self.model, SparseGaussianProcess) else "exact"
-
     def _fit_ml2(self, U: np.ndarray, z: np.ndarray) -> None:
         """Full ML-II hyperparameter fit (warm-started after the first)."""
-        if self._target_kind() == "sparse":
-            self._fit_ml2_sparse(U, z)
-            return
         if self.model is None:
             kernel = SquaredExponential(self.dim, lengthscales=0.3)
             self.model = GaussianProcess(kernel=kernel, noise_variance=1e-4)
             restarts = N_RESTARTS_FIRST
         else:
-            if not isinstance(self.model, GaussianProcess):
-                # Switching back from the sparse posterior: warm-start the
-                # exact model from the sparse kernel's hyperparameters.
-                self.model = GaussianProcess(
-                    kernel=self.model.kernel.copy(),
-                    noise_variance=self.model.noise_variance,
-                )
             restarts = N_RESTARTS_REFIT
         self.model.fit(U, z)
         fit_hyperparameters(
@@ -393,50 +306,6 @@ class SurrogateSession:
             n_restarts=restarts,
             rng=self.rng,
         )
-        self.stats.n_full_fits += 1
-        self._refit_countdown = self.refit_every
-
-    def _fit_ml2_sparse(self, U: np.ndarray, z: np.ndarray) -> None:
-        """ML-II + rebuild for the sparse posterior.
-
-        Hyperparameters are tuned on an *exact* helper GP over the inducing
-        subset (m points, so the ML-II inner loop is O(m^3) not O(n^3)),
-        warm-started from the current kernel, then the sparse posterior is
-        built over the full dataset at the fitted hyperparameters, reusing
-        the subset's deterministic greedy selection as the inducing set.
-
-        A quarter of the inducing budget is reserved for the incumbent best
-        and the most recent observations: BO sampling concentrates around
-        the incumbent basin, which pure space-filling selection would
-        under-resolve exactly where the acquisition needs fidelity.
-        """
-        if self.model is None:
-            kernel = SquaredExponential(self.dim, lengthscales=0.3)
-            noise = 1e-4
-            restarts = N_RESTARTS_FIRST
-        else:
-            kernel = self.model.kernel.copy()
-            noise = self.model.noise_variance
-            restarts = N_RESTARTS_REFIT
-        m = min(self.n_inducing, len(z))
-        n_recent = max(m // 4, 1)
-        include = [int(np.argmax(z))] + list(range(len(z) - 1, max(len(z) - 1 - n_recent, -1), -1))
-        idx = select_inducing(U, m, include=include)
-        helper = GaussianProcess(kernel=kernel, noise_variance=noise)
-        helper.fit(U[idx], z[idx])
-        fit_hyperparameters(
-            helper,
-            bounds=self._hyper_bounds,
-            n_restarts=restarts,
-            rng=self.rng,
-        )
-        model = SparseGaussianProcess(
-            kernel=helper.kernel,
-            noise_variance=helper.noise_variance,
-            n_inducing=self.n_inducing,
-        )
-        model.fit(U, z, inducing_indices=idx)
-        self.model = model
         self.stats.n_full_fits += 1
         self._refit_countdown = self.refit_every
 
@@ -493,17 +362,7 @@ class SurrogateSession:
                 "lengthscales": [float(v) for v in self.model.kernel.lengthscales],
                 "variance": float(self.model.kernel.variance),
                 "noise_variance": float(self.model.noise_variance),
-                "kind": self.active_surrogate,
-                "n_inducing": int(self.n_inducing),
             }
-            if isinstance(self.model, SparseGaussianProcess) and self.model.is_fitted:
-                # The inducing set is part of the posterior, not a derived
-                # quantity: the session seeds it with the incumbent and the
-                # most recent points, so a restore that re-ran the plain
-                # greedy selection would rebuild a *different* posterior.
-                snap["model"]["inducing_indices"] = [
-                    int(i) for i in self.model.posterior_state.inducing_indices
-                ]
         return snap
 
     def restore_snapshot(self, snap: dict | None) -> None:
@@ -535,30 +394,15 @@ class SurrogateSession:
             lengthscales=np.asarray(params["lengthscales"], dtype=float),
             variance=float(params["variance"]),
         )
-        # Snapshots older than the sparse path carry no "kind" — they were
-        # always exact.
-        if str(params.get("kind", "exact")) == "sparse":
-            self.model = SparseGaussianProcess(
-                kernel=kernel,
-                noise_variance=float(params["noise_variance"]),
-                n_inducing=int(params.get("n_inducing", self.n_inducing)),
-            )
-        else:
-            self.model = GaussianProcess(
-                kernel=kernel, noise_variance=float(params["noise_variance"])
-            )
+        # Older snapshots also carry the retired "kind" and "n_inducing"
+        # entries; every run that can resume was exact, so they are ignored.
+        self.model = GaussianProcess(
+            kernel=kernel, noise_variance=float(params["noise_variance"])
+        )
         if self.can_fit:
             U = self.transform.to_unit(self._X)
             z = self.output.fit_transform(self._y)
-            idx = params.get("inducing_indices")
-            if (
-                isinstance(self.model, SparseGaussianProcess)
-                and idx is not None
-                and all(0 <= int(i) < len(z) for i in idx)
-            ):
-                self.model.fit(U, z, inducing_indices=np.asarray(idx, dtype=int))
-            else:
-                self.model.fit(U, z)
+            self.model.fit(U, z)
 
     # ------------------------------------------------- pending hallucination
     def model_with_pending(self, X_pending):
@@ -582,20 +426,12 @@ class SurrogateSession:
                 check_matrix(X_pending, "X_pending", cols=self.dim)
             )
             try:
-                if isinstance(model, SparseGaussianProcess):
-                    # The sparse hallucination is factor-shared and O(m^2 k);
-                    # a rank-1 update of a PD factor cannot lose positive
-                    # definiteness, so there is no fallback path.
-                    view = SparseHallucinatedView(model, U_pending)
-                    self.stats.n_hallucinated_views += 1
-                    return view
-                try:
-                    view = HallucinatedView(model, U_pending)
-                    self.stats.n_hallucinated_views += 1
-                    return view
-                except np.linalg.LinAlgError:
-                    self.stats.n_fallbacks += 1
-                    self.obs.inc("surrogate.fallback_rebuilds")
+                view = HallucinatedView(model, U_pending)
+                self.stats.n_hallucinated_views += 1
+                return view
+            except np.linalg.LinAlgError:
+                self.stats.n_fallbacks += 1
+                self.obs.inc("surrogate.fallback_rebuilds")
                 self.stats.n_hallucinated_rebuilds += 1
                 return model.condition_on_pending(U_pending)
             finally:

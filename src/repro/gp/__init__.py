@@ -10,25 +10,13 @@ Public surface:
 * :class:`BoxTransform` / :class:`OutputStandardizer` — scaling helpers.
 """
 
-from repro.gp.gp import ExactCholeskyState, GaussianProcess, PosteriorState
+from repro.gp.gp import GaussianProcess
 from repro.gp.hyperopt import HyperparameterBounds, fit_hyperparameters
 from repro.gp.kernels import SquaredExponential
-from repro.gp.sparse import (
-    SparseGaussianProcess,
-    SparseHallucinatedView,
-    SparseInducingState,
-    select_inducing,
-)
 from repro.gp.standardize import BoxTransform, OutputStandardizer
 
 __all__ = [
     "GaussianProcess",
-    "PosteriorState",
-    "ExactCholeskyState",
-    "SparseGaussianProcess",
-    "SparseHallucinatedView",
-    "SparseInducingState",
-    "select_inducing",
     "HyperparameterBounds",
     "fit_hyperparameters",
     "SquaredExponential",

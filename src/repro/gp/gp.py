@@ -20,49 +20,19 @@ where ``K = k(X, X) + sigma_n^2 I``.  Two features matter for EasyBO:
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.gp import linalg
 from repro.gp.kernels import SquaredExponential
 from repro.utils.validation import check_finite, check_matrix, check_vector
 
-__all__ = ["GaussianProcess", "PosteriorState", "ExactCholeskyState"]
+__all__ = ["GaussianProcess"]
 
 #: Floor applied to the predictive variance before taking square roots.
 VARIANCE_FLOOR = 1e-14
 
 #: Floor on the noise variance; keeps K invertible for duplicated inputs.
 NOISE_FLOOR = 1e-10
-
-
-class PosteriorState:
-    """Base for swappable posterior representations behind a surrogate.
-
-    The seam (after syne-tune's ``posterior_state.py``) that lets the
-    surrogate session switch between the exact O(n^3) Cholesky posterior and
-    the budgeted inducing-point posterior (:mod:`repro.gp.sparse`) without
-    the BO layers noticing: each state is a value object owning exactly the
-    arrays its predictive equations need.
-    """
-
-    def copy(self) -> "PosteriorState":
-        raise NotImplementedError
-
-
-@dataclasses.dataclass
-class ExactCholeskyState(PosteriorState):
-    """Exact-GP posterior: lower Cholesky factor of ``K`` and ``K^{-1} r``."""
-
-    lower: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-
-    def copy(self) -> "ExactCholeskyState":
-        return ExactCholeskyState(
-            lower=None if self.lower is None else self.lower.copy(),
-            alpha=None if self.alpha is None else self.alpha.copy(),
-        )
 
 
 class GaussianProcess:
@@ -98,33 +68,11 @@ class GaussianProcess:
         self.noise_variance = max(float(noise_variance), NOISE_FLOOR)
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
-        self._state = ExactCholeskyState()
+        # Lower Cholesky factor of K and the weights K^{-1} y, set by fit.
+        self._lower: np.ndarray | None = None
+        self._alpha: np.ndarray | None = None
 
     # ------------------------------------------------------------ properties
-    @property
-    def posterior_state(self) -> ExactCholeskyState:
-        """The posterior value object behind this model (see PosteriorState)."""
-        return self._state
-
-    # The factorization methods below were written against ``_lower`` /
-    # ``_alpha`` attributes; routing them through the state keeps every
-    # method body (and hence every floating-point operation) unchanged.
-    @property
-    def _lower(self) -> np.ndarray | None:
-        return self._state.lower
-
-    @_lower.setter
-    def _lower(self, value: np.ndarray | None) -> None:
-        self._state.lower = value
-
-    @property
-    def _alpha(self) -> np.ndarray | None:
-        return self._state.alpha
-
-    @_alpha.setter
-    def _alpha(self, value: np.ndarray | None) -> None:
-        self._state.alpha = value
-
     @property
     def dim(self) -> int:
         return self.kernel.dim
@@ -246,14 +194,20 @@ class GaussianProcess:
         return self
 
     def add_observation(self, x, y_value: float) -> "GaussianProcess":
-        """Append one observation using an O(n^2) Cholesky border update."""
+        """Append one observation using an O(n^2) Cholesky border update.
+
+        Raises on non-finite input, as :meth:`fit` and :meth:`update` do,
+        before the factor is touched.
+        """
         self._require_fitted()
-        x = check_vector(x, "x", size=self.dim)
+        x = check_finite(check_vector(x, "x", size=self.dim), "x")
+        y_value = float(y_value)
+        check_finite(y_value, "y_value")
         cross = self.kernel(self._X, x.reshape(1, -1)).ravel()
         corner = float(self.kernel.diag(x.reshape(1, -1))[0]) + self.noise_variance
         self._lower = linalg.cholesky_update(self._lower, cross, corner)
         self._X = np.vstack([self._X, x])
-        self._y = np.append(self._y, float(y_value))
+        self._y = np.append(self._y, y_value)
         self._alpha = linalg.cholesky_solve(self._lower, self._y)
         return self
 
@@ -363,7 +317,8 @@ class GaussianProcess:
         if self.is_fitted:
             model._X = self._X.copy()
             model._y = self._y.copy()
-            model._state = self._state.copy()
+            model._lower = self._lower.copy()
+            model._alpha = self._alpha.copy()
         return model
 
     def _require_fitted(self) -> None:

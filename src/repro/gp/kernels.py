@@ -77,40 +77,6 @@ class SquaredExponential:
         X = check_matrix(X, "X", cols=self.dim)
         return np.full(X.shape[0], self.variance)
 
-    def cross(
-        self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Covariance block ``k(X, Z)``, computed in place into ``out``.
-
-        The allocation-lean variant of :meth:`__call__` for the sparse
-        posterior's hot loops: one GEMM into ``out`` (shape
-        ``(len(X), len(Z))``) plus elementwise passes.  Results agree with
-        ``self(X, Z)`` to floating-point round-off but are *not*
-        bit-identical (the in-place evaluation associates sums
-        differently), so the exact GP — whose trajectories the golden tests
-        pin byte for byte — evaluates through :meth:`_from_scaled`, as
-        :meth:`__call__` does.
-        """
-        X = check_matrix(X, "X", cols=self.dim)
-        Z = check_matrix(Z, "Z", cols=self.dim)
-        if out is None:
-            out = np.empty((X.shape[0], Z.shape[0]))
-        elif out.shape != (X.shape[0], Z.shape[0]):
-            raise ValueError(
-                f"out must have shape {(X.shape[0], Z.shape[0])}, got {out.shape}"
-            )
-        Xs = X / self.lengthscales
-        Zs = Z / self.lengthscales
-        np.dot(Xs, Zs.T, out=out)
-        out *= -2.0
-        out += np.sum(Xs**2, axis=1)[:, None]
-        out += np.sum(Zs**2, axis=1)[None, :]
-        np.maximum(out, 0.0, out=out)
-        out *= -0.5
-        np.exp(out, out=out)
-        out *= self.variance
-        return out
-
     # Unchecked core of ``__call__`` for callers that validated at their own
     # boundary (the exact GP and its Eq. 9 view): ``X`` must be a float64
     # ``(n, dim)`` array.

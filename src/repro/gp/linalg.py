@@ -7,21 +7,16 @@ numerically singular) lives in exactly one place.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 __all__ = [
     "jittered_cholesky",
     "cholesky_solve",
     "cholesky_update",
     "cholesky_append",
-    "cholesky_rank1_update",
     "solve_lower",
     "log_det_from_cholesky",
-    "Workspace",
-    "CHOLESKY_BLOCK",
 ]
 
 #: First jitter magnitude tried when a Cholesky factorization fails.
@@ -32,59 +27,6 @@ JITTER_GROWTH = 10.0
 
 #: Number of escalation attempts before giving up.
 MAX_ATTEMPTS = 10
-
-#: Panel width for the blocked rank-1 factor updates.  Within a panel the
-#: rotation loop touches only panel-local rows (hot in L1); the trailing rows
-#: are then swept once per panel instead of once per column, which keeps the
-#: working set of the O(n^2) update cache-resident for large factors.
-CHOLESKY_BLOCK = 64
-
-
-class Workspace:
-    """Reusable keyed buffer pool for allocation-free hot loops.
-
-    The incremental surrogate path calls the same shaped kernel/solve
-    operations thousands of times per campaign; allocating fresh temporaries
-    on every event shows up directly in the per-ask latency once ``n`` grows
-    past a few thousand.  A :class:`Workspace` hands out views into
-    capacity-doubled backing buffers, so a steady-state loop performs zero
-    heap allocations.
-
-    Buffers are keyed by name; requesting a key with a larger size grows the
-    backing store (never shrinks).  The returned views are uninitialised —
-    callers must overwrite them fully.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, key: str, shape, dtype=float, order: str = "C") -> np.ndarray:
-        """An uninitialised array view of ``shape`` backed by pool ``key``.
-
-        ``order="F"`` hands out a Fortran-layout view — pair it with
-        :func:`solve_lower(..., overwrite_rhs=True)` so LAPACK solves truly
-        in place instead of silently copying a C-ordered right-hand side.
-        """
-        shape = tuple(int(s) for s in (shape if np.iterable(shape) else (shape,)))
-        size = 1
-        for s in shape:
-            size *= s
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            capacity = size if buf is None else max(size, 2 * buf.size)
-            buf = np.empty(capacity, dtype=dtype)
-            self._buffers[key] = buf
-        return buf[:size].reshape(shape, order=order)
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Workspace(keys={sorted(self._buffers)}, nbytes={self.nbytes})"
 
 
 def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -122,9 +64,7 @@ def jittered_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def solve_lower(
-    lower: np.ndarray, rhs: np.ndarray, *, overwrite_rhs: bool = False
-) -> np.ndarray:
+def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``L x = rhs`` for lower-triangular ``L`` (a float64 ndarray).
 
     Calls LAPACK ``dtrtrs`` with the arguments
@@ -135,22 +75,15 @@ def solve_lower(
     module, which rejects non-finite input up front; a finiteness scan per
     call would only re-check known-good data on the hot path.
 
-    ``overwrite_rhs=True`` lets LAPACK solve in place when ``rhs`` is a
-    Fortran-ordered scratch buffer the caller owns (e.g. from a
-    :class:`Workspace`) — the allocation-free variant used by the sparse
-    posterior hot loop.
-
     Raises
     ------
     numpy.linalg.LinAlgError
         If ``L`` has a zero on its diagonal.
     """
     if lower.flags.f_contiguous:
-        x, info = lapack.dtrtrs(lower, rhs, lower=1, overwrite_b=overwrite_rhs)
+        x, info = lapack.dtrtrs(lower, rhs, lower=1)
     else:
-        x, info = lapack.dtrtrs(
-            lower.T, rhs, lower=0, trans=1, overwrite_b=overwrite_rhs
-        )
+        x, info = lapack.dtrtrs(lower.T, rhs, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}"
@@ -245,107 +178,3 @@ def cholesky_append(
     out[n:, :n] = B.T
     out[n:, n:] = lower_k
     return out
-
-
-def _rank1_sweep(L: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Blocked Givens sweep for the rank-1 update (+x x^T), any layout.
-
-    The classic column-at-a-time sweep touches the *entire* trailing
-    submatrix once per column — O(n) short numpy calls whose operands fall
-    out of cache between iterations.  Here columns are processed in panels of
-    :data:`CHOLESKY_BLOCK`: rotations are computed against panel-local rows
-    only, then applied to the trailing rows in one pass per panel while
-    ``x[p1:]`` stays cache-resident.
-
-    Per element the chain of floating-point operations (and their order) is
-    identical to the unblocked sweep — row ``j``'s transformation at column
-    ``i`` depends only on values produced by columns ``< i`` for that same
-    row — so the result is bit-for-bit the same; only the schedule changes.
-
-    Mutates and returns ``L``; ``x`` is consumed as scratch.
-    """
-    n = L.shape[0]
-    c_buf = np.empty(CHOLESKY_BLOCK)
-    s_buf = np.empty(CHOLESKY_BLOCK)
-    scratch = np.empty(n)
-    for p0 in range(0, n, CHOLESKY_BLOCK):
-        p1 = min(p0 + CHOLESKY_BLOCK, n)
-        for i in range(p0, p1):
-            r = np.hypot(L[i, i], x[i])
-            c = r / L[i, i]
-            s = x[i] / L[i, i]
-            L[i, i] = r
-            c_buf[i - p0] = c
-            s_buf[i - p0] = s
-            if i + 1 < p1:
-                L[i + 1 : p1, i] = (L[i + 1 : p1, i] + s * x[i + 1 : p1]) / c
-                x[i + 1 : p1] = c * x[i + 1 : p1] - s * L[i + 1 : p1, i]
-        if p1 < n:
-            x_tail = x[p1:]
-            tmp = scratch[: n - p1]
-            for i in range(p0, p1):
-                col = L[p1:, i]
-                c = c_buf[i - p0]
-                s = s_buf[i - p0]
-                np.multiply(x_tail, s, out=tmp)
-                col += tmp
-                col /= c
-                x_tail *= c
-                np.multiply(col, s, out=tmp)
-                x_tail -= tmp
-    return L
-
-
-def _rank1_update_drot(L: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Givens sweep for the rank-1 *update* on BLAS ``drot``.
-
-    Column ``i``'s rotation ``(c, s) = (L_ii, x_i) / r`` zeroes ``x_i``
-    against the diagonal; applying it to the trailing column and ``x`` is a
-    single strided BLAS call instead of a handful of short numpy
-    expressions, which is what dominates at the sparse posterior's factor
-    sizes (m ~ a few hundred: the loop is pure Python overhead, the data is
-    a fraction of L2).  Uses the textbook rotation ``c*col + s*x`` rather
-    than the sweep's scaled form — algebraically identical, different
-    round-off, which the ≤1e-8 equivalence harnesses absorb.
-
-    ``L`` must be C-contiguous float64 (callers check); mutated in place.
-    """
-    n = L.shape[0]
-    flat = L.reshape(-1)  # C-contiguous view over the factor's own memory
-    hypot = math.hypot
-    for i in range(n):
-        lii = flat[i * n + i]
-        xi = x[i]
-        r = hypot(lii, xi)
-        c = lii / r
-        s = xi / r
-        flat[i * n + i] = r
-        m = n - i - 1
-        if m:
-            blas.drot(
-                flat, x, c, s, n=m,
-                offx=(i + 1) * n + i, incx=n, offy=i + 1, incy=1,
-                overwrite_x=True, overwrite_y=True,
-            )
-    return L
-
-
-def cholesky_rank1_update(
-    lower: np.ndarray, v: np.ndarray, *, overwrite: bool = False
-) -> np.ndarray:
-    """Factor of ``L L^T + v v^T`` via Givens rotations in O(n^2).
-
-    The hot path (C-contiguous float64 factor, the only layout the GP code
-    produces) runs one BLAS ``drot`` per column; other layouts fall back to
-    the blocked numpy sweep.  ``overwrite=True`` updates ``lower`` in place
-    (it must be a float array the caller owns); otherwise a copy is
-    returned and the input untouched.
-    """
-    L = np.asarray(lower, dtype=float) if overwrite else np.array(lower, dtype=float)
-    x = np.asarray(v, dtype=float).ravel().copy()
-    n = L.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"v must have length {n}, got {x.shape[0]}")
-    if L.flags.c_contiguous and L.dtype == np.float64 and x.flags.c_contiguous:
-        return _rank1_update_drot(L, x)
-    return _rank1_sweep(L, x)

@@ -21,18 +21,16 @@ class SurrogateStats:
 
     ``n_full_fits`` counts ML-II hyperparameter fits (each is many internal
     factorizations inside L-BFGS); ``n_refactorizations`` counts from-scratch
-    O(n^3) rebuilds at frozen hyperparameters (the "full" update mode and
-    every PD-loss fallback); ``n_incremental_updates`` counts rank-k factor
-    appends; ``n_fallbacks`` counts automatic falls from the incremental to
-    the full path; ``n_mode_switches`` counts exact<->sparse posterior
-    transitions (the ``surrogate="auto"`` threshold crossing); the
-    hallucination counters split pending-point posteriors
-    between the factored :class:`~repro.core.surrogate.HallucinatedView` and
-    the rebuild-per-point legacy path.  ``refit_seconds`` and
-    ``hallucination_seconds`` hold per-event wall-clock seconds measured in
-    this process: the journal carries only the counters, so after a resume
-    the counters are run totals and the timing lists hold the resumed
-    samples.
+    O(n^3) rebuilds at frozen hyperparameters (one per PD-loss fallback of a
+    refit); ``n_incremental_updates`` counts rank-k factor appends;
+    ``n_fallbacks`` counts automatic falls from a factor-sharing fast path
+    (the append or the view) to its from-scratch rebuild; the hallucination
+    counters split pending-point posteriors between the factored
+    :class:`~repro.core.surrogate.HallucinatedView` and the rebuild-per-point
+    fallback.  ``refit_seconds`` and ``hallucination_seconds`` hold
+    per-event wall-clock seconds measured in this process: the journal
+    carries only the counters, so after a resume the counters are run totals
+    and the timing lists hold the resumed samples.
     """
 
     n_refits: int = 0
@@ -40,7 +38,6 @@ class SurrogateStats:
     n_refactorizations: int = 0
     n_incremental_updates: int = 0
     n_fallbacks: int = 0
-    n_mode_switches: int = 0
     n_hallucinated_views: int = 0
     n_hallucinated_rebuilds: int = 0
     refit_seconds: list = dataclasses.field(default_factory=list)

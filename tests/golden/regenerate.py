@@ -44,16 +44,6 @@ SCENARIOS = {
     "easybo-lp-branin": ("EasyBO-LP-3", "branin", dict(rng=7, n_init=5, max_evals=12)),
     "easybo-pess-branin": ("EasyBO-PESS-3", "branin", dict(rng=7, n_init=5, max_evals=12)),
     "easybo-std-branin": ("EasyBO-A-3", "branin", dict(rng=7, n_init=5, max_evals=12)),
-    # The budgeted sparse posterior (repro.gp.sparse) under a deliberately
-    # tiny inducing budget, async like the paper's algorithm: pins the
-    # inducing selection, the DTC factor arithmetic, and the sparse
-    # hallucinated view byte-for-byte, and enrolls the sparse path in the
-    # kill/resume chaos sweeps.
-    "easybo-sparse-branin": (
-        "EasyBO-3",
-        "branin",
-        dict(rng=11, n_init=5, max_evals=12, surrogate="sparse", n_inducing=4),
-    ),
 }
 
 #: Acquisition settings shared by every scenario (small but deterministic).
@@ -134,7 +124,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--only", default=None, metavar="SCENARIO", choices=sorted(SCENARIOS),
-        help="refresh/check a single scenario (e.g. easybo-sparse-branin)",
+        help="refresh/check a single scenario (e.g. easybo-async-branin)",
     )
     parser.add_argument(
         "--check", action="store_true",

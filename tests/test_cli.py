@@ -71,18 +71,6 @@ class TestCli:
         assert result.returncode == 0
         assert "spans written" not in result.stdout
 
-    def test_run_with_sparse_surrogate_flags(self, tmp_path):
-        result = run_cli(
-            "run", "--problem", "sphere", "--algorithm", "EasyBO-2",
-            "--budget", "12", "--n-init", "4",
-            "--surrogate", "auto", "--max-exact-n", "6", "--n-inducing", "8",
-            "--metrics", "--trace", str(tmp_path / "sparse-trace.jsonl"),
-        )
-        assert result.returncode == 0
-        assert "best FOM" in result.stdout
-        # Crossing --max-exact-n mid-run must surface as a mode switch.
-        assert "surrogate.mode_switches" in result.stdout
-
     def test_rejects_unknown_surrogate_kind(self):
         result = run_cli(
             "run", "--problem", "sphere", "--algorithm", "LCB",

@@ -78,10 +78,13 @@ class TestFitting:
 
 class TestIncrementalSchedule:
     def test_invalid_mode_rejected(self):
-        # There is one update path; the keyword that chose between two is
-        # refused by name.
-        with pytest.raises(TypeError, match="surrogate_update"):
-            SurrogateSession(BOUNDS, surrogate_update="full")
+        # There is one update path and one posterior; the keywords that
+        # chose between two are refused by name.
+        retired = {"surrogate_update": "full", "surrogate": "auto",
+                   "max_exact_n": 1000, "n_inducing": 256}
+        for key, value in retired.items():
+            with pytest.raises(TypeError, match=key):
+                SurrogateSession(BOUNDS, **{key: value})
         with pytest.raises(ValueError):
             SurrogateSession(BOUNDS, refit_every=0)
 
@@ -134,100 +137,6 @@ class TestIncrementalSchedule:
         mu, sigma = session.predict_physical(session.X[:3])
         assert np.all(np.isfinite(mu)) and np.all(sigma > 0)
 
-
-class TestSurrogateKinds:
-    """The surrogate= seam: exact vs sparse posterior, auto switching."""
-
-    def _session(self, **kwargs):
-        rng = np.random.default_rng(9)
-        session = SurrogateSession(BOUNDS, rng=rng, **kwargs)
-        X = rng.uniform(BOUNDS[:, 0], BOUNDS[:, 1], size=(10, 2))
-        session.add_batch(X, np.sin(X[:, 0]) + X[:, 1])
-        return session
-
-    def test_invalid_kind_and_budgets_rejected(self):
-        with pytest.raises(ValueError):
-            SurrogateSession(BOUNDS, surrogate="approximate")
-        with pytest.raises(ValueError):
-            SurrogateSession(BOUNDS, max_exact_n=0)
-        with pytest.raises(ValueError):
-            SurrogateSession(BOUNDS, n_inducing=0)
-
-    def test_exact_kind_never_switches(self):
-        from repro.gp import GaussianProcess
-
-        session = self._session(surrogate="exact", max_exact_n=2)
-        session.refit()
-        assert type(session.model) is GaussianProcess
-        assert session.active_surrogate == "exact"
-        assert session.stats.n_mode_switches == 0
-
-    def test_sparse_kind_fits_sparse_model(self):
-        from repro.gp.sparse import SparseGaussianProcess
-
-        session = self._session(surrogate="sparse", n_inducing=6)
-        session.refit()
-        assert isinstance(session.model, SparseGaussianProcess)
-        assert session.active_surrogate == "sparse"
-        mu, sigma = session.predict_physical(session.X[:3])
-        assert np.all(np.isfinite(mu)) and np.all(sigma > 0)
-
-    def test_auto_switches_past_max_exact_n(self):
-        from repro.obs import MetricsRegistry, Observability
-        from repro.gp import GaussianProcess
-        from repro.gp.sparse import SparseGaussianProcess
-
-        metrics = MetricsRegistry()
-        session = self._session(
-            surrogate="auto",
-            max_exact_n=12,
-            n_inducing=8,
-            obs=Observability(metrics=metrics),
-        )
-        session.refit()
-        assert type(session.model) is GaussianProcess
-        rng = np.random.default_rng(10)
-        for i in range(5):
-            session.add(rng.uniform(BOUNDS[:, 0], BOUNDS[:, 1]), float(i))
-            session.refit()
-        # 10 seed points + 5 adds crosses max_exact_n=12 exactly once.
-        assert isinstance(session.model, SparseGaussianProcess)
-        assert session.active_surrogate == "sparse"
-        assert session.stats.n_mode_switches == 1
-        assert metrics.counter("surrogate.mode_switches") == 1
-
-    def test_sparse_pending_returns_sparse_view(self):
-        from repro.gp.sparse import SparseHallucinatedView
-
-        session = self._session(surrogate="sparse", n_inducing=6)
-        session.refit()
-        x_pending = np.array([[7.7, 0.3]])
-        _, sigma_before = session.predict_physical(x_pending)
-        view = session.model_with_pending(x_pending)
-        assert isinstance(view, SparseHallucinatedView)
-        _, sigma_after = session.predict_physical(x_pending, model=view)
-        assert sigma_after[0] < sigma_before[0]
-        assert session.stats.n_hallucinated_views == 1
-
-    def test_sparse_snapshot_roundtrip_restores_kind(self):
-        from repro.gp.sparse import SparseGaussianProcess
-
-        session = self._session(surrogate="sparse", n_inducing=6)
-        session.refit()
-        snap = session.snapshot()
-        assert snap["model"]["kind"] == "sparse"
-        clone = SurrogateSession(
-            BOUNDS, rng=0, surrogate="sparse", n_inducing=6
-        )
-        clone.add_batch(session.X, session.y)
-        clone.restore_snapshot(snap)
-        assert isinstance(clone.model, SparseGaussianProcess)
-        np.testing.assert_allclose(
-            clone.predict_physical(session.X[:4])[0],
-            session.predict_physical(session.X[:4])[0],
-            atol=1e-8,
-        )
-
     def test_fallback_emits_metric(self, monkeypatch):
         # Regression: the PD-loss fallback used to be visible only through
         # run-end stats; it must now tick surrogate.fallback_rebuilds so
@@ -236,11 +145,13 @@ class TestSurrogateKinds:
         from repro.gp.gp import GaussianProcess
 
         metrics = MetricsRegistry()
-        session = self._session(
-            surrogate="exact",
-            refit_every=100,
+        rng = np.random.default_rng(9)
+        session = SurrogateSession(
+            BOUNDS, rng=rng, refit_every=100,
             obs=Observability(metrics=metrics),
         )
+        X = rng.uniform(BOUNDS[:, 0], BOUNDS[:, 1], size=(10, 2))
+        session.add_batch(X, np.sin(X[:, 0]) + X[:, 1])
         session.refit()
 
         def boom(self, X_new, y_new, **kwargs):

@@ -390,7 +390,6 @@ class TestPersistenceV4:
         for version in (2, 3, 4, 5, 6, 7):
             old = json.loads(json.dumps(data))
             old["version"] = version
-            old.pop("surrogate", None)
             if version < 7:
                 old.pop("pending_policy", None)
             if version < 6:
@@ -402,7 +401,6 @@ class TestPersistenceV4:
             if version < 3:
                 old.pop("surrogate_stats", None)
             clone = run_from_dict(old)
-            assert clone.surrogate is None
             if version < 7:
                 assert clone.pending_policy is None
             if version < 6:

@@ -305,16 +305,20 @@ class TestRefusals:
 
 
 #: Config keys of options that no longer exist, with values older releases
-#: journaled: the second surrogate update mode, and UCB's kappa and EI/PI's
-#: xi, now constants.
-RETIRED_KEYS = {"surrogate_update": "full", "ucb_kappa": 2.0, "ei_xi": 0.0}
+#: journaled: the second surrogate update mode, UCB's kappa and EI/PI's xi,
+#: now constants, and the sparse posterior's options at their defaults,
+#: which kept every run below 1000 evaluations exact.
+RETIRED_KEYS = {
+    "surrogate_update": "full", "ucb_kappa": 2.0, "ei_xi": 0.0,
+    "surrogate": "auto", "max_exact_n": 1000, "n_inducing": 256,
+}
 
 
-def with_retired_keys(path) -> None:
+def with_retired_keys(path, keys=RETIRED_KEYS) -> None:
     """Rewrite ``path`` the way older releases journaled it: every retired
     key in the ``campaign_start`` config."""
     events = read_journal(path)
-    events[0]["config"].update(RETIRED_KEYS)
+    events[0]["config"].update(keys)
     path.unlink()
     with JournalWriter(path) as writer:
         for event in events:
@@ -322,10 +326,10 @@ def with_retired_keys(path) -> None:
 
 
 class TestRetiredSurrogateUpdate:
-    """The surrogate has one update path, and UCB's kappa and EI/PI's xi are
-    constants.  Journals from before carry the keywords that set them;
-    reading drops them, and a caller that still passes one is refused by
-    name."""
+    """The surrogate has one update path and one posterior, and UCB's kappa
+    and EI/PI's xi are constants.  Journals from before carry the keywords
+    that set them; reading drops them, and a caller that still passes one is
+    refused by name."""
 
     KWARGS = dict(n_init=4, max_evals=10, rng=0, **FAST)
 

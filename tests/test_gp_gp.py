@@ -57,6 +57,20 @@ class TestFitPredict:
         X = np.zeros((2, 1))
         with pytest.raises(ValueError):
             GaussianProcess(1).fit(X, [1.0, np.nan])
+        # add_observation refuses what fit refuses, and leaves the model
+        # predicting exactly what it did before the refused call.
+        rng = np.random.default_rng(0)
+        gp = GaussianProcess(2).fit(rng.uniform(size=(6, 2)), rng.standard_normal(6))
+        X_test = rng.uniform(size=(4, 2))
+        mu, sigma = gp.predict(X_test)
+        for x, y in (([0.5, np.nan], 0.0), ([0.5, np.inf], 0.0),
+                     ([0.5, 0.5], np.nan)):
+            with pytest.raises(ValueError):
+                gp.add_observation(x, y)
+            assert gp.n_train == 6
+            mu_after, sigma_after = gp.predict(X_test)
+            assert np.array_equal(mu_after, mu)
+            assert np.array_equal(sigma_after, sigma)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

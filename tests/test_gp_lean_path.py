@@ -61,17 +61,6 @@ class TestSolves:
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_overwrite_solves_a_fortran_buffer_in_place(self, order):
-        rng = np.random.default_rng(5)
-        L = np.asarray(random_factor(12, rng), order=order)
-        b = rng.standard_normal((12, 4))
-        expected = sla.solve_triangular(L, b, lower=True, check_finite=False)
-        buffer = np.asfortranarray(b)
-        got = solve_lower(L, buffer, overwrite_rhs=True)
-        assert np.shares_memory(got, buffer)
-        assert np.array_equal(buffer, expected)
-
     def test_rhs_untouched_without_overwrite(self):
         rng = np.random.default_rng(6)
         L = random_factor(9, rng)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.gp.linalg import (
     cholesky_append,
-    cholesky_rank1_update,
     cholesky_solve,
     cholesky_update,
     jittered_cholesky,
@@ -128,50 +127,6 @@ class TestCholeskyAppend:
             cholesky_append(np.eye(3), np.zeros((2, 1)), np.eye(1))
         with pytest.raises(ValueError):
             cholesky_append(np.eye(3), np.zeros((3, 2)), np.eye(1))
-
-
-class TestRank1Rotations:
-    def test_update_matches_refactorization(self):
-        rng = np.random.default_rng(9)
-        K = random_spd(6, rng)
-        v = rng.standard_normal(6)
-        L_up = cholesky_rank1_update(np.linalg.cholesky(K), v)
-        np.testing.assert_allclose(
-            L_up, np.linalg.cholesky(K + np.outer(v, v)), atol=1e-9
-        )
-
-    def test_update_drot_and_sweep_paths_agree(self):
-        # The C-contiguous factor takes the BLAS drot fast path; a
-        # Fortran-ordered copy of the same factor falls back to the blocked
-        # numpy sweep.  Both must produce the same factor (the rotations are
-        # algebraically identical; only round-off may differ).
-        rng = np.random.default_rng(13)
-        K = random_spd(40, rng)
-        v = rng.standard_normal(40)
-        L = np.linalg.cholesky(K)
-        assert L.flags.c_contiguous
-        L_fast = cholesky_rank1_update(L, v)
-        L_slow = cholesky_rank1_update(np.asfortranarray(L), v)
-        np.testing.assert_allclose(L_fast, L_slow, atol=1e-12)
-        np.testing.assert_allclose(
-            L_fast, np.linalg.cholesky(K + np.outer(v, v)), atol=1e-8
-        )
-
-    def test_update_overwrite_mutates_in_place(self):
-        rng = np.random.default_rng(14)
-        K = random_spd(8, rng)
-        v = rng.standard_normal(8)
-        L = np.linalg.cholesky(K)
-        out = cholesky_rank1_update(L, v, overwrite=True)
-        assert out is L
-        np.testing.assert_allclose(
-            L, np.linalg.cholesky(K + np.outer(v, v)), atol=1e-9
-        )
-        # Without overwrite the input factor must stay untouched.
-        L2 = np.linalg.cholesky(K)
-        ref = L2.copy()
-        cholesky_rank1_update(L2, v)
-        np.testing.assert_array_equal(L2, ref)
 
 
 @settings(max_examples=25, deadline=None)

@@ -21,7 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.circuits.benchmarks import branin, sphere
+from repro.circuits.benchmarks import sphere
 from repro.core import (
     HallucinatePolicy,
     LocalPenalisationPolicy,
@@ -45,7 +45,6 @@ from repro.core.tournament import (
     run_tournament,
 )
 from repro.distributed import CampaignClient, serve
-from repro.gp import SparseGaussianProcess, SquaredExponential
 
 ACQ = dict(acq_candidates=32, acq_restarts=1)
 
@@ -131,40 +130,6 @@ class TestDriverRoundTrips:
     def test_sequential_driver_has_no_policy(self):
         result = self._run("LCB")
         assert result.pending_policy is None
-
-
-class TestPessimisticOnSparse:
-    """``EasyBO-PESS-B`` on the sparse posterior, which has no border update."""
-
-    @pytest.mark.parametrize(
-        "surrogate",
-        [dict(surrogate="sparse"), dict(surrogate="auto", max_exact_n=6)],
-        ids=["sparse", "auto-past-max-exact-n"],
-    )
-    def test_run_proposes_with_points_in_flight(self, surrogate):
-        result = make_algorithm(
-            "EasyBO-PESS-3", branin(), rng=0, n_init=5, max_evals=12,
-            **ACQ, **surrogate,
-        ).run()
-        assert result.n_evaluations == 12
-        assert all(r.status == "ok" for r in result.trace.records)
-
-    def test_beta_zero_is_the_sparse_kriging_believer(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(size=(20, 2))
-        model = SparseGaussianProcess(
-            kernel=SquaredExponential(2, lengthscales=0.4),
-            noise_variance=1e-2, n_inducing=8,
-        ).fit(X, np.sin(3.0 * X).sum(axis=1))
-        U_pending = rng.uniform(size=(3, 2))
-        extended = PessimisticPolicy(beta=0.0).condition_pessimistic(
-            model, U_pending
-        )
-        assert extended.n_train == 23 and model.n_train == 20
-        believer = model.condition_on_pending(U_pending)
-        X_test = rng.uniform(size=(10, 2))
-        for got, want in zip(extended.predict(X_test), believer.predict(X_test)):
-            np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
 
 
 class TestServerCreate:

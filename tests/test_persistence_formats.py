@@ -74,7 +74,6 @@ def test_golden_fixture_loads(version):
     assert (run.rng_state is not None) == (version >= 4)
     assert (run.pool_telemetry is not None) == (version >= 5)
     assert (run.metrics is not None) == (version >= 6)
-    assert (run.surrogate is not None) == (version >= 8)
 
     if version >= 3:
         assert run.surrogate_stats.n_refits == 2
@@ -92,12 +91,11 @@ def test_golden_fixture_loads(version):
         assert hist["count"] == 4
     if version >= 7:
         assert run.pending_policy == "hallucinate"
-    if version >= 3:
-        # n_mode_switches arrived with v8 writers; older files load with the
-        # dataclass default of 0.
-        assert run.surrogate_stats.n_mode_switches == (1 if version >= 8 else 0)
     if version >= 8:
-        assert run.surrogate == "auto"
+        # v8 files carry the retired sparse posterior's ``surrogate`` label
+        # and ``n_mode_switches`` counter; they load without them.
+        assert not hasattr(run, "surrogate")
+        assert "n_mode_switches" not in run.surrogate_stats.as_dict()
 
 
 def test_fixtures_are_byte_exact():
@@ -118,7 +116,11 @@ def test_current_writer_round_trips_newest_version(tmp_path):
     save_runs(out, grid)
     payload = json.loads(out.read_text())
     assert payload["version"] == persistence._FORMAT_VERSION
-    assert payload["grid"]["EasyBO-2"][0]["version"] == persistence._FORMAT_VERSION
+    written = payload["grid"]["EasyBO-2"][0]
+    assert written["version"] == persistence._FORMAT_VERSION
+    # The writer no longer emits the retired sparse posterior's fields.
+    assert "surrogate" not in written
+    assert "n_mode_switches" not in written["surrogate_stats"]
 
     reloaded = load_runs(out)
     original = grid["EasyBO-2"][0]

@@ -13,10 +13,9 @@ deterministic, so a failure reproduces from its case index alone:
   the busy points, while the mean surface is untouched (kriging believer).
 * GP regression is symmetric in its training data: permuting the
   observations leaves the posterior unchanged.
-* The incremental Cholesky algebra (border updates, block appends,
-  shrinks, rank-1 up/downdates, row deletion) reproduces a fresh
-  factorization of the assembled matrix, including near-singular inputs
-  where the jitter policy engages.
+* The incremental Cholesky algebra (border updates and block appends)
+  reproduces a fresh factorization of the assembled matrix, including
+  near-singular inputs where the jitter policy engages.
 * Pending-point policies (``repro.core.pending``): the local-penalisation
   factor lies in ``(0, 1]``, is non-decreasing in the distance to the
   pending point, and tends to 1 far away; the pessimistic extension never
@@ -41,11 +40,6 @@ from repro.core.surrogate import HallucinatedView
 from repro.gp import linalg
 from repro.gp.gp import GaussianProcess
 from repro.gp.kernels import SquaredExponential
-from repro.gp.sparse import (
-    SparseGaussianProcess,
-    SparseHallucinatedView,
-    select_inducing,
-)
 
 pytestmark = pytest.mark.property
 
@@ -341,11 +335,6 @@ class TestIncrementalCholesky:
             # The append never touches the leading block.
             np.testing.assert_array_equal(appended[:n, :n], base_lower)
 
-            # Rank-1 update vs the updated matrix refactorized.
-            v = rng.standard_normal(n)
-            up1 = linalg.cholesky_rank1_update(lower, v)
-            _assert_factors(up1, K + np.outer(v, v))
-
     def test_near_singular_jitter_and_append_failure(self):
         engaged = 0
         for case in range(N_CASES):
@@ -374,149 +363,3 @@ class TestIncrementalCholesky:
                 linalg.cholesky_append(lower, cross, corner)
         # The sweep must actually exercise the jitter path, not skirt it.
         assert engaged >= N_CASES // 10
-
-
-# ------------------------------------------------- sparse inducing posterior
-def _random_sparse_case(rng):
-    """A dataset + kernel sized for the sparse-vs-exact convergence sweeps.
-
-    The ranges are chosen for a well-conditioned ``Kuu``: unlike the exact
-    system ``Kff + sigma^2 I``, the DTC system inverts the *noiseless*
-    inducing Gram matrix, whose condition number explodes for long
-    lengthscales or tightly packed 1-D designs and would turn the exactness
-    sweeps into round-off measurements (empirically: lengthscales 0.3-0.8
-    over dims 2-4 with n <= 16 keep the degenerate-case error below 1e-9
-    at kappa(Kff) up to ~1e6; doubling the lengthscale ceiling pushes the
-    error past 1e-5).  Noise stays at 10^-1.5 .. 10^-1 because
-    ``B = Kuu + sigma^-2 Kuf Kfu`` amplifies round-off by ``sigma^-2``.
-    """
-    dim = int(rng.integers(2, 5))
-    n = int(rng.integers(10, 17))
-    kernel = SquaredExponential(
-        dim,
-        lengthscales=rng.uniform(0.3, 0.8, size=dim),
-        variance=float(rng.uniform(0.5, 2.0)),
-    )
-    noise = float(10.0 ** rng.uniform(-1.5, -1.0))
-    X = rng.uniform(-1.0, 1.0, size=(n, dim))
-    y = rng.standard_normal(n)
-    return kernel, noise, X, y
-
-
-class TestSparseInducingPosterior:
-    def test_error_vs_exact_shrinks_as_budget_grows(self):
-        """Mean sparse-vs-exact error decreases along the m -> n ladder."""
-        ladder_errors = []
-        for case in range(N_CASES):
-            rng = np.random.default_rng(80_000 + case)
-            kernel, noise, X, y = _random_sparse_case(rng)
-            n = len(y)
-            exact = GaussianProcess(kernel=kernel, noise_variance=noise).fit(X, y)
-            X_test = rng.uniform(-1.0, 1.0, size=(16, X.shape[1]))
-            mu_e, sd_e = exact.predict(X_test)
-            errs = []
-            for m in (2, max(n // 4, 3), max(n // 2, 4), n):
-                sparse = SparseGaussianProcess(
-                    kernel=kernel, noise_variance=noise, n_inducing=m
-                ).fit(X, y)
-                mu_s, sd_s = sparse.predict(X_test)
-                errs.append(
-                    float(np.abs(mu_s - mu_e).max() + np.abs(sd_s - sd_e).max())
-                )
-            ladder_errors.append(errs)
-            # The full-budget rung must agree with the exact posterior
-            # (compound mean+std metric, hence the 2e-8 headroom over the
-            # per-quantity 1e-8 the degenerate test below enforces).
-            assert errs[-1] <= 2e-8, (case, errs)
-        means = np.asarray(ladder_errors).mean(axis=0)
-        # Monotone convergence of the sweep average: every extra chunk of
-        # inducing budget strictly reduces the approximation error.
-        assert np.all(np.diff(means) < 0.0), means
-
-    def test_degenerates_to_exact_when_inducing_is_training_set(self):
-        for case in range(N_CASES):
-            rng = np.random.default_rng(90_000 + case)
-            kernel, noise, X, y = _random_sparse_case(rng)
-            exact = GaussianProcess(kernel=kernel, noise_variance=noise).fit(X, y)
-            sparse = SparseGaussianProcess(
-                kernel=kernel, noise_variance=noise, n_inducing=len(y)
-            ).fit(X, y, inducing_indices=np.arange(len(y)))
-            X_test = rng.uniform(-1.0, 1.0, size=(16, X.shape[1]))
-            mu_e, sd_e = exact.predict(X_test)
-            mu_s, sd_s = sparse.predict(X_test)
-            np.testing.assert_allclose(mu_s, mu_e, atol=1e-8)
-            np.testing.assert_allclose(sd_s, sd_e, atol=1e-8)
-
-    def test_incremental_tell_matches_batch_refit(self):
-        """Rank-1 tells reproduce the from-scratch sparse fit (frozen Z)."""
-        for case in range(N_CASES):
-            rng = np.random.default_rng(100_000 + case)
-            kernel, noise, X, y = _random_sparse_case(rng)
-            n = len(y)
-            n_held = int(rng.integers(1, 4))
-            m = max(n // 2, 3)
-            idx = select_inducing(X[: n - n_held], m)
-            told = SparseGaussianProcess(
-                kernel=kernel, noise_variance=noise, n_inducing=m
-            ).fit(X[: n - n_held], y[: n - n_held], inducing_indices=idx)
-            told.update(X[n - n_held :], y[n - n_held :])
-            batch = SparseGaussianProcess(
-                kernel=kernel, noise_variance=noise, n_inducing=m
-            ).fit(X, y, inducing_indices=idx)
-            X_test = rng.uniform(-1.0, 1.0, size=(8, X.shape[1]))
-            mu_t, sd_t = told.predict(X_test)
-            mu_b, sd_b = batch.predict(X_test)
-            np.testing.assert_allclose(mu_t, mu_b, atol=1e-8)
-            np.testing.assert_allclose(sd_t, sd_b, atol=1e-8)
-
-    def test_sparse_hallucination_satisfies_eq9(self):
-        """Eq. 9 on the budgeted posterior: no inflation, busy collapse.
-
-        The busy-point collapse is quantitative: hallucinating a single
-        pending point at its predictive mean turns its variance into
-
-            var_hat(p) = var(p) - g^2 / (sigma_n^2 + g),  g = k_p^T B^-1 k_p
-
-        (rank-1 Sherman-Morrison on the DTC system), i.e. the *explained*
-        part ``g`` collapses to below the noise level while the inducing
-        representational gap ``k** - k_p^T Kuu^-1 k_p`` — irreducible
-        without moving Z — stays.
-        """
-        for case in range(N_CASES):
-            rng = np.random.default_rng(110_000 + case)
-            kernel, noise, X, y = _random_sparse_case(rng)
-            m = max(len(y) // 2, 4)
-            sparse = SparseGaussianProcess(
-                kernel=kernel, noise_variance=noise, n_inducing=m
-            ).fit(X, y)
-            k = int(rng.integers(1, 4))
-            X_busy = rng.uniform(-1.0, 1.0, size=(k, sparse.dim))
-            X_test = np.vstack(
-                [X_busy, rng.uniform(-1.0, 1.0, size=(8, sparse.dim))]
-            )
-            mu, sigma = sparse.predict(X_test)
-            view = SparseHallucinatedView(sparse, X_busy)
-            mu_hat, sigma_hat = view.predict(X_test)
-
-            # Eq. 9: the hallucinated spread never exceeds the plain one.
-            assert np.all(sigma_hat <= sigma + 1e-8), case
-            # Kriging believer: the mean surface is untouched (exactly, by
-            # Sherman-Morrison — the view shares w with the base model).
-            np.testing.assert_allclose(mu_hat, mu, atol=1e-10)
-
-            # Quantitative single-point collapse identity.
-            state = sparse.posterior_state
-            p = X_busy[:1]
-            kp = kernel(state.Z, p)[:, 0]
-            v = linalg.solve_lower(state.lb, kp)
-            g = float(v @ v)
-            single = SparseHallucinatedView(sparse, p)
-            var_busy = single.predict(p)[1][0] ** 2
-            var_base = sparse.predict(p)[1][0] ** 2
-            expected = var_base - g**2 / (noise + g)
-            np.testing.assert_allclose(var_busy, expected, rtol=1e-9, atol=1e-12)
-            # The explained mass collapses below the noise level; only the
-            # inducing gap (k** - q) survives.
-            vq = linalg.solve_lower(state.luu, kp)
-            gap = float(kernel.diag(p)[0] - vq @ vq)
-            assert var_busy <= gap + noise + 1e-8, case

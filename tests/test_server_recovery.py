@@ -20,10 +20,10 @@ import pytest
 
 from repro.circuits.benchmarks import sphere
 from repro.core import make_campaign
-from repro.core.campaign import read_campaign_journal
+from repro.core.campaign import read_campaign_journal, resume_campaign
 from repro.core.easybo import make_algorithm
 from repro.core.faults import FailurePolicy
-from repro.core.journal import read_journal
+from repro.core.journal import JournalError, read_journal
 from repro.core.recovery import resume
 from repro.distributed import (
     CampaignClient,
@@ -205,6 +205,50 @@ class TestRestartRecovery:
                 assert client.status(cid)["state"] == "active"
                 _finish(client, cid, twin, problem)
                 assert client.status(cid)["state"] == "finished"
+        finally:
+            new.stop()
+
+    @pytest.mark.parametrize(
+        "options",
+        [dict(surrogate="sparse", max_exact_n=1000, n_inducing=256),
+         dict(surrogate="auto", max_exact_n=4, n_inducing=256)],
+        ids=["sparse", "auto-below-max-evals"],
+    )
+    def test_a_journal_that_could_have_run_sparse_is_refused(self, tmp_path,
+                                                             options):
+        """The sparse posterior is gone, so a run whose options could have
+        switched to it cannot resume onto the run it started: resuming
+        refuses it by name, a restart fails it by name, and a finished one
+        still lists as finished."""
+        problem = sphere(2)
+        old = _serve(tmp_path)
+        client = CampaignClient(port=old.port)
+        open_cid = client.create("EasyBO-2", "sphere2",
+                                 config=dict(rng=48, **CONFIG))
+        _drive(client, open_cid, _twin(48), problem, rounds=2)
+        done_cid = client.create("EasyBO-2", "sphere2",
+                                 config=dict(rng=49, **CONFIG))
+        _finish(client, done_cid, _twin(49), problem)
+        _kill(old)
+        client.close()
+        for cid in (open_cid, done_cid):
+            with_retired_keys(tmp_path / f"{cid}.journal", options)
+        journal = tmp_path / f"{open_cid}.journal"
+        before = journal.read_bytes()
+        for reader in (resume_campaign, resume):
+            with pytest.raises(JournalError, match="surrogate"):
+                reader(journal)
+        assert journal.read_bytes() == before
+
+        new = _serve(tmp_path)
+        try:
+            assert new.recoveries == 0
+            with CampaignClient(port=new.port) as client:
+                status = client.status(open_cid)
+                assert status["state"] == "failed"
+                assert "surrogate" in status["error"]
+                states = {c["campaign"]: c["state"] for c in client.list()}
+                assert states == {open_cid: "failed", done_cid: "finished"}
         finally:
             new.stop()
 
