@@ -78,13 +78,10 @@ class TestFitting:
 
 class TestIncrementalSchedule:
     def test_invalid_mode_rejected(self):
-        # There is one update path and one posterior; the keywords that
-        # chose between two are refused by name.
-        retired = {"surrogate_update": "full", "surrogate": "auto",
-                   "max_exact_n": 1000, "n_inducing": 256}
-        for key, value in retired.items():
-            with pytest.raises(TypeError, match=key):
-                SurrogateSession(BOUNDS, **{key: value})
+        # There is one update path; the keyword that chose between two is
+        # refused by name.
+        with pytest.raises(TypeError, match="surrogate_update"):
+            SurrogateSession(BOUNDS, surrogate_update="full")
         with pytest.raises(ValueError):
             SurrogateSession(BOUNDS, refit_every=0)
 
@@ -162,6 +159,22 @@ class TestIncrementalSchedule:
         assert session.refit() is not None
         assert metrics.counter("surrogate.fallback_rebuilds") == 1
         assert session.stats.n_fallbacks == 1
+
+
+class TestSurrogateKinds:
+    """The exact GP is the only posterior; the kind seam is gone."""
+
+    def test_invalid_kind_and_budgets_rejected(self):
+        # The keywords that chose a posterior kind and sized the sparse
+        # one are refused by name, whatever their value.
+        retired = {"surrogate": "approximate", "max_exact_n": 0,
+                   "n_inducing": 0}
+        for key, value in retired.items():
+            with pytest.raises(TypeError, match=key):
+                SurrogateSession(BOUNDS, **{key: value})
+        for value in ("exact", "auto", "sparse"):
+            with pytest.raises(TypeError, match="surrogate"):
+                SurrogateSession(BOUNDS, surrogate=value)
 
 
 class TestPending:
